@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-fast bench sweep campaign faults profile trace fidelity \
-	golden golden-refresh reliability reliability-bench ftl tenants
+	golden golden-refresh reliability reliability-bench ftl tenants perfbench
 
 # Tier-1 verification: the full unit/integration suite.
 test:
@@ -11,6 +11,13 @@ test:
 # Skip tests marked `slow` (the heavy benchmark sweeps).
 test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow"
+
+# Simulator benchmark smoke: the perfbench harness self-test, then one
+# gated fig3_sw_cycle run (see perfbench/README.md for the full benchmark).
+perfbench:
+	$(PYTHON) perfbench/selftest.py
+	$(PYTHON) perfbench/run.py --workload fig3_sw_cycle --seed 0 \
+		--seconds 12 --trace 0
 
 # Kernel speed benchmark; refreshes BENCH_kernel_speed.json at the repo root.
 bench:

@@ -15,10 +15,11 @@ cooperatively.  Layout::
 
 Correctness model (locked by the crash/resume test tier):
 
-* **Claiming** a point creates ``queue/<key>.lease`` with
-  ``O_CREAT | O_EXCL`` — exactly one worker wins.  Leases carry owner,
-  pid, host and an expiry; a heartbeat thread extends the expiry while
-  the point simulates.
+* **Claiming** a point hard-links a fully written lease into
+  ``queue/<key>.lease`` — ``link`` fails if the lease exists, so exactly
+  one worker wins, and no lease is ever seen half-written.  Leases carry
+  owner, pid, host and an expiry; a heartbeat thread extends the expiry
+  while the point simulates.
 * **Reaping** an orphaned lease (worker killed mid-point) renames the
   lease file to a tombstone — ``rename`` succeeds for exactly one
   reaper, so an expired point re-enters the queue exactly once per
@@ -115,7 +116,7 @@ class Lease:
 class LeaseQueue:
     """Filesystem lease table: one ``<key>.lease`` file per claim.
 
-    All mutations are single-syscall atomic (exclusive create, rename),
+    All mutations are single-syscall atomic (exclusive link, rename),
     so the queue needs no locks and works across processes and across
     hosts sharing the directory.
     """
@@ -132,18 +133,33 @@ class LeaseQueue:
 
     def claim(self, key: str, owner: Optional[str] = None
               ) -> Optional[Lease]:
-        """Claim a point; ``None`` if someone else holds it."""
+        """Claim a point; ``None`` if someone else holds it.
+
+        The lease is written whole to a private temporary file and then
+        hard-linked into place.  ``link`` fails if the lease already
+        exists, so exactly one claimer wins, and the lease appears with
+        its content: a worker killed mid-claim leaves no empty lease file
+        that no reaper could read (and the point claimable by nobody).
+        """
         os.makedirs(self.directory, exist_ok=True)
         lease = Lease(key=key, owner=owner or _worker_name(),
                       pid=os.getpid(), host=socket.gethostname(),
                       expires_unix=time.time() + self.ttl_s)
+        staged = os.path.join(
+            self.directory,
+            f".claim-{os.getpid()}-{threading.get_ident()}-{key[:16]}")
         try:
-            descriptor = os.open(self._path(key),
-                                 os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return None
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            json.dump(lease.to_dict(), handle)
+            with open(staged, "w", encoding="utf-8") as handle:
+                json.dump(lease.to_dict(), handle)
+            try:
+                os.link(staged, self._path(key))
+            except FileExistsError:
+                return None
+        finally:
+            try:
+                os.unlink(staged)
+            except OSError:
+                pass
         return lease
 
     def peek(self, key: str) -> Optional[Lease]:

@@ -3,8 +3,8 @@
 Models the behaviors the paper explicitly calls out — "column
 pre-charging, refresh operations, detailed command timings" — at the
 command level: per-bank open rows, ACT/PRE/CAS timing, back-to-back burst
-occupancy on the shared data bus, and a periodic refresh process that
-closes every row and stalls traffic for ``tRFC``.
+occupancy on the shared data bus, and a periodic refresh that closes
+every row and stalls traffic for ``tRFC``.
 
 Requests of arbitrary size are split into row-sized segments; each segment
 costs a row hit or miss plus its burst train.  The controller is FCFS (the
@@ -43,6 +43,18 @@ class DramController(Component):
                        for i in range(timing.banks)]
         #: Open row per bank (None == precharged).
         self._open_rows: list = [None] * timing.banks
+        # Per-segment command latencies, derived once from the timing set.
+        clock = timing.clock
+        self._cl_ps = clock.cycles(timing.t_cl)
+        self._wr_ps = clock.cycles(timing.t_wr)
+        self._rp_ps = timing.precharge_ps()
+        self._rcd_cl_ps = timing.activate_to_read_ps()
+        self._refresh_interval_ps = timing.refresh_interval_ps
+        self._rfc_ps = timing.refresh_ps()
+        #: What a refresh claims, in lock order: every bank, then the bus.
+        self._refresh_order = (*self._banks, self.bus)
+        #: Grants the next or current refresh holds (or has requested).
+        self._refresh_grants: list = []
         self._refresh_running = False
         if enable_refresh:
             self.start_refresh()
@@ -70,52 +82,54 @@ class DramController(Component):
         """
         if nbytes <= 0:
             raise ValueError(f"nbytes must be positive, got {nbytes}")
-        start = self.sim.now
+        sim = self.sim
+        start = sim._now
         timing = self.timing
+        row_bytes = timing.row_bytes
+        counter = self.stats.counter
         remaining = nbytes
         address = byte_address
         while remaining > 0:
             bank, row = self.map_address(address)
-            in_row = timing.row_bytes - (address % timing.row_bytes)
-            segment = min(remaining, in_row)
+            segment = min(remaining, row_bytes - address % row_bytes)
             # Bank phase: precharge/activate overlaps with other banks'
             # work; only this bank serializes.
-            bank_grant = self._banks[bank].acquire(ACCESS_PRIORITY)
+            bank_resource = self._banks[bank]
+            bank_grant = bank_resource.acquire(ACCESS_PRIORITY)
             yield bank_grant
             try:
-                if self._open_rows[bank] != row:
-                    delay = 0
-                    if self._open_rows[bank] is not None:
-                        delay += timing.precharge_ps()
-                        self.stats.counter("row_misses").increment()
+                open_row = self._open_rows[bank]
+                if open_row != row:
+                    delay = self._rcd_cl_ps
+                    if open_row is not None:
+                        delay += self._rp_ps
+                        counter("row_misses").increment()
                     else:
-                        self.stats.counter("row_empty").increment()
-                    delay += timing.activate_to_read_ps()
+                        counter("row_empty").increment()
                     self._open_rows[bank] = row
                 else:
-                    self.stats.counter("row_hits").increment()
-                    delay = timing.clock.cycles(timing.t_cl)
-                yield self.sim.timeout(delay)
+                    counter("row_hits").increment()
+                    delay = self._cl_ps
+                yield delay
                 # Data phase: the burst train occupies the shared bus.
                 bus_grant = self.bus.acquire(ACCESS_PRIORITY)
                 yield bus_grant
                 try:
-                    bursts = timing.bursts_for(segment)
-                    delay = timing.burst_ps(bursts)
+                    delay = timing.burst_ps(timing.bursts_for(segment))
                     if is_write:
-                        delay += timing.clock.cycles(timing.t_wr)
-                    yield self.sim.timeout(delay)
+                        delay += self._wr_ps
+                    yield delay
                 finally:
                     self.bus.release(bus_grant)
             finally:
-                self._banks[bank].release(bank_grant)
+                bank_resource.release(bank_grant)
             remaining -= segment
             address += segment
-        elapsed = self.sim.now - start
-        kind = "writes" if is_write else "reads"
+        now = sim._now
+        elapsed = now - start
         if _obs.enabled:
-            _obs.record_span(self.path(), "dram_buffer", start, self.sim.now)
-        self.stats.counter(kind).increment()
+            _obs.record_span(self.path(), "dram_buffer", start, now)
+        counter("writes" if is_write else "reads").increment()
         self.stats.meter("data").record(nbytes)
         self.stats.accumulator("latency_ps").add(elapsed)
         return elapsed
@@ -132,35 +146,45 @@ class DramController(Component):
     # Refresh
     # ------------------------------------------------------------------
     def start_refresh(self) -> None:
-        """Start the periodic auto-refresh process (idempotent)."""
+        """Start the periodic auto-refresh (idempotent).
+
+        Refresh runs as a chain of kernel callbacks rather than a process:
+        a bootstrap at the current time arms the first tREFI timer, and
+        each step below is the callback of the event the previous one
+        scheduled or requested.
+        """
         if self._refresh_running:
             return
         self._refresh_running = True
-        self.sim.process(self._refresh_loop(), name=f"{self.name}.refresh")
+        self.sim.call_after(0, self._arm_refresh)
 
-    def _refresh_loop(self):
-        timing = self.timing
-        while True:
-            yield self.sim.timeout(timing.refresh_interval_ps)
-            # Refresh stalls the whole device: claim every bank, then the
-            # data bus — strictly in that order.  Accesses acquire in the
-            # same bank-before-bus order, so the lock ordering is acyclic
-            # (requesting the bus up-front would deadlock against accesses
-            # that hold a bank while waiting for the bus).
-            grants = []
-            for bank in self._banks:
-                grant = bank.acquire(REFRESH_PRIORITY)
-                yield grant
-                grants.append(grant)
-            bus_grant = self.bus.acquire(REFRESH_PRIORITY)
-            yield bus_grant
-            grants.append(bus_grant)
-            self._open_rows = [None] * timing.banks
-            yield self.sim.timeout(timing.refresh_ps())
-            self.bus.release(grants[-1])
-            for bank, grant in zip(self._banks, grants[:-1]):
-                bank.release(grant)
-            self.stats.counter("refreshes").increment()
+    def _arm_refresh(self) -> None:
+        self._refresh_grants = []
+        self.sim.call_after(self._refresh_interval_ps, self._claim_for_refresh)
+
+    def _claim_for_refresh(self, _granted=None) -> None:
+        # Refresh stalls the whole device: claim every bank, then the
+        # data bus — strictly in that order, each request issued only once
+        # the previous grant has fired.  Accesses acquire in the same
+        # bank-before-bus order, so the lock ordering is acyclic
+        # (requesting the bus up-front would deadlock against accesses
+        # that hold a bank while waiting for the bus).
+        grants = self._refresh_grants
+        if len(grants) == len(self._refresh_order):
+            self._open_rows = [None] * self.timing.banks
+            self.sim.call_after(self._rfc_ps, self._end_refresh)
+            return
+        grant = self._refresh_order[len(grants)].acquire(REFRESH_PRIORITY)
+        grants.append(grant)
+        grant.add_callback(self._claim_for_refresh)
+
+    def _end_refresh(self) -> None:
+        *bank_grants, bus_grant = self._refresh_grants
+        self.bus.release(bus_grant)
+        for bank, grant in zip(self._banks, bank_grants):
+            bank.release(grant)
+        self.stats.counter("refreshes").increment()
+        self._arm_refresh()
 
     def utilization(self) -> float:
         """Busy fraction of the device bus."""

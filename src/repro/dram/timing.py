@@ -41,10 +41,11 @@ class Ddr2Timing:
                 raise ValueError(f"{field} must be >= 1")
         if self.burst_length % 2:
             raise ValueError("burst_length must be even (DDR)")
-
-    @property
-    def clock(self) -> Clock:
-        return Clock("ddr", frequency_hz=self.clock_hz)
+        # Built once per timing set (not a dataclass field, so equality,
+        # hashing and repr are unchanged); the frozen dataclass needs
+        # object.__setattr__ to store it.
+        object.__setattr__(self, "clock",
+                           Clock("ddr", frequency_hz=self.clock_hz))
 
     @property
     def burst_bytes(self) -> int:

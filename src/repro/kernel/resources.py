@@ -22,7 +22,7 @@ import heapq
 from collections import deque
 from typing import Any, Deque, List, Optional, Tuple, TYPE_CHECKING
 
-from .events import Event, SimulationError
+from .events import PENDING, Event, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .simulator import Simulator
@@ -31,13 +31,27 @@ if TYPE_CHECKING:  # pragma: no cover
 class Grant(Event):
     """An event that fires once the resource is granted to the requester."""
 
-    __slots__ = ("resource", "priority", "released")
+    __slots__ = ("resource", "priority", "released", "requested_at")
 
     def __init__(self, sim: "Simulator", resource: "Resource", priority: int = 0):
-        super().__init__(sim, name=f"grant({resource.name})")
+        # Grants are allocated once per resource use; inline the Event
+        # constructor and skip name formatting (repr derives it on demand).
+        self.sim = sim
+        self.name = ""
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
         self.resource = resource
         self.priority = priority
         self.released = False
+        #: Sim time of the request, for the resource's wait accounting.
+        self.requested_at = sim._now
+
+    def __repr__(self) -> str:
+        state = "pending"
+        if self.triggered:
+            state = "ok" if self._ok else "failed"
+        return f"<Grant {self.resource.name} {state}>"
 
 
 class Resource:
@@ -60,7 +74,6 @@ class Resource:
         self._busy_accum: int = 0
         self.total_grants = 0
         self.total_wait_ps = 0
-        self._grant_times: dict = {}
 
     @property
     def in_use(self) -> int:
@@ -75,7 +88,6 @@ class Resource:
     def acquire(self, priority: int = 0) -> Grant:
         """Request the resource; returns a :class:`Grant` event to yield on."""
         grant = Grant(self.sim, self, priority)
-        self._grant_times[id(grant)] = self.sim.now
         if self._in_use < self.capacity:
             self._admit(grant)
         else:
@@ -95,24 +107,27 @@ class Resource:
                 self._waiting.remove(grant)
             except ValueError:
                 raise SimulationError(f"grant {grant!r} was never issued by {self.name}")
-            self._grant_times.pop(id(grant), None)
             return
         grant.released = True
         self._in_use -= 1
         if self._in_use == 0 and self._busy_since is not None:
-            self._busy_accum += self.sim.now - self._busy_since
+            self._busy_accum += self.sim._now - self._busy_since
             self._busy_since = None
         while self._waiting and self._in_use < self.capacity:
             self._admit(self._waiting.popleft())
 
     def _admit(self, grant: Grant) -> None:
-        requested_at = self._grant_times.pop(id(grant), self.sim.now)
-        self.total_wait_ps += self.sim.now - requested_at
+        sim = self.sim
+        now = sim._now
+        self.total_wait_ps += now - grant.requested_at
         self.total_grants += 1
         if self._in_use == 0:
-            self._busy_since = self.sim.now
+            self._busy_since = now
         self._in_use += 1
-        grant.succeed(grant)
+        # Trigger inline: a grant reaches here exactly once, still pending.
+        grant._ok = True
+        grant._value = grant
+        sim._schedule_event(grant)
 
     def busy_time(self) -> int:
         """Total picoseconds during which at least one grant was held."""
@@ -145,7 +160,6 @@ class PriorityResource(Resource):
 
     def acquire(self, priority: int = 0) -> Grant:
         grant = Grant(self.sim, self, priority)
-        self._grant_times[id(grant)] = self.sim.now
         if self._in_use < self.capacity:
             self._admit(grant)
         else:
@@ -162,12 +176,11 @@ class PriorityResource(Resource):
             grant.released = True
             self._heap = [entry for entry in self._heap if entry[2] is not grant]
             heapq.heapify(self._heap)
-            self._grant_times.pop(id(grant), None)
             return
         grant.released = True
         self._in_use -= 1
         if self._in_use == 0 and self._busy_since is not None:
-            self._busy_accum += self.sim.now - self._busy_since
+            self._busy_accum += self.sim._now - self._busy_since
             self._busy_since = None
         while self._heap and self._in_use < self.capacity:
             __, __, waiter = heapq.heappop(self._heap)

@@ -143,6 +143,22 @@ class TestLeaseQueue:
         assert queue.reap_dead() == ["k1"]   # ...but the pid is gone
         assert queue.claim("k1") is not None
 
+    def test_claim_cut_short_leaves_no_lease(self, tmp_path, monkeypatch):
+        """A claimer dying mid-write must not strand the point behind a
+        half-written lease that neither reaper can parse."""
+        queue = LeaseQueue(str(tmp_path / "q"), ttl_s=3600.0)
+
+        def dump_then_die(document, handle):
+            handle.write(json.dumps(document)[:7])
+            raise SystemExit("killed mid-claim")
+
+        monkeypatch.setattr(json, "dump", dump_then_die)
+        with pytest.raises(SystemExit):
+            queue.claim("k1", owner="a")
+        monkeypatch.undo()
+        assert not os.path.exists(os.path.join(queue.directory, "k1.lease"))
+        assert queue.claim("k1", owner="b").owner == "b"
+
     def test_reap_dead_spares_live_owners(self, tmp_path):
         queue = LeaseQueue(str(tmp_path / "q"), ttl_s=3600.0)
         queue.claim("k1")  # owned by this (very alive) process

@@ -1,5 +1,8 @@
 """Tests for DDR2 timing, the controller, and the buffer manager."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.dram import BufferManager, Ddr2Timing, DramController
@@ -32,6 +35,18 @@ class TestDdr2Timing:
         timing = Ddr2Timing()  # 400 MHz -> 2500 ps
         assert timing.burst_ps(1) == 5000
         assert timing.burst_ps(512) == 512 * 5000
+
+    def test_clock_built_once_and_not_a_field(self):
+        timing = Ddr2Timing()
+        assert timing.clock is timing.clock
+        assert timing.clock.period_ps == 2500
+        assert "clock" not in {f.name for f in dataclasses.fields(timing)}
+        assert timing == Ddr2Timing() and hash(timing) == hash(Ddr2Timing())
+        restored = pickle.loads(pickle.dumps(timing))
+        assert restored == timing
+        assert restored.clock.period_ps == timing.clock.period_ps
+        slower = dataclasses.replace(timing, clock_hz=200e6)
+        assert slower.clock.period_ps == 5000
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -279,3 +294,110 @@ class TestBankParallelism:
         # read a few percent above peak.
         mbps = ctrl.stats.meters["data"].megabytes_per_second(from_zero=True)
         assert mbps <= timing.peak_bandwidth_mbps() * 1.001
+
+
+class TestContendedRefreshPinned:
+    """Refresh racing overlapping 2 KiB accesses on several banks, with
+    accesses issued at exactly a refresh timestamp (both before and after
+    the refresh timer in the same-time batch).  Every figure below was
+    captured from the generator-based refresh loop; the callback-chain
+    refresh must reproduce each one exactly, event count included."""
+
+    ROW = 2048
+    #: (issue time ps, byte address, is_write); the timers of these are
+    #: scheduled at t=0, ahead of any re-armed refresh timer.
+    ACCESSES = [
+        (0, 0, False), (0, ROW, True), (0, 2 * ROW, False), (0, 1024, True),
+        (100_000, 0, True), (250_000, 3 * ROW, False),
+        (400_000, 8 * ROW, True), (990_000, ROW, False),
+        (1_000_000, 2 * ROW, True), (1_000_000, 9 * ROW, False),
+        (1_000_000, 5 * ROW + 512, True), (1_050_000, 0, False),
+        (1_999_000, 4 * ROW, True), (2_000_000, 3 * ROW, True),
+        (2_000_000, 11 * ROW, False),
+    ]
+    #: Two-step waits whose final timer lands on the 2 us refresh
+    #: timestamp but is scheduled after the refresh re-armed itself.
+    LATE = [(1_500_000, 500_000, 6 * ROW, False),
+            (1_500_000, 500_000, 7 * ROW, True)]
+
+    def test_contended_refresh_is_pinned(self, sim):
+        ctrl = DramController(sim, "d",
+                              Ddr2Timing(refresh_interval_ps=1_000_000))
+        done = {}
+
+        def client(tag, waits, address, is_write):
+            for wait in waits:
+                yield sim.timeout(wait)
+            yield sim.process(ctrl.access(address, 2048, is_write))
+            done[tag] = sim.now
+
+        for tag, (issue, address, is_write) in enumerate(self.ACCESSES):
+            sim.process(client(tag, [issue], address, is_write))
+        for offset, (first, second, address, is_write) in enumerate(self.LATE):
+            sim.process(client(len(self.ACCESSES) + offset, [first, second],
+                               address, is_write))
+        sim.run(until=30_000_000)
+
+        assert sim.events_processed == 274
+        counters = ctrl.stats.counters
+        assert {name: counters[name].value for name in counters} == {
+            "reads": 8, "writes": 9, "refreshes": 10,
+            "row_hits": 1, "row_misses": 2, "row_empty": 16}
+        assert ctrl.bus.busy_time() == 23_145_000
+        assert (ctrl.bus.total_wait_ps, ctrl.bus.total_grants) == (
+            50_561_000, 29)
+        assert [(bank.total_wait_ps, bank.total_grants)
+                for bank in ctrl._banks] == [
+            (65_372_500, 15), (31_562_500, 14), (10_387_500, 12),
+            (23_305_000, 13), (2_260_000, 11), (0, 11), (5_267_500, 12),
+            (1_290_000, 11)]
+        assert [done[tag] for tag in sorted(done)] == [
+            1_300_000, 2_590_000, 3_870_000, 20_905_000, 16_257_500,
+            5_150_000, 20_255_000, 12_057_500, 13_347_500, 17_537_500,
+            14_967_500, 22_332_500, 7_410_000, 14_637_500, 18_817_500,
+            8_690_000, 9_980_000]
+
+
+class TestRefreshLifecycle:
+    INTERVAL = 1_000_000
+
+    def _idle_run(self, sim, enable_refresh, extra_starts=0):
+        ctrl = DramController(sim, "d",
+                              Ddr2Timing(refresh_interval_ps=self.INTERVAL),
+                              enable_refresh=enable_refresh)
+        for _ in range(extra_starts):
+            ctrl.start_refresh()
+        sim.run(until=10 * self.INTERVAL + self.INTERVAL // 2)
+        return ctrl
+
+    def test_start_refresh_is_idempotent(self, sim):
+        ctrl = self._idle_run(sim, enable_refresh=True, extra_starts=2)
+        # Idle device: each cycle is tREFI of waiting plus tRFC of refresh.
+        period = self.INTERVAL + ctrl.timing.refresh_ps()
+        assert ctrl.stats.counter("refreshes").value == sim.now // period
+        once = Simulator()
+        self._idle_run(once, enable_refresh=True)
+        assert sim.events_processed == once.events_processed
+
+    def test_late_start_refresh_begins_one_interval_later(self, sim):
+        ctrl = DramController(sim, "d",
+                              Ddr2Timing(refresh_interval_ps=self.INTERVAL),
+                              enable_refresh=False)
+        sim.run(until=self.INTERVAL // 2)
+        ctrl.start_refresh()
+        ctrl.start_refresh()
+        sim.run(until=3 * self.INTERVAL)
+        assert ctrl.stats.counter("refreshes").value == 2
+
+    def test_disabled_refresh_adds_no_stats(self, sim):
+        ctrl = self._idle_run(sim, enable_refresh=False)
+        assert ctrl.stats.snapshot() == {}
+        assert sim.events_processed == 0
+
+    def test_refresh_counter_created_by_first_refresh(self, sim):
+        ctrl = DramController(sim, "d",
+                              Ddr2Timing(refresh_interval_ps=self.INTERVAL))
+        sim.run(until=self.INTERVAL - 1)
+        assert "refreshes" not in ctrl.stats.counters
+        sim.run(until=2 * self.INTERVAL - 1)
+        assert ctrl.stats.snapshot() == {"refreshes.count": 1}

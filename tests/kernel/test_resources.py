@@ -177,6 +177,87 @@ class TestPriorityResource:
         assert res.in_use == 0
 
 
+class TestWaitAccounting:
+    """``total_wait_ps``/``total_grants`` charge each admitted grant the
+    time from its request to its admission, and nothing else."""
+
+    @staticmethod
+    def _contend(sim, res, requests):
+        """One holder for 100 ps from t=0, then each ``(arrive, priority,
+        hold)`` request queues behind it."""
+        order = []
+
+        def holder():
+            grant = res.acquire()
+            yield grant
+            yield 100
+            res.release(grant)
+
+        def user(tag, arrive, priority, hold):
+            yield arrive
+            grant = res.acquire(priority)
+            yield grant
+            order.append((tag, sim.now))
+            yield hold
+            res.release(grant)
+
+        sim.process(holder())
+        for tag, (arrive, priority, hold) in enumerate(requests):
+            sim.process(user(tag, arrive, priority, hold))
+        sim.run()
+        return order
+
+    def test_fifo_waiters(self, sim):
+        res = Resource(sim, "bus")
+        order = self._contend(sim, res, [(10, 0, 30), (20, 0, 40), (30, 0, 0)])
+        assert order == [(0, 100), (1, 130), (2, 170)]
+        assert res.total_grants == 4
+        assert res.total_wait_ps == (100 - 10) + (130 - 20) + (170 - 30)
+
+    def test_priority_waiters(self, sim):
+        res = PriorityResource(sim, "arb")
+        order = self._contend(sim, res, [(10, 5, 30), (20, 0, 40), (30, 2, 0)])
+        assert order == [(1, 100), (2, 140), (0, 140)]
+        assert res.total_grants == 4
+        assert res.total_wait_ps == (100 - 20) + (140 - 30) + (140 - 10)
+
+    def test_immediate_grant_waits_nothing(self, sim):
+        res = Resource(sim, "bus")
+        grant = res.acquire()
+        assert (res.total_wait_ps, res.total_grants) == (0, 1)
+        res.release(grant)
+
+    @pytest.mark.parametrize("kind", [Resource, PriorityResource])
+    def test_cancelled_waiter_adds_no_wait_or_grant(self, sim, kind):
+        res = kind(sim, "bus")
+
+        def flow():
+            holder = res.acquire()
+            yield holder
+            cancelled = res.acquire()
+            yield 70
+            res.release(cancelled)      # never admitted
+            kept = res.acquire()
+            yield 30
+            res.release(holder)
+            yield kept
+            res.release(kept)
+
+        sim.process(flow())
+        sim.run()
+        assert res.total_grants == 2
+        assert res.total_wait_ps == 30
+        assert res.queue_length == 0 and res.in_use == 0
+
+    @pytest.mark.parametrize("kind", [Resource, PriorityResource])
+    def test_grant_repr_names_resource(self, sim, kind):
+        res = kind(sim, "chan3.bus")
+        held = res.acquire()
+        waiting = res.acquire()
+        assert "chan3.bus" in repr(held)
+        assert "chan3.bus" in repr(waiting)
+
+
 class TestStore:
     def test_put_get_fifo(self, sim):
         store = Store(sim, "q")
