@@ -24,7 +24,7 @@ from typing import List, Optional
 
 from ..cpu.dma import DmaEngine
 from ..ecc.adaptive import EccScheme
-from ..faults import ProgramFailError, UncorrectableReadError
+from ..faults import FaultPlan, ProgramFailError, UncorrectableReadError
 from ..kernel import Component, Resource, Simulator
 from ..kernel.tracing import trace, trace_enabled
 from ..kernel.simtime import Clock, ns
@@ -72,23 +72,25 @@ class ChannelWayController(Component):
 
         self.buses = ChannelBuses(sim, "gang", gang_scheme, n_ways,
                                   onfi_timing, parent=self)
-        self.dies: List[List[NandDie]] = [
-            [NandDie(sim, f"way{w}_die{d}", geometry, nand_timing,
-                     wear_model, parent=self,
-                     initial_pe_cycles=initial_pe_cycles)
-             for d in range(dies_per_way)]
-            for w in range(n_ways)
-        ]
+        # Dies are built on first use by die(): a die nothing has touched
+        # holds no state that differs from a fresh one, and a large part
+        # (Table III C8: 8192 dies) sees only a handful of them per run.
+        self._nand_timing = nand_timing
+        self._wear_model = wear_model
+        self._initial_pe_cycles = initial_pe_cycles
+        self._dies: List[List[Optional[NandDie]]] = [
+            [None] * dies_per_way for __ in range(n_ways)]
+        # One array operation in flight per die: the controller polls die
+        # status and holds further commands until ready (ONFI R/B#).
+        # Built together with its die.
+        self._die_locks: List[List[Optional[Resource]]] = [
+            [None] * dies_per_way for __ in range(n_ways)]
+        # Device-wide settings that every die, built or not, carries.
+        self._fault_plan: Optional[FaultPlan] = None
+        self._preloaded = False
         # One encoder and one decoder engine per channel controller.
         self.encoder = Resource(sim, f"{name}.enc", capacity=1)
         self.decoder = Resource(sim, f"{name}.dec", capacity=1)
-        # One array operation in flight per die: the controller polls die
-        # status and holds further commands until ready (ONFI R/B#).
-        self._die_locks: List[List[Resource]] = [
-            [Resource(sim, f"{name}.rb_w{w}d{d}", capacity=1)
-             for d in range(dies_per_way)]
-            for w in range(n_ways)
-        ]
         # SRAM cache buffer: page staging slots shared by all ways.
         self.sram = Resource(sim, f"{name}.sram", capacity=sram_page_slots)
         # PP-DMA between DRAM buffer and this controller's SRAM.
@@ -97,11 +99,50 @@ class ChannelWayController(Component):
 
     # ------------------------------------------------------------------
     def die(self, way: int, die_index: int) -> NandDie:
+        """The die at ``(way, die_index)``, built on the first call."""
         if not 0 <= way < self.n_ways:
             raise ValueError(f"way {way} out of range")
         if not 0 <= die_index < self.dies_per_way:
             raise ValueError(f"die {die_index} out of range")
-        return self.dies[way][die_index]
+        die = self._dies[way][die_index]
+        if die is None:
+            die = self._build_die(way, die_index)
+        return die
+
+    def _build_die(self, way: int, die_index: int) -> NandDie:
+        die = NandDie(self.sim, f"way{way}_die{die_index}", self.geometry,
+                      self._nand_timing, self._wear_model, parent=self,
+                      initial_pe_cycles=self._initial_pe_cycles)
+        if self._fault_plan is not None:
+            die.set_fault_plan(self._fault_plan)
+        if self._preloaded:
+            die.preload_all()
+        self._dies[way][die_index] = die
+        self._die_locks[way][die_index] = Resource(
+            self.sim, f"{self.name}.rb_w{way}d{die_index}", capacity=1)
+        return die
+
+    @property
+    def dies(self) -> List[List[NandDie]]:
+        """Every die as a ``[way][die]`` grid (builds the unbuilt ones)."""
+        return [[self.die(w, d) for d in range(self.dies_per_way)]
+                for w in range(self.n_ways)]
+
+    def built_dies(self) -> List[NandDie]:
+        """The dies built so far, in ``(way, die)`` order."""
+        return [die for way in self._dies for die in way if die is not None]
+
+    def set_fault_plan(self, plan: Optional[FaultPlan]) -> None:
+        """Install the device's fault schedule on every die."""
+        self._fault_plan = plan
+        for die in self.built_dies():
+            die.set_fault_plan(plan)
+
+    def preload_all(self) -> None:
+        """Mark every block of every die fully programmed."""
+        self._preloaded = True
+        for die in self.built_dies():
+            die.preload_all()
 
     @property
     def total_dies(self) -> int:
@@ -501,6 +542,6 @@ class ChannelWayController(Component):
 
     # ------------------------------------------------------------------
     def mean_die_utilization(self) -> float:
-        total = sum(die.utilization()
-                    for way in self.dies for die in way)
+        # An unbuilt die was never busy: leaving out its 0.0 is exact.
+        total = sum(die.utilization() for die in self.built_dies())
         return total / self.total_dies

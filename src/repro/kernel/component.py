@@ -71,8 +71,12 @@ class Component:
 
     def collect_stats(self) -> Dict[str, Dict[str, float]]:
         """Gather every descendant's statistics keyed by component path."""
-        return {node.path(): node.stats.snapshot() for node in self.walk()
-                if node.stats.snapshot()}
+        collected: Dict[str, Dict[str, float]] = {}
+        for node in self.walk():
+            snapshot = node.stats.snapshot()
+            if snapshot:
+                collected[node.path()] = snapshot
+        return collected
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.path()}>"

@@ -145,9 +145,7 @@ class SsdDevice(Component):
         if arch.faults.enabled:
             self.fault_plan = FaultPlan(arch.faults, seed_material=arch.label)
             for channel in self.channels:
-                for way_dies in channel.dies:
-                    for die in way_dies:
-                        die.set_fault_plan(self.fault_plan)
+                channel.set_fault_plan(self.fault_plan)
 
     # ------------------------------------------------------------------
     # Placement
@@ -312,9 +310,7 @@ class SsdDevice(Component):
         """Mark the allocation cursor region as programmed so read
         workloads hit valid pages (pre-imaged drive)."""
         for channel in self.channels:
-            for way_dies in channel.dies:
-                for die in way_dies:
-                    die.preload_all()
+            channel.preload_all()
 
     # ------------------------------------------------------------------
     # Data movement helpers

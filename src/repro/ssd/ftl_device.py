@@ -259,7 +259,7 @@ class FtlSsdDevice(SsdDevice):
         """
         for die_id in range(self.backend.n_dies):
             channel_index, way, die_index = self.die_coordinates(die_id)
-            die = self.channels[channel_index].dies[way][die_index]
+            die = self.channels[channel_index].die(way, die_index)
             for plane in range(self.backend.planes):
                 for block in range(self.backend.blocks):
                     die.preload_block(

@@ -16,6 +16,7 @@ from ..faults.outcomes import classify_commands
 from ..host import IoCommand
 from ..host.workload import Workload
 from ..kernel import Simulator
+from ..kernel.stats import UtilizationTracker
 from ..obs import spans as _obs
 from .device import DataPathMode, SsdDevice
 
@@ -349,15 +350,16 @@ def collect_utilization_timelines(device: SsdDevice,
     saturates first in the Fig. 3 regime).  Feeds the sparkline view of
     ``python -m repro profile``.
     """
+    # Every tracker spans [0, now], so all timelines share one width; a
+    # die the run never built contributes an all-zero timeline.
+    width = len(UtilizationTracker(device.sim).timeline(buckets))
     out: Dict[str, List[float]] = {}
+    if not width:
+        return out
     for index, channel in enumerate(device.channels):
         per_die = [die.stats.utilization("array").timeline(buckets)
-                   for way in channel.dies for die in way]
-        per_die = [t for t in per_die if t]
-        if not per_die:
-            continue
-        width = min(len(t) for t in per_die)
+                   for die in channel.built_dies()]
         out[f"chn{index}.dies"] = [
-            sum(t[i] for t in per_die) / len(per_die)
+            sum(t[i] for t in per_die) / channel.total_dies
             for i in range(width)]
     return out
