@@ -48,10 +48,10 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+                    Set, Tuple)
 
 from .explorer import ResourceCostModel
-from .store import ResultStore
+from .store import ResultStore, envelope_status
 from .sweep import (CODE_VERSION, PointFailure, PointOutcome, SweepCache,
                     SweepPoint, SweepResult, SweepSummary, _evaluate_guarded,
                     fingerprint)
@@ -356,6 +356,8 @@ class Campaign:
         self.db_path = os.path.join(self.directory, "campaign.sqlite")
         self.cache = SweepCache(os.path.join(self.directory, "results"))
         self.queue_dir = os.path.join(self.directory, "queue")
+        #: ``name → key`` of the points the last :meth:`ensure` verified.
+        self.point_keys: Dict[str, str] = {}
 
     # -- identity ------------------------------------------------------
     @property
@@ -397,8 +399,7 @@ class Campaign:
     # -- creation / resume ---------------------------------------------
     @classmethod
     def ensure(cls, directory: str, points: Sequence[SweepPoint],
-               salt: str = CODE_VERSION, name: str = "campaign",
-               cost_model: Optional[ResourceCostModel] = None
+               salt: str = CODE_VERSION, name: str = "campaign"
                ) -> "Campaign":
         """Create the campaign, or verify+extend an existing one.
 
@@ -407,7 +408,9 @@ class Campaign:
         same campaign); a name already registered under a *different*
         fingerprint raises — same name + same inputs is the resume
         guarantee, so a changed fingerprint means the caller changed the
-        experiment and should use a fresh directory.
+        experiment and should use a fresh directory.  Every point is
+        fingerprinted exactly once; the verified ``name → key`` map is
+        handed back as :attr:`point_keys` of the returned campaign.
         """
         campaign = cls(directory)
         os.makedirs(campaign.queue_dir, exist_ok=True)
@@ -458,48 +461,44 @@ class Campaign:
             store.record_campaign(manifest["name"], salt,
                                   len(manifest["points"]),
                                   name=manifest["name"])
+        campaign.point_keys = {entry["name"]: entry["key"]
+                               for entry in fresh}
         return campaign
 
     # -- state ---------------------------------------------------------
-    def published_envelope(self, key: str) -> Optional[Dict[str, Any]]:
-        """The successful envelope for ``key``, if one is published."""
-        envelope = self.cache.load(key)
-        if envelope is None or envelope.get("failure") is not None:
-            return None
+    def resume_scan(self) -> Dict[str, Dict[str, Any]]:
+        """One pass over the manifest's results, as a resumed run needs it.
+
+        Recorded failures are deleted so the run re-executes them; the
+        successful envelopes are returned by key.
+        """
+        published: Dict[str, Dict[str, Any]] = {}
+        for key in dict.fromkeys(entry["key"] for entry
+                                 in self.load_manifest()["points"]):
+            envelope = self.cache.load(key)
+            if envelope is None:
+                continue
+            if envelope.get("failure") is None:
+                published[key] = envelope
+                continue
+            try:
+                os.unlink(os.path.join(self.cache.directory, f"{key}.json"))
+            except OSError:
+                pass
+        return published
+
+    def publish(self, point: SweepPoint, key: str, envelope: Dict[str, Any],
+                campaign_id: str, store: ResultStore,
+                cost_model: ResourceCostModel) -> Dict[str, Any]:
+        """Atomically publish one envelope + index it in the store.
+
+        Returns the envelope as the cache reads it back, which is also
+        what the store records.
+        """
+        envelope = self.cache.store(key, envelope)
+        store.record_point(campaign_id, point.name, envelope, key=key,
+                           cost=_point_cost(point, cost_model))
         return envelope
-
-    def clear_failure_envelopes(self) -> int:
-        """Drop recorded failures so a resumed run re-executes them."""
-        manifest = self.load_manifest()
-        cleared = 0
-        for entry in manifest["points"]:
-            envelope = self.cache.load(entry["key"])
-            if envelope is not None and envelope.get("failure") is not None:
-                try:
-                    os.unlink(os.path.join(self.cache.directory,
-                                           f"{entry['key']}.json"))
-                    cleared += 1
-                except OSError:
-                    pass
-        return cleared
-
-    def publish(self, point: SweepPoint, key: str,
-                envelope: Dict[str, Any],
-                store: Optional[ResultStore] = None,
-                cost_model: Optional[ResourceCostModel] = None) -> None:
-        """Atomically publish one envelope + index it in the store."""
-        self.cache.store(key, envelope)
-        manifest = self.load_manifest()
-        owns_store = store is None
-        store = store or self.store()
-        try:
-            store.record_point(
-                manifest["name"], point.name, envelope, key=key,
-                cost=_point_cost(point,
-                                 cost_model or ResourceCostModel()))
-        finally:
-            if owns_store:
-                store.close()
 
     def status(self, ttl_s: float = DEFAULT_LEASE_TTL_S) -> CampaignStatus:
         manifest = self.load_manifest()
@@ -565,8 +564,9 @@ def run_worker(directory: str, worker_id: Optional[str] = None,
                poll_s: float = 0.05,
                points: Optional[Sequence[SweepPoint]] = None,
                on_point: Optional[Callable[[SweepPoint, str,
-                                            Dict[str, Any]], None]] = None
-               ) -> int:
+                                            Dict[str, Any]], None]] = None,
+               keys: Optional[Mapping[str, str]] = None,
+               cost_model: Optional[ResourceCostModel] = None) -> int:
     """Drain a campaign: claim → evaluate → publish, until done.
 
     Runs until every manifest point has an envelope (success *or*
@@ -575,23 +575,32 @@ def run_worker(directory: str, worker_id: Optional[str] = None,
     any number of workers concurrently against the same directory; this
     is also the entry point of ``repro campaign worker``.  Returns the
     number of points this worker executed.
+
+    ``keys`` is a verified ``name → key`` map (``Campaign.ensure``'s
+    :attr:`~Campaign.point_keys`); without it every point is
+    fingerprinted here.  ``cost_model`` prices the store rows (default
+    :class:`ResourceCostModel`).  ``on_point(point, key, envelope)``
+    receives each envelope this worker publishes, as the cache holds it.
     """
     campaign = Campaign.open(directory)
     manifest = campaign.load_manifest()
     salt = manifest["salt"]
     all_points = list(points) if points is not None \
         else campaign.load_points()
-    keys = {point.name: fingerprint(point, salt) for point in all_points}
+    if keys is None:
+        keys = {point.name: fingerprint(point, salt) for point in all_points}
+    cost_model = cost_model or ResourceCostModel()
     queue = LeaseQueue(campaign.queue_dir, ttl_s=lease_ttl_s)
     owner = worker_id or _worker_name()
     executed = 0
+    published: Set[str] = set()  # by this worker: no need to re-read
     with campaign.store() as store:
         while True:
             claimed_any = False
             missing = 0
             for point in all_points:
                 key = keys[point.name]
-                if campaign.cache.load(key) is not None:
+                if key in published or campaign.cache.load(key) is not None:
                     continue  # published (or failed) — done for this run
                 missing += 1
                 lease = queue.claim(key, owner)
@@ -604,7 +613,10 @@ def run_worker(directory: str, worker_id: Optional[str] = None,
                     with _LeaseKeeper(queue, lease):
                         envelope = _evaluate_guarded(point, key, salt,
                                                      timeout_s)
-                    campaign.publish(point, key, envelope, store=store)
+                    envelope = campaign.publish(point, key, envelope,
+                                                manifest["name"], store,
+                                                cost_model)
+                    published.add(key)
                     executed += 1
                     if on_point is not None:
                         on_point(point, key, envelope)
@@ -620,9 +632,11 @@ def run_worker(directory: str, worker_id: Optional[str] = None,
 
 
 def _spawned_worker(directory: str, lease_ttl_s: float,
-                    timeout_s: Optional[float]) -> None:  # pragma: no cover
+                    timeout_s: Optional[float],
+                    cost_model: ResourceCostModel) -> None:  # pragma: no cover
     """Child-process entry point (must be module-level for pickling)."""
-    run_worker(directory, lease_ttl_s=lease_ttl_s, timeout_s=timeout_s)
+    run_worker(directory, lease_ttl_s=lease_ttl_s, timeout_s=timeout_s,
+               cost_model=cost_model)
 
 
 # ----------------------------------------------------------------------
@@ -675,14 +689,13 @@ class CampaignRunner:
         points = list(points)
         started = time.perf_counter()
         campaign = Campaign.ensure(self.directory, points, salt=self.salt,
-                                   name=self.name,
-                                   cost_model=self.cost_model)
-        campaign.clear_failure_envelopes()
-        keys = [fingerprint(point, self.salt) for point in points]
+                                   name=self.name)
+        keys = [campaign.point_keys[point.name] for point in points]
 
-        # Resume: anything already published is served, never recomputed.
-        prepublished = {key for key in keys
-                        if campaign.published_envelope(key) is not None}
+        # Resume: anything already published is served, never recomputed;
+        # recorded failures are cleared and re-run.
+        envelopes = campaign.resume_scan()
+        prepublished = set(envelopes)
         pending = [index for index, key in enumerate(keys)
                    if key not in prepublished]
 
@@ -693,22 +706,27 @@ class CampaignRunner:
             workers = min(self.workers, max(1, len(pending)))
             queue = LeaseQueue(campaign.queue_dir, ttl_s=self.lease_ttl_s)
             queue.reap_dead()
-            if workers == 1:
-                run_worker(self.directory, lease_ttl_s=self.lease_ttl_s,
-                           timeout_s=self.timeout_s, points=points)
-            else:
+            if workers > 1:
                 self._run_processes(workers)
                 # Belt and braces: if children died (or raced leases that
                 # then expired), finish the remainder in-process.
                 queue.reap_dead()
-                run_worker(self.directory, lease_ttl_s=self.lease_ttl_s,
-                           timeout_s=self.timeout_s, points=points)
+
+            def hold(point: SweepPoint, key: str,
+                     envelope: Dict[str, Any]) -> None:
+                envelopes[key] = envelope
+
+            run_worker(self.directory, lease_ttl_s=self.lease_ttl_s,
+                       timeout_s=self.timeout_s, points=points,
+                       on_point=hold, keys=campaign.point_keys,
+                       cost_model=self.cost_model)
 
         outcomes: List[PointOutcome] = []
         done = 0
         store_rows: List[Tuple[SweepPoint, str, Dict[str, Any]]] = []
         for point, key in zip(points, keys):
-            envelope = campaign.cache.load(key)
+            # Only envelopes other workers published are read from disk.
+            envelope = envelopes.get(key) or campaign.cache.load(key)
             if envelope is None:  # unreachable unless the dir was wiped
                 envelope = {"payload": {}, "events": 0, "elapsed_s": 0.0,
                             "failure": {"error_type": "CampaignError",
@@ -729,13 +747,19 @@ class CampaignRunner:
                 self.progress(outcomes[-1], done, len(points))
 
         # Final idempotent sync so the store reflects this run even if a
-        # worker crashed between publishing and recording.
-        manifest = campaign.load_manifest()
+        # worker crashed between publishing and recording: rewrite only
+        # the rows that are missing or disagree on (key, cost, status).
+        campaign_id = campaign.load_manifest()["name"]
         with campaign.store() as store:
+            indexed = {row["name"]: (row["key"], row["cost"], row["status"])
+                       for row in store.points(campaign_id)}
             for point, key, envelope in store_rows:
-                store.record_point(manifest["name"], point.name, envelope,
-                                   key=key,
-                                   cost=_point_cost(point, self.cost_model))
+                row = (key, _point_cost(point, self.cost_model),
+                       envelope_status(envelope))
+                if indexed.get(point.name) != row:
+                    store.record_point(campaign_id, point.name, envelope,
+                                       key=key, cost=row[1])
+                    indexed[point.name] = row
 
         cached_count = sum(1 for outcome in outcomes if outcome.cached)
         failed_count = sum(1 for outcome in outcomes if outcome.failed)
@@ -767,7 +791,7 @@ class CampaignRunner:
                 child = context.Process(
                     target=_spawned_worker,
                     args=(self.directory, self.lease_ttl_s,
-                          self.timeout_s))
+                          self.timeout_s, self.cost_model))
                 child.start()
                 children.append(child)
         except (OSError, ValueError):  # cannot spawn: serial fallback

@@ -119,6 +119,11 @@ def flatten_metrics(payload: Mapping[str, Any],
     return out
 
 
+def envelope_status(envelope: Mapping[str, Any]) -> str:
+    """The ``points.status`` a published envelope is recorded under."""
+    return "failed" if envelope.get("failure") else "ok"
+
+
 class ResultStore:
     """One SQLite database of campaign results (see module docstring).
 
@@ -185,7 +190,7 @@ class ResultStore:
         """
         payload = json_safe(dict(envelope.get("payload") or {}))
         failure = envelope.get("failure")
-        status = "failed" if failure else "ok"
+        status = envelope_status(envelope)
         conn = self._connection()
         with conn:
             conn.execute(

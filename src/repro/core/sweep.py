@@ -294,13 +294,24 @@ class SweepCache:
             return None
         return envelope
 
-    def store(self, key: str, envelope: Dict[str, Any]) -> None:
+    def store(self, key: str, envelope: Dict[str, Any]) -> Dict[str, Any]:
+        """Write ``envelope`` atomically; return it as :meth:`load` will
+        read it back (JSON types: lists for tuples, string dict keys)."""
         os.makedirs(self.directory, exist_ok=True)
         path = self._path(key)
         tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(envelope, handle, sort_keys=True)
-        os.replace(tmp, path)  # atomic: a killed sweep leaves no partials
+        try:
+            with open(tmp, "w", encoding="utf-8") as handle:
+                text = json.dumps(envelope, sort_keys=True)
+                handle.write(text)
+            os.replace(tmp, path)  # atomic: a killed sweep leaves no partials
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+        return json.loads(text)
 
     def __len__(self) -> int:
         try:

@@ -173,6 +173,11 @@ class Simulator:
         stop_time: Optional[int] = None
         stop_event: Optional[Event] = None
         if isinstance(until, Event):
+            if until.processed:
+                # Already done: answer at once, without touching the calendar.
+                if not until.ok:
+                    raise until.value
+                return until.value
             stop_event = until
         elif isinstance(until, bool):
             raise TypeError(f"until must be None, int or Event, got {until!r}")

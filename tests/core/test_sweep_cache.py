@@ -146,3 +146,10 @@ class TestCacheRoundTrip:
         cache = SweepCache(str(tmp_path / "nonexistent"))
         assert cache.load("0" * 64) is None
         assert len(cache) == 0
+
+    def test_failed_store_leaves_no_temporary_file(self, tmp_path):
+        cache = SweepCache(str(tmp_path))
+        with pytest.raises(TypeError):
+            cache.store("0" * 64, {"payload": {"bad": object()}})
+        assert os.listdir(tmp_path) == []
+        assert cache.load("0" * 64) is None

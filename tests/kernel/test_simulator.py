@@ -112,6 +112,28 @@ class TestRunUntil:
         with pytest.raises(ValueError, match="inner"):
             sim.run(until=sim.process(proc()))
 
+    def test_run_until_processed_event_dispatches_nothing(self, sim):
+        done = sim.timeout(5, value="first")
+        assert sim.run(until=done) == "first"
+        hits = []
+        sim.call_after(10, lambda: hits.append(sim.now))
+        before = sim.events_processed
+        assert sim.run(until=done) == "first"
+        assert (sim.now, hits, sim.events_processed) == (5, [], before)
+        assert sim.peek() == 15  # the callback is still scheduled
+
+    def test_run_until_processed_failed_event_reraises(self, sim):
+        def proc():
+            yield sim.timeout(1)
+            raise ValueError("inner")
+        failed = sim.process(proc())
+        with pytest.raises(ValueError, match="inner"):
+            sim.run(until=failed)
+        sim.timeout(10)
+        with pytest.raises(ValueError, match="inner"):
+            sim.run(until=failed)
+        assert sim.now == 1
+
     def test_run_until_never_fired_event_raises(self, sim):
         orphan = sim.event()
         sim.timeout(10)
