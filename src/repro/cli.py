@@ -312,10 +312,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     """Run one workload with span observability on and print where the
     time went (per-stage breakdown, component activity, bottleneck
     report, per-channel utilization sparklines)."""
-    from .obs import (disable_observability, enable_observability,
-                      render_profile, write_chrome_trace)
-    from .ssd.metrics import collect_utilization_timelines
-    from .ssd.scenarios import measure_with_device
+    from .core.experiments import profile_point
+    from .obs import render_profile, write_chrome_trace
     if args.config:
         arch = from_config(load_file(args.config))
     else:
@@ -326,15 +324,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
                          f"choose from {sorted(IOZONE_SUITE)}")
     workload = factory(4096 * args.commands, block_bytes=args.block)
     label = f"{arch.label}/{args.workload.upper()}"
-    recorder = enable_observability()
-    try:
-        result, device = measure_with_device(
-            arch, workload, max_commands=args.commands, label=label,
-            warm_start=args.warm)
-        timelines = collect_utilization_timelines(device,
-                                                  buckets=args.buckets)
-    finally:
-        disable_observability()
+    result, recorder, timelines = profile_point(
+        arch, workload, n_commands=args.commands, warm_start=args.warm,
+        label=label, buckets=args.buckets)
     if args.json:
         print(render_json({
             "label": label,
@@ -771,7 +763,6 @@ def cmd_tenants_run(args: argparse.Namespace) -> int:
             label=f"t{len(specs)}-{args.policy}")
     except (ValueError, OSError) as error:
         raise SystemExit(str(error))
-    payload["aggregate"]["wall_seconds"] = 0.0
     if args.json:
         print(render_json(payload))
         return 0

@@ -193,16 +193,18 @@ def profile_point(arch: SsdArchitecture, workload: Workload,
     """
     from ..obs import spans as _obs
     from ..ssd.metrics import collect_utilization_timelines
-    from ..ssd.scenarios import measure_with_device
+    from ..ssd.scenarios import Scenario, run_scenario
     recorder = _obs.enable_observability()
     try:
-        result, device = measure_with_device(
-            arch, workload, max_commands=n_commands, label=label,
-            warm_start=warm_start)
-        timelines = collect_utilization_timelines(device, buckets=buckets)
+        run = run_scenario(Scenario(
+            arch, workload, label=label, max_commands=n_commands,
+            preload_reads=workload.opcode.name == "READ",
+            warm_start=warm_start))
+        timelines = collect_utilization_timelines(run.device,
+                                                  buckets=buckets)
     finally:
         _obs.disable_observability()
-    return result, recorder, timelines
+    return run.result, recorder, timelines
 
 
 def fig3_profile(config: str = "C1", n_commands: int = 400,

@@ -27,12 +27,10 @@ from ..ftl.schemes import get_scheme, scheme_footprint, scheme_names
 from ..ftl.waf import GreedyWafSimulator, spare_factor, waf_lru_analytic
 from ..host.traces.records import TraceError
 from ..host.workload import CommandListWorkload
-from ..kernel import Simulator
 from ..ssd.architecture import SsdArchitecture
-from ..ssd.ftl_device import FtlSsdDevice
-from ..ssd.metrics import run_workload
+from ..ssd.scenarios import Scenario, run_scenario
 from .sweep import SweepPoint, SweepRunner
-from .tracereplay import TraceWorkload, _load_commands, sha256_file
+from .tracereplay import TraceWorkload, _load_commands, verify_trace
 
 #: Reduced block count per plane for FTL sweep points: the full 2048
 #: blocks/plane would need multi-GiB traces before GC ever runs; eight
@@ -43,11 +41,6 @@ DEFAULT_BLOCKS_PER_PLANE = 8
 #: preconditioning parks every die near the GC watermark, low enough to
 #: satisfy the FTL's spare-block floor on the reduced geometry.
 DEFAULT_UTILIZATION = 0.75
-
-#: Random overwrites (as a fraction of the logical space) applied after
-#: the sequential fill so block validity is mixed when measurement opens.
-_PRECONDITION_OVERWRITE_FRACTION = 0.5
-_PRECONDITION_SEED = 0xF71
 
 
 def ftl_base_architecture() -> SsdArchitecture:
@@ -62,68 +55,30 @@ def ftl_base_architecture() -> SsdArchitecture:
                                     n_ddr_buffers=2)
 
 
-def _precondition_steady(device: FtlSsdDevice) -> None:
-    """Drive the FTL to the steady regime before the timed window.
-
-    Sequential fill of the whole logical space, then seeded random
-    overwrites to scatter invalid pages across blocks.  All of it is
-    instantaneous state setup: the journal is discarded (nothing is
-    timed) and the FTL's accounting is zeroed so the measured window
-    starts clean — same convention as ``preload_for_reads``.
-    """
-    ftl = device.ftl
-    for lpn in range(device.logical_pages):
-        ftl.write(lpn)
-    rng = random.Random(_PRECONDITION_SEED)
-    for __ in range(int(device.logical_pages
-                        * _PRECONDITION_OVERWRITE_FRACTION)):
-        ftl.write(rng.randrange(device.logical_pages))
-    device.backend.drain()
-    device.sync_nand_to_ftl()
-    for counter in ("host_writes", "gc_relocations",
-                    "static_wl_relocations", "static_wl_migrations",
-                    "rmw_relocations", "translation_writes",
-                    "gc_deferrals", "gc_stalls", "gc_spills",
-                    "write_redirects",
-                    "trims", "cmt_hits", "cmt_misses",
-                    "translation_reads"):
-        if hasattr(ftl, counter):
-            setattr(ftl, counter, 0)
-
-
 def evaluate_ftl_point(point: SweepPoint) -> Tuple[Dict[str, Any], int]:
-    """The ``ftl`` sweep evaluator (runs inside worker processes)."""
+    """The ``ftl`` sweep evaluator (runs inside worker processes).
+
+    Unless ``params["precondition"]`` is false the FTL is driven to the
+    steady (GC-active) regime first —
+    :meth:`~repro.ssd.ftl_device.FtlSsdDevice.precondition_steady`.
+    """
     workload = point.workload
     if not isinstance(workload, TraceWorkload):
         raise TypeError(f"ftl evaluator needs a TraceWorkload, "
                         f"got {type(workload).__name__}")
-    actual = sha256_file(workload.path)
-    if actual != workload.sha256:
-        raise TraceError(
-            f"{workload.path}: content hash {actual[:12]}... does not "
-            f"match the workload's {workload.sha256[:12]}... — the "
-            f"trace changed since the sweep was defined")
+    verify_trace(workload.path, workload.sha256, "the workload")
     params = dict(point.params)
-    arch = point.arch
-    profile, commands, pattern = _load_commands(workload, arch)
-    sim = Simulator()
-    device = FtlSsdDevice(
-        sim, arch,
-        logical_utilization=float(params.get("logical_utilization",
-                                             DEFAULT_UTILIZATION)),
-        ftl_blocks_per_plane=int(params.get("ftl_blocks_per_plane",
-                                            DEFAULT_BLOCKS_PER_PLANE)))
-    if params.get("precondition", True):
-        _precondition_steady(device)
-    result = run_workload(
-        sim, device, CommandListWorkload(commands, pattern=pattern),
+    __, commands, pattern = _load_commands(workload, point.arch)
+    result = run_scenario(Scenario(
+        point.arch, CommandListWorkload(commands, pattern=pattern),
         label=str(params.get("label", point.name)),
-        honor_issue_times=workload.honor_issue_times)
-    payload = result.to_dict()
-    # Wall time is machine load, not simulation output; keep payloads
-    # deterministic so cached and fresh runs agree byte for byte.
-    payload["wall_seconds"] = 0.0
-    return payload, result.events
+        honor_issue_times=workload.honor_issue_times,
+        ftl_utilization=float(params.get("logical_utilization",
+                                         DEFAULT_UTILIZATION)),
+        ftl_blocks_per_plane=int(params.get("ftl_blocks_per_plane",
+                                            DEFAULT_BLOCKS_PER_PLANE)),
+        ftl_steady=bool(params.get("precondition", True)))).result
+    return result.to_payload(), result.events
 
 
 def default_dram_budgets(arch: Optional[SsdArchitecture] = None,
@@ -205,13 +160,7 @@ def ftl_sweep(workload: TraceWorkload,
         workload, schemes=schemes, dram_budgets=dram_budgets, base=base,
         logical_utilization=logical_utilization,
         blocks_per_plane=blocks_per_plane))
-    failures = result.failures()
-    if failures:
-        detail = "; ".join(f"{o.name}: {o.failure.error_type}: "
-                           f"{o.failure.message}" for o in failures)
-        raise TraceError(f"ftl sweep failed for {len(failures)} "
-                         f"point(s): {detail}")
-    return result.payloads()
+    return result.checked_payloads("ftl", TraceError)
 
 
 def ftl_sweep_table(payloads: Dict[str, Dict[str, Any]]

@@ -54,9 +54,8 @@ def golden_sample_trace(repo_root: str = ".") -> Dict[str, Any]:
     path = os.path.join(repo_root, SAMPLE_TRACE)
     outcome = replay_trace(TraceWorkload.from_file(path),
                            label="golden/sample-trace")
-    result = outcome.result.to_dict()
-    result["wall_seconds"] = 0.0  # machine load, not simulation output
-    return {"profile": outcome.profile.to_dict(), "result": result}
+    return {"profile": outcome.profile.to_dict(),
+            "result": outcome.result.to_payload()}
 
 
 def golden_ftl_sample_trace(repo_root: str = ".") -> Dict[str, Any]:

@@ -26,13 +26,10 @@ import time
 from typing import Any, Dict, Optional
 
 from ..host.interface import pcie_nvme_spec, sata2_spec
-from ..host.workload import sequential_write
 from ..kernel import Simulator
 from ..kernel.simtime import period_from_hz
 from ..ssd.architecture import SsdArchitecture
-from ..ssd.device import SsdDevice
-from ..ssd.metrics import run_workload
-from .speed import PLATFORM_CLOCK_HZ
+from .speed import PLATFORM_CLOCK_HZ, measure_speed
 
 
 def _pingpong(n_procs: int, n_steps: int) -> Dict[str, float]:
@@ -92,24 +89,19 @@ def interface_speed(kind: str, n_commands: int = 400) -> Dict[str, Any]:
         host = pcie_nvme_spec(generation=2, lanes=8)
     else:
         raise ValueError(f"kind must be 'sata' or 'pcie', got {kind!r}")
-    arch = SsdArchitecture(host=host)
-    sim = Simulator()
-    device = SsdDevice(sim, arch)
-    workload = sequential_write(4096 * n_commands)
-    started = time.perf_counter()
-    run_workload(sim, device, workload)
-    wall = time.perf_counter() - started
-    sim_seconds = sim.now / 1e12
-    cycles = sim.now / period_from_hz(PLATFORM_CLOCK_HZ)
+    sample = measure_speed(SsdArchitecture(host=host), n_commands)
+    wall = sample.wall_seconds
+    sim_seconds = (sample.simulated_cycles
+                   * period_from_hz(PLATFORM_CLOCK_HZ) / 1e12)
     return {
         "host": kind,
         "n_commands": n_commands,
-        "events": sim.events_processed,
+        "events": sample.events,
         "wall_seconds": wall,
         "sim_seconds": sim_seconds,
-        "events_per_sec": sim.events_processed / wall if wall else 0.0,
+        "events_per_sec": sample.events_per_second,
         "sim_time_over_wall_time": sim_seconds / wall if wall else 0.0,
-        "kcps": cycles / 1e3 / wall if wall else 0.0,
+        "kcps": sample.kcps,
     }
 
 

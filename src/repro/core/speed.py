@@ -10,16 +10,13 @@ a 2.27 GHz Xeon running SystemC), the inverse scaling is the claim.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..host.workload import sequential_write
-from ..kernel import Simulator
 from ..kernel.simtime import period_from_hz
 from ..ssd.architecture import SsdArchitecture
-from ..ssd.device import SsdDevice
-from ..ssd.metrics import run_workload
+from ..ssd.scenarios import Scenario, run_scenario
 
 #: The platform reference clock whose cycles KCPS counts (the CPU/AHB
 #: clock of the modeled controller).
@@ -51,18 +48,18 @@ class SpeedSample:
 
 def measure_speed(arch: SsdArchitecture, n_commands: int = 400,
                   label: str = "") -> SpeedSample:
-    """Run a sequential-write burst and report KCPS."""
-    sim = Simulator()
-    device = SsdDevice(sim, arch)
-    workload = sequential_write(4096 * n_commands)
-    wall_start = time.perf_counter()
-    run_workload(sim, device, workload)
-    wall = time.perf_counter() - wall_start
-    cycles = sim.now / period_from_hz(PLATFORM_CLOCK_HZ)
+    """Run a sequential-write burst and report KCPS.
+
+    Wall time is the simulator's own run loop (``RunResult.wall_seconds``):
+    building the device and the host driver processes is not counted.
+    """
+    result = run_scenario(Scenario(
+        arch, sequential_write(4096 * n_commands))).result
     return SpeedSample(label=label or arch.label,
-                       simulated_cycles=cycles,
-                       wall_seconds=wall,
-                       events=sim.events_processed)
+                       simulated_cycles=(result.sim_time_ps
+                                         / period_from_hz(PLATFORM_CLOCK_HZ)),
+                       wall_seconds=result.wall_seconds,
+                       events=result.events)
 
 
 def speed_sweep(configs: Dict[str, SsdArchitecture],

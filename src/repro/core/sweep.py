@@ -35,7 +35,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+                    Tuple, Type)
 
 from ..ssd.device import DataPathMode
 from ..ssd.scenarios import breakdown_with_events, measure
@@ -150,11 +150,7 @@ def _eval_measure(point: SweepPoint) -> Tuple[Dict[str, Any], int]:
                      label=params.get("label", point.name),
                      preload_reads=params.get("preload_reads", True),
                      warm_start=params.get("warm_start", False))
-    payload = result.to_dict()
-    # Wall time is machine load, not simulation output; keep payloads
-    # deterministic so cached and fresh runs agree byte for byte.
-    payload["wall_seconds"] = 0.0
-    return payload, result.events
+    return result.to_payload(), result.events
 
 
 def _eval_replay(point: SweepPoint) -> Tuple[Dict[str, Any], int]:
@@ -415,6 +411,19 @@ class SweepResult:
     def failures(self) -> List[PointOutcome]:
         """Failed points, in input order."""
         return [outcome for outcome in self.outcomes if outcome.failed]
+
+    def checked_payloads(self, what: str,
+                         error: Type[Exception] = RuntimeError
+                         ) -> Dict[str, Dict[str, Any]]:
+        """:meth:`payloads`, or raise ``error`` naming every failed point —
+        a missing key then always means "not requested", never "dropped"."""
+        failures = self.failures()
+        if failures:
+            detail = "; ".join(f"{o.name}: {o.failure.error_type}: "
+                               f"{o.failure.message}" for o in failures)
+            raise error(f"{what} sweep failed for {len(failures)} "
+                        f"point(s): {detail}")
+        return self.payloads()
 
     def format_failures(self) -> str:
         """Human-readable ``failed_points`` section for the sweep report."""

@@ -28,15 +28,14 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..host.tenants import (ARBITRATION_POLICIES, Tenant, TenantSpec,
                             build_tenants, merge_tenants)
-from ..host.traces.records import TraceError
 from ..host.workload import CommandListWorkload
-from ..kernel import LatencyHistogram, Simulator
+from ..kernel import LatencyHistogram
 from ..obs.spans import disable_observability, enable_observability
 from ..ssd.architecture import SsdArchitecture
-from ..ssd.device import SsdDevice
-from ..ssd.metrics import RunResult, json_safe, run_workload
+from ..ssd.metrics import RunResult, json_safe
+from ..ssd.scenarios import Scenario, run_scenario
 from .sweep import SweepPoint, SweepRunner
-from .tracereplay import sha256_file
+from .tracereplay import verify_trace
 
 #: Sub-bins per power of two for tail percentiles: 16 bounds the relative
 #: quantile error at 1/16 ~ 6.3% across the whole dynamic range.
@@ -142,24 +141,33 @@ def _tenant_rows(tenants: Sequence[Tenant],
     return rows
 
 
-def _mix_pattern(tenants: Sequence[Tenant]) -> str:
-    """WAF pattern of a merged stream: random dominates a mix."""
-    return ("random" if any(tenant.pattern == "random"
-                            for tenant in tenants) else "sequential")
+def _run_merged(arch: SsdArchitecture, tenants: Sequence[Tenant],
+                active: Sequence[int], policy: str, label: str
+                ) -> Tuple[List[Tuple[int, Any]], RunResult]:
+    """Merge the ``active`` tenants' streams and run them on one device.
 
-
-def _honor_issue_times(tenants: Sequence[Tenant]) -> bool:
-    return any(tenant.spec.open_loop or tenant.spec.workload == "trace"
-               for tenant in tenants)
-
-
-def _install_namespaces(device: SsdDevice,
-                        tenants: Sequence[Tenant]) -> None:
-    ranges = [(tenant.partition.base_lba, tenant.partition.end_lba,
-               tenant.partition.channels) for tenant in tenants
-              if tenant.partition.channels]
-    if ranges:
-        device.set_namespace_channels(ranges)
+    Every tenant in ``tenants`` keeps its namespace binding (so partition
+    bases, channel sets and qids are identical however many are active);
+    only the active streams are arbitrated and driven.  Returns the
+    merged ``(position in active, command)`` list and the RunResult.
+    """
+    subset = [tenants[index] for index in active]
+    merged = merge_tenants(subset, policy=policy)
+    namespaces = tuple((tenant.partition.base_lba, tenant.partition.end_lba,
+                        tenant.partition.channels)
+                       for tenant in tenants if tenant.partition.channels)
+    # Random dominates a mix for the WAF model.
+    pattern = ("random" if any(tenant.pattern == "random"
+                               for tenant in subset) else "sequential")
+    result = run_scenario(Scenario(
+        arch, CommandListWorkload([command for __, command in merged],
+                                  pattern=pattern),
+        label=label, preload_reads=True,
+        honor_issue_times=any(tenant.spec.open_loop
+                              or tenant.spec.workload == "trace"
+                              for tenant in subset),
+        namespaces=namespaces)).result
+    return merged, result
 
 
 def run_tenant_mix(arch: SsdArchitecture, specs: Sequence[TenantSpec],
@@ -168,7 +176,7 @@ def run_tenant_mix(arch: SsdArchitecture, specs: Sequence[TenantSpec],
     """Arbitrate and run one tenant mix; returns (payload, RunResult).
 
     The payload's ``aggregate`` section is the plain
-    :meth:`~repro.ssd.metrics.RunResult.to_dict` of the merged run —
+    :meth:`~repro.ssd.metrics.RunResult.to_payload` of the merged run —
     for a single tenant it is byte-identical to what ``run_workload``
     reports for that tenant's stream alone, because the merged stream
     *is* that stream and the device setup is the same.
@@ -177,23 +185,16 @@ def run_tenant_mix(arch: SsdArchitecture, specs: Sequence[TenantSpec],
         raise ValueError(f"unknown arbitration policy {policy!r}")
     tenants = build_tenants(specs, n_channels=arch.n_channels,
                             isolate_channels=isolate_channels)
-    merged = merge_tenants(tenants, policy=policy)
-    sim = Simulator()
-    device = SsdDevice(sim, arch)
-    _install_namespaces(device, tenants)
-    device.preload_for_reads()
-    workload = CommandListWorkload([command for __, command in merged],
-                                  pattern=_mix_pattern(tenants))
-    result = run_workload(sim, device, workload,
-                          label=label or f"tenants-{len(tenants)}-{policy}",
-                          honor_issue_times=_honor_issue_times(tenants))
+    merged, result = _run_merged(
+        arch, tenants, range(len(tenants)), policy,
+        label or f"tenants-{len(tenants)}-{policy}")
     payload = {
         "label": result.label,
         "policy": policy,
         "n_tenants": len(tenants),
         "isolate_channels": bool(isolate_channels),
         "tenants": json_safe(_tenant_rows(tenants, merged, policy)),
-        "aggregate": result.to_dict(),
+        "aggregate": result.to_payload(),
     }
     return payload, result
 
@@ -208,25 +209,14 @@ def _measure_subset(arch: SsdArchitecture, specs: Sequence[TenantSpec],
                     ) -> Tuple[Dict[int, Tuple[float, float]], int]:
     """Run only ``active`` tenants on the *full* namespace layout.
 
-    All tenants are bound (so partition bases, channel sets and qids are
-    identical in solo, pairwise and full runs) but only the active
-    streams are merged and driven.  Returns
-    ``{tenant_index: (mean_latency_us, gc_us_per_command)}`` plus the
-    kernel event count.
+    Returns ``{tenant_index: (mean_latency_us, gc_us_per_command)}`` plus
+    the kernel event count.
     """
     tenants = build_tenants(specs, n_channels=arch.n_channels,
                             isolate_channels=isolate_channels)
-    subset = [tenants[index] for index in active]
-    merged = merge_tenants(subset, policy=policy)
-    sim = Simulator()
-    device = SsdDevice(sim, arch)
-    _install_namespaces(device, tenants)
-    device.preload_for_reads()
-    workload = CommandListWorkload([command for __, command in merged],
-                                  pattern=_mix_pattern(subset))
-    result = run_workload(sim, device, workload,
-                          label=f"interference-{'+'.join(t.name for t in subset)}",
-                          honor_issue_times=_honor_issue_times(subset))
+    merged, result = _run_merged(
+        arch, tenants, active, policy,
+        f"interference-{'+'.join(tenants[i].name for i in active)}")
     stats: Dict[int, Tuple[float, float]] = {}
     for position, tenant_index in enumerate(active):
         commands = [command for index, command in merged
@@ -300,13 +290,8 @@ def evaluate_tenants_point(point: SweepPoint) -> Tuple[Dict[str, Any], int]:
             raise TypeError(f"tenants evaluator needs TenantSpec items, "
                             f"got {type(spec).__name__}")
         if spec.workload == "trace" and spec.trace_sha256:
-            actual = sha256_file(spec.trace_path)
-            if actual != spec.trace_sha256:
-                raise TraceError(
-                    f"{spec.trace_path}: content hash {actual[:12]}... "
-                    f"does not match tenant {spec.name!r}'s "
-                    f"{spec.trace_sha256[:12]}... — the trace changed "
-                    f"since the sweep was defined")
+            verify_trace(spec.trace_path, spec.trace_sha256,
+                         f"tenant {spec.name!r}")
     params = dict(point.params)
     policy = str(params.get("policy", "rr"))
     isolate = bool(params.get("isolate_channels", False))
@@ -320,9 +305,6 @@ def evaluate_tenants_point(point: SweepPoint) -> Tuple[Dict[str, Any], int]:
                                            isolate_channels=isolate)
         payload["interference"] = matrix
         events += cost
-    # Wall time is machine load, not simulation output; keep payloads
-    # deterministic so cached and fresh runs agree byte for byte.
-    payload["aggregate"]["wall_seconds"] = 0.0
     return payload, events
 
 
@@ -361,13 +343,7 @@ def tenant_sweep(counts: Sequence[int] = DEFAULT_TENANT_COUNTS,
     result = runner.run(tenant_sweep_points(counts=counts,
                                             policies=policies, base=base,
                                             interference=interference))
-    failures = result.failures()
-    if failures:
-        detail = "; ".join(f"{o.name}: {o.failure.error_type}: "
-                           f"{o.failure.message}" for o in failures)
-        raise RuntimeError(f"tenant sweep failed for {len(failures)} "
-                           f"point(s): {detail}")
-    return result.payloads()
+    return result.checked_payloads("tenant")
 
 
 def tenant_sweep_table(payloads: Dict[str, Dict[str, Any]]

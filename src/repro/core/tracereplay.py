@@ -16,16 +16,14 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..host.traces import (TraceProfile, characterize, iter_trace,
-                           limit_records, records_to_commands,
-                           run_preconditioning, scale_time,
+                           limit_records, records_to_commands, scale_time,
                            wrap_to_device)
 from ..host.traces.precondition import PRECONDITION_MODES
 from ..host.traces.records import TraceError
 from ..host.workload import CommandListWorkload
-from ..kernel import Simulator
 from ..ssd.architecture import SsdArchitecture
-from ..ssd.device import SsdDevice
-from ..ssd.metrics import RunResult, run_workload
+from ..ssd.metrics import RunResult
+from ..ssd.scenarios import Scenario, run_scenario
 from .experiments import TABLE2_LABELS, table2_configs
 from .sweep import SweepPoint, SweepRunner
 
@@ -37,6 +35,17 @@ def sha256_file(path: str, chunk_bytes: int = 1 << 20) -> str:
         for chunk in iter(lambda: handle.read(chunk_bytes), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def verify_trace(path: str, sha256: str, owner: str) -> None:
+    """Raise :class:`TraceError` if the file no longer hashes to ``sha256``
+    (``owner`` names whose recorded hash it is in the message)."""
+    actual = sha256_file(path)
+    if actual != sha256:
+        raise TraceError(
+            f"{path}: content hash {actual[:12]}... does not match "
+            f"{owner}'s {sha256[:12]}... — the trace changed since the "
+            f"sweep was defined")
 
 
 @dataclass(frozen=True)
@@ -138,27 +147,14 @@ def replay_trace(workload: TraceWorkload,
     """
     arch = arch or SsdArchitecture()
     profile, commands, pattern = _load_commands(workload, arch)
-    sim = Simulator()
-    device = SsdDevice(sim, arch)
-    if profile.reads:
-        device.preload_for_reads()
-    warmup = 0
-    if workload.precondition != "none":
-        span_sectors = max((c.lba + c.sectors for c in commands
-                            if c.sectors), default=0) or 8
-        warmup = run_preconditioning(sim, device, span_sectors,
-                                     mode=workload.precondition)
-    result = run_workload(
-        sim, device, CommandListWorkload(commands, pattern=pattern),
+    run = run_scenario(Scenario(
+        arch, CommandListWorkload(commands, pattern=pattern),
         label=label or f"trace/{profile.dominant_pattern}",
-        honor_issue_times=workload.honor_issue_times)
-    if workload.precondition != "none":
-        # Preconditioned runs are in the steady regime for their whole
-        # window, so the full-window figure *is* the sustained one (same
-        # convention as warm-started scenario runs).
-        result.sustained_mbps = result.throughput_mbps
-    return ReplayOutcome(result=result, profile=profile,
-                         preconditioning_commands=warmup)
+        preload_reads=bool(profile.reads),
+        precondition=workload.precondition,
+        honor_issue_times=workload.honor_issue_times))
+    return ReplayOutcome(result=run.result, profile=profile,
+                         preconditioning_commands=run.preconditioning_commands)
 
 
 def evaluate_replay_point(point: SweepPoint) -> Tuple[Dict[str, Any], int]:
@@ -167,18 +163,10 @@ def evaluate_replay_point(point: SweepPoint) -> Tuple[Dict[str, Any], int]:
     if not isinstance(workload, TraceWorkload):
         raise TypeError(f"replay evaluator needs a TraceWorkload, "
                         f"got {type(workload).__name__}")
-    actual = sha256_file(workload.path)
-    if actual != workload.sha256:
-        raise TraceError(
-            f"{workload.path}: content hash {actual[:12]}... does not "
-            f"match the workload's {workload.sha256[:12]}... — the "
-            f"trace changed since the sweep was defined")
+    verify_trace(workload.path, workload.sha256, "the workload")
     outcome = replay_trace(workload, arch=point.arch,
                            label=str(point.params.get("label", point.name)))
-    payload = outcome.result.to_dict()
-    # Wall time is machine load, not simulation output; keep payloads
-    # deterministic so cached and fresh runs agree byte for byte.
-    payload["wall_seconds"] = 0.0
+    payload = outcome.result.to_payload()
     payload["trace_profile"] = outcome.profile.to_dict()
     payload["preconditioning_commands"] = outcome.preconditioning_commands
     return payload, outcome.result.events
@@ -215,10 +203,4 @@ def trace_sweep(workload: TraceWorkload,
     """
     runner = runner or SweepRunner(workers=1)
     result = runner.run(trace_sweep_points(workload, configs, base))
-    failures = result.failures()
-    if failures:
-        detail = "; ".join(f"{o.name}: {o.failure.error_type}: "
-                           f"{o.failure.message}" for o in failures)
-        raise TraceError(f"trace sweep failed for {len(failures)} "
-                         f"point(s): {detail}")
-    return result.payloads()
+    return result.checked_payloads("trace", TraceError)

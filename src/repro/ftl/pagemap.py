@@ -282,6 +282,14 @@ class PageMapFtl:
             "waf": self.waf,
         }
 
+    def reset_counters(self) -> None:
+        """Zero every counter :meth:`counters` reports (a scheme's own
+        included) but the derived ``mapped_pages`` and ``waf``; the
+        mapping is untouched."""
+        for name in self.counters():
+            if name not in ("mapped_pages", "waf"):
+                setattr(self, name, 0)
+
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------

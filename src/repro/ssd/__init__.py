@@ -10,14 +10,15 @@ from .energy import DEFAULT_ENERGY, EnergyModel
 from .ftl_device import FtlSsdDevice
 from .metrics import (RunResult, collect_reliability, collect_utilizations,
                       run_workload)
-from .scenarios import BreakdownRow, breakdown, host_ideal_mbps, measure
+from .scenarios import (BreakdownRow, Scenario, ScenarioRun, breakdown,
+                        host_ideal_mbps, measure, run_scenario)
 
 __all__ = [
     "BreakdownRow", "CachePolicy", "CpuMode", "DEFAULT_ENERGY",
     "DataPathMode", "EnergyModel", "Fidelity", "FidelityConfig",
-    "FtlSsdDevice", "RunResult",
+    "FtlSsdDevice", "RunResult", "Scenario", "ScenarioRun",
     "SsdArchitecture", "SsdDevice",
     "breakdown", "collect_reliability", "collect_utilizations",
     "fidelity_from_spec", "from_config", "host_ideal_mbps",
-    "measure", "parse_geometry_label", "run_workload",
+    "measure", "parse_geometry_label", "run_scenario", "run_workload",
 ]

@@ -18,6 +18,7 @@ construction.
 
 from __future__ import annotations
 
+import random
 from typing import Dict, List, Optional, Tuple
 
 from ..faults import ProgramFailError, UncorrectableReadError
@@ -265,6 +266,24 @@ class FtlSsdDevice(SsdDevice):
                     die.preload_block(
                         plane, block,
                         self.ftl.write_pointer_of(die_id, plane, block))
+
+    def precondition_steady(self, seed: int = 0xF71) -> None:
+        """Drive the FTL to the steady (GC-active) regime, untimed.
+
+        Sequential fill of the logical space, then seeded random
+        overwrites of half of it so block validity is mixed.  The journal
+        is discarded, the dies mirror the FTL's blocks and its counters
+        are zeroed, so the measured window starts clean.
+        """
+        ftl, pages = self.ftl, self.logical_pages
+        for lpn in range(pages):
+            ftl.write(lpn)
+        rng = random.Random(seed)
+        for __ in range(pages // 2):
+            ftl.write(rng.randrange(pages))
+        self.backend.drain()
+        self.sync_nand_to_ftl()
+        ftl.reset_counters()
 
     def measured_waf(self) -> float:
         """Write amplification actually produced by the FTL."""

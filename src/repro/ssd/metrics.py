@@ -135,6 +135,14 @@ class RunResult:
             **({"ftl": dict(self.ftl)} if self.ftl else {}),
         })
 
+    def to_payload(self) -> Dict[str, object]:
+        """:meth:`to_dict` with ``wall_seconds`` zeroed: wall time is machine
+        load, not simulation output, so cached and fresh payloads agree
+        byte for byte."""
+        payload = self.to_dict()
+        payload["wall_seconds"] = 0.0
+        return payload
+
 
 def run_workload(sim: Simulator, device: SsdDevice, workload: Workload,
                  max_commands: Optional[int] = None,

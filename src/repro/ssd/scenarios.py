@@ -7,17 +7,23 @@ For each architecture and workload the exploration flow measures:
 * ``ddr_flash``    — DRAM-to-flash drain bandwidth ("DDR+FLASH"),
 * ``full`` (cache) — the complete SSD with write-back caching,
 * ``full`` (no cache) — completion deferred to NAND program.
+
+Every measured run in the package — these bars, trace replays, FTL and
+tenant sweep points, profiled points and the Fig. 6 speed runs — goes
+through one path: a :class:`Scenario` handed to :func:`run_scenario`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, NamedTuple, Optional, Tuple
 
+from ..host.traces import run_preconditioning
 from ..host.workload import Workload
 from ..kernel import Simulator
 from .architecture import CachePolicy, SsdArchitecture
 from .device import DataPathMode, SsdDevice
+from .ftl_device import FtlSsdDevice
 from .metrics import RunResult, run_workload
 
 
@@ -26,34 +32,78 @@ def host_ideal_mbps(arch: SsdArchitecture, block_bytes: int = 4096) -> float:
     return arch.host.ideal_throughput_mbps(block_bytes)
 
 
-def measure_with_device(arch: SsdArchitecture, workload: Workload,
-                        mode: DataPathMode = DataPathMode.FULL,
-                        max_commands: Optional[int] = None,
-                        label: str = "",
-                        preload_reads: bool = True,
-                        warm_start: bool = False
-                        ) -> "tuple[RunResult, SsdDevice]":
-    """Run one scenario and also return the device it ran on.
+class ScenarioRun(NamedTuple):
+    """What :func:`run_scenario` produced; ``device.sim`` is its simulator."""
 
-    The device (and its simulator, via ``device.sim``) gives profiling
-    callers access to the utilization trackers after the run — see
-    :func:`repro.ssd.metrics.collect_utilization_timelines`.
+    result: RunResult
+    device: SsdDevice
+    preconditioning_commands: int
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One measured run: a design point, a workload and device preparation.
+
+    Callers resolve every field; :func:`run_scenario` applies no policy.
+    ``precondition`` is the host-level ``none``/``fill``/``steady``
+    warm-up; ``namespaces`` are ``(base_lba, end_lba, channels)`` ranges.
+    A set ``ftl_utilization`` runs the real-FTL :class:`FtlSsdDevice`
+    (``ftl_steady`` drives it to steady state first) instead of the
+    WAF-abstraction :class:`SsdDevice`.
+    """
+
+    arch: SsdArchitecture
+    workload: Any
+    label: str = ""
+    mode: DataPathMode = DataPathMode.FULL
+    max_commands: Optional[int] = None
+    preload_reads: bool = False
+    warm_start: bool = False
+    precondition: str = "none"
+    honor_issue_times: bool = False
+    namespaces: Tuple[Tuple[int, int, Tuple[int, ...]], ...] = ()
+    ftl_utilization: Optional[float] = None
+    ftl_blocks_per_plane: Optional[int] = None
+    ftl_steady: bool = False
+
+
+def run_scenario(scenario: Scenario) -> ScenarioRun:
+    """Build a fresh simulator and device, prepare it, run the workload.
+
+    Warm-started and host-preconditioned runs are in the steady regime
+    for their whole window, so their full-window throughput *is* the
+    sustained figure — immune to erase-burst completion clumping.
     """
     sim = Simulator()
-    device = SsdDevice(sim, arch, mode=mode)
-    if preload_reads and workload.opcode.name == "READ":
+    if scenario.ftl_utilization is None:
+        device = SsdDevice(sim, scenario.arch, mode=scenario.mode)
+    else:
+        device = FtlSsdDevice(
+            sim, scenario.arch, mode=scenario.mode,
+            logical_utilization=scenario.ftl_utilization,
+            ftl_blocks_per_plane=scenario.ftl_blocks_per_plane)
+    if scenario.namespaces:
+        device.set_namespace_channels(list(scenario.namespaces))
+    if scenario.preload_reads:
         device.preload_for_reads()
-    if warm_start:
-        device.warm_start_cache(workload.pattern_name)
-    result = run_workload(sim, device, workload, max_commands=max_commands,
-                          label=label)
-    if warm_start:
-        # A warm-started run is in the steady regime from t=0, so the
-        # full-span figure *is* the sustained one — and unlike the
-        # windowed estimate it is immune to erase-burst completion
-        # clumping.
+    if scenario.warm_start:
+        device.warm_start_cache(scenario.workload.pattern_name)
+    if scenario.ftl_steady:
+        device.precondition_steady()
+    warmup = 0
+    if scenario.precondition != "none":
+        commands = list(scenario.workload.commands())[:scenario.max_commands]
+        span_sectors = max((c.lba + c.sectors for c in commands
+                            if c.sectors), default=0) or 8
+        warmup = run_preconditioning(sim, device, span_sectors,
+                                     mode=scenario.precondition)
+    result = run_workload(sim, device, scenario.workload,
+                          max_commands=scenario.max_commands,
+                          label=scenario.label,
+                          honor_issue_times=scenario.honor_issue_times)
+    if scenario.warm_start or scenario.precondition != "none":
         result.sustained_mbps = result.throughput_mbps
-    return result, device
+    return ScenarioRun(result, device, warmup)
 
 
 def measure(arch: SsdArchitecture, workload: Workload,
@@ -62,11 +112,12 @@ def measure(arch: SsdArchitecture, workload: Workload,
             label: str = "",
             preload_reads: bool = True,
             warm_start: bool = False) -> RunResult:
-    """Build a fresh device and run one scenario."""
-    result, __ = measure_with_device(
-        arch, workload, mode=mode, max_commands=max_commands, label=label,
-        preload_reads=preload_reads, warm_start=warm_start)
-    return result
+    """Build a fresh device and run one scenario (``preload_reads``
+    applies only when the first command is a read)."""
+    return run_scenario(Scenario(
+        arch, workload, label=label, mode=mode, max_commands=max_commands,
+        preload_reads=preload_reads and workload.opcode.name == "READ",
+        warm_start=warm_start)).result
 
 
 @dataclass

@@ -9,7 +9,8 @@ The ISSUE-level contracts pinned here:
 * the sweep fingerprint keys on the trace's *content hash*, so a moved
   trace file is a cache hit and an edited one is a miss,
 * a worker refuses to replay a file whose content no longer matches the
-  workload's recorded hash.
+  recorded hash — in the ``replay``, ``ftl`` and ``tenants`` evaluators
+  alike.
 """
 
 import json
@@ -18,10 +19,13 @@ import shutil
 
 import pytest
 
-from repro.core.sweep import SweepPoint, SweepRunner, fingerprint
+from repro.core.ftlsweep import ftl_sweep_points
+from repro.core.sweep import EVALUATORS, SweepPoint, SweepRunner, fingerprint
+from repro.core.tenantsweep import tenants_base_architecture
 from repro.core.tracereplay import (TraceWorkload, evaluate_replay_point,
                                     sha256_file, trace_sweep,
                                     trace_sweep_points)
+from repro.host.tenants import TenantSpec
 from repro.host.traces import TraceError
 
 REPO_ROOT = os.path.dirname(os.path.dirname(
@@ -120,15 +124,39 @@ def test_cached_sweep_hits_for_moved_trace(tmp_path):
 # Worker-side hash verification
 
 
-def test_worker_refuses_stale_content(tmp_path):
+def _replay_point(path):
+    return trace_sweep_points(sample_workload(path=path), configs=["C1"])[0]
+
+
+def _ftl_point(path):
+    return ftl_sweep_points(sample_workload(path=path),
+                            schemes=["pagemap"])[0]
+
+
+def _tenants_point(path):
+    spec = TenantSpec.from_trace("replayer", path, n_commands=8)
+    return SweepPoint(name="t-trace", arch=tenants_base_architecture(),
+                      workload=[spec], evaluator="tenants",
+                      params={"interference": False})
+
+
+@pytest.mark.parametrize("build_point, owner", [
+    (_replay_point, "the workload's"),
+    (_ftl_point, "the workload's"),
+    (_tenants_point, "tenant 'replayer''s"),
+], ids=["replay", "ftl", "tenants"])
+def test_worker_refuses_stale_content(tmp_path, build_point, owner):
     copy = tmp_path / "trace.csv"
     shutil.copy(SAMPLE, copy)
-    workload = sample_workload(path=str(copy))
-    with open(copy, "a") as handle:  # edit after the workload was built
+    point = build_point(str(copy))
+    with open(copy, "a") as handle:  # edit after the point was built
         handle.write("128166372903061629,src1,0,Read,4096,4096,100\n")
-    point = trace_sweep_points(workload, configs=["C1"])[0]
-    with pytest.raises(TraceError, match="content hash"):
-        evaluate_replay_point(point)
+    with pytest.raises(TraceError) as raised:
+        EVALUATORS[point.evaluator](point)
+    message = str(raised.value)
+    assert message.startswith(f"{copy}: content hash ")
+    assert f"does not match {owner} " in message
+    assert message.endswith("the trace changed since the sweep was defined")
 
 
 def test_trace_sweep_raises_on_failed_points(tmp_path):

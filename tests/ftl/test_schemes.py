@@ -222,3 +222,49 @@ class TestGroupMap:
         ftl, __, __ = build("groupmap")
         ftl.write(0)                    # rest of the group unmapped
         assert ftl.rmw_relocations == 0
+
+
+def build_starved_dftl():
+    """A DFTL whose DRAM holds the directory plus one translation page."""
+    full, __, __ = build("dftl")
+    return build("dftl", ftl_dram_bytes=(full.translation_pages
+                                         * ENTRY_BYTES + PAGE_BYTES))
+
+
+RESET_CASES = ([pytest.param(lambda name=name: build(name), id=name)
+                for name in scheme_names()]
+               + [pytest.param(build_starved_dftl, id="dftl-starved")])
+
+
+class TestResetCounters:
+    @pytest.mark.parametrize("make", RESET_CASES)
+    def test_zeroes_every_counter_and_keeps_the_map(self, make):
+        ftl, __, logical = make()
+        rng = random.Random(0x5E7)
+        for __ in range(logical * 3):
+            lpn = rng.randrange(logical)
+            draw = rng.random()
+            if draw < 0.6:
+                ftl.write(lpn)
+            elif draw < 0.8:
+                ftl.trim(lpn)
+            else:
+                ftl.read(lpn)
+        before = ftl.counters()
+        stored = [name for name in before if name not in ("mapped_pages",
+                                                          "waf")]
+        assert before["host_writes"] and before["trims"]
+        assert before["gc_relocations"] or before["rmw_relocations"]
+        if isinstance(ftl, DftlFtl) and ftl.cached_tpages == 1:
+            assert before["translation_writes"] and before["cmt_misses"]
+        mapping = [ftl.lookup(lpn) for lpn in range(logical)]
+
+        ftl.reset_counters()
+
+        after = ftl.counters()
+        assert sorted(after) == sorted(before)
+        assert {name: after[name] for name in stored} \
+            == dict.fromkeys(stored, 0)
+        assert after["mapped_pages"] == before["mapped_pages"]
+        assert after["waf"] == 1.0
+        assert [ftl.lookup(lpn) for lpn in range(logical)] == mapping
