@@ -143,7 +143,6 @@ def runner_from_args(args: argparse.Namespace, quiet: bool = False):
                          "interrupted sweep's cache")
     return SweepRunner(workers=workers,
                        cache_dir=None if no_cache else cache_dir,
-                       use_cache=not no_cache,
                        progress=None if quiet else print_progress,
                        timeout_s=timeout)
 

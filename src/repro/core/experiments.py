@@ -186,7 +186,7 @@ def profile_point(arch: SsdArchitecture, workload: Workload,
     """Run one point with span observability enabled.
 
     Unlike the sweep paths this always runs in-process — span recorders
-    are process-global and cannot cross the worker-pool boundary.
+    are process-global and cannot cross into a drain process.
     Returns ``(RunResult, SpanRecorder, timelines)``: the result carries
     the per-stage breakdown, the recorder the raw spans (for Chrome-trace
     export), and ``timelines`` the per-channel utilization series.

@@ -1,17 +1,17 @@
-"""Parallel design-space sweep engine with a content-addressed result cache.
+"""Design-space sweep engine over a content-addressed result cache.
 
 The paper's workflow is *fine-grained design space exploration*: many
 independent (architecture, workload) points evaluated against the same
-metrics.  Those evaluations share nothing at runtime, so
-:class:`SweepRunner` fans them out over a
-:class:`~concurrent.futures.ProcessPoolExecutor` (default width
-``os.cpu_count()``, serial in-process fallback for ``workers=1`` or when
-no pool can be created) and memoizes each point in an on-disk cache keyed
-by a stable content hash of the architecture + workload + evaluator
-parameters + a code-version salt.  Re-running a sweep therefore only
-simulates new or changed points, and because every finished point is
-flushed to the cache as it arrives, a killed sweep resumes where it left
-off.
+metrics.  Every point is keyed by a stable content hash of the
+architecture + workload + evaluator parameters + a code-version salt, and
+:class:`SweepRunner` drains the points through one loop, :func:`drain`:
+claim the point's lease (:mod:`repro.core.lease`), evaluate it, publish
+its envelope to a :class:`SweepCache`, and reap the leases of workers
+that died.  A width above one forks that many drain processes over the
+same directory; :class:`~repro.core.campaign.CampaignRunner` is the same
+engine plus a manifest and a queryable store.  Because each finished
+point is published as it completes, a killed sweep resumes where it left
+off and a re-run only simulates new or changed points.
 
 Determinism contract: a point's *payload* (the cacheable result) depends
 only on its fingerprint inputs — parallel and serial runs produce
@@ -21,24 +21,27 @@ time and scheduling order are metadata, never part of a payload.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import enum
 import hashlib
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import random
+import shutil
 import signal
+import tempfile
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple, Type)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Set, Tuple, Type)
 
 from ..ssd.device import DataPathMode
 from ..ssd.scenarios import breakdown_with_events, measure
+from .lease import DEFAULT_LEASE_TTL_S, LeaseKeeper, LeaseQueue, atomic_write
 
 #: Salt folded into every fingerprint.  Bump whenever a change alters the
 #: simulated numbers (timing models, scheduler fixes, metric definitions)
@@ -69,7 +72,7 @@ def canonical(obj: Any) -> Any:
     Dataclasses carry their qualified type name so that two schemes with
     identical fields (e.g. fixed vs adaptive BCH defaults) never collide;
     enums reduce to type + value.  Unsupported types raise ``TypeError``
-    — the caller decides whether that makes the point uncacheable.
+    — the runners report such a point as a :class:`CampaignError`.
 
     An object may define ``__canonical__()`` to control its own
     fingerprint form — e.g. :class:`~repro.core.tracereplay.TraceWorkload`
@@ -123,12 +126,9 @@ def fingerprint(point: SweepPoint, salt: str = CODE_VERSION) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _seed_for(point: SweepPoint, key: Optional[str]) -> int:
-    """Deterministic per-point RNG seed, identical serial or parallel."""
-    if key is not None:
-        return int(key[:16], 16)
-    digest = hashlib.sha256(point.name.encode("utf-8")).hexdigest()
-    return int(digest[:16], 16)
+class CampaignError(RuntimeError):
+    """A point set or result directory is inconsistent with what the
+    caller wants (e.g. a point that cannot be fingerprinted)."""
 
 
 # ----------------------------------------------------------------------
@@ -158,8 +158,6 @@ def _eval_replay(point: SweepPoint) -> Tuple[Dict[str, Any], int]:
 
     Deferred import: the replay machinery lives in
     :mod:`repro.core.tracereplay`, which imports this module's types.
-    Being a module-level function here keeps it picklable for worker
-    pools regardless of start method.
     """
     from .tracereplay import evaluate_replay_point
     return evaluate_replay_point(point)
@@ -194,14 +192,13 @@ EVALUATORS: Dict[str, Callable[[SweepPoint], Tuple[Dict[str, Any], int]]] = {
 }
 
 
-def _evaluate(point: SweepPoint, key: Optional[str],
-              salt: str) -> Dict[str, Any]:
+def _evaluate(point: SweepPoint, key: str, salt: str) -> Dict[str, Any]:
     """Run one point and wrap the result in a cache envelope."""
     evaluator = EVALUATORS.get(point.evaluator)
     if evaluator is None:
         raise ValueError(f"unknown evaluator {point.evaluator!r}; "
                          f"registered: {sorted(EVALUATORS)}")
-    random.seed(_seed_for(point, key))
+    random.seed(int(key[:16], 16))  # per point, identical in any process
     started = time.perf_counter()
     payload, events = evaluator(point)
     return {
@@ -218,14 +215,14 @@ class PointTimeout(Exception):
     """A sweep point exceeded the runner's per-point time budget."""
 
 
-def _evaluate_guarded(point: SweepPoint, key: Optional[str], salt: str,
+def _evaluate_guarded(point: SweepPoint, key: str, salt: str,
                       timeout_s: Optional[float]) -> Dict[str, Any]:
     """:func:`_evaluate`, but a crash or timeout becomes a *failure
     envelope* instead of an exception.
 
-    Worker processes return these like any other result, so one diverging
-    point cannot take down the sweep; the recorded traceback travels with
-    the envelope for the summary report and the cache.
+    Failure envelopes are published like any other result, so one
+    diverging point cannot take down the sweep; the recorded traceback
+    travels with the envelope for the summary report and the cache.
     """
     started = time.perf_counter()
     use_alarm = (timeout_s is not None and timeout_s > 0
@@ -294,20 +291,29 @@ class SweepCache:
         """Write ``envelope`` atomically; return it as :meth:`load` will
         read it back (JSON types: lists for tuples, string dict keys)."""
         os.makedirs(self.directory, exist_ok=True)
-        path = self._path(key)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                text = json.dumps(envelope, sort_keys=True)
-                handle.write(text)
-            os.replace(tmp, path)  # atomic: a killed sweep leaves no partials
-        except BaseException:
+        text = json.dumps(envelope, sort_keys=True)
+        atomic_write(self._path(key), text.encode("utf-8"))
+        return json.loads(text)
+
+    def resume(self, keys: Iterable[str]) -> Dict[str, Dict[str, Any]]:
+        """The successful envelopes of ``keys``, by key.
+
+        Recorded failures are post-mortem data, not results: they are
+        deleted here so the resumed run re-executes those points.
+        """
+        published: Dict[str, Dict[str, Any]] = {}
+        for key in dict.fromkeys(keys):
+            envelope = self.load(key)
+            if envelope is None:
+                continue
+            if envelope.get("failure") is None:
+                published[key] = envelope
+                continue
             try:
-                os.unlink(tmp)
+                os.unlink(self._path(key))
             except OSError:
                 pass
-            raise
-        return json.loads(text)
+        return published
 
     def __len__(self) -> int:
         try:
@@ -354,7 +360,7 @@ class PointOutcome:
     cached: bool
     events: int
     elapsed_s: float
-    key: Optional[str]
+    key: str
     failure: Optional[PointFailure] = None
 
     @property
@@ -438,40 +444,148 @@ class SweepResult:
         return "\n".join(lines)
 
 
-class SweepRunner:
-    """Fans independent sweep points out over worker processes.
+# ----------------------------------------------------------------------
+# The engine
 
-    ``workers=None`` uses every core; ``workers=1`` runs serially in
-    process (no pool, no pickling).  With ``cache_dir`` set, finished
-    points are flushed to the cache as they complete and future runs skip
-    any point whose fingerprint already has an entry (disable reads with
-    ``use_cache=False`` to force re-simulation while still writing).
+
+#: What an outcome reports for a point whose envelope vanished mid-run
+#: (the result directory was wiped under the runner).
+_LOST = {"payload": {}, "events": 0, "elapsed_s": 0.0,
+         "failure": {"error_type": "CampaignError",
+                     "message": "point never published"}}
+
+OnPoint = Callable[[SweepPoint, str, Dict[str, Any]], None]
+
+
+def drain(pending: Sequence[Tuple[SweepPoint, str]], cache: SweepCache,
+          queue: LeaseQueue,
+          publish: Callable[[SweepPoint, str, Dict[str, Any]],
+                            Dict[str, Any]],
+          salt: str,
+          timeout_s: Optional[float] = None, owner: Optional[str] = None,
+          poll_s: float = 0.05, on_point: Optional[OnPoint] = None) -> int:
+    """Claim → evaluate → publish until every ``(point, key)`` has an
+    envelope in ``cache`` (success *or* failure); return how many points
+    this call executed.
+
+    The one execution loop: :class:`SweepRunner`, its forked children,
+    :class:`~repro.core.campaign.CampaignRunner` and ``repro campaign
+    worker`` all run it, so any number of them may drain one directory.
+    A point leased elsewhere is skipped; once only such points remain,
+    the leases of dead (same host) or expired owners are reaped, each
+    exactly once, and their points re-run.  ``publish(point, key,
+    envelope)`` stores an envelope and returns it as the cache reads it
+    back; ``on_point`` receives that envelope.
+    """
+    executed = 0
+    published: Set[str] = set()  # by this call: no need to re-read
+    while True:
+        claimed_any = False
+        missing = 0
+        for point, key in pending:
+            if key in published or cache.load(key) is not None:
+                continue
+            missing += 1
+            lease = queue.claim(key, owner)
+            if lease is None:
+                continue
+            claimed_any = True
+            try:
+                if cache.load(key) is not None:
+                    continue  # published while we raced for the lease
+                with LeaseKeeper(queue, lease):
+                    envelope = _evaluate_guarded(point, key, salt, timeout_s)
+                envelope = publish(point, key, envelope)
+                published.add(key)
+                executed += 1
+                if on_point is not None:
+                    on_point(point, key, envelope)
+            finally:
+                queue.release(lease)
+        if missing == 0:
+            return executed
+        if not claimed_any:
+            # Everything left is leased elsewhere: recover orphans, then
+            # wait for live owners to publish.
+            if not (queue.reap_dead() or queue.reap_expired()):
+                time.sleep(poll_s)
+
+
+def _launch(width: int, target: Callable[..., Any],
+            args: Tuple[Any, ...]) -> None:
+    """Run ``target(*args)`` in ``width`` child processes until all exit.
+
+    Children are joined in exit order, so a killed child's pid is gone at
+    once and a surviving drain's ``reap_dead`` re-queues its point.  If a
+    process cannot be started, fewer drains (or the caller's own, after
+    this returns) do the work.
+    """
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context(
+        "fork" if "fork" in methods else None)
+    children: List[Any] = []
+    try:
+        for _ in range(width):
+            child = context.Process(target=target, args=args)
+            try:
+                child.start()
+            except (OSError, ValueError):
+                break
+            children.append(child)
+        while children:
+            ready = multiprocessing.connection.wait(
+                [child.sentinel for child in children])
+            for child in [c for c in children if c.sentinel in ready]:
+                child.join()
+                children.remove(child)
+    finally:
+        for child in children:
+            child.terminate()
+            child.join()
+
+
+def _outcome(name: str, key: str, envelope: Mapping[str, Any],
+             cached: bool) -> PointOutcome:
+    failure = envelope.get("failure")
+    return PointOutcome(
+        name=name, payload=envelope.get("payload", {}), cached=cached,
+        events=int(envelope.get("events", 0)),
+        elapsed_s=0.0 if cached else float(envelope.get("elapsed_s", 0.0)),
+        key=key,
+        failure=None if failure is None else PointFailure.from_dict(failure))
+
+
+class SweepRunner:
+    """Drains sweep points through the lease engine into a result cache.
+
+    Every point is keyed by :func:`fingerprint` (a point that cannot be
+    fingerprinted raises :class:`CampaignError`).  With ``cache_dir`` the
+    envelopes live in ``<cache_dir>/<key>.json`` and the leases in
+    ``<cache_dir>/queue/``, and a later run serves every published point
+    instead of re-simulating it; without, a private temporary directory
+    is used and removed before :meth:`run` returns.  ``workers=None``
+    asks for every core; the width actually used is ``min(workers,
+    os.cpu_count(), pending points)``, and a width above one forks that
+    many drain processes before the runner drains what they left.
     """
 
     def __init__(self, workers: Optional[int] = None,
                  cache_dir: Optional[str] = None,
-                 use_cache: bool = True,
                  salt: str = CODE_VERSION,
                  progress: Optional[Callable[[PointOutcome, int, int],
                                              None]] = None,
-                 timeout_s: Optional[float] = None,
-                 pool_retries: int = 2,
-                 retry_backoff_s: float = 0.5):
+                 timeout_s: Optional[float] = None):
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1 (or None for all cores)")
         if timeout_s is not None and timeout_s <= 0:
             raise ValueError("timeout_s must be positive (or None)")
-        if pool_retries < 0:
-            raise ValueError("pool_retries must be >= 0")
         self.workers = workers if workers is not None \
             else (os.cpu_count() or 1)
-        self.cache = SweepCache(cache_dir) if cache_dir else None
-        self.use_cache = use_cache
+        self.cache_dir = str(cache_dir) if cache_dir else None
         self.salt = salt
         self.progress = progress
         self.timeout_s = timeout_s
-        self.pool_retries = pool_retries
-        self.retry_backoff_s = retry_backoff_s
+        self.lease_ttl_s = DEFAULT_LEASE_TTL_S
         self.last_summary: Optional[SweepSummary] = None
         self.last_result: Optional[SweepResult] = None
 
@@ -481,142 +595,89 @@ class SweepRunner:
         started = time.perf_counter()
         outcomes: List[Optional[PointOutcome]] = [None] * len(points)
         done = 0
+        with self._open(points) as (keys, cache, queue):
+            # Resume: published points are served, never recomputed;
+            # recorded failures are cleared and re-run.
+            envelopes = cache.resume(keys)
+            prepublished = set(envelopes)
+            pending = [(point, key) for point, key in zip(points, keys)
+                       if key not in prepublished]
+            unsettled: Dict[str, List[int]] = {}
+            for index, key in enumerate(keys):
+                unsettled.setdefault(key, []).append(index)
 
-        keys: List[Optional[str]] = []
-        for point in points:
-            try:
-                keys.append(fingerprint(point, self.salt))
-            except TypeError:
-                keys.append(None)  # unhashable workload: run uncached
+            def settle(key: str, envelope: Dict[str, Any]) -> None:
+                nonlocal done
+                envelopes[key] = envelope
+                for index in unsettled.pop(key):
+                    outcomes[index] = _outcome(points[index].name, key,
+                                               envelope, key in prepublished)
+                    done += 1
+                    if self.progress is not None:
+                        self.progress(outcomes[index], done, len(points))
 
-        pending: List[int] = []
-        for index, (point, key) in enumerate(zip(points, keys)):
-            envelope = None
-            if self.cache is not None and self.use_cache and key is not None:
-                envelope = self.cache.load(key)
-            if envelope is not None and envelope.get("failure") is not None:
-                # Recorded failures are post-mortem data, never results:
-                # a resumed sweep re-runs the point from scratch.
-                envelope = None
-            if envelope is not None:
-                outcomes[index] = PointOutcome(
-                    name=point.name, payload=envelope["payload"],
-                    cached=True, events=int(envelope.get("events", 0)),
-                    elapsed_s=0.0, key=key)
-                done += 1
-                self._emit(outcomes[index], done, len(points))
-            else:
-                pending.append(index)
+            for key, envelope in list(envelopes.items()):
+                settle(key, envelope)
+            width = max(1, min(self.workers, os.cpu_count() or 1,
+                               len(pending)))
+            if width > 1:
+                _launch(width, self._drain, (pending, cache, queue))
+            if pending:
+                self._drain(pending, cache, queue,
+                            on_point=lambda point, key, envelope:
+                            settle(key, envelope))
+            for key in keys:  # published by the children or other workers
+                if key in unsettled:
+                    settle(key, cache.load(key) or _LOST)
+            self._sync(points, keys, envelopes)
 
-        def finish(index: int, envelope: Dict[str, Any]) -> None:
-            nonlocal done
-            if self.cache is not None and keys[index] is not None:
-                self.cache.store(keys[index], envelope)
-            failure = None
-            if envelope.get("failure") is not None:
-                failure = PointFailure.from_dict(envelope["failure"])
-            outcomes[index] = PointOutcome(
-                name=points[index].name, payload=envelope["payload"],
-                cached=False, events=int(envelope["events"]),
-                elapsed_s=float(envelope["elapsed_s"]), key=keys[index],
-                failure=failure)
-            done += 1
-            self._emit(outcomes[index], done, len(points))
-
-        # Cap the effective width at the actual core count: asking for
-        # more workers than cores only buys ProcessPoolExecutor overhead
-        # (BENCH_sweep.json measured "parallel" 7% slower than serial on
-        # a 1-CPU box), and a cap of 1 degrades to the serial in-process
-        # path — byte-identical payloads either way, per the determinism
-        # contract.
-        workers = min(self.workers, os.cpu_count() or 1,
-                      max(1, len(pending)))
-        if pending:
-            if workers == 1 or len(pending) == 1:
-                for index in pending:
-                    finish(index, _evaluate_guarded(
-                        points[index], keys[index], self.salt,
-                        self.timeout_s))
-            else:
-                self._run_pool(points, keys, pending, workers, finish)
-
-        wall = time.perf_counter() - started
-        # Disjoint accounting: a fresh point that failed is "failed", not
-        # "simulated", and cached + simulated + failed == total.
-        simulated = [o for o in outcomes
-                     if o is not None and not o.cached and not o.failed]
+        # Disjoint accounting: cached + simulated + failed == total.
+        fresh = [o for o in outcomes if not o.cached and not o.failed]
         summary = SweepSummary(
             total=len(points),
-            cached=len(points) - len(pending),
-            simulated=len(simulated),
-            wall_seconds=wall,
-            simulated_events=sum(o.events for o in simulated),
-            workers=workers,
-            failed=sum(1 for o in outcomes
-                       if o is not None and o.failed),
-        )
+            cached=sum(1 for o in outcomes if o.cached),
+            simulated=len(fresh),
+            wall_seconds=time.perf_counter() - started,
+            simulated_events=sum(o.events for o in fresh),
+            workers=width,
+            failed=sum(1 for o in outcomes if o.failed))
         self.last_summary = summary
         result = SweepResult(outcomes=list(outcomes), summary=summary)
         self.last_result = result
         return result
 
-    # ------------------------------------------------------------------
-    def _run_pool(self, points: Sequence[SweepPoint],
-                  keys: Sequence[Optional[str]], pending: Sequence[int],
-                  workers: int, finish: Callable[[int, Dict[str, Any]],
-                                                 None]) -> None:
-        """Fan pending points out, surviving worker-pool crashes.
-
-        Ordinary point failures come back as failure envelopes (handled
-        worker-side), so the only exception expected here is
-        :class:`BrokenProcessPool` — a worker died hard (segfault, OOM
-        kill).  The batch is retried on a fresh pool with exponential
-        backoff; whatever still crashes the pool after the retry budget
-        runs serially in-process, one point at a time, so a single killer
-        point is isolated instead of sinking the sweep.
-        """
-        remaining = list(pending)
-        backoff = self.retry_backoff_s
-        for attempt in range(self.pool_retries + 1):
-            if not remaining:
-                return
+    # -- what a campaign adds to the engine ----------------------------
+    @contextlib.contextmanager
+    def _open(self, points: Sequence[SweepPoint]
+              ) -> Iterator[Tuple[List[str], SweepCache, LeaseQueue]]:
+        """Key the points; yield ``(keys, cache, queue)`` for one pass."""
+        keys = []
+        for point in points:
             try:
-                self._drain_pool(points, keys, remaining, workers, finish)
-                return
-            except BrokenProcessPool:
-                if attempt < self.pool_retries:
-                    time.sleep(backoff)
-                    backoff *= 2
-            except (OSError, ValueError, ImportError):
-                # Platforms without usable multiprocessing: serial fallback.
-                break
-        for index in list(remaining):
-            finish(index, _evaluate_guarded(points[index], keys[index],
-                                            self.salt, self.timeout_s))
-            remaining.remove(index)
+                keys.append(fingerprint(point, self.salt))
+            except TypeError as error:
+                raise CampaignError(
+                    f"point {point.name!r} is not fingerprintable "
+                    f"({error}); sweeps need content-addressed keys"
+                ) from error
+        directory = self.cache_dir or tempfile.mkdtemp(prefix="repro-sweep-")
+        try:
+            yield keys, SweepCache(directory), LeaseQueue(
+                os.path.join(directory, "queue"), ttl_s=self.lease_ttl_s)
+        finally:
+            if self.cache_dir is None:
+                shutil.rmtree(directory, ignore_errors=True)
 
-    def _drain_pool(self, points: Sequence[SweepPoint],
-                    keys: Sequence[Optional[str]], remaining: List[int],
-                    workers: int, finish: Callable[[int, Dict[str, Any]],
-                                                   None]) -> None:
-        """One pool generation; drops finished indices from ``remaining``."""
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None)
-        with ProcessPoolExecutor(max_workers=min(workers, len(remaining)),
-                                 mp_context=context) as pool:
-            futures = {pool.submit(_evaluate_guarded, points[index],
-                                   keys[index], self.salt,
-                                   self.timeout_s): index
-                       for index in remaining}
-            for future in as_completed(futures):
-                index = futures[future]
-                finish(index, future.result())
-                remaining.remove(index)
+    def _drain(self, pending: Sequence[Tuple[SweepPoint, str]],
+               cache: SweepCache, queue: LeaseQueue,
+               on_point: Optional[OnPoint] = None) -> int:
+        return drain(pending, cache, queue,
+                     lambda point, key, envelope: cache.store(key, envelope),
+                     self.salt, self.timeout_s, on_point=on_point)
 
-    def _emit(self, outcome: PointOutcome, done: int, total: int) -> None:
-        if self.progress is not None:
-            self.progress(outcome, done, total)
+    def _sync(self, points: Sequence[SweepPoint], keys: Sequence[str],
+              envelopes: Mapping[str, Dict[str, Any]]) -> None:
+        """Record the finished pass beside the envelopes (nothing here)."""
 
 
 def print_progress(outcome: PointOutcome, done: int, total: int) -> None:

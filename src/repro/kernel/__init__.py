@@ -22,12 +22,12 @@ from .simtime import (MS, NS, PS, SEC, US, Clock, format_time, ms, ns,
 from .simulator import Simulator
 from .tracing import (TraceRecord, TraceRecorder, disable_tracing,
                       enable_tracing, trace, trace_enabled)
-from .stats import (Accumulator, Counter, Histogram, LatencyHistogram,
+from .stats import (Accumulator, Counter, LatencyHistogram,
                     StatSet, ThroughputMeter, UtilizationTracker)
 
 __all__ = [
     "Accumulator", "Clock", "Component", "Condition", "ConfigError",
-    "Counter", "Event", "Grant", "Histogram", "Interrupt",
+    "Counter", "Event", "Grant", "Interrupt",
     "LatencyHistogram", "MS", "NS", "PS",
     "PriorityResource", "Process", "Resource", "SEC", "SimulationError",
     "Simulator", "StatSet", "Store", "ThroughputMeter", "Timeout", "US",

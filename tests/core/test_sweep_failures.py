@@ -179,8 +179,6 @@ class TestTimeouts:
             SweepRunner(timeout_s=0.0)
         with pytest.raises(ValueError):
             SweepRunner(timeout_s=-1.0)
-        with pytest.raises(ValueError):
-            SweepRunner(pool_retries=-1)
 
 
 class TestRunnerBookkeeping:

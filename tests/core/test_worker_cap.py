@@ -1,10 +1,10 @@
-"""Worker-cap regression: no oversubscription, no phantom pools.
+"""Worker-cap regression: no oversubscription, no idle drain processes.
 
-``BENCH_sweep.json`` showed the parallel path *losing* to serial on a
-1-CPU box (0.93x): the runner spun up a full process pool for whatever
-worker count the caller asked for.  The cap is now
-``min(workers, cpu_count, pending points)`` and a cap of 1 degrades to
-the serial in-process path — producing byte-identical payloads.
+``BENCH_sweep.json`` once showed the parallel path *losing* to serial on
+a 1-CPU box (0.93x): the runner started as many worker processes as the
+caller asked for.  The engine's one width rule is
+``min(workers, cpu_count, pending points)``; a width of 1 drains in
+process, with no child processes — producing byte-identical payloads.
 """
 
 import json

@@ -1,12 +1,10 @@
 """Tests for the component hierarchy and statistics accumulators."""
 
-import math
-
 import pytest
 
 from repro.kernel import Component, Simulator
-from repro.kernel.stats import (Accumulator, Counter, Histogram,
-                                ThroughputMeter, UtilizationTracker)
+from repro.kernel.stats import (Accumulator, Counter, ThroughputMeter,
+                                UtilizationTracker)
 
 
 @pytest.fixture
@@ -87,32 +85,6 @@ class TestCounterAccumulator:
         acc = Accumulator()
         assert acc.mean == 0.0
         assert acc.variance == 0.0
-
-
-class TestHistogram:
-    def test_percentiles(self):
-        hist = Histogram(bin_width=10)
-        for value in range(100):  # 0..99
-            hist.add(value)
-        assert hist.percentile(0.5) == pytest.approx(50)
-        assert hist.percentile(1.0) == pytest.approx(100)
-
-    def test_overflow_kept_out_of_bins(self):
-        hist = Histogram(bin_width=1, max_bins=10)
-        hist.add(1e9)
-        assert hist.overflow == 1
-        assert hist.count == 1
-        assert hist.bins == {}
-        assert hist.percentile(1.0) == math.inf
-
-    def test_empty(self):
-        assert Histogram(1).percentile(0.99) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Histogram(0)
-        with pytest.raises(ValueError):
-            Histogram(1).percentile(1.5)
 
 
 class TestUtilizationTracker:

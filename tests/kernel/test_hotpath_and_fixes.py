@@ -9,19 +9,15 @@ Each stats/validation test here fails on the pre-fix implementations:
 * ``UtilizationTracker.utilization(since=...)`` counted busy time from
   before the window against the window (masked by a ``min(1.0, ...)``
   clamp);
-* ``Histogram`` folded out-of-range samples into the last bin, fabricating
-  the latency CDF tail;
 * ``Simulator.call_at`` leaked ``Timeout``'s raw ``ValueError`` for past
   times, and ``run(until=True)`` silently ran to t=1.
 """
-
-import math
 
 import pytest
 
 from repro.kernel import (SimulationError, Simulator, disable_tracing,
                           enable_tracing)
-from repro.kernel.stats import Histogram, ThroughputMeter, UtilizationTracker
+from repro.kernel.stats import ThroughputMeter, UtilizationTracker
 
 
 @pytest.fixture
@@ -120,31 +116,6 @@ class TestWindowedUtilization:
         assert tracker.busy_time() == 400
         assert tracker.busy_time(since=400) == 200
         assert tracker.utilization(since=400) == pytest.approx(0.5)
-
-
-class TestHistogramOverflow:
-    def test_overflow_does_not_fabricate_tail(self):
-        hist = Histogram(bin_width=1, max_bins=10)
-        for value in range(8):   # 8 in-range samples in bins 0..7
-            hist.add(value)
-        hist.add(1e9)            # far out of range
-        hist.add(2e9)
-        assert hist.count == 10
-        assert hist.overflow == 2
-        # In-range quantiles unchanged by the overflow mass...
-        assert hist.percentile(0.5) == pytest.approx(5)
-        # ...and tail quantiles land in the (unbounded) overflow region
-        # instead of the fabricated `max_bins * bin_width` edge.
-        assert hist.percentile(0.95) == math.inf
-        assert hist.percentile(1.0) == math.inf
-
-    def test_no_overflow_unchanged(self):
-        hist = Histogram(bin_width=10)
-        for value in range(100):
-            hist.add(value)
-        assert hist.percentile(0.5) == pytest.approx(50)
-        assert hist.percentile(1.0) == pytest.approx(100)
-        assert hist.overflow == 0
 
 
 class TestRunArgumentValidation:
