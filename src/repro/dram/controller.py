@@ -53,8 +53,9 @@ class DramController(Component):
         self._rfc_ps = timing.refresh_ps()
         #: What a refresh claims, in lock order: every bank, then the bus.
         self._refresh_order = (*self._banks, self.bus)
-        #: Grants the next or current refresh holds (or has requested).
-        self._refresh_grants: list = []
+        #: One entry per resource the next or current refresh has claimed:
+        #: its Grant, or None for a slot taken in place.
+        self._refresh_holds: list = []
         self._refresh_running = False
         if enable_refresh:
             self.start_refresh()
@@ -151,38 +152,54 @@ class DramController(Component):
         Refresh runs as a chain of kernel callbacks rather than a process:
         a bootstrap at the current time arms the first tREFI timer, and
         each step below is the callback of the event the previous one
-        scheduled or requested.
+        scheduled or requested.  The timers are recycled kernel timeouts
+        carrying the bound step method.
         """
         if self._refresh_running:
             return
         self._refresh_running = True
-        self.sim.call_after(0, self._arm_refresh)
+        self.sim._pooled_timeout(0).callbacks.append(self._arm_refresh)
 
-    def _arm_refresh(self) -> None:
-        self._refresh_grants = []
-        self.sim.call_after(self._refresh_interval_ps, self._claim_for_refresh)
+    def _arm_refresh(self, _event=None) -> None:
+        self._refresh_holds = []
+        self.sim._pooled_timeout(self._refresh_interval_ps).callbacks.append(
+            self._claim_for_refresh)
 
-    def _claim_for_refresh(self, _granted=None) -> None:
+    def _claim_for_refresh(self, _event=None) -> None:
         # Refresh stalls the whole device: claim every bank, then the
         # data bus — strictly in that order, each request issued only once
-        # the previous grant has fired.  Accesses acquire in the same
+        # the previous one has been granted.  Accesses acquire in the same
         # bank-before-bus order, so the lock ordering is acyclic
         # (requesting the bus up-front would deadlock against accesses
         # that hold a bank while waiting for the bus).
-        grants = self._refresh_grants
-        if len(grants) == len(self._refresh_order):
+        holds = self._refresh_holds
+        order = self._refresh_order
+        if len(holds) == len(order):
             self._open_rows = [None] * self.timing.banks
-            self.sim.call_after(self._rfc_ps, self._end_refresh)
+            self.sim._pooled_timeout(self._rfc_ps).callbacks.append(
+                self._end_refresh)
             return
-        grant = self._refresh_order[len(grants)].acquire(REFRESH_PRIORITY)
-        grants.append(grant)
+        resource = order[len(holds)]
+        if resource.take_free_slot():
+            # Free slot: hold it without a Grant.  The zero-delay timer
+            # takes the place the grant event would have in this batch,
+            # so the event stream is the same either way.
+            holds.append(None)
+            self.sim._pooled_timeout(0).callbacks.append(
+                self._claim_for_refresh)
+            return
+        grant = resource.acquire(REFRESH_PRIORITY)
+        holds.append(grant)
         grant.add_callback(self._claim_for_refresh)
 
-    def _end_refresh(self) -> None:
-        *bank_grants, bus_grant = self._refresh_grants
-        self.bus.release(bus_grant)
-        for bank, grant in zip(self._banks, bank_grants):
-            bank.release(grant)
+    def _end_refresh(self, _event=None) -> None:
+        *bank_holds, bus_hold = self._refresh_holds
+        for resource, grant in ((self.bus, bus_hold),
+                                *zip(self._banks, bank_holds)):
+            if grant is None:
+                resource.return_slot()
+            else:
+                resource.release(grant)
         self.stats.counter("refreshes").increment()
         self._arm_refresh()
 

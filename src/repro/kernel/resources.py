@@ -178,6 +178,30 @@ class PriorityResource(Resource):
             heapq.heapify(self._heap)
             return
         grant.released = True
+        self.return_slot()
+
+    def take_free_slot(self) -> bool:
+        """Hold a free slot at once, without a :class:`Grant`.
+
+        Succeeds only when a slot is free and nobody waits; it then does
+        the bookkeeping of an immediate grant (wait 0) and returns True.
+        Otherwise it changes nothing and returns False.  The caller must
+        give the slot back with :meth:`return_slot`.
+        """
+        if self._in_use >= self.capacity or self._heap:
+            return False
+        self.total_grants += 1
+        if self._in_use == 0:
+            self._busy_since = self.sim._now
+        self._in_use += 1
+        return True
+
+    def return_slot(self) -> None:
+        """Give back one held slot and admit waiters in priority order.
+
+        :meth:`release` ends here after its checks; a slot taken with
+        :meth:`take_free_slot` is returned by calling it directly.
+        """
         self._in_use -= 1
         if self._in_use == 0 and self._busy_since is not None:
             self._busy_accum += self.sim._now - self._busy_since

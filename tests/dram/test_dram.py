@@ -6,7 +6,7 @@ import pickle
 import pytest
 
 from repro.dram import BufferManager, Ddr2Timing, DramController
-from repro.kernel import Simulator
+from repro.kernel import PriorityResource, Simulator
 from repro.kernel.simtime import us
 
 
@@ -356,6 +356,44 @@ class TestContendedRefreshPinned:
             5_150_000, 20_255_000, 12_057_500, 13_347_500, 17_537_500,
             14_967_500, 22_332_500, 7_410_000, 14_637_500, 18_817_500,
             8_690_000, 9_980_000]
+
+
+class TestInPlaceRefresh:
+    """On an idle device every refresh finds each bank and the bus free,
+    so it takes them in place: no Grant, the same events, and the same
+    accounting an immediate grant would leave."""
+
+    INTERVAL = 1_000_000
+    REFRESHES = 7
+
+    def test_idle_refresh_takes_slots_without_grants(self, sim, monkeypatch):
+        acquires = []
+        acquire = PriorityResource.acquire
+
+        def counting_acquire(resource, priority=0):
+            acquires.append(resource.name)
+            return acquire(resource, priority)
+
+        monkeypatch.setattr(PriorityResource, "acquire", counting_acquire)
+        ctrl = DramController(sim, "d",
+                              Ddr2Timing(refresh_interval_ps=self.INTERVAL))
+        rfc = ctrl.timing.refresh_ps()
+        n = self.REFRESHES
+        # Idle period: tREFI of waiting, then tRFC of refresh.
+        sim.run(until=n * (self.INTERVAL + rfc))
+
+        assert acquires == []
+        # One bootstrap, then per refresh: the tREFI timer, nine claim
+        # steps (eight banks and the bus) and the tRFC timer.
+        assert sim.events_processed == 1 + 11 * n
+        assert ctrl.stats.counter("refreshes").value == n
+        assert ctrl.bus.busy_time() == n * rfc
+        assert (ctrl.bus.total_grants, ctrl.bus.total_wait_ps) == (n, 0)
+        for bank in ctrl._banks:
+            assert (bank.total_grants, bank.total_wait_ps) == (n, 0)
+            assert bank.busy_time() == n * rfc
+            assert bank.in_use == 0
+        assert ctrl.bus.in_use == 0
 
 
 class TestRefreshLifecycle:

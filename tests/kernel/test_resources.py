@@ -176,6 +176,28 @@ class TestPriorityResource:
         assert res.queue_length == 0
         assert res.in_use == 0
 
+    def test_take_free_slot_books_an_immediate_grant(self, sim):
+        res = PriorityResource(sim, "arb")
+        sim.run(until=10)
+        assert res.take_free_slot()
+        assert (res.in_use, res.total_grants, res.total_wait_ps) == (1, 1, 0)
+        assert not res.take_free_slot()
+        assert (res.in_use, res.total_grants) == (1, 1)
+        sim.run(until=25)
+        res.return_slot()
+        assert res.in_use == 0
+        assert res.busy_time() == 15
+
+    def test_return_slot_admits_the_most_urgent_waiter(self, sim):
+        res = PriorityResource(sim, "arb")
+        assert res.take_free_slot()
+        late = res.acquire(5)
+        urgent = res.acquire(0)
+        res.return_slot()
+        assert urgent.triggered and not late.triggered
+        res.release(urgent)
+        assert late.triggered
+
 
 class TestWaitAccounting:
     """``total_wait_ps``/``total_grants`` charge each admitted grant the
