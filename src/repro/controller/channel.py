@@ -25,7 +25,8 @@ from typing import List, Optional
 from ..cpu.dma import DmaEngine
 from ..ecc.adaptive import EccScheme
 from ..faults import FaultPlan, ProgramFailError, UncorrectableReadError
-from ..kernel import Component, Resource, Simulator
+from ..kernel import Component, Event, Resource, SimulationError, Simulator
+from ..kernel.events import PENDING
 from ..kernel.tracing import trace, trace_enabled
 from ..kernel.simtime import Clock, ns
 from ..obs import spans as _obs
@@ -64,7 +65,7 @@ class ChannelWayController(Component):
         self.clock = clock or Clock("ctrl", frequency_hz=200e6)
         self.translator_cycles = translator_cycles
         #: Fast fidelity: page operations collapse the ONFI phase chain
-        #: into one prep timeout + one bus tenure (see the _fast methods).
+        #: into one prep timeout + one bus tenure (see _FastPageOp).
         self._fast = fast
         #: Calibrated residual overhead per fast op (covers the phase
         #: boundaries the closed form folds away).
@@ -154,12 +155,51 @@ class ChannelWayController(Component):
 
     # ------------------------------------------------------------------
     # Page operations
+    #
+    # program() / read() / erase() are the entry points: each returns an
+    # event that fires with the elapsed ps (or fails with the operation's
+    # error).  At cycle fidelity the event is a process running the
+    # program_page / read_page / erase_block generator; at fast fidelity
+    # it is a callback chain (_FastProgram / _FastRead / _FastErase).
     # ------------------------------------------------------------------
-    def program_page(self, way: int, die_index: int, address: PageAddress):
-        """Generator: full write path for one page; returns elapsed ps."""
+    def program(self, way: int, die_index: int,
+                address: PageAddress) -> Event:
+        """Event: program one page; its value is the elapsed ps."""
         if self._fast:
-            return (yield from self._program_page_fast(way, die_index,
-                                                       address))
+            return _FastProgram(self, way, die_index, address)
+        return self.sim.process(self.program_page(way, die_index, address))
+
+    def read(self, way: int, die_index: int, address: PageAddress,
+             errors_present: bool = True, span=None, command=None) -> Event:
+        """Event: read one page; its value is the elapsed ps.
+
+        ``span`` and ``command`` feed the cycle path's stage marks and
+        retry ladder (see :meth:`read_page`); the fast chain has neither.
+        """
+        if self._fast:
+            return _FastRead(self, way, die_index, address, errors_present)
+        return self.sim.process(self.read_page(
+            way, die_index, address, errors_present, span, command))
+
+    def erase(self, way: int, die_index: int, plane: int,
+              block: int) -> Event:
+        """Event: erase one block; its value is the elapsed ps."""
+        if self._fast:
+            return _FastErase(self, way, die_index, plane, block)
+        return self.sim.process(self.erase_block(way, die_index, plane,
+                                                 block))
+
+    def _refuse_fast(self, generator: str, method: str) -> None:
+        if self._fast:
+            raise SimulationError(
+                f"{self.path()}: {generator}() is the cycle-fidelity "
+                f"generator; a fast controller runs page operations as "
+                f"callback chains — use {method}()")
+
+    def program_page(self, way: int, die_index: int, address: PageAddress):
+        """Generator (cycle fidelity): full write path for one page;
+        returns elapsed ps."""
+        self._refuse_fast("program_page", "program")
         die = self.die(way, die_index)
         start = self.sim.now
         yield from self._translate()
@@ -208,7 +248,8 @@ class ChannelWayController(Component):
 
     def read_page(self, way: int, die_index: int, address: PageAddress,
                   errors_present: bool = True, span=None, command=None):
-        """Generator: full read path for one page; returns elapsed ps.
+        """Generator (cycle fidelity): full read path for one page;
+        returns elapsed ps.
 
         With fault injection enabled the drawn bit errors are compared
         against the ECC scheme's correction capability at this block's
@@ -227,9 +268,7 @@ class ChannelWayController(Component):
         for GC-internal reads): the ladder annotates it with masked-error
         and retry counts for per-command outcome classification.
         """
-        if self._fast:
-            return (yield from self._read_page_fast(way, die_index, address,
-                                                    errors_present))
+        self._refuse_fast("read_page", "read")
         die = self.die(way, die_index)
         plan = die.fault_plan
         start = self.sim.now
@@ -430,10 +469,8 @@ class ChannelWayController(Component):
         return self.sim.now - start
 
     def erase_block(self, way: int, die_index: int, plane: int, block: int):
-        """Generator: block erase; returns elapsed ps."""
-        if self._fast:
-            return (yield from self._erase_block_fast(way, die_index,
-                                                      plane, block))
+        """Generator (cycle fidelity): block erase; returns elapsed ps."""
+        self._refuse_fast("erase_block", "erase")
         die = self.die(way, die_index)
         start = self.sim.now
         yield from self._translate()
@@ -455,93 +492,231 @@ class ChannelWayController(Component):
         return self.sim.now - start
 
     # ------------------------------------------------------------------
-    # Fast-fidelity page operations (closed-form NAND op timing)
-    #
-    # The same physical sequence as the cycle-accurate chains above, but
-    # command issue + overheads + data train collapse into one bus
-    # tenure, translate + ECC encode into one prep timeout, and the die
-    # generators run inline (`yield from`) instead of as sub-processes.
-    # Die exclusivity (R/B#), bus contention and the decoder engine —
-    # the three contention points that shape throughput — keep their
-    # Resources, so saturation behavior matches the golden model; the
-    # SRAM staging slots and encoder engine are dropped (their service
-    # times are ~7% and ~0.4% of a page's bus time respectively).
-    # ------------------------------------------------------------------
-    def _program_page_fast(self, way: int, die_index: int,
-                           address: PageAddress):
-        die = self.die(way, die_index)
-        timing = self.buses.timing
-        start = self.sim.now
-        pe = die.pe_cycles(address.plane, address.block)
-        prep = (self.clock.cycles(self.translator_cycles)
-                + self.ecc.encode_time_ps(self.geometry.page_bytes, pe)
-                + self._fast_overhead_ps)
-        yield self.sim.timeout(prep)
-        ready = self._die_locks[way][die_index].acquire()
-        yield ready
-        try:
-            yield from self.buses.tenure(
-                way, timing.effective_page_time(self.geometry.raw_page_bytes))
-            yield from die.program(address)
-        finally:
-            self._die_locks[way][die_index].release(ready)
-        self.stats.counter("programs").increment()
-        self.stats.meter("write_data").record(self.geometry.page_bytes)
-        return self.sim.now - start
-
-    def _read_page_fast(self, way: int, die_index: int, address: PageAddress,
-                        errors_present: bool = True):
-        die = self.die(way, die_index)
-        timing = self.buses.timing
-        start = self.sim.now
-        prep = (self.clock.cycles(self.translator_cycles)
-                + self._fast_overhead_ps)
-        yield self.sim.timeout(prep)
-        ready = self._die_locks[way][die_index].acquire()
-        yield ready
-        try:
-            yield from self.buses.tenure(way, timing.command_time()
-                                         + timing.overhead_ps)
-            yield from die.read(address)
-        finally:
-            self._die_locks[way][die_index].release(ready)
-        yield from self.buses.tenure(
-            way, timing.data_time(self.geometry.raw_page_bytes))
-        pe = die.pe_cycles(address.plane, address.block)
-        decode_ps = self.ecc.decode_time_ps(self.geometry.page_bytes, pe,
-                                            errors_present)
-        if decode_ps:
-            # The decoder regularly exceeds the page's bus time under
-            # adaptive BCH at high wear, so its engine contention stays
-            # a real Resource even at fast fidelity (it shapes Fig. 5).
-            engine = self.decoder.acquire()
-            yield engine
-            yield self.sim.timeout(decode_ps)
-            self.decoder.release(engine)
-        self.stats.counter("reads").increment()
-        self.stats.meter("read_data").record(self.geometry.page_bytes)
-        return self.sim.now - start
-
-    def _erase_block_fast(self, way: int, die_index: int, plane: int,
-                          block: int):
-        die = self.die(way, die_index)
-        timing = self.buses.timing
-        start = self.sim.now
-        yield self.sim.timeout(self.clock.cycles(self.translator_cycles)
-                               + self._fast_overhead_ps)
-        ready = self._die_locks[way][die_index].acquire()
-        yield ready
-        try:
-            yield from self.buses.tenure(way, timing.command_time()
-                                         + timing.overhead_ps)
-            yield from die.erase(plane, block)
-        finally:
-            self._die_locks[way][die_index].release(ready)
-        self.stats.counter("erases").increment()
-        return self.sim.now - start
-
-    # ------------------------------------------------------------------
     def mean_die_utilization(self) -> float:
         # An unbuilt die was never busy: leaving out its 0.0 is exact.
         total = sum(die.utilization() for die in self.built_dies())
         return total / self.total_dies
+
+
+# ----------------------------------------------------------------------
+# Fast-fidelity page operations (closed-form NAND op timing)
+#
+# The same physical sequence as the cycle-accurate generators, but command
+# issue + overheads + data train collapse into one bus tenure and
+# translate + ECC encode into one prep delay.  Die exclusivity (R/B#), bus
+# contention and the decoder engine — the three contention points that
+# shape throughput — keep their Resources, so saturation behavior matches
+# the golden model; the SRAM staging slots and encoder engine are dropped
+# (their service times are ~7% and ~0.4% of a page's bus time).
+#
+# Each operation is a chain of kernel callbacks rather than a process.
+# Every step is the callback of the one kernel event the previous step
+# scheduled, in the order a generator process would schedule them:
+#
+#   start (the process bootstrap) -> prep delay -> R/B# lock -> bus ->
+#   tenure -> array time -> [read: bus -> data-out -> decoder -> decode]
+#   -> this event fires
+#
+# Each resource is taken with Resource.claim: a free one is held in place
+# and a zero-delay timer stands in for its grant event; a held one is
+# requested with acquire() and its Grant resumes the chain.  Either way
+# the kernel processes the same events at the same times.
+# ----------------------------------------------------------------------
+class _FastPageOp(Event):
+    """Base of the fast-fidelity page-operation chains.
+
+    The event's value is the elapsed ps.  If the die refuses the command
+    (``begin_*`` raises), the chain returns the R/B# lock and the event
+    fails with that error.
+    """
+
+    __slots__ = ("ctrl", "way", "die_index", "die", "start", "_lock",
+                 "_lock_hold", "_bus", "_bus_hold")
+
+    def __init__(self, ctrl: ChannelWayController, way: int, die_index: int):
+        sim = ctrl.sim
+        # Inline Event constructor: one of these per page operation.
+        self.sim = sim
+        self.name = ""
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self.ctrl = ctrl
+        self.way = way
+        self.die_index = die_index
+        sim._after(0, self._start)
+
+    # -- subclass hooks -------------------------------------------------
+    def _prep_ps(self) -> int:
+        """Translate (+ encode) + calibrated residual, ahead of the lock."""
+        ctrl = self.ctrl
+        return (ctrl.clock.cycles(ctrl.translator_cycles)
+                + ctrl._fast_overhead_ps)
+
+    def _tenure_ps(self) -> int:
+        """The bus tenure held before the array operation."""
+        timing = self.ctrl.buses.timing
+        return timing.command_time() + timing.overhead_ps
+
+    def _begin_array(self) -> int:
+        raise NotImplementedError
+
+    def _finish_array(self) -> None:
+        raise NotImplementedError
+
+    def _array_done(self) -> None:
+        """Runs once the array operation ended and R/B# is returned."""
+        raise NotImplementedError
+
+    # -- the chain --------------------------------------------------------
+    def _start(self, _event) -> None:
+        ctrl = self.ctrl
+        try:
+            self.die = ctrl.die(self.way, self.die_index)
+            prep = self._prep_ps()
+        except Exception as exc:
+            # As a process would: the error fails this event and reaches
+            # whoever waits on it.
+            self.fail(exc)
+            return
+        self.start = self.sim._now
+        self.sim._after(prep, self._take_die)
+
+    def _take_die(self, _event) -> None:
+        ctrl = self.ctrl
+        self._lock = ctrl._die_locks[self.way][self.die_index]
+        self._bus = ctrl.buses.data_bus(self.way).bus
+        self._lock_hold = self._lock.claim(self._take_bus)
+
+    def _take_bus(self, _event) -> None:
+        self._bus_hold = self._bus.claim(self._on_bus)
+
+    def _on_bus(self, _event) -> None:
+        self.sim._after(self._tenure_ps(), self._array)
+
+    def _array(self, _event) -> None:
+        self._bus.give_back(self._bus_hold)
+        try:
+            duration = self._begin_array()
+        except Exception as exc:
+            self._lock.give_back(self._lock_hold)
+            self.fail(exc)
+            return
+        self.sim._after(duration, self._array_end)
+
+    def _array_end(self, _event) -> None:
+        self._finish_array()
+        self._lock.give_back(self._lock_hold)
+        self._array_done()
+
+    def _finish(self, counter: str) -> None:
+        self.ctrl.stats.counter(counter).increment()
+        self.succeed(self.sim._now - self.start)
+
+
+class _FastProgram(_FastPageOp):
+    """prep (translate + encode) -> R/B# -> one page tenure -> tPROG."""
+
+    __slots__ = ("address",)
+
+    def __init__(self, ctrl, way, die_index, address: PageAddress):
+        self.address = address
+        super().__init__(ctrl, way, die_index)
+
+    def _prep_ps(self) -> int:
+        ctrl = self.ctrl
+        address = self.address
+        pe = self.die.pe_cycles(address.plane, address.block)
+        return (ctrl.clock.cycles(ctrl.translator_cycles)
+                + ctrl.ecc.encode_time_ps(ctrl.geometry.page_bytes, pe)
+                + ctrl._fast_overhead_ps)
+
+    def _tenure_ps(self) -> int:
+        ctrl = self.ctrl
+        return ctrl.buses.timing.effective_page_time(
+            ctrl.geometry.raw_page_bytes)
+
+    def _begin_array(self) -> int:
+        return self.die.begin_program(self.address)
+
+    def _finish_array(self) -> None:
+        self.die.finish_program(self.address)
+
+    def _array_done(self) -> None:
+        ctrl = self.ctrl
+        ctrl.stats.meter("write_data").record(ctrl.geometry.page_bytes)
+        self._finish("programs")
+
+
+class _FastRead(_FastPageOp):
+    """prep -> R/B# -> command tenure -> tR -> data-out tenure -> decode."""
+
+    __slots__ = ("address", "errors_present", "_decode_ps", "_engine")
+
+    def __init__(self, ctrl, way, die_index, address: PageAddress,
+                 errors_present: bool = True):
+        self.address = address
+        self.errors_present = errors_present
+        super().__init__(ctrl, way, die_index)
+
+    def _begin_array(self) -> int:
+        return self.die.begin_read(self.address)
+
+    def _finish_array(self) -> None:
+        self.die.finish_read(self.address)
+
+    def _array_done(self) -> None:
+        self._bus_hold = self._bus.claim(self._on_data_bus)
+
+    def _on_data_bus(self, _event) -> None:
+        ctrl = self.ctrl
+        self.sim._after(
+            ctrl.buses.timing.data_time(ctrl.geometry.raw_page_bytes),
+            self._decode)
+
+    def _decode(self, _event) -> None:
+        self._bus.give_back(self._bus_hold)
+        ctrl = self.ctrl
+        address = self.address
+        pe = self.die.pe_cycles(address.plane, address.block)
+        self._decode_ps = ctrl.ecc.decode_time_ps(
+            ctrl.geometry.page_bytes, pe, self.errors_present)
+        if self._decode_ps:
+            # The decoder regularly exceeds the page's bus time under
+            # adaptive BCH at high wear, so its engine contention stays
+            # a real Resource even at fast fidelity (it shapes Fig. 5).
+            self._engine = ctrl.decoder.claim(self._decoding)
+        else:
+            self._read_done()
+
+    def _decoding(self, _event) -> None:
+        self.sim._after(self._decode_ps, self._decoded)
+
+    def _decoded(self, _event) -> None:
+        self.ctrl.decoder.give_back(self._engine)
+        self._read_done()
+
+    def _read_done(self) -> None:
+        ctrl = self.ctrl
+        ctrl.stats.meter("read_data").record(ctrl.geometry.page_bytes)
+        self._finish("reads")
+
+
+class _FastErase(_FastPageOp):
+    """prep -> R/B# -> command tenure -> tBERS."""
+
+    __slots__ = ("plane", "block")
+
+    def __init__(self, ctrl, way, die_index, plane: int, block: int):
+        self.plane = plane
+        self.block = block
+        super().__init__(ctrl, way, die_index)
+
+    def _begin_array(self) -> int:
+        return self.die.begin_erase(self.plane, self.block)
+
+    def _finish_array(self) -> None:
+        self.die.finish_erase(self.plane, self.block)
+
+    def _array_done(self) -> None:
+        self._finish("erases")

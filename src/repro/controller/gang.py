@@ -76,22 +76,6 @@ class ChannelBuses(Component):
         """Generator: move page data on the way's data path."""
         yield self.sim.process(self._data_buses[way].transfer(nbytes))
 
-    def tenure(self, way: int, duration_ps: int):
-        """Generator: hold the way's data bus once for ``duration_ps``.
-
-        The fast-fidelity NAND path folds command issue, overheads and
-        the data train into a single bus occupancy — contention and
-        utilization accounting stay on the same Resource as the
-        cycle-accurate phase chain, at a fraction of the events.  Under
-        a shared-control gang the (tiny) control-bus serialization is a
-        declared approximation: it is ignored here.
-        """
-        bus = self._data_buses[way].bus
-        grant = bus.acquire()
-        yield grant
-        yield self.sim.timeout(duration_ps)
-        bus.release(grant)
-
     def data_utilization(self) -> float:
         """Mean busy fraction across the data buses."""
         buses = (self._data_buses if self.scheme is GangScheme.SHARED_CONTROL

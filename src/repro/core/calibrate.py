@@ -161,9 +161,8 @@ def _nand_op_elapsed(arch: SsdArchitecture, fast: bool,
 
     def run():
         address = PageAddress(0, 0, 0)
-        out["program"] = yield sim.process(
-            controller.program_page(0, 0, address))
-        out["read"] = yield sim.process(controller.read_page(0, 0, address))
+        out["program"] = yield controller.program(0, 0, address)
+        out["read"] = yield controller.read(0, 0, address)
 
     sim.run(until=sim.process(run()))
     return out["program"], out["read"]

@@ -10,6 +10,7 @@ a 2.27 GHz Xeon running SystemC), the inverse scaling is the claim.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Dict
 
@@ -52,7 +53,11 @@ def measure_speed(arch: SsdArchitecture, n_commands: int = 400,
 
     Wall time is the simulator's own run loop (``RunResult.wall_seconds``):
     building the device and the host driver processes is not counted.
+    Garbage left by earlier work is collected first: otherwise a full
+    collection of it can land inside a short run and cost more host
+    time than the run itself.
     """
+    gc.collect()
     result = run_scenario(Scenario(
         arch, sequential_write(4096 * n_commands))).result
     return SpeedSample(label=label or arch.label,

@@ -158,12 +158,11 @@ class DramController(Component):
         if self._refresh_running:
             return
         self._refresh_running = True
-        self.sim._pooled_timeout(0).callbacks.append(self._arm_refresh)
+        self.sim._after(0, self._arm_refresh)
 
     def _arm_refresh(self, _event=None) -> None:
         self._refresh_holds = []
-        self.sim._pooled_timeout(self._refresh_interval_ps).callbacks.append(
-            self._claim_for_refresh)
+        self.sim._after(self._refresh_interval_ps, self._claim_for_refresh)
 
     def _claim_for_refresh(self, _event=None) -> None:
         # Refresh stalls the whole device: claim every bank, then the
@@ -176,30 +175,19 @@ class DramController(Component):
         order = self._refresh_order
         if len(holds) == len(order):
             self._open_rows = [None] * self.timing.banks
-            self.sim._pooled_timeout(self._rfc_ps).callbacks.append(
-                self._end_refresh)
+            self.sim._after(self._rfc_ps, self._end_refresh)
             return
-        resource = order[len(holds)]
-        if resource.take_free_slot():
-            # Free slot: hold it without a Grant.  The zero-delay timer
-            # takes the place the grant event would have in this batch,
-            # so the event stream is the same either way.
-            holds.append(None)
-            self.sim._pooled_timeout(0).callbacks.append(
-                self._claim_for_refresh)
-            return
-        grant = resource.acquire(REFRESH_PRIORITY)
-        holds.append(grant)
-        grant.add_callback(self._claim_for_refresh)
+        # A free slot is held in place (no Grant); the zero-delay timer
+        # that carries the next step takes the place the grant event would
+        # have in this batch, so the event stream is the same either way.
+        holds.append(order[len(holds)].claim(self._claim_for_refresh,
+                                             REFRESH_PRIORITY))
 
     def _end_refresh(self, _event=None) -> None:
         *bank_holds, bus_hold = self._refresh_holds
-        for resource, grant in ((self.bus, bus_hold),
-                                *zip(self._banks, bank_holds)):
-            if grant is None:
-                resource.return_slot()
-            else:
-                resource.release(grant)
+        for resource, hold in ((self.bus, bus_hold),
+                               *zip(self._banks, bank_holds)):
+            resource.give_back(hold)
         self.stats.counter("refreshes").increment()
         self._arm_refresh()
 

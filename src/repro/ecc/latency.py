@@ -24,6 +24,7 @@ cycle counts from the structure of a standard pipelined BCH engine:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..kernel.simtime import Clock
 
@@ -50,8 +51,9 @@ class BchLatencyModel:
         if self.clock_hz <= 0:
             raise ValueError("clock_hz must be positive")
 
-    @property
+    @cached_property
     def clock(self) -> Clock:
+        # Built once per model: encode/decode timing asks for it per page.
         return Clock("ecc", frequency_hz=self.clock_hz)
 
     def encode_cycles(self, codeword_bits: int, t: int) -> int:

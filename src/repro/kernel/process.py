@@ -35,8 +35,7 @@ class Process(Event):
         self.generator = generator
         self._waiting_on: Optional[Event] = None
         # Kick off at the current simulation time via a recycled kernel timer.
-        bootstrap = sim._pooled_timeout(0)
-        bootstrap.callbacks.append(self._resume)
+        sim._after(0, self._resume)
 
     @property
     def is_alive(self) -> bool:
@@ -93,7 +92,8 @@ class Process(Event):
         sim._active_process = None
 
         if isinstance(target, int):
-            target = sim._pooled_timeout(target)
+            self._waiting_on = sim._after(target, self._resume)
+            return
         if not isinstance(target, Event):
             self._step(throw=SimulationError(
                 f"process {self.name} yielded {target!r}; expected Event, "
@@ -102,10 +102,9 @@ class Process(Event):
         if target.callbacks is None:
             # Already over: resume immediately (same sim time) via a fresh
             # relay so recursion depth stays bounded.
-            relay = sim._pooled_timeout(0, target._value)
-            if not target._ok:
-                relay._ok = False
-            relay.callbacks.append(self._resume)
+            relay = sim._after(0, self._resume)
+            relay._value = target._value
+            relay._ok = target._ok
         else:
             self._waiting_on = target
             target.callbacks.append(self._resume)

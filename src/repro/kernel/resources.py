@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Deque, Optional, Tuple, TYPE_CHECKING
 
 from .events import PENDING, Event, SimulationError
 
@@ -95,26 +95,82 @@ class Resource:
         return grant
 
     def release(self, grant: Grant) -> None:
-        """Return the resource; wakes the next FIFO waiter if any."""
+        """Return the resource; wakes the next waiter if any."""
         if grant.resource is not self:
             raise SimulationError(f"grant {grant!r} does not belong to {self.name}")
         if grant.released:
             raise SimulationError(f"grant {grant!r} released twice")
+        grant.released = True
         if not grant.triggered:
             # Cancelled before being admitted: drop from the wait queue.
-            grant.released = True
-            try:
-                self._waiting.remove(grant)
-            except ValueError:
-                raise SimulationError(f"grant {grant!r} was never issued by {self.name}")
+            self._cancel(grant)
             return
-        grant.released = True
+        # An admitted grant's value is the grant itself; clearing it breaks
+        # that self-reference so plain refcounting frees the grant.
+        grant._value = None
+        self.return_slot()
+
+    def _cancel(self, grant: Grant) -> None:
+        try:
+            self._waiting.remove(grant)
+        except ValueError:
+            raise SimulationError(f"grant {grant!r} was never issued by {self.name}")
+
+    def take_free_slot(self) -> bool:
+        """Hold a free slot at once, without a :class:`Grant`.
+
+        Succeeds only when a slot is free and nobody waits; it then does
+        the bookkeeping of an immediate grant (wait 0) and returns True.
+        Otherwise it changes nothing and returns False.  The caller must
+        give the slot back with :meth:`return_slot`.
+        """
+        if self._in_use >= self.capacity or self._waiting:
+            return False
+        self.total_grants += 1
+        if self._in_use == 0:
+            self._busy_since = self.sim._now
+        self._in_use += 1
+        return True
+
+    def claim(self, callback: Callable[[Event], None],
+              priority: int = 0) -> Optional[Grant]:
+        """Hold a slot for a callback chain; ``callback`` runs once held.
+
+        A free slot is held in place (:meth:`take_free_slot`) and the
+        callback runs on a zero-delay kernel timer, which takes the place
+        the grant event would have had in this batch; otherwise the
+        request queues as a :class:`Grant` that carries the callback.
+        Either way the kernel processes the same events at the same
+        times.  Returns the Grant, or None for a slot held in place;
+        hand it back to :meth:`give_back`.
+        """
+        if self.take_free_slot():
+            self.sim._after(0, callback)
+            return None
+        grant = self.acquire(priority)
+        grant.callbacks.append(callback)
+        return grant
+
+    def give_back(self, hold: Optional[Grant]) -> None:
+        """Return a slot obtained from :meth:`claim`."""
+        if hold is None:
+            self.return_slot()
+        else:
+            self.release(hold)
+
+    def return_slot(self) -> None:
+        """Give back one held slot and admit waiters in FIFO order.
+
+        :meth:`release` ends here after its checks; a slot taken with
+        :meth:`take_free_slot` is returned by calling it directly.
+        """
         self._in_use -= 1
         if self._in_use == 0 and self._busy_since is not None:
             self._busy_accum += self.sim._now - self._busy_since
             self._busy_since = None
-        while self._waiting and self._in_use < self.capacity:
-            self._admit(self._waiting.popleft())
+        waiting = self._waiting
+        while waiting and self._in_use < self.capacity:
+            self._admit(waiting.popleft())
 
     def _admit(self, grant: Grant) -> None:
         sim = self.sim
@@ -150,12 +206,14 @@ class Resource:
 class PriorityResource(Resource):
     """A resource whose waiters are served by (priority, arrival) order.
 
-    Lower priority values are served first.
+    Lower priority values are served first.  The wait queue is a heap of
+    ``(priority, arrival, grant)`` entries.
     """
 
     def __init__(self, sim: "Simulator", name: str = "presource", capacity: int = 1):
         super().__init__(sim, name, capacity)
-        self._heap: List[Tuple[int, int, Grant]] = []
+        #: Heap of ``(priority, arrival, grant)`` waiters.
+        self._waiting = []  # type: ignore[assignment]
         self._arrivals = 0
 
     def acquire(self, priority: int = 0) -> Grant:
@@ -164,55 +222,23 @@ class PriorityResource(Resource):
             self._admit(grant)
         else:
             self._arrivals += 1
-            heapq.heappush(self._heap, (priority, self._arrivals, grant))
+            heapq.heappush(self._waiting, (priority, self._arrivals, grant))
         return grant
 
-    def release(self, grant: Grant) -> None:
-        if grant.resource is not self:
-            raise SimulationError(f"grant {grant!r} does not belong to {self.name}")
-        if grant.released:
-            raise SimulationError(f"grant {grant!r} released twice")
-        if not grant.triggered:
-            grant.released = True
-            self._heap = [entry for entry in self._heap if entry[2] is not grant]
-            heapq.heapify(self._heap)
-            return
-        grant.released = True
-        self.return_slot()
-
-    def take_free_slot(self) -> bool:
-        """Hold a free slot at once, without a :class:`Grant`.
-
-        Succeeds only when a slot is free and nobody waits; it then does
-        the bookkeeping of an immediate grant (wait 0) and returns True.
-        Otherwise it changes nothing and returns False.  The caller must
-        give the slot back with :meth:`return_slot`.
-        """
-        if self._in_use >= self.capacity or self._heap:
-            return False
-        self.total_grants += 1
-        if self._in_use == 0:
-            self._busy_since = self.sim._now
-        self._in_use += 1
-        return True
+    def _cancel(self, grant: Grant) -> None:
+        self._waiting = [entry for entry in self._waiting
+                         if entry[2] is not grant]
+        heapq.heapify(self._waiting)
 
     def return_slot(self) -> None:
-        """Give back one held slot and admit waiters in priority order.
-
-        :meth:`release` ends here after its checks; a slot taken with
-        :meth:`take_free_slot` is returned by calling it directly.
-        """
+        """Give back one held slot and admit waiters in priority order."""
         self._in_use -= 1
         if self._in_use == 0 and self._busy_since is not None:
             self._busy_accum += self.sim._now - self._busy_since
             self._busy_since = None
-        while self._heap and self._in_use < self.capacity:
-            __, __, waiter = heapq.heappop(self._heap)
+        while self._waiting and self._in_use < self.capacity:
+            __, __, waiter = heapq.heappop(self._waiting)
             self._admit(waiter)
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._heap)
 
 
 class Store:

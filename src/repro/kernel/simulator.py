@@ -38,11 +38,12 @@ from .process import Process, ProcessGenerator
 class _PooledTimeout(Timeout):
     """Kernel-internal timeout eligible for free-list reuse.
 
-    Only the kernel creates these — the timers behind :meth:`Simulator.call_at`
-    / :meth:`Simulator.call_after`, the implicit timeouts behind
-    ``yield <int>`` and process bootstrap/relay events — and user code never
-    receives a reference, so the run loop can recycle each one into the
-    simulator's free list the moment its callbacks have run.
+    Only :meth:`Simulator._after` creates these — the timers behind
+    :meth:`Simulator.call_at` / :meth:`Simulator.call_after`, the implicit
+    timeouts behind ``yield <int>``, process bootstrap/relay events and the
+    steps of model callback chains — and user code never receives a
+    reference, so the run loop can recycle each one into the simulator's
+    free list the moment its callbacks have run.
     """
 
     __slots__ = ()
@@ -101,20 +102,28 @@ class Simulator:
         else:
             bucket.append(event)
 
-    def _pooled_timeout(self, delay: int, value: Any = None) -> Timeout:
-        """A :class:`Timeout` from the free list (kernel-internal only)."""
+    def _after(self, delay: int, callback: Callable[[Event], None]) -> Timeout:
+        """Run ``callback(timer)`` after ``delay`` ps on a recycled timer.
+
+        Kernel-internal: the returned timer goes back to the free list
+        once its callbacks have run, so callers may keep it only until
+        then (a process keeps it to detach on interrupt).
+        """
         pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ValueError(f"timeout delay must be >= 0, got {delay}")
-            timer = pool.pop()
-            timer.callbacks = []
-            timer._ok = True
-            timer._value = value
-            timer.delay = delay
-            self._schedule_event(timer, delay)
+        if not pool:
+            timer = _PooledTimeout(self, delay)
+            timer.callbacks.append(callback)
             return timer
-        return _PooledTimeout(self, delay, value)
+        if delay < 0:
+            raise ValueError(f"timeout delay must be >= 0, got {delay}")
+        timer = pool.pop()
+        timer.callbacks = [callback]
+        # A failed relay can leave a recycled timer not ok.
+        timer._ok = True
+        timer._value = None
+        timer.delay = delay
+        self._schedule_event(timer, delay)
+        return timer
 
     def event(self, name: str = "") -> Event:
         """Create a fresh untriggered event."""
@@ -141,13 +150,11 @@ class Simulator:
         if when < self._now:
             raise SimulationError(
                 f"call_at(when={when}) is in the past (now={self._now})")
-        timer = self._pooled_timeout(when - self._now)
-        timer.callbacks.append(lambda _ev: callback())
+        self._after(when - self._now, lambda _ev: callback())
 
     def call_after(self, delay: int, callback: Callable[[], None]) -> None:
         """Run ``callback()`` after ``delay`` picoseconds."""
-        timer = self._pooled_timeout(delay)
-        timer.callbacks.append(lambda _ev: callback())
+        self._after(delay, lambda _ev: callback())
 
     # ------------------------------------------------------------------
     # Execution

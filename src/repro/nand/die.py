@@ -158,15 +158,17 @@ class NandDie(Component):
         return errors
 
     # ------------------------------------------------------------------
-    # Array operations (generator processes: yield them with sim.process
-    # or from within another process)
+    # Array operations
+    #
+    # Each operation is split in two halves around its array time:
+    # ``begin_*`` checks the command, marks the die busy and returns the
+    # duration; ``finish_*`` marks it idle and applies the result.  The
+    # generators below wrap the halves around one timeout (yield them
+    # with sim.process or from within another process); the controller's
+    # fast-fidelity callback chains call the halves directly.
     # ------------------------------------------------------------------
-    def read(self, address: PageAddress):
-        """Array read: sense a page into the page register.
-
-        Generator; completes after ``t_READ``.  Returns the block RBER so
-        the ECC model downstream can decide decode effort.
-        """
+    def begin_read(self, address: PageAddress) -> int:
+        """Start an array read; returns its duration in ps."""
         self.geometry.validate(address)
         key = (address.plane, address.block)
         if address.page >= self._write_pointers.get(key,
@@ -181,15 +183,28 @@ class NandDie(Component):
             if stuck:
                 duration += stuck
                 self.stats.counter("stuck_busy_faults").increment()
-        yield self.sim.timeout(duration)
+        return duration
+
+    def finish_read(self, address: PageAddress) -> float:
+        """Complete an array read; returns the block RBER."""
         self._end()
-        wear_state = self._wear_state(key)
-        wear_state.record_read()
+        key = (address.plane, address.block)
+        self._wear_state(key).record_read()
         self.stats.counter("reads").increment()
         return self.rber(*key)
 
-    def program(self, address: PageAddress):
-        """Array program; enforces erase-before-write and page order."""
+    def read(self, address: PageAddress):
+        """Array read: sense a page into the page register.
+
+        Generator; completes after ``t_READ``.  Returns the block RBER so
+        the ECC model downstream can decide decode effort.
+        """
+        yield self.sim.timeout(self.begin_read(address))
+        return self.finish_read(address)
+
+    def begin_program(self, address: PageAddress) -> int:
+        """Start an array program (erase-before-write and page order are
+        enforced here); returns its duration in ps."""
         self.geometry.validate(address)
         key = (address.plane, address.block)
         pointer = self._write_pointers.get(key, self._preload_default)
@@ -207,9 +222,15 @@ class NandDie(Component):
             if stuck:
                 duration += stuck
                 self.stats.counter("stuck_busy_faults").increment()
-        yield self.sim.timeout(duration)
+        return duration
+
+    def finish_program(self, address: PageAddress) -> None:
+        """Complete an array program: advance the write pointer, add wear
+        and draw the program status."""
         self._end()
-        self._write_pointers[key] = pointer + 1
+        key = (address.plane, address.block)
+        # begin_program checked the page against the pointer.
+        self._write_pointers[key] = address.page + 1
         self._wear_state(key).record_program()
         self.stats.counter("programs").increment()
         if self.fault_plan is not None:
@@ -220,22 +241,33 @@ class NandDie(Component):
                 self._fault_id, address.plane, address.block, address.page)
             if self.last_program_failed:
                 self.stats.counter("program_fails").increment()
+
+    def program(self, address: PageAddress):
+        """Array program; enforces erase-before-write and page order."""
+        duration = self.begin_program(address)
+        yield self.sim.timeout(duration)
+        self.finish_program(address)
         return duration
 
-    def erase(self, plane: int, block: int):
-        """Block erase; resets the write pointer and adds a P/E cycle."""
+    def begin_erase(self, plane: int, block: int) -> int:
+        """Start a block erase; returns its duration in ps."""
         self.geometry.validate(PageAddress(plane, block, 0))
-        key = (plane, block)
         self._begin(self.ERASING)
-        duration = self.timing.erase_time(block, self.wear_fraction(*key))
+        duration = self.timing.erase_time(block,
+                                          self.wear_fraction(plane, block))
         if self.fault_plan is not None:
             stuck = self.fault_plan.stuck_busy_ps(
                 self._fault_id, "erase", plane, block)
             if stuck:
                 duration += stuck
                 self.stats.counter("stuck_busy_faults").increment()
-        yield self.sim.timeout(duration)
+        return duration
+
+    def finish_erase(self, plane: int, block: int) -> None:
+        """Complete a block erase: reset the write pointer, add a P/E
+        cycle and draw the erase status."""
         self._end()
+        key = (plane, block)
         self._write_pointers[key] = 0
         self._wear_state(key).record_erase()
         self.stats.counter("erases").increment()
@@ -247,6 +279,12 @@ class NandDie(Component):
             if self.last_erase_failed:
                 self.stats.counter("erase_fails").increment()
                 self.mark_bad(plane, block)
+
+    def erase(self, plane: int, block: int):
+        """Block erase; resets the write pointer and adds a P/E cycle."""
+        duration = self.begin_erase(plane, block)
+        yield self.sim.timeout(duration)
+        self.finish_erase(plane, block)
         return duration
 
     # ------------------------------------------------------------------

@@ -492,8 +492,7 @@ class SsdDevice(Component):
             yield grant
             try:
                 address = self._next_page(target)
-                yield sim.process(controller.program_page(way, die_index,
-                                                          address))
+                yield controller.program(way, die_index, address)
             finally:
                 order.release(grant)
 
@@ -536,7 +535,6 @@ class SsdDevice(Component):
         ``command`` (``None`` for GC relocations) is annotated with the
         remap count for outcome classification.
         """
-        sim = self.sim
         __, way, die_index = target
         order = self._write_lock(target)
         grant = order.acquire()
@@ -546,8 +544,7 @@ class SsdDevice(Component):
             while True:
                 address = self._next_page(target)
                 try:
-                    yield sim.process(
-                        controller.program_page(way, die_index, address))
+                    yield controller.program(way, die_index, address)
                     return
                 except ProgramFailError:
                     self._retire_block(target, address.plane, address.block)
@@ -584,12 +581,11 @@ class SsdDevice(Component):
             address = self._next_read_page(placement)
             try:
                 # Pages of one command are read serially, so the span
-                # threads down into read_page for the fine stage marks
+                # threads down into the read for the fine stage marks
                 # (queue / bus_xfer / nand_busy / ecc_decode) and the
                 # command itself for masked/retry outcome annotations.
-                yield sim.process(controller.read_page(way, die_index,
-                                                       address, span=span,
-                                                       command=command))
+                yield controller.read(way, die_index, address, span=span,
+                                      command=command)
             except UncorrectableReadError:
                 # Retry ladder exhausted: the command completes with a
                 # media error status, no data crosses the host link.
@@ -642,7 +638,6 @@ class SsdDevice(Component):
             base + page_offset % geometry.pages_per_block)
 
     def _gc_work(self, channel_index: int, relocations: int, erases: int):
-        sim = self.sim
         controller = self.channels[channel_index]
         arch = self.arch
         for __ in range(relocations):
@@ -655,8 +650,7 @@ class SsdDevice(Component):
             source = self._behind_address(target, page_offset=self._gc_die)
             if self.fault_plan is not None:
                 try:
-                    yield sim.process(controller.read_page(way, die_index,
-                                                           source))
+                    yield controller.read(way, die_index, source)
                 except UncorrectableReadError:
                     # The victim page is lost; count it and move on so one
                     # worn-out page cannot wedge the whole GC pipeline.
@@ -665,14 +659,13 @@ class SsdDevice(Component):
                 yield from self._program_with_remap(controller, target)
                 controller.stats.counter("gc_relocations").increment()
                 continue
-            yield sim.process(controller.read_page(way, die_index, source))
+            yield controller.read(way, die_index, source)
             order = self._write_lock(target)
             grant = order.acquire()
             yield grant
             try:
                 destination = self._next_page(target)
-                yield sim.process(controller.program_page(way, die_index,
-                                                          destination))
+                yield controller.program(way, die_index, destination)
             finally:
                 order.release(grant)
             controller.stats.counter("gc_relocations").increment()
@@ -682,9 +675,8 @@ class SsdDevice(Component):
             self._gc_die += 1
             die = controller.die(way, die_index)
             victim = self._behind_address((channel_index, way, die_index))
-            yield sim.process(controller.erase_block(way, die_index,
-                                                     victim.plane,
-                                                     victim.block))
+            yield controller.erase(way, die_index, victim.plane,
+                                   victim.block)
             if self.fault_plan is not None and die.last_erase_failed:
                 # Erase failure grew a bad block (the die marked it); the
                 # spare pool absorbs it instead of the free pool.

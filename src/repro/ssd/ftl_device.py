@@ -25,7 +25,8 @@ from ..faults import ProgramFailError, UncorrectableReadError
 from ..ftl.pagemap import JournalingBackend
 from ..ftl.schemes import make_ftl
 from ..host import IoCommand
-from ..kernel import Resource, Simulator
+from ..kernel import Event, Resource, Simulator
+from ..kernel.events import PENDING
 from ..nand.geometry import PageAddress
 from .architecture import CachePolicy, SsdArchitecture
 from .device import DataPathMode, SsdDevice
@@ -104,66 +105,16 @@ class FtlSsdDevice(SsdDevice):
         """Generator: execute journal entries on the timed platform.
 
         Entries are grouped per die; groups run concurrently, each group
-        in order under its die's FIFO replay lock.
+        in order under its die's FIFO replay lock (see :class:`_DieReplay`).
         """
         sim = self.sim
         per_die: Dict[int, List[Tuple[str, Tuple[int, ...]]]] = {}
         for kind, location in entries:
             per_die.setdefault(location[0], []).append((kind, location))
-        handles = []
-        for die_id, group in per_die.items():
-            handles.append(sim.process(self._replay_one_die(die_id, group)))
+        handles = [_DieReplay(self, die_id, group)
+                   for die_id, group in per_die.items()]
         if handles:
             yield sim.all_of(handles)
-
-    def _replay_one_die(self, die_id: int, group):
-        sim = self.sim
-        channel_index, way, die_index = self.die_coordinates(die_id)
-        controller = self.channels[channel_index]
-        lock = self._replay_lock(die_id)
-        grant = lock.acquire()
-        yield grant
-        faulty = self.fault_plan is not None
-        try:
-            for kind, location in group:
-                if kind == "program":
-                    __, plane, block, page = location
-                    if faulty:
-                        # The FTL's map already points at this physical
-                        # page; the journaling backend cannot remap after
-                        # the fact, so a program failure is absorbed and
-                        # counted (the data stays where the map says).
-                        try:
-                            yield sim.process(controller.program_page(
-                                way, die_index,
-                                PageAddress(plane, block, page)))
-                        except ProgramFailError:
-                            controller.stats.counter(
-                                "ftl_program_faults").increment()
-                        continue
-                    yield sim.process(controller.program_page(
-                        way, die_index, PageAddress(plane, block, page)))
-                elif kind == "read":
-                    __, plane, block, page = location
-                    if faulty:
-                        try:
-                            yield sim.process(controller.read_page(
-                                way, die_index,
-                                PageAddress(plane, block, page)))
-                        except UncorrectableReadError:
-                            controller.stats.counter(
-                                "ftl_read_faults").increment()
-                        continue
-                    yield sim.process(controller.read_page(
-                        way, die_index, PageAddress(plane, block, page)))
-                elif kind == "erase":
-                    __, plane, block = location
-                    yield sim.process(controller.erase_block(
-                        way, die_index, plane, block))
-                else:  # pragma: no cover - journal kinds are closed
-                    raise ValueError(f"unknown journal entry {kind!r}")
-        finally:
-            lock.release(grant)
 
     # ------------------------------------------------------------------
     # Overridden data paths
@@ -295,3 +246,88 @@ class FtlSsdDevice(SsdDevice):
         metrics.update(self.ftl.counters())
         metrics["footprint"] = self.ftl.mapping_footprint().to_dict()
         return metrics
+
+
+#: Journal kinds whose failure a fault-injected replay absorbs: the FTL's
+#: map already points at the physical page and the journaling backend
+#: cannot remap after the fact, so the error is counted (the data stays
+#: where the map says) and the replay moves on.
+_ABSORBED = {
+    "program": (ProgramFailError, "ftl_program_faults"),
+    "read": (UncorrectableReadError, "ftl_read_faults"),
+}
+
+
+class _DieReplay(Event):
+    """One die's journal entries, replayed in order under its replay lock.
+
+    A chain of kernel callbacks with the events of a process: a bootstrap,
+    the FIFO replay-lock claim, then each entry's page-operation event,
+    the next entry issued from the completion callback of the last.  The
+    event fires once the group is done; any error not absorbed under a
+    fault plan returns the lock and fails it.
+    """
+
+    __slots__ = ("device", "die_id", "group", "index", "controller", "way",
+                 "die_index", "lock", "hold", "absorbed")
+
+    def __init__(self, device: FtlSsdDevice, die_id: int, group):
+        sim = device.sim
+        self.sim = sim
+        self.name = ""
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self.device = device
+        self.die_id = die_id
+        self.group = group
+        self.index = 0
+        sim._after(0, self._start)
+
+    def _start(self, _event) -> None:
+        device = self.device
+        channel_index, self.way, self.die_index = device.die_coordinates(
+            self.die_id)
+        self.controller = device.channels[channel_index]
+        self.lock = device._replay_lock(self.die_id)
+        self.hold = self.lock.claim(self._next)
+
+    def _next(self, _event=None) -> None:
+        if self.index == len(self.group):
+            self.lock.give_back(self.hold)
+            self.succeed(None)
+            return
+        kind, location = self.group[self.index]
+        self.index += 1
+        controller = self.controller
+        if kind == "program":
+            __, plane, block, page = location
+            op = controller.program(self.way, self.die_index,
+                                    PageAddress(plane, block, page))
+        elif kind == "read":
+            __, plane, block, page = location
+            op = controller.read(self.way, self.die_index,
+                                 PageAddress(plane, block, page))
+        elif kind == "erase":
+            __, plane, block = location
+            op = controller.erase(self.way, self.die_index, plane, block)
+        else:  # pragma: no cover - journal kinds are closed
+            self._abort(ValueError(f"unknown journal entry {kind!r}"))
+            return
+        self.absorbed = (_ABSORBED.get(kind)
+                         if self.device.fault_plan is not None else None)
+        op.callbacks.append(self._entry_done)
+
+    def _entry_done(self, op: Event) -> None:
+        if not op._ok:
+            error = op._value
+            absorbed = self.absorbed
+            if absorbed is None or not isinstance(error, absorbed[0]):
+                self._abort(error)
+                return
+            self.controller.stats.counter(absorbed[1]).increment()
+        self._next()
+
+    def _abort(self, error: BaseException) -> None:
+        self.lock.give_back(self.hold)
+        self.fail(error)

@@ -1,5 +1,7 @@
 """Tests for Resource, PriorityResource and Store."""
 
+import gc
+
 import pytest
 
 from repro.kernel import (PriorityResource, Resource, SimulationError,
@@ -278,6 +280,73 @@ class TestWaitAccounting:
         waiting = res.acquire()
         assert "chan3.bus" in repr(held)
         assert "chan3.bus" in repr(waiting)
+
+
+class TestClaim:
+    """``take_free_slot``/``return_slot``/``claim``/``give_back`` on both
+    resource kinds: the callback-chain way to hold a slot."""
+
+    @pytest.mark.parametrize("kind", [Resource, PriorityResource])
+    def test_claim_free_slot_holds_in_place(self, sim, kind):
+        res = kind(sim, "r")
+        seen = []
+        assert res.claim(lambda ev: seen.append(sim.now)) is None
+        assert (res.in_use, res.total_grants, res.total_wait_ps) == (1, 1, 0)
+        sim.run()
+        assert seen == [0]
+        assert sim.events_processed == 1
+        sim.run(until=30)
+        res.give_back(None)
+        assert res.in_use == 0
+        assert res.busy_time() == 30
+
+    @pytest.mark.parametrize("kind", [Resource, PriorityResource])
+    def test_claim_held_slot_queues_a_grant(self, sim, kind):
+        res = kind(sim, "r")
+        assert res.take_free_slot()
+        seen = []
+        hold = res.claim(lambda ev: seen.append(sim.now))
+        assert hold is not None and not hold.triggered
+        sim.run(until=20)
+        res.return_slot()
+        sim.run()
+        assert seen == [20]
+        assert (res.total_grants, res.total_wait_ps) == (2, 20)
+        res.give_back(hold)
+        assert res.in_use == 0 and hold.released
+
+    def test_fifo_return_slot_admits_in_arrival_order(self, sim):
+        res = Resource(sim, "r")
+        assert res.take_free_slot()
+        assert not res.take_free_slot()
+        first, second = res.acquire(), res.acquire()
+        res.return_slot()
+        assert first.triggered and not second.triggered
+        res.release(first)
+        assert second.triggered
+
+
+class TestGrantCycle:
+    """An admitted grant's value is the grant; release() clears it so
+    the grant is not a reference cycle."""
+
+    @pytest.mark.parametrize("kind", [Resource, PriorityResource])
+    def test_released_grant_does_not_refer_to_itself(self, sim, kind):
+        res = kind(sim, "r")
+        got = []
+
+        def user():
+            grant = yield res.acquire()
+            got.append(grant)
+            yield 10
+            res.release(grant)
+
+        sim.process(user())
+        sim.run()
+        grant = got[0]
+        assert grant.resource is res and grant.released
+        assert grant not in gc.get_referents(grant)
+        assert grant.triggered
 
 
 class TestStore:

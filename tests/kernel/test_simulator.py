@@ -361,3 +361,48 @@ class TestCallbackScheduling:
         sim.run()
         with pytest.raises(SimulationError, match=r"when=50.*now=100"):
             sim.call_at(50, lambda: None)
+
+
+class TestKernelTimers:
+    """``Simulator._after``: one recycled timer carrying one callback."""
+
+    def test_after_runs_the_callback_with_its_timer(self, sim):
+        seen = []
+        timer = sim._after(40, lambda ev: seen.append((sim.now, ev)))
+        sim.run()
+        assert seen == [(40, timer)]
+        assert sim.events_processed == 1
+
+    def test_recycled_timer_is_ok_after_a_failed_relay(self, sim):
+        failed = sim.event()
+        failed.fail(RuntimeError("boom"))
+        sim.run()
+
+        def waiter():
+            # Yielding an already-processed failed event goes through a
+            # relay timer that carries the failure.
+            with pytest.raises(RuntimeError):
+                yield failed
+
+        sim.process(waiter())
+        sim.run()
+        assert sim._timeout_pool[-1]._ok is False
+        seen = []
+        timer = sim._after(0, lambda ev: seen.append((ev._ok, ev._value)))
+        assert timer._ok is True
+        sim.run()
+        assert seen == [(True, None)]
+
+    def test_interrupt_detaches_from_an_int_delay(self, sim):
+        def sleeper():
+            try:
+                yield 100
+            except Interrupt:
+                yield 5
+                return sim.now
+
+        handle = sim.process(sleeper())
+        sim.call_at(10, handle.interrupt)
+        assert sim.run(until=handle) == 15
+        sim.run()
+        assert sim.now == 100

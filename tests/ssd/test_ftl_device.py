@@ -4,10 +4,13 @@ import pytest
 
 from repro.host import (IoCommand, IoOpcode, random_write, sequential_read,
                         sequential_write)
+from repro.faults import FaultConfig
 from repro.kernel import Simulator
 from repro.nand import NandGeometry
+from repro.nand.die import NandProtocolError
 from repro.ssd import (CachePolicy, FtlSsdDevice, SsdArchitecture,
                        run_workload)
+from repro.ssd.fidelity import fidelity_from_spec
 
 GEO = NandGeometry(planes_per_die=1, blocks_per_plane=16, pages_per_block=16)
 
@@ -177,3 +180,65 @@ class TestWearLeveling:
         low, high = device.ftl.wear_spread()
         assert high >= 1
         assert high - low <= max(6, high)
+
+
+class TestReplayChain:
+    """Each die's journal group replays as a callback chain with the
+    events of the process it replaced; the pinned counts and times were
+    measured with that process."""
+
+    ENTRIES = [("program", (0, 0, 0, 0)), ("program", (1, 0, 0, 0)),
+               ("program", (0, 0, 0, 1)), ("read", (0, 0, 0, 0)),
+               ("read", (1, 0, 0, 0)), ("erase", (1, 0, 0)),
+               ("program", (5, 0, 2, 0)), ("read", (5, 0, 2, 0))]
+
+    @staticmethod
+    def replay(device, entries):
+        return device.sim.process(device._replay(entries))
+
+    @pytest.mark.parametrize("fidelity, events", [("fast", 80),
+                                                  ("cycle", 149)])
+    def test_same_events_and_time_as_the_process(self, fidelity, events):
+        sim, device = make_device(fidelity=fidelity_from_spec(fidelity))
+        sim.run(until=self.replay(device, self.ENTRIES))
+        assert (sim.events_processed, sim.now) == (events, 4_677_663_569)
+        assert all(lock.in_use == 0
+                   for lock in device._replay_locks.values())
+
+    def test_a_later_group_queues_on_the_die_lock(self):
+        sim, device = make_device(fidelity=fidelity_from_spec("fast"))
+        self.replay(device, self.ENTRIES[:3])
+        self.replay(device, [("program", (0, 0, 0, 2)),
+                             ("read", (0, 0, 0, 1))])
+        sim.run()
+        lock = device._replay_lock(0)
+        assert (sim.events_processed, sim.now) == (54, 5_886_940_708)
+        assert (lock.total_grants, lock.total_wait_ps, lock.busy_time()) \
+            == (2, 4_158_789_569, 5_886_940_708)
+        assert lock.in_use == 0
+
+    def test_unabsorbed_error_fails_the_replay_and_frees_the_lock(self):
+        sim, device = make_device(fidelity=fidelity_from_spec("fast"))
+        with pytest.raises(NandProtocolError, match="sequential"):
+            sim.run(until=self.replay(device, [("program", (0, 0, 0, 3))]))
+        assert device._replay_lock(0).in_use == 0
+        # The die and its lock are free for the next group.
+        sim.run(until=self.replay(device, [("program", (0, 0, 0, 0))]))
+        assert device._replay_lock(0).total_grants == 2
+
+    def test_fault_plan_absorbs_and_counts_program_failures(self):
+        faults = FaultConfig(enabled=True, program_fail_prob=1.0,
+                             bit_errors=False)
+        sim, device = make_device(faults=faults)
+        sim.run(until=self.replay(device, self.ENTRIES[:3]))
+        assert (sim.events_processed, sim.now) == (63, 4_158_789_569)
+        counts = [controller.stats.counter("ftl_program_faults").value
+                  for controller in device.channels]
+        assert counts == [2, 1]
+
+    def test_fault_plan_does_not_absorb_other_errors(self):
+        faults = FaultConfig(enabled=True, bit_errors=False)
+        sim, device = make_device(faults=faults)
+        with pytest.raises(NandProtocolError):
+            sim.run(until=self.replay(device, [("program", (0, 0, 0, 4))]))
+        assert device._replay_lock(0).in_use == 0
