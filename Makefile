@@ -13,14 +13,19 @@ test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow"
 
 # Simulator benchmark smoke: the perfbench harness self-test, then one
-# gated fig3_sw_cycle run and one gated campaign_grid run (see
-# perfbench/README.md for the full benchmark).
+# gated run of each of the four workloads against the committed
+# references, as CI does (see perfbench/README.md for the full
+# benchmark).
 perfbench:
 	$(PYTHON) perfbench/selftest.py
 	$(PYTHON) perfbench/run.py --workload fig3_sw_cycle --seed 0 \
 		--seconds 12 --trace 0
 	$(PYTHON) perfbench/run.py --workload campaign_grid --seed 0 \
 		--seconds 12 --trace 0
+	$(PYTHON) perfbench/run.py --workload ftl_dftl_steady --seed 0 \
+		--seconds 2 --trace 0
+	$(PYTHON) perfbench/run.py --workload tenants_mix_fast --seed 0 \
+		--seconds 2 --trace 0
 
 # Kernel speed benchmark; refreshes BENCH_kernel_speed.json at the repo root.
 bench:

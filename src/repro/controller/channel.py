@@ -518,9 +518,9 @@ class ChannelWayController(Component):
 #   -> this event fires
 #
 # Each resource is taken with Resource.claim: a free one is held in place
-# and a zero-delay timer stands in for its grant event; a held one is
-# requested with acquire() and its Grant resumes the chain.  Either way
-# the kernel processes the same events at the same times.
+# and a zero-delay calendar entry stands in for its grant event; a held
+# one is requested with acquire() and its Grant resumes the chain.  Either
+# way the kernel processes the same events at the same times.
 # ----------------------------------------------------------------------
 class _FastPageOp(Event):
     """Base of the fast-fidelity page-operation chains.

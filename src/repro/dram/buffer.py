@@ -14,11 +14,36 @@ tracks buffer occupancy so a full buffer back-pressures the host interface
 
 from __future__ import annotations
 
-from typing import List, Optional
+from collections import deque
+from typing import Deque, List, Optional
 
-from ..kernel import Component, Simulator, Store
+from ..kernel import Component, Event, Simulator
 from .controller import DramController, FastDramController
 from .timing import Ddr2Timing
+
+
+class _SpaceWaiter(Event):
+    """A writer blocked in :meth:`BufferManager.reserve` on ``nbytes``."""
+
+    __slots__ = ("manager", "buffer_index", "nbytes")
+
+    def __init__(self, manager, buffer_index: int, nbytes: int):
+        super().__init__(manager.sim)
+        self.manager = manager
+        self.buffer_index = buffer_index
+        self.nbytes = nbytes
+
+    def _wake(self, _entry: None) -> None:
+        # Too big: re-queue, the writer stays suspended.  Room, or no writer
+        # left (interrupted): trigger inline; it resumes in this event.
+        manager, index = self.manager, self.buffer_index
+        if (self.callbacks and manager._occupancy[index] + self.nbytes
+                > manager.capacity_bytes):
+            manager._space_waiters[index].append(self)
+            return
+        self._ok = True
+        self._value = None
+        self._process()
 
 
 class BufferManager(Component):
@@ -61,9 +86,9 @@ class BufferManager(Component):
                 for i in range(n_buffers)
             ]
         self._occupancy = [0] * n_buffers
-        # Waiters blocked on space, per buffer (FIFO).
-        self._space_waiters: List[Store] = [
-            Store(sim, f"{name}.waiters{i}") for i in range(n_buffers)
+        # Writers blocked on space, per buffer (FIFO).
+        self._space_waiters: List[Deque[_SpaceWaiter]] = [
+            deque() for __ in range(n_buffers)
         ]
         self._next_address = [0] * n_buffers
 
@@ -89,9 +114,10 @@ class BufferManager(Component):
             raise ValueError(
                 f"request of {nbytes} B exceeds buffer capacity "
                 f"{self.capacity_bytes} B")
-        while self._occupancy[buffer_index] + nbytes > self.capacity_bytes:
-            waiter = self.sim.event(f"{self.name}.space{buffer_index}")
-            self._space_waiters[buffer_index].try_put(waiter)
+        if self._occupancy[buffer_index] + nbytes > self.capacity_bytes:
+            # Resumes only once the request fits (see _SpaceWaiter).
+            waiter = _SpaceWaiter(self, buffer_index, nbytes)
+            self._space_waiters[buffer_index].append(waiter)
             yield waiter
         self._occupancy[buffer_index] += nbytes
         peak = self.stats.accumulator("occupancy_peak")
@@ -104,12 +130,11 @@ class BufferManager(Component):
                 f"releasing {nbytes} B but buffer {buffer_index} holds "
                 f"{self._occupancy[buffer_index]} B")
         self._occupancy[buffer_index] -= nbytes
-        # Wake all waiters; they re-check and re-queue if still blocked.
-        while True:
-            ok, waiter = self._space_waiters[buffer_index].try_get()
-            if not ok:
-                break
-            waiter.succeed()
+        # Wake each waiter as one kernel event, where succeed() would put
+        # it; a waiter that still does not fit re-queues itself.
+        waiters = self._space_waiters[buffer_index]
+        while waiters:
+            self.sim._after(0, waiters.popleft()._wake)
 
     # ------------------------------------------------------------------
     # Data movement

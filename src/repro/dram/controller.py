@@ -53,9 +53,11 @@ class DramController(Component):
         self._rfc_ps = timing.refresh_ps()
         #: What a refresh claims, in lock order: every bank, then the bus.
         self._refresh_order = (*self._banks, self.bus)
-        #: One entry per resource the next or current refresh has claimed:
-        #: its Grant, or None for a slot taken in place.
-        self._refresh_holds: list = []
+        #: Per resource in ``_refresh_order``, what the current refresh
+        #: holds: its Grant, or None for a slot taken in place.
+        self._refresh_holds: list = [None] * len(self._refresh_order)
+        self._refresh_step = 0  # index of the next resource to claim
+        self._claim_step = self._claim_for_refresh  # one object, reused
         self._refresh_running = False
         if enable_refresh:
             self.start_refresh()
@@ -152,8 +154,8 @@ class DramController(Component):
         Refresh runs as a chain of kernel callbacks rather than a process:
         a bootstrap at the current time arms the first tREFI timer, and
         each step below is the callback of the event the previous one
-        scheduled or requested.  The timers are recycled kernel timeouts
-        carrying the bound step method.
+        scheduled or requested.  Each timer is a bare calendar entry:
+        the bound step method itself.
         """
         if self._refresh_running:
             return
@@ -161,8 +163,8 @@ class DramController(Component):
         self.sim._after(0, self._arm_refresh)
 
     def _arm_refresh(self, _event=None) -> None:
-        self._refresh_holds = []
-        self.sim._after(self._refresh_interval_ps, self._claim_for_refresh)
+        self._refresh_step = 0
+        self.sim._after(self._refresh_interval_ps, self._claim_step)
 
     def _claim_for_refresh(self, _event=None) -> None:
         # Refresh stalls the whole device: claim every bank, then the
@@ -171,23 +173,24 @@ class DramController(Component):
         # bank-before-bus order, so the lock ordering is acyclic
         # (requesting the bus up-front would deadlock against accesses
         # that hold a bank while waiting for the bus).
-        holds = self._refresh_holds
+        step = self._refresh_step
         order = self._refresh_order
-        if len(holds) == len(order):
+        if step == len(order):
             self._open_rows = [None] * self.timing.banks
             self.sim._after(self._rfc_ps, self._end_refresh)
             return
-        # A free slot is held in place (no Grant); the zero-delay timer
+        # A free slot is held in place (no Grant); the zero-delay entry
         # that carries the next step takes the place the grant event would
         # have in this batch, so the event stream is the same either way.
-        holds.append(order[len(holds)].claim(self._claim_for_refresh,
-                                             REFRESH_PRIORITY))
+        self._refresh_step = step + 1
+        self._refresh_holds[step] = order[step].claim(self._claim_step,
+                                                      REFRESH_PRIORITY)
 
     def _end_refresh(self, _event=None) -> None:
-        *bank_holds, bus_hold = self._refresh_holds
-        for resource, hold in ((self.bus, bus_hold),
-                               *zip(self._banks, bank_holds)):
-            resource.give_back(hold)
+        holds = self._refresh_holds
+        self.bus.give_back(holds[-1])
+        for bank, hold in zip(self._banks, holds):
+            bank.give_back(hold)
         self.stats.counter("refreshes").increment()
         self._arm_refresh()
 

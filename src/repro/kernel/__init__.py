@@ -16,7 +16,7 @@ from .config import ConfigError, load_file, loads, parse_flat_config
 from .events import (Condition, Event, Interrupt, SimulationError, Timeout,
                      all_of, any_of)
 from .process import Process
-from .resources import Grant, PriorityResource, Resource, Store, using_acquire
+from .resources import Grant, PriorityResource, Resource, Store
 from .simtime import (MS, NS, PS, SEC, US, Clock, format_time, ms, ns,
                       period_from_hz, ps, seconds, to_seconds, to_us, us)
 from .simulator import Simulator
@@ -34,6 +34,5 @@ __all__ = [
     "UtilizationTracker", "all_of", "any_of", "format_time", "load_file",
     "loads", "ms", "ns", "parse_flat_config", "period_from_hz", "ps",
     "seconds", "to_seconds", "to_us", "trace", "trace_enabled", "us",
-    "using_acquire",
     "TraceRecord", "TraceRecorder", "disable_tracing", "enable_tracing",
 ]

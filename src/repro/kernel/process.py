@@ -15,12 +15,14 @@ from __future__ import annotations
 
 from typing import Any, Generator, Optional, TYPE_CHECKING
 
-from .events import Event, Interrupt, SimulationError
+from .events import Event, Interrupt, SimulationError, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from .simulator import Simulator
 
 ProcessGenerator = Generator[Any, Any, Any]
+
+_NOT_STARTED: Any = object()  # Process._waiting_on until the bootstrap
 
 
 class Process(Event):
@@ -33,9 +35,10 @@ class Process(Event):
             raise TypeError(f"process target must be a generator, got {generator!r}")
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         self.generator = generator
-        self._waiting_on: Optional[Event] = None
-        # Kick off at the current simulation time via a recycled kernel timer.
-        sim._after(0, self._resume)
+        # What a resume is pending on, for interrupt() to detach.
+        self._waiting_on: Optional[Event] = _NOT_STARTED
+        # Kick off at the current simulation time as a bare calendar entry.
+        sim._after(0, self._start)
 
     @property
     def is_alive(self) -> bool:
@@ -45,27 +48,28 @@ class Process(Event):
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
 
-        Interrupting a terminated process is an error; interrupting a process
-        that is waiting on an event detaches it from that event.
+        Interrupting a terminated or unstarted process is an error;
+        interrupting a waiting process detaches it from what it waits on.
         """
         if self.triggered:
             raise SimulationError(f"cannot interrupt terminated process {self.name}")
         waiting_on = self._waiting_on
+        if waiting_on is _NOT_STARTED:
+            raise SimulationError(
+                f"cannot interrupt process {self.name} before it has started")
         if waiting_on is not None and waiting_on.callbacks is not None:
             try:
                 waiting_on.callbacks.remove(self._resume)
             except ValueError:
                 pass
         self._waiting_on = None
-        wakeup = Event(self.sim, name=f"{self.name}.interrupt")
-        wakeup.add_callback(self._resume_with_interrupt)
-        wakeup.succeed(cause)
+        self.sim._after(0, lambda _entry: self._step(throw=Interrupt(cause)))
 
-    def _resume_with_interrupt(self, event: Event) -> None:
-        self._step(throw=Interrupt(event.value))
+    def _start(self, _entry: None) -> None:
+        self._waiting_on = None
+        self._step()
 
     def _resume(self, event: Event) -> None:
-        self._waiting_on = None
         if event._ok:
             self._step(send=event._value)
         else:
@@ -92,19 +96,17 @@ class Process(Event):
         sim._active_process = None
 
         if isinstance(target, int):
-            self._waiting_on = sim._after(target, self._resume)
-            return
-        if not isinstance(target, Event):
+            target = Timeout(sim, target)
+        elif not isinstance(target, Event):
             self._step(throw=SimulationError(
                 f"process {self.name} yielded {target!r}; expected Event, "
                 f"Process or int delay"))
             return
-        if target.callbacks is None:
+        elif target.callbacks is None:
             # Already over: resume immediately (same sim time) via a fresh
             # relay so recursion depth stays bounded.
-            relay = sim._after(0, self._resume)
-            relay._value = target._value
+            relay = Timeout(sim, 0, target._value)
             relay._ok = target._ok
-        else:
-            self._waiting_on = target
-            target.callbacks.append(self._resume)
+            target = relay
+        self._waiting_on = target
+        target.callbacks.append(self._resume)

@@ -12,8 +12,6 @@ Usage from a process::
     grant = yield bus.acquire()
     ...use the bus...
     bus.release(grant)
-
-or with the :func:`using` helper generator for exception safety.
 """
 
 from __future__ import annotations
@@ -132,13 +130,13 @@ class Resource:
         self._in_use += 1
         return True
 
-    def claim(self, callback: Callable[[Event], None],
+    def claim(self, callback: Callable[[Optional[Grant]], None],
               priority: int = 0) -> Optional[Grant]:
         """Hold a slot for a callback chain; ``callback`` runs once held.
 
-        A free slot is held in place (:meth:`take_free_slot`) and the
-        callback runs on a zero-delay kernel timer, which takes the place
-        the grant event would have had in this batch; otherwise the
+        A free slot is held in place (:meth:`take_free_slot`) and
+        ``callback(None)`` runs as a zero-delay bare calendar entry, in the
+        place the grant event would have had in this batch; otherwise the
         request queues as a :class:`Grant` that carries the callback.
         Either way the kernel processes the same events at the same
         times.  Returns the Grant, or None for a slot held in place;
@@ -326,9 +324,3 @@ class Store:
         cap = "inf" if self.capacity is None else self.capacity
         return f"<Store {self.name} {len(self._items)}/{cap}>"
 
-
-def using_acquire(resource: Resource, priority: int = 0):
-    """``yield from`` helper that acquires and returns the grant."""
-    grant = resource.acquire(priority)
-    yield grant
-    return grant

@@ -11,7 +11,8 @@ access pattern (many events sharing a timestamp):
 
 * ``_times`` — a binary heap of *distinct* pending timestamps;
 * ``_buckets`` — a dict mapping each pending timestamp to the FIFO list of
-  events scheduled there.
+  entries scheduled there: events, or bare callbacks from
+  :meth:`Simulator._after`, each run with ``None`` as one event.
 
 Scheduling an event at an already-pending timestamp is a plain list append
 (no heap operation, no ``(time, seq, event)`` tuple), and :meth:`run`
@@ -29,29 +30,11 @@ from __future__ import annotations
 
 import heapq
 import time as _wall_time
+from types import FunctionType, MethodType
 from typing import Any, Callable, Dict, List, Optional
 
 from .events import Condition, Event, SimulationError, Timeout, all_of, any_of
 from .process import Process, ProcessGenerator
-
-
-class _PooledTimeout(Timeout):
-    """Kernel-internal timeout eligible for free-list reuse.
-
-    Only :meth:`Simulator._after` creates these — the timers behind
-    :meth:`Simulator.call_at` / :meth:`Simulator.call_after`, the implicit
-    timeouts behind ``yield <int>``, process bootstrap/relay events and the
-    steps of model callback chains — and user code never receives a
-    reference, so the run loop can recycle each one into the simulator's
-    free list the moment its callbacks have run.
-    """
-
-    __slots__ = ()
-
-
-#: Upper bound on the :class:`_PooledTimeout` free list; past this the
-#: recycled objects are simply dropped for the GC.
-_TIMEOUT_POOL_CAP = 1024
 
 
 class Simulator:
@@ -61,15 +44,14 @@ class Simulator:
         self._now: int = 0
         #: Heap of distinct pending timestamps.
         self._times: List[int] = []
-        #: FIFO batch of events per pending timestamp.
-        self._buckets: Dict[int, List[Event]] = {}
+        #: FIFO batch of events or bare callbacks per pending timestamp.
+        self._buckets: Dict[int, list] = {}
         self._active_process: Optional[Process] = None
         #: Number of events processed since construction.
         self.events_processed: int = 0
         #: Wall-clock seconds spent inside :meth:`run`.
         self.wall_seconds: float = 0.0
         self._stopped = False
-        self._timeout_pool: List[_PooledTimeout] = []
 
     # ------------------------------------------------------------------
     # Time and introspection
@@ -92,8 +74,7 @@ class Simulator:
     # Scheduling primitives
     # ------------------------------------------------------------------
     def _schedule_event(self, event: Event, delay: int = 0) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        # Callers pass delay >= 0: Timeout checks it, the rest pass 0.
         when = self._now + delay
         bucket = self._buckets.get(when)
         if bucket is None:
@@ -102,28 +83,25 @@ class Simulator:
         else:
             bucket.append(event)
 
-    def _after(self, delay: int, callback: Callable[[Event], None]) -> Timeout:
-        """Run ``callback(timer)`` after ``delay`` ps on a recycled timer.
+    def _after(self, delay: int, callback: Callable[[None], None]) -> None:
+        """Run ``callback(None)`` after ``delay`` ps as one kernel event.
 
-        Kernel-internal: the returned timer goes back to the free list
-        once its callbacks have run, so callers may keep it only until
-        then (a process keeps it to detach on interrupt).
+        The callback, a bound method or function, is itself the calendar
+        entry: a step of a callback chain allocates no event object.
         """
-        pool = self._timeout_pool
-        if not pool:
-            timer = _PooledTimeout(self, delay)
-            timer.callbacks.append(callback)
-            return timer
+        cls = callback.__class__
+        if cls is not MethodType and cls is not FunctionType:
+            raise TypeError(
+                f"_after needs a bound method or function, got {callback!r}")
         if delay < 0:
             raise ValueError(f"timeout delay must be >= 0, got {delay}")
-        timer = pool.pop()
-        timer.callbacks = [callback]
-        # A failed relay can leave a recycled timer not ok.
-        timer._ok = True
-        timer._value = None
-        timer.delay = delay
-        self._schedule_event(timer, delay)
-        return timer
+        when = self._now + delay
+        bucket = self._buckets.get(when)
+        if bucket is None:
+            self._buckets[when] = [callback]
+            heapq.heappush(self._times, when)
+        else:
+            bucket.append(callback)
 
     def event(self, name: str = "") -> Event:
         """Create a fresh untriggered event."""
@@ -205,9 +183,7 @@ class Simulator:
         buckets = self._buckets
         pop_time = heapq.heappop
         push_time = heapq.heappush
-        pool = self._timeout_pool
-        pooled_class = _PooledTimeout
-        pool_cap = _TIMEOUT_POOL_CAP
+        method_type, function_type = MethodType, FunctionType
         try:
             while times and not self._stopped:
                 when = times[0]
@@ -218,20 +194,22 @@ class Simulator:
                 self._now = when
                 batch = buckets[when]
                 index = 0
-                # Drain the whole same-time batch in FIFO order.  Events
+                # Drain the whole same-time batch in FIFO order.  Entries
                 # scheduled at `now` during the drain append to this same
                 # list, so `len(batch)` is re-read every iteration.
                 while index < len(batch):
-                    event = batch[index]
+                    entry = batch[index]
                     index += 1
                     processed += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    if callbacks:
-                        for callback in callbacks:
-                            callback(event)
-                    if event.__class__ is pooled_class and len(pool) < pool_cap:
-                        pool.append(event)
+                    cls = entry.__class__
+                    if cls is method_type or cls is function_type:
+                        entry(None)
+                    else:
+                        callbacks = entry.callbacks
+                        entry.callbacks = None
+                        if callbacks:
+                            for callback in callbacks:
+                                callback(entry)
                     if self._stopped or (stop_event is not None
                                          and stop_event.callbacks is None):
                         break

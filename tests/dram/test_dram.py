@@ -193,6 +193,38 @@ class TestBufferManager:
         sim.run(until=handle)
         assert timeline == [("filled", 0), ("reserved", us(10))]
 
+    def test_blocked_writers_keep_event_count_and_grant_order(self, sim):
+        # Pinned from the implementation where every woken writer resumed
+        # its process and re-queued a fresh event: each release still
+        # wakes every blocked writer as one kernel event, and the ones
+        # that do not fit go back to the queue in wake order.
+        manager = self.make(sim, capacity=8192)
+        grants = []
+
+        def filler():
+            yield from manager.reserve(0, 8192)
+            for nbytes in (2048, 2048, 4096):
+                yield us(10)
+                manager.release(0, nbytes)
+
+        def writer(name, start, nbytes, hold):
+            yield start
+            yield from manager.reserve(0, nbytes)
+            grants.append((name, sim.now))
+            yield hold
+            manager.release(0, nbytes)
+
+        sim.process(filler())
+        for args in (("a", 1, 6144, us(5)), ("b", 2, 4096, us(5)),
+                     ("c", 3, 2048, us(20)), ("d", 4, 4096, us(1))):
+            sim.process(writer(*args))
+        sim.run()
+        assert grants == [("c", us(10)), ("a", us(30)), ("b", us(35)),
+                          ("d", us(35))]
+        assert sim.events_processed == 33
+        assert manager.occupancy(0) == 0
+        assert sim.now == us(40)
+
     def test_oversize_reserve_rejected(self, sim):
         manager = self.make(sim, capacity=4096)
 

@@ -283,6 +283,41 @@ class TestInterrupt:
         with pytest.raises(SimulationError):
             handle.interrupt()
 
+    def test_interrupt_detaches_a_pending_relay(self, sim):
+        done = sim.event()
+        done.succeed("old")
+        sim.run()
+
+        def sleeper():
+            try:
+                # Already processed: the resume rides a relay timer.
+                got = yield done
+            except Interrupt:
+                yield 5
+                return ("interrupted", sim.now)
+            return ("resumed", got)
+
+        handle = sim.process(sleeper())
+
+        def interrupter():
+            # Bootstrapped in the same batch, after the relay is queued.
+            handle.interrupt()
+            yield 0
+
+        sim.process(interrupter())
+        assert sim.run(until=handle) == ("interrupted", 5)
+        sim.run()
+
+    def test_interrupt_before_start_raises_naming_the_process(self, sim):
+        def body():
+            yield 10
+            return "ran"
+
+        handle = sim.process(body(), name="late-starter")
+        with pytest.raises(SimulationError, match="late-starter"):
+            handle.interrupt()
+        assert sim.run(until=handle) == "ran"
+
     def test_is_alive(self, sim):
         def proc():
             yield 10
@@ -364,34 +399,80 @@ class TestCallbackScheduling:
 
 
 class TestKernelTimers:
-    """``Simulator._after``: one recycled timer carrying one callback."""
+    """``Simulator._after``: the callback itself is the calendar entry."""
 
-    def test_after_runs_the_callback_with_its_timer(self, sim):
+    def test_after_runs_the_bare_callback_with_none(self, sim):
         seen = []
-        timer = sim._after(40, lambda ev: seen.append((sim.now, ev)))
+        returned = sim._after(40, lambda entry: seen.append((sim.now, entry)))
+        assert returned is None
         sim.run()
-        assert seen == [(40, timer)]
+        assert seen == [(40, None)]
         assert sim.events_processed == 1
 
-    def test_recycled_timer_is_ok_after_a_failed_relay(self, sim):
+    def test_bare_entries_and_events_run_in_schedule_order(self, sim):
+        order = []
+        sim._after(10, lambda _entry: order.append("bare-1"))
+        sim.timeout(10).callbacks.append(lambda _ev: order.append("timeout"))
+        sim._after(10, lambda _entry: order.append("bare-2"))
+
+        def at_ten():
+            yield 10
+            order.append("process")
+            sim._after(0, lambda _entry: order.append("bare-3"))
+            sim.event().succeed().callbacks.append(
+                lambda _ev: order.append("event"))
+
+        sim.process(at_ten())
+        sim.run()
+        assert order == ["bare-1", "timeout", "bare-2", "process", "bare-3",
+                         "event"]
+        # Bootstrap, three entries at 10, the sleep, two at the tail and
+        # the process's own completion.
+        assert sim.events_processed == 8
+
+    def test_after_takes_a_bound_method(self, sim):
+        class Step:
+            def __init__(self):
+                self.seen = []
+
+            def run(self, entry):
+                self.seen.append((sim.now, entry))
+
+        step = Step()
+        sim._after(7, step.run)
+        sim.run()
+        assert step.seen == [(7, None)]
+
+    def test_after_rejects_other_callables(self, sim):
+        with pytest.raises(TypeError):
+            sim._after(0, [].append)
+        assert sim.peek() is None
+
+    def test_after_rejects_a_negative_delay(self, sim):
+        with pytest.raises(ValueError):
+            sim._after(-1, lambda _entry: None)
+
+    def test_failed_relay_reaches_the_waiter_and_later_steps_run(self, sim):
         failed = sim.event()
         failed.fail(RuntimeError("boom"))
         sim.run()
+        caught = []
 
         def waiter():
             # Yielding an already-processed failed event goes through a
             # relay timer that carries the failure.
-            with pytest.raises(RuntimeError):
+            try:
                 yield failed
+            except RuntimeError as exc:
+                caught.append(str(exc))
 
         sim.process(waiter())
         sim.run()
-        assert sim._timeout_pool[-1]._ok is False
+        assert caught == ["boom"]
         seen = []
-        timer = sim._after(0, lambda ev: seen.append((ev._ok, ev._value)))
-        assert timer._ok is True
+        sim._after(0, lambda entry: seen.append(entry))
         sim.run()
-        assert seen == [(True, None)]
+        assert seen == [None]
 
     def test_interrupt_detaches_from_an_int_delay(self, sim):
         def sleeper():
