@@ -1,8 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast bench sweep campaign faults profile trace fidelity \
-	golden golden-refresh reliability reliability-bench ftl tenants perfbench
+.PHONY: test test-fast sweep campaign faults profile trace fidelity \
+	golden golden-refresh reliability ftl tenants perfbench
 
 # Tier-1 verification: the full unit/integration suite.
 test:
@@ -27,10 +27,6 @@ perfbench:
 	$(PYTHON) perfbench/run.py --workload tenants_mix_fast --seed 0 \
 		--seconds 2 --trace 0
 
-# Kernel speed benchmark; refreshes BENCH_kernel_speed.json at the repo root.
-bench:
-	$(PYTHON) benchmarks/bench_kernel_speed.py
-
 # Fault-injection determinism check: the seeded campaign must produce
 # byte-identical JSON across two runs (and across worker counts).
 faults:
@@ -47,18 +43,22 @@ profile:
 	$(PYTHON) tools/validate_trace.py /tmp/repro-profile-trace.json
 	@echo "profile smoke OK (trace validates)"
 
-# Sweep-engine benchmark: serial vs parallel vs warm-cache Fig. 3 sweep;
-# refreshes BENCH_sweep.json at the repo root.  Knobs:
-# REPRO_BENCH_COMMANDS (workload length), REPRO_SWEEP_WORKERS (width).
+# Sweep-engine tier: serial/parallel identity, the result cache, and
+# serial == 4 workers == warm-cache rerun on the Fig. 3 grid (the warm
+# rerun simulates nothing).
 sweep:
-	$(PYTHON) benchmarks/bench_sweep.py
+	$(PYTHON) -m pytest -x -q tests/core/test_sweep_determinism.py \
+		tests/core/test_sweep_cache.py \
+		tests/core/test_fig3_grid.py::test_sweep_modes_agree
 
-# Campaign-engine benchmark: two-worker crash/resume against the golden
-# fig3 payloads, plus adaptive vs exhaustive exploration of the fig3
-# grid; merges a `campaign` section into BENCH_sweep.json.  Knobs:
-# REPRO_BENCH_COMMANDS (grid workload length), REPRO_ADAPTIVE_BUDGET.
+# Campaign-engine tier: two workers on the golden fig3 points, one
+# SIGKILLed while it holds a lease, resume to the golden payloads; then
+# adaptive exploration of the fig3 grid reaches the exhaustive frontier
+# within half the grid at cycle fidelity.
 campaign:
-	$(PYTHON) benchmarks/bench_campaign.py
+	$(PYTHON) -m pytest -x -q \
+		tests/core/test_fig3_grid.py::test_golden_crash_resume_matches_golden \
+		tests/core/test_fig3_grid.py::test_adaptive_reaches_exhaustive_frontier
 
 # Reliability-campaign determinism check: the Monte-Carlo campaign must
 # produce byte-identical JSON across worker counts (fresh directories so
@@ -73,12 +73,6 @@ reliability:
 		> /tmp/repro-rel-b.json
 	cmp /tmp/repro-rel-a.json /tmp/repro-rel-b.json
 	@echo "reliability campaign deterministic across worker counts"
-
-# Reliability-campaign benchmark: serial vs multi-process replica
-# throughput + byte identity; refreshes BENCH_reliability.json.  Knobs:
-# REPRO_BENCH_COMMANDS, REPRO_BENCH_REPLICAS, REPRO_BENCH_WORKERS.
-reliability-bench:
-	$(PYTHON) benchmarks/bench_reliability.py
 
 # FTL scheme-zoo smoke: list the registered schemes, sweep three of them
 # across a DRAM budget on the bundled trace (analytic WAF cross-check

@@ -35,12 +35,12 @@ from typing import List, Optional
 from .core import (DesignSpaceExplorer, ResourceCostModel, SweepPoint,
                    SweepRunner, TABLE2_LABELS, faults_campaign, fig3_sweep,
                    fig4_sweep,
-                   fig5_wearout_sweep, kernel_speed_report, print_progress,
-                   render_breakdown_table, render_json, render_report,
+                   fig5_wearout_sweep, print_progress,
+                   render_breakdown_table, render_json,
                    render_series_table, render_speed_table, render_table,
                    render_validation_table, run_validation, speed_sweep,
                    table2_configs, table3_configs,
-                   verify_ssdexplorer_column, write_report)
+                   verify_ssdexplorer_column)
 from .host.workload import IOZONE_SUITE
 from .kernel import load_file
 from .ssd import SsdArchitecture, fidelity_from_spec, from_config
@@ -247,16 +247,6 @@ def cmd_fig6(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_kernel(args: argparse.Namespace) -> int:
-    report = kernel_speed_report(n_commands=args.commands)
-    if args.out:
-        write_report(args.out, report)
-    print(render_report(report))
-    if args.out:
-        print(f"wrote {args.out}")
-    return 0
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     if args.config:
         arch = from_config(load_file(args.config))
@@ -307,12 +297,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _write_chrome_trace(recorder, path: str) -> None:
+    """Export the span recorder as a Chrome trace; the notice goes to
+    stderr so a ``--json`` document on stdout stays parseable."""
+    from .obs import write_chrome_trace
+    write_chrome_trace(recorder, path)
+    print(f"chrome trace written to {path} "
+          f"(load in ui.perfetto.dev or chrome://tracing)", file=sys.stderr)
+
+
 def cmd_profile(args: argparse.Namespace) -> int:
     """Run one workload with span observability on and print where the
     time went (per-stage breakdown, component activity, bottleneck
     report, per-channel utilization sparklines)."""
     from .core.experiments import profile_point
-    from .obs import render_profile, write_chrome_trace
+    from .obs import render_profile
     if args.config:
         arch = from_config(load_file(args.config))
     else:
@@ -344,9 +343,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         print()
         print(render_profile(recorder, timelines, top_k=args.top))
     if args.trace_out:
-        write_chrome_trace(recorder, args.trace_out)
-        print(f"chrome trace written to {args.trace_out} "
-              f"(load in ui.perfetto.dev or chrome://tracing)")
+        _write_chrome_trace(recorder, args.trace_out)
     return 0
 
 
@@ -434,10 +431,7 @@ def cmd_trace_replay(args: argparse.Namespace) -> int:
         if result.failed_commands:
             print(f"failed       : {result.failed_commands} commands")
     if args.trace_out:
-        from .obs import write_chrome_trace
-        write_chrome_trace(recorder, args.trace_out)
-        print(f"chrome trace written to {args.trace_out} "
-              f"(load in ui.perfetto.dev or chrome://tracing)")
+        _write_chrome_trace(recorder, args.trace_out)
     return 0
 
 
@@ -1094,14 +1088,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig6 = sub.add_parser("fig6", help="Fig. 6 simulation speed")
     fig6.add_argument("--commands", type=int, default=400)
     fig6.set_defaults(func=cmd_fig6)
-
-    bench = sub.add_parser("bench-kernel",
-                           help="kernel speed benchmark (events/sec, "
-                                "sim-time/wall-time)")
-    bench.add_argument("--commands", type=int, default=400)
-    bench.add_argument("--out", type=str, default="",
-                       help="also write the JSON report here")
-    bench.set_defaults(func=cmd_bench_kernel)
 
     run = sub.add_parser("run", help="run one architecture/workload")
     run.add_argument("--config", type=str, default="",

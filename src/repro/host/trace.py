@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, TYPE_CHECKING
 
-from ..kernel.tracing import trace as kernel_trace, trace_enabled
 from .commands import IoCommand, IoOpcode
 from .traces.formats import emit_records, iter_trace, parse_trace_lines
 from .traces.records import TraceError, TraceRecord, records_to_commands
@@ -72,18 +71,10 @@ def play_trace(sim: "Simulator", device: "SsdDevice",
     """Replay a parsed command trace through ``device`` — the paper's
     host-side trace player.  Each command is held until its
     ``issue_time_ps`` before entering the interface queue (open loop).
-
-    When kernel tracing is enabled an ``issue`` record is emitted per
-    command; the ``trace_enabled()`` guard keeps the per-command detail
-    formatting entirely off the disabled path.
     """
     from ..ssd.metrics import run_workload  # deferred: breaks import cycle
     from .workload import CommandListWorkload
 
-    if trace_enabled():
-        for command in commands:
-            kernel_trace(max(0, command.issue_time_ps), label, "issue",
-                         str(command))
     workload = CommandListWorkload(list(commands), pattern=pattern)
     return run_workload(sim, device, workload, max_commands=max_commands,
                         label=label or workload.pattern_name,

@@ -20,8 +20,6 @@ from .resources import Grant, PriorityResource, Resource, Store
 from .simtime import (MS, NS, PS, SEC, US, Clock, format_time, ms, ns,
                       period_from_hz, ps, seconds, to_seconds, to_us, us)
 from .simulator import Simulator
-from .tracing import (TraceRecord, TraceRecorder, disable_tracing,
-                      enable_tracing, trace, trace_enabled)
 from .stats import (Accumulator, Counter, LatencyHistogram,
                     StatSet, ThroughputMeter, UtilizationTracker)
 
@@ -33,6 +31,5 @@ __all__ = [
     "Simulator", "StatSet", "Store", "ThroughputMeter", "Timeout", "US",
     "UtilizationTracker", "all_of", "any_of", "format_time", "load_file",
     "loads", "ms", "ns", "parse_flat_config", "period_from_hz", "ps",
-    "seconds", "to_seconds", "to_us", "trace", "trace_enabled", "us",
-    "TraceRecord", "TraceRecorder", "disable_tracing", "enable_tracing",
+    "seconds", "to_seconds", "to_us", "us",
 ]

@@ -1,11 +1,10 @@
 """Observability: span-based latency decomposition and trace export.
 
-Built on the same zero-cost-when-disabled pattern as
-:mod:`repro.kernel.tracing`: a module-level flag plus a process-global
-recorder hook.  See :mod:`repro.obs.spans` for the span model,
-:mod:`repro.obs.chrometrace` for the Chrome ``trace_event`` exporter and
-:mod:`repro.obs.profile` for the breakdown/bottleneck renderers behind
-``python -m repro profile``.
+The one record of what happened in simulated time, zero-cost when
+disabled: a module-level flag plus a process-global recorder hook.  See
+:mod:`repro.obs.spans` for the span model, :mod:`repro.obs.chrometrace`
+for the Chrome ``trace_event`` exporter and :mod:`repro.obs.profile` for
+the breakdown/bottleneck renderers behind ``python -m repro profile``.
 """
 
 from .chrometrace import (to_chrome_trace, validate_chrome_trace,

@@ -1,8 +1,7 @@
 """Span-based instrumentation: exact latency decomposition per command.
 
-The tracing layer (:mod:`repro.kernel.tracing`) answers "what happened";
-this layer answers "where did the time go".  Two kinds of spans are
-recorded:
+This layer answers both "what happened" and "where did the time go".
+Two kinds of spans are recorded:
 
 * **Command spans** — every host command carries a :class:`CommandSpan`
   from device issue to completion.  The span is a *gap-free* stage
@@ -16,10 +15,10 @@ recorded:
   activity.  These overlap freely and feed the Chrome-trace export and
   the per-resource activity table.
 
-Like tracing, observability is opt-in and zero-cost when disabled: hot
-call sites guard with :func:`obs_enabled` (a module-level flag read)
-before touching ``sim.now`` or building any object, so a disabled run
-pays a single flag check per call site and allocates nothing.
+Observability is opt-in and zero-cost when disabled: hot call sites
+guard with :func:`obs_enabled` (a module-level flag read) before
+touching ``sim.now`` or building any object, so a disabled run pays a
+single flag check per call site and allocates nothing.
 """
 
 from __future__ import annotations
@@ -117,9 +116,8 @@ class SpanRecorder:
     totals) are unbounded and exact; the *retained* raw span lists that
     feed the Chrome-trace export are bounded, and spans past the caps
     are counted in ``dropped_commands`` / ``dropped_component_spans``
-    instead of being kept (mirroring ``TraceRecorder.dropped``, except
-    the ring there evicts oldest-first while this keeps the head of the
-    run — the trace viewer wants a contiguous prefix).
+    instead of being kept.  The head of the run is kept, not the tail:
+    the trace viewer wants a contiguous prefix.
     """
 
     def __init__(self, max_command_spans: int = 100_000,
@@ -248,8 +246,7 @@ active_recorder = _NullRecorder()
 def obs_enabled() -> bool:
     """True when a span recorder is installed.
 
-    The idiom for instrumented call sites (same shape as the tracing
-    guard)::
+    The idiom for instrumented call sites::
 
         t0 = self.sim.now if obs_enabled() else -1
         ...  # the timed activity

@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SAMPLE = os.path.join(os.path.dirname(__file__), "..", "..", "examples",
+                      "sample_msr.csv")
 
 
 class TestParser:
@@ -160,6 +165,20 @@ class TestJsonExport:
         assert payload["architecture"] == "4-DDR-buf;4-CHN;4-WAY;2-DIE"
         assert payload["commands"] == 40
         assert payload["latency_us"]["p50"] <= payload["latency_us"]["p99"]
+
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--workload", "SW", "--commands", "40"],
+        ["trace", "replay", SAMPLE, "--commands", "30"],
+    ], ids=["profile", "trace-replay"])
+    def test_json_with_trace_out_keeps_stdout_parseable(
+            self, argv, tmp_path, capsys):
+        import json
+        trace_path = tmp_path / "trace.json"
+        assert main(argv + ["--json", "--trace-out", str(trace_path)]) == 0
+        captured = capsys.readouterr()
+        assert isinstance(json.loads(captured.out), dict)
+        assert f"chrome trace written to {trace_path}" in captured.err
+        assert trace_path.exists()
 
     def test_to_dict_roundtrips_json(self):
         import json

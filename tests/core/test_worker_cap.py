@@ -1,6 +1,6 @@
 """Worker-cap regression: no oversubscription, no idle drain processes.
 
-``BENCH_sweep.json`` once showed the parallel path *losing* to serial on
+A sweep benchmark once showed the parallel path *losing* to serial on
 a 1-CPU box (0.93x): the runner started as many worker processes as the
 caller asked for.  The engine's one width rule is
 ``min(workers, cpu_count, pending points)``; a width of 1 drains in

@@ -1,6 +1,5 @@
 """Regression tests for the stats/kernel correctness fixes and the
-event-kernel hot-path overhaul (same-time batch drain, timeout free list,
-tracing guard).
+event-kernel hot-path overhaul (same-time batch drain, timeout free list).
 
 Each stats/validation test here fails on the pre-fix implementations:
 
@@ -15,8 +14,7 @@ Each stats/validation test here fails on the pre-fix implementations:
 
 import pytest
 
-from repro.kernel import (SimulationError, Simulator, disable_tracing,
-                          enable_tracing)
+from repro.kernel import SimulationError, Simulator
 from repro.kernel.stats import ThroughputMeter, UtilizationTracker
 
 
@@ -257,58 +255,11 @@ class TestTimeoutFreeList:
         sim.run()  # drain the abandoned timer; must not raise
 
 
-class TestTracingNeutrality:
-    def _run_device_workload(self):
-        from repro.host import sequential_write
-        from repro.nand import NandGeometry
-        from repro.ssd import (CachePolicy, SsdArchitecture, SsdDevice,
-                               run_workload)
-        geo = NandGeometry(planes_per_die=1, blocks_per_plane=32,
-                           pages_per_block=16)
-        arch = SsdArchitecture(n_channels=2, n_ways=1, dies_per_way=1,
-                               n_ddr_buffers=1, geometry=geo,
-                               dram_refresh=False,
-                               cache_policy=CachePolicy.NO_CACHING)
-        sim = Simulator()
-        device = SsdDevice(sim, arch)
-        result = run_workload(sim, device, sequential_write(4096 * 20))
-        return (sim.now, sim.events_processed, result.throughput_mbps,
-                result.commands)
-
-    def test_tracing_on_off_identical_results(self):
-        disable_tracing()
-        try:
-            baseline = self._run_device_workload()
-            enable_tracing(capacity=100_000)
-            traced = self._run_device_workload()
-        finally:
-            disable_tracing()
-        assert traced == baseline
-
-    def test_guarded_sites_still_record_when_enabled(self):
-        try:
-            recorder = enable_tracing(capacity=100_000)
-            self._run_device_workload()
-            assert len(recorder.records(event="program")) > 0
-            assert len(recorder.records(event="complete")) > 0
-        finally:
-            disable_tracing()
-
-    def test_trace_enabled_flag(self):
-        from repro.kernel import trace_enabled
-        assert not trace_enabled()
-        try:
-            enable_tracing()
-            assert trace_enabled()
-        finally:
-            disable_tracing()
-        assert not trace_enabled()
-
-
 class TestTracePlayer:
     def test_play_trace_replays_and_traces_issues(self):
         from repro.host import parse_trace, play_trace
         from repro.nand import NandGeometry
+        from repro.obs import disable_observability, enable_observability
         from repro.ssd import CachePolicy, SsdArchitecture, SsdDevice
         text = "\n".join(f"{t} W {8 * t} 8" for t in range(10))
         commands = parse_trace(text)
@@ -321,11 +272,12 @@ class TestTracePlayer:
         sim = Simulator()
         device = SsdDevice(sim, arch)
         try:
-            recorder = enable_tracing(capacity=10_000)
+            recorder = enable_observability()
             result = play_trace(sim, device, commands)
         finally:
-            disable_tracing()
+            disable_observability()
         assert result.commands == 10
-        issues = recorder.records(event="issue")
-        assert len(issues) == 10
-        assert issues[0].component == "host.trace"
+        # The span stream holds one command span per trace line, begun
+        # at that line's issue time (1 us apart).
+        assert [span.start_ps for span in recorder.commands] \
+            == [t * 1_000_000 for t in range(10)]
