@@ -102,7 +102,9 @@ tenants:
 	@echo "tenant sweep deterministic across worker counts"
 
 # Trace-ingestion smoke: characterize, replay and format-convert the
-# bundled sample trace end to end through the CLI.
+# bundled sample trace end to end through the CLI, then sweep it across
+# two design points and require its --json stdout to parse as one JSON
+# document.
 trace:
 	$(PYTHON) -m repro trace characterize examples/sample_msr.csv
 	$(PYTHON) -m repro trace replay examples/sample_msr.csv
@@ -110,7 +112,11 @@ trace:
 		/tmp/repro-sample.trace --to native
 	$(PYTHON) -m repro trace characterize /tmp/repro-sample.trace --json \
 		> /dev/null
-	@echo "trace smoke OK (characterize + replay + convert)"
+	$(PYTHON) -m repro trace sweep examples/sample_msr.csv --configs C1,C6 \
+		--commands 60 --workers 1 --json > /tmp/repro-trace-sweep.json
+	$(PYTHON) -c 'import json, sys; json.load(sys.stdin)' \
+		< /tmp/repro-trace-sweep.json
+	@echo "trace smoke OK (characterize + replay + convert + sweep --json)"
 
 # Fidelity-dial benchmark: calibrate the fast paths, replay the sample
 # trace at both fidelity levels, enforce the >=10x speedup floor and the

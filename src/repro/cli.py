@@ -11,18 +11,28 @@ Usage::
     python -m repro faults --seed 1234       # fault-injection campaign
     python -m repro trace characterize examples/sample_msr.csv
     python -m repro trace replay examples/sample_msr.csv --precondition steady
+    python -m repro trace sweep examples/sample_msr.csv --configs C1,C6
     python -m repro trace convert trace.blkparse trace.txt --to native
     python -m repro ftl schemes
     python -m repro ftl sweep --schemes pagemap,dftl --workers 4
+    python -m repro tenants run --tenants 3 --policy wrr
     python -m repro run --config ssd.cfg --workload SW --commands 1000
     python -m repro profile --workload SR --trace-out trace.json
+    python -m repro calibrate --check        # fit + verify --fidelity fast
     python -m repro explore --configs C1,C2,C6,C8
     python -m repro campaign run camp/ --experiment fig3 --workers 4
     python -m repro campaign report camp/ --where "latency_us.p99<=2000"
+    python -m repro reliability run rel/ --replicas 64 --workers 4
     python -m repro report --out report.md   # everything, as markdown
 
 Every subcommand prints the same rows/series the paper's tables and
-figures report.
+figures report.  Each shared job has one helper: ``_architecture``
+loads ``--config`` (dialed to ``--fidelity``), ``_iozone`` and
+``_trace_workload`` build the workloads, ``runner_from_args`` builds
+every sweep or campaign runner, ``cmd_experiment`` runs fig3/fig4/fig5
+standalone or as a campaign, ``_finish`` is the output tail of every
+fan-out command (with ``--json``, stdout is exactly one document), and
+``main`` turns user-input errors into a one-line exit.
 """
 
 from __future__ import annotations
@@ -32,29 +42,45 @@ import os
 import sys
 from typing import List, Optional
 
-from .core import (DesignSpaceExplorer, ResourceCostModel, SweepPoint,
-                   SweepRunner, TABLE2_LABELS, faults_campaign, fig3_sweep,
-                   fig4_sweep,
-                   fig5_wearout_sweep, print_progress,
-                   render_breakdown_table, render_json,
+from .core import (CampaignError, DesignSpaceExplorer, ResourceCostModel,
+                   SweepPoint, SweepRunner, TABLE2_LABELS,
+                   calibrated_fidelity, faults_campaign, fig3_sweep,
+                   fig4_sweep, fig5_wearout_sweep, print_progress,
+                   render_breakdown_table, render_columns, render_json,
                    render_series_table, render_speed_table, render_table,
                    render_validation_table, run_validation, speed_sweep,
                    table2_configs, table3_configs,
                    verify_ssdexplorer_column)
 from .host.workload import IOZONE_SUITE
 from .kernel import load_file
-from .ssd import SsdArchitecture, fidelity_from_spec, from_config
+from .ssd import SsdArchitecture, from_config
+
+#: What ``main`` reports as one line instead of a traceback: unreadable
+#: files (OSError), invalid input (ValueError — TraceError and
+#: ConfigError refine it — is how the trace, config, tenant, FTL and
+#: constraint layers reject what they are given) and campaign
+#: directories or sweeps that cannot deliver every point (CampaignError).
+USER_ERRORS = (OSError, ValueError, CampaignError)
+
+
+def _csv(text: str, kind=str) -> list:
+    """A comma-separated option value, parsed item by item."""
+    return [kind(part.strip()) for part in text.split(",") if part.strip()]
 
 
 def _parse_configs(text: Optional[str]) -> List[str]:
     if not text:
         return list(TABLE2_LABELS)
-    names = [name.strip() for name in text.split(",") if name.strip()]
+    names = _csv(text)
     unknown = [name for name in names if name not in TABLE2_LABELS]
     if unknown:
         raise SystemExit(f"unknown configurations: {unknown}; "
                          f"choose from {sorted(TABLE2_LABELS)}")
     return names
+
+
+# ----------------------------------------------------------------------
+# Shared options
 
 
 def add_sweep_options(parser: argparse.ArgumentParser) -> None:
@@ -90,50 +116,195 @@ def add_fidelity_option(parser: argparse.ArgumentParser) -> None:
              'use calibrated parameters (see "repro calibrate")')
 
 
-def fidelity_from_cli(args: argparse.Namespace, arch=None):
-    """Resolve ``--fidelity`` into a calibrated config (None = cycle).
-
-    Any fast level pulls in the calibrated fast-path parameters
-    (fitting them on first use; cached afterwards).
-    """
-    spec = getattr(args, "fidelity", "")
-    if not spec:
-        return None
-    config = fidelity_from_spec(spec)
-    if config.any_fast:
-        from dataclasses import replace
-
-        from .core import calibrate
-        config = replace(config,
-                         **calibrate(arch or SsdArchitecture()).to_dict())
-    return config
+def _add_json(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument("--json", action="store_true",
+                        help=f"emit {what} as JSON")
 
 
-def runner_from_args(args: argparse.Namespace, quiet: bool = False):
+def _add_config(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", type=str, default="",
+                        help="architecture config file (flat or JSON)")
+
+
+def _add_configs(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--configs", type=str, default="",
+                        help="comma-separated subset of C1..C10")
+
+
+def _add_iozone_options(parser: argparse.ArgumentParser,
+                        commands: int) -> None:
+    """``--config`` plus the IOZONE workload that ``_iozone`` builds."""
+    _add_config(parser)
+    parser.add_argument("--workload", type=str, default="SW",
+                        help="SW | SR | RW | RR")
+    parser.add_argument("--commands", type=int, default=commands)
+    parser.add_argument("--block", type=int, default=4096)
+    parser.add_argument("--warm", action="store_true",
+                        help="warm-start the write cache")
+
+
+def _add_trace_file(parser: argparse.ArgumentParser,
+                    default: str = "") -> None:
+    """The trace positional (optional when it has a ``default``) and
+    ``--format``."""
+    if default:
+        parser.add_argument("trace", nargs="?", default=default,
+                            help="trace file (default: the bundled sample)")
+    else:
+        parser.add_argument("trace", help="trace file (any format)")
+    parser.add_argument("--format", type=str, default="auto",
+                        help="native | msr | blkparse | auto")
+
+
+def _add_replay_options(parser: argparse.ArgumentParser,
+                        precondition: bool = True) -> None:
+    """The replay flags that ``_trace_workload`` reads."""
+    parser.add_argument("--commands", type=int, default=0,
+                        help="replay only the first N records (0 = all)")
+    parser.add_argument("--closed-loop", action="store_true",
+                        help="ignore trace issue times; saturate the "
+                             "queue (Fig. 3/4 regime)")
+    if precondition:
+        parser.add_argument("--precondition", type=str, default="none",
+                            choices=["none", "fill", "steady"],
+                            help="warm-up before measuring: fill the "
+                                 "addressed region / fill + random "
+                                 "overwrites (steady state)")
+
+
+def _add_tenant_options(parser: argparse.ArgumentParser) -> None:
+    """The tenant-mix flags that ``_tenant_specs_from_args`` reads."""
+    parser.add_argument("--tenants", type=int, default=3,
+                        help="synthetic tenant count (varied workload "
+                             "shapes, escalating weights)")
+    parser.add_argument("--policy", type=str, default="rr",
+                        choices=("rr", "wrr"),
+                        help="arbitration policy")
+    parser.add_argument("--commands", type=int, default=0,
+                        help="commands per tenant (0 = default 48)")
+    parser.add_argument("--rate", type=float, default=0.0,
+                        help="open-loop arrival rate per tenant in "
+                             "IOPS (0 = closed loop, saturating)")
+    parser.add_argument("--isolate", action="store_true",
+                        help="give each tenant a disjoint channel "
+                             "subset (namespace->channel pinning)")
+    parser.add_argument("--trace", type=str, default="",
+                        help="append a trace-replay tenant (implies "
+                             "paced arrivals for the synthetic "
+                             "tenants)")
+    _add_json(parser, "the result")
+
+
+def _add_campaign_run_options(parser: argparse.ArgumentParser,
+                              name: str) -> None:
+    """The campaign-runner flags of ``campaign run`` and ``reliability
+    run`` (``name`` is the campaign id ``--name`` defaults to)."""
+    parser.add_argument("dir",
+                        help="campaign directory (created if missing)")
+    parser.add_argument("--workers", type=int, default=0,
+                        help="worker processes (0 = all cores)")
+    parser.add_argument("--name", type=str, default="",
+                        help=f"campaign id in the store (default: {name})")
+    parser.add_argument("--timeout", type=float, default=0.0,
+                        help="per-point time budget in seconds (0 = none)")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress per-point progress lines")
+
+
+def _add_store_options(parser: argparse.ArgumentParser) -> None:
+    """The result-store flags of ``campaign query`` and ``campaign
+    report``."""
+    parser.add_argument("dir", help="campaign directory")
+    parser.add_argument("--metric", type=str, default="ssd_cache_mbps",
+                        help="dotted payload path, e.g. latency_us.p99")
+    parser.add_argument("--where", action="append", default=[],
+                        metavar="CONSTRAINT",
+                        help='constraint, e.g. "latency_us.p99<=2000" '
+                             "(repeatable)")
+    parser.add_argument("--campaign-id", type=str, default="",
+                        help="campaign id in the store (default: first)")
+    _add_json(parser, "the answer")
+
+
+def _add_reliability_metric(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--metric", type=str, default="failed_rate",
+                        choices=["failed_rate", "uber"],
+                        help="stopping-rule / frontier reliability metric")
+
+
+# ----------------------------------------------------------------------
+# Loading: architecture, workloads, runner
+
+
+def _architecture(args: argparse.Namespace) -> SsdArchitecture:
+    """The architecture ``--config`` names (default: the stock drive),
+    dialed to ``--fidelity`` where the subcommand has one."""
+    arch = (from_config(load_file(args.config)) if args.config
+            else SsdArchitecture())
+    fidelity = calibrated_fidelity(getattr(args, "fidelity", ""), arch)
+    return arch if fidelity is None else arch.with_fidelity(fidelity)
+
+
+def _iozone(args: argparse.Namespace, arch: SsdArchitecture):
+    """The ``--workload`` IOZONE workload and its ``arch/WORKLOAD``
+    label."""
+    name = args.workload.upper()
+    factory = IOZONE_SUITE.get(name)
+    if factory is None:
+        raise SystemExit(f"unknown workload {args.workload!r}; "
+                         f"choose from {sorted(IOZONE_SUITE)}")
+    return (factory(4096 * args.commands, block_bytes=args.block),
+            f"{arch.label}/{name}")
+
+
+def _trace_workload(args: argparse.Namespace):
+    """The trace replay the trace/replay options describe (the file is
+    hashed here, so a missing trace fails before anything runs)."""
+    from .core.tracereplay import TraceWorkload
+    return TraceWorkload.from_file(
+        args.trace, fmt=args.format,
+        honor_issue_times=not args.closed_loop,
+        time_scale=getattr(args, "time_scale", 1.0),
+        wrap=not getattr(args, "no_wrap", False),
+        precondition=getattr(args, "precondition", "none"),
+        max_commands=args.commands or None)
+
+
+def runner_from_args(args: argparse.Namespace, quiet: bool = False,
+                     name: str = ""):
     """Build the sweep/campaign runner an argparse namespace describes.
 
     With ``--campaign DIR`` the points run through a durable
-    :class:`~repro.core.campaign.CampaignRunner` (always resumable, so
-    ``--resume`` is implied); otherwise a plain :class:`SweepRunner`.
+    :class:`~repro.core.campaign.CampaignRunner` under the campaign id
+    ``"campaign"`` (always resumable, so ``--resume`` is implied).
+    ``campaign run`` and ``reliability run`` drain into their ``dir``
+    under ``--name`` (default ``name``).  Otherwise a plain
+    :class:`SweepRunner`.  Progress lines are off with ``quiet``,
+    ``--quiet`` or ``--json`` (the JSON document is all of stdout).
     """
+    quiet = (quiet or getattr(args, "quiet", False)
+             or getattr(args, "json", False))
+    progress = None if quiet else print_progress
     cache_dir = (getattr(args, "cache_dir", "")
                  or os.environ.get("REPRO_SWEEP_CACHE_DIR", "")) or None
     no_cache = getattr(args, "no_cache", False)
     resume = getattr(args, "resume", False)
     workers = getattr(args, "workers", 1) or None   # 0 -> all cores
     timeout = getattr(args, "timeout", 0.0) or None  # 0 -> unlimited
-    campaign_dir = getattr(args, "campaign", "")
-    if campaign_dir:
+    directory = getattr(args, "dir", "")
+    name = getattr(args, "name", "") or name
+    if getattr(args, "campaign", ""):
         if no_cache:
             raise SystemExit("--campaign and --no-cache are contradictory: "
                              "a campaign IS its durable result cache")
         if cache_dir is not None:
             raise SystemExit("--campaign keeps results inside the campaign "
                              "directory; drop --cache-dir")
+        directory, name = args.campaign, "campaign"
+    if directory:
         from .core import CampaignRunner
-        return CampaignRunner(campaign_dir, workers=workers,
-                              progress=None if quiet else print_progress,
-                              timeout_s=timeout)
+        return CampaignRunner(directory, workers=workers, name=name,
+                              progress=progress, timeout_s=timeout)
     if resume and no_cache:
         raise SystemExit("--resume and --no-cache are contradictory: "
                          "resuming replays cached partial results")
@@ -143,19 +314,69 @@ def runner_from_args(args: argparse.Namespace, quiet: bool = False):
                          "interrupted sweep's cache")
     return SweepRunner(workers=workers,
                        cache_dir=None if no_cache else cache_dir,
-                       progress=None if quiet else print_progress,
-                       timeout_s=timeout)
+                       progress=progress, timeout_s=timeout)
 
 
-def _print_summary(runner: SweepRunner) -> int:
-    """Print the sweep summary; nonzero when any point failed."""
-    if runner.last_summary is not None:
+# ----------------------------------------------------------------------
+# Output
+
+
+def _print_summary(runner: SweepRunner, json_mode: bool = False) -> int:
+    """Print the sweep summary (not under ``--json``: stdout is the
+    document) and any failed points (stderr); nonzero when a point
+    failed."""
+    if runner.last_summary is not None and not json_mode:
         print(runner.last_summary.format())
     result = runner.last_result
     if result is not None and result.summary.failed:
         print(result.format_failures(), file=sys.stderr)
         return 1
     return 0
+
+
+def _finish(args: argparse.Namespace, runner: SweepRunner, text: str,
+            document=None, failed: bool = False) -> int:
+    """The output tail of every fan-out command.
+
+    With ``--json`` stdout is exactly ``document`` (the runner ran
+    quiet); otherwise ``text`` followed by the sweep summary.  The exit
+    code is nonzero when a point failed or ``failed`` says a declared
+    check (analytic WAF, reliability failures) did not hold.
+    """
+    json_mode = getattr(args, "json", False)
+    print(render_json(document) if json_mode else text)
+    status = _print_summary(runner, json_mode)
+    return 1 if failed else status
+
+
+def _print_result(payload: dict) -> None:
+    """The throughput / IOPS / latency / utilization lines of a measured
+    payload (``run`` and ``trace replay``)."""
+    latency = payload["latency_us"]
+    print(f"throughput   : {payload['sustained_mbps']:.1f} MB/s sustained "
+          f"({payload['throughput_mbps']:.1f} full-span)")
+    print(f"IOPS         : {payload['iops']:.0f}")
+    print(f"latency      : mean {latency['mean']:.1f} us, "
+          f"p50 {latency['p50']:.1f}, p95 {latency['p95']:.1f}, "
+          f"p99 {latency['p99']:.1f}")
+    for name, value in payload["utilizations"].items():
+        print(f"utilization  : {name:<10} {value:6.1%}")
+
+
+def _matrix(title: str, names: List[str], cells: List[List[float]]) -> str:
+    return title + "\n" + render_columns(
+        [("", "<8")] + [(name, ">9.3f") for name in names],
+        ([name] + list(row) for name, row in zip(names, cells)),
+        sep="", rule=False)
+
+
+def _share(row: dict) -> str:
+    """The ``share d/a`` cell: demanded/achieved IOPS share."""
+    return f"{row['demanded_share']:>5.2f}/{row['achieved_share']:<5.2f}"
+
+
+# ----------------------------------------------------------------------
+# Paper experiments
 
 
 def cmd_features(args: argparse.Namespace) -> int:
@@ -176,69 +397,58 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_fig3(args: argparse.Namespace) -> int:
-    runner = runner_from_args(args)
-    rows = fig3_sweep(n_commands=args.commands,
-                      configs=_parse_configs(args.configs), runner=runner,
-                      fidelity=fidelity_from_cli(args))
-    print(render_breakdown_table(rows))
-    return _print_summary(runner)
-
-
-def cmd_fig4(args: argparse.Namespace) -> int:
-    runner = runner_from_args(args)
-    rows = fig4_sweep(n_commands=args.commands,
-                      configs=_parse_configs(args.configs), runner=runner,
-                      fidelity=fidelity_from_cli(args))
-    print(render_breakdown_table(rows))
-    return _print_summary(runner)
-
-
-def cmd_fig5(args: argparse.Namespace) -> int:
-    runner = runner_from_args(args)
-    fractions = [i / args.steps for i in range(args.steps + 1)]
-    series = fig5_wearout_sweep(fractions=fractions,
-                                n_commands=args.commands, runner=runner,
-                                fidelity=fidelity_from_cli(args))
-    print(render_series_table(series))
-    return _print_summary(runner)
+def cmd_experiment(args: argparse.Namespace) -> int:
+    """fig3 | fig4 | fig5 as a sweep, or as ``campaign run --experiment``
+    (which adds ``adaptive``: fast screen + cycle promotion on fig3)."""
+    runner = runner_from_args(args, name=args.experiment)
+    if args.experiment == "adaptive":
+        from .core import adaptive_fig3
+        text = adaptive_fig3(n_commands=args.commands,
+                             configs=_parse_configs(args.configs),
+                             budget_fraction=args.budget,
+                             runner=runner).format()
+    elif args.experiment == "fig5":
+        steps = getattr(args, "steps", 10)   # campaign run: the default
+        text = render_series_table(fig5_wearout_sweep(
+            fractions=[i / steps for i in range(steps + 1)],
+            n_commands=args.commands, runner=runner,
+            fidelity=calibrated_fidelity(args.fidelity)))
+    else:
+        sweep = fig3_sweep if args.experiment == "fig3" else fig4_sweep
+        text = render_breakdown_table(sweep(
+            n_commands=args.commands, configs=_parse_configs(args.configs),
+            runner=runner, fidelity=calibrated_fidelity(args.fidelity)))
+    return _finish(args, runner, text)
 
 
 def cmd_faults(args: argparse.Namespace) -> int:
-    runner = runner_from_args(args, quiet=args.json)
+    runner = runner_from_args(args)
     rows = faults_campaign(n_commands=args.commands, seed=args.seed,
                            runner=runner)
     failures = (runner.last_result.failures()
                 if runner.last_result is not None else [])
-    if args.json:
-        document = {
-            "seed": args.seed,
-            "commands": args.commands,
-            "rows": rows,
-            "failed_points": [
-                {"name": outcome.name,
-                 "error_type": outcome.failure.error_type,
-                 "message": outcome.failure.message}
-                for outcome in failures],
-        }
-        print(render_json(document))
-        return 1 if failures else 0
-    header = (f"{'point':<20} {'MB/s':>7} {'retries':>8} {'ret/read':>9} "
-              f"{'uncorr':>7} {'retired':>8} {'remaps':>7} {'failed':>7} "
-              f"{'UBER':>10}")
-    print(header)
-    print("-" * len(header))
-    for name, row in rows.items():
-        if row.get("status") == "failed":
-            print(f"{name:<20} FAILED {row['error_type']}: "
-                  f"{row['message']}")
-            continue
-        print(f"{name:<20} {row['sustained_mbps']:>7.1f} "
-              f"{row['read_retries']:>8d} {row['retries_per_read']:>9.3f} "
-              f"{row['uncorrectable_reads']:>7d} "
-              f"{row['retired_blocks']:>8d} {row['remapped_programs']:>7d} "
-              f"{row['failed_commands']:>7d} {row['uber']:>10.2e}")
-    return _print_summary(runner)
+    document = {
+        "seed": args.seed,
+        "commands": args.commands,
+        "rows": rows,
+        "failed_points": [
+            {"name": outcome.name,
+             "error_type": outcome.failure.error_type,
+             "message": outcome.failure.message}
+            for outcome in failures],
+    }
+    table = render_columns(
+        [("point", "<20"), ("MB/s", ">7.1f"), ("retries", ">8d"),
+         ("ret/read", ">9.3f"), ("uncorr", ">7d"), ("retired", ">8d"),
+         ("remaps", ">7d"), ("failed", ">7d"), ("UBER", ">10.2e")],
+        (f"{name:<20} FAILED {row['error_type']}: {row['message']}"
+         if row.get("status") == "failed" else
+         [name, row["sustained_mbps"], row["read_retries"],
+          row["retries_per_read"], row["uncorrectable_reads"],
+          row["retired_blocks"], row["remapped_programs"],
+          row["failed_commands"], row["uber"]]
+         for name, row in rows.items()))
+    return _finish(args, runner, table, document)
 
 
 def cmd_fig6(args: argparse.Namespace) -> int:
@@ -248,20 +458,9 @@ def cmd_fig6(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.config:
-        arch = from_config(load_file(args.config))
-    else:
-        arch = SsdArchitecture()
-    fidelity = fidelity_from_cli(args, arch)
-    if fidelity is not None:
-        arch = arch.with_fidelity(fidelity)
-    factory = IOZONE_SUITE.get(args.workload.upper())
-    if factory is None:
-        raise SystemExit(f"unknown workload {args.workload!r}; "
-                         f"choose from {sorted(IOZONE_SUITE)}")
-    workload = factory(4096 * args.commands, block_bytes=args.block)
+    arch = _architecture(args)
+    workload, label = _iozone(args, arch)
     runner = runner_from_args(args, quiet=True)
-    label = f"{arch.label}/{args.workload.upper()}"
     outcome = runner.run([SweepPoint(
         name=label, arch=arch, workload=workload, evaluator="measure",
         params={"warm_start": args.warm, "label": label})]).outcomes[0]
@@ -279,19 +478,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         payload["cached"] = outcome.cached
         print(render_json(payload))
         return 0
-    latency = payload["latency_us"]
     print(f"architecture : {arch.label}")
     print(f"host         : {arch.host.name}")
     print(f"workload     : {args.workload.upper()} x {args.commands} "
           f"({args.block} B blocks)")
-    print(f"throughput   : {payload['sustained_mbps']:.1f} MB/s sustained "
-          f"({payload['throughput_mbps']:.1f} full-span)")
-    print(f"IOPS         : {payload['iops']:.0f}")
-    print(f"latency      : mean {latency['mean']:.1f} us, "
-          f"p50 {latency['p50']:.1f}, p95 {latency['p95']:.1f}, "
-          f"p99 {latency['p99']:.1f}")
-    for name, value in payload["utilizations"].items():
-        print(f"utilization  : {name:<10} {value:6.1%}")
+    _print_result(payload)
     if outcome.cached:
         print("(result served from the sweep cache)")
     return 0
@@ -312,16 +503,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     report, per-channel utilization sparklines)."""
     from .core.experiments import profile_point
     from .obs import render_profile
-    if args.config:
-        arch = from_config(load_file(args.config))
-    else:
-        arch = SsdArchitecture()
-    factory = IOZONE_SUITE.get(args.workload.upper())
-    if factory is None:
-        raise SystemExit(f"unknown workload {args.workload!r}; "
-                         f"choose from {sorted(IOZONE_SUITE)}")
-    workload = factory(4096 * args.commands, block_bytes=args.block)
-    label = f"{arch.label}/{args.workload.upper()}"
+    arch = _architecture(args)
+    workload, label = _iozone(args, arch)
     result, recorder, timelines = profile_point(
         arch, workload, n_commands=args.commands, warm_start=args.warm,
         label=label, buckets=args.buckets)
@@ -347,116 +530,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_arch(args: argparse.Namespace):
-    if getattr(args, "config", ""):
-        return from_config(load_file(args.config))
-    return SsdArchitecture()
-
-
-def cmd_trace_characterize(args: argparse.Namespace) -> int:
-    """Stream the trace once and print its characterization report."""
-    from .host.traces import (characterize, format_profile, iter_trace,
-                              limit_records)
-    records = limit_records(iter_trace(args.trace, fmt=args.format),
-                            args.limit or None)
-    profile = characterize(records)
-    if args.json:
-        print(render_json({"trace": args.trace,
-                           "profile": profile.to_dict()}))
-    else:
-        print(format_profile(profile, source=args.trace))
-    return 0
-
-
-def cmd_trace_replay(args: argparse.Namespace) -> int:
-    """Replay a trace through one architecture: characterization table +
-    RunResult summary (optionally with span observability on)."""
-    from .core.tracereplay import TraceWorkload, replay_trace
-    from .host.traces import format_profile
-    workload = TraceWorkload.from_file(
-        args.trace, fmt=args.format,
-        honor_issue_times=not args.closed_loop,
-        time_scale=args.time_scale, wrap=not args.no_wrap,
-        precondition=args.precondition,
-        max_commands=args.commands or None)
-    arch = _trace_arch(args)
-    fidelity = fidelity_from_cli(args, arch)
-    if fidelity is not None:
-        arch = arch.with_fidelity(fidelity)
-    recorder = None
-    if args.trace_out:
-        from .obs import enable_observability
-        recorder = enable_observability()
-    try:
-        outcome = replay_trace(workload, arch=arch)
-    finally:
-        if recorder is not None:
-            from .obs import disable_observability
-            disable_observability()
-    result, profile = outcome.result, outcome.profile
-    if args.json:
-        print(render_json({
-            "trace": args.trace,
-            "sha256": workload.sha256,
-            "architecture": arch.label,
-            "fidelity": args.fidelity or "cycle",
-            "profile": profile.to_dict(),
-            "preconditioning_commands": outcome.preconditioning_commands,
-            "result": result.to_dict(),
-        }))
-    else:
-        print(format_profile(profile, source=args.trace))
-        print()
-        print(f"architecture : {arch.label}")
-        if args.fidelity:
-            print(f"fidelity     : {args.fidelity} (calibrated fast "
-                  f"paths)" if arch.fidelity.any_fast
-                  else f"fidelity     : {args.fidelity}")
-        print(f"replay mode  : "
-              f"{'closed-loop' if args.closed_loop else 'open-loop'}"
-              + (f", time x{args.time_scale:g}"
-                 if args.time_scale != 1.0 else ""))
-        if outcome.preconditioning_commands:
-            print(f"precondition : {args.precondition} "
-                  f"({outcome.preconditioning_commands} warm-up commands)")
-        print(f"throughput   : {result.sustained_mbps:.1f} MB/s sustained "
-              f"({result.throughput_mbps:.1f} full-span)")
-        print(f"IOPS         : {result.iops:.0f}")
-        print(f"latency      : mean {result.mean_latency_us:.1f} us, "
-              f"p50 {result.p50_latency_us:.1f}, "
-              f"p95 {result.p95_latency_us:.1f}, "
-              f"p99 {result.p99_latency_us:.1f}")
-        for name, value in result.utilizations.items():
-            print(f"utilization  : {name:<10} {value:6.1%}")
-        if result.failed_commands:
-            print(f"failed       : {result.failed_commands} commands")
-    if args.trace_out:
-        _write_chrome_trace(recorder, args.trace_out)
-    return 0
-
-
-def cmd_trace_convert(args: argparse.Namespace) -> int:
-    """Convert a trace between formats (auto-detected input)."""
-    from .host.traces import iter_trace, limit_records
-    from .host.traces.formats import write_trace_file
-    records = limit_records(iter_trace(args.src, fmt=args.format),
-                            args.commands or None)
-    lines = write_trace_file(args.dst, records, args.to)
-    print(f"wrote {lines} {args.to} lines to {args.dst}")
-    return 0
-
-
 def cmd_calibrate(args: argparse.Namespace) -> int:
     """Fit (or show) the fast-fidelity parameters; optionally check the
     fast fig3/fig5 error against the golden files."""
     from .core import calibrate, fidelity_error_report
     from .core.calibrate import DEFAULT_CACHE_DIR
-    if args.config:
-        arch = from_config(load_file(args.config))
-    else:
-        arch = SsdArchitecture()
-    cache_dir = args.cache_dir or DEFAULT_CACHE_DIR
-    result = calibrate(arch, cache_dir=cache_dir,
+    result = calibrate(_architecture(args),
+                       cache_dir=args.cache_dir or DEFAULT_CACHE_DIR,
                        use_cache=not args.no_cache)
     report = None
     if args.check:
@@ -515,50 +595,121 @@ def cmd_explore(args: argparse.Namespace) -> int:
     result = explorer.explore(candidates,
                               sequential_write(4096 * args.commands),
                               runner=runner)
-    print(render_breakdown_table({p.name: p.row for p in result.points}))
-    print()
-    print(f"target: {result.target_mbps:.1f} MB/s")
+    lines = [render_breakdown_table({p.name: p.row for p in result.points}),
+             "", f"target: {result.target_mbps:.1f} MB/s"]
     for point in result.points:
         flag = "meets target" if point.meets_target else "below target"
-        print(f"  {point.name:<4} cost {point.cost:7.0f}  "
-              f"{point.measured_mbps:8.1f} MB/s  ({flag})")
+        lines.append(f"  {point.name:<4} cost {point.cost:7.0f}  "
+                     f"{point.measured_mbps:8.1f} MB/s  ({flag})")
     optimal = result.optimal
     if optimal is not None:
-        print(f"optimal design point: {optimal.name} ({optimal.arch.label})")
+        lines.append(f"optimal design point: {optimal.name} "
+                     f"({optimal.arch.label})")
     else:
-        fallback = result.cheapest_within()
-        print("no point meets the target; cheapest near-best: "
-              f"{fallback.name}")
-    return _print_summary(runner)
+        lines.append("no point meets the target; cheapest near-best: "
+                     f"{result.cheapest_within().name}")
+    return _finish(args, runner, "\n".join(lines))
+
+
+# ----------------------------------------------------------------------
+# repro trace …
+
+
+def cmd_trace_characterize(args: argparse.Namespace) -> int:
+    """Stream the trace once and print its characterization report."""
+    from .host.traces import (characterize, format_profile, iter_trace,
+                              limit_records)
+    records = limit_records(iter_trace(args.trace, fmt=args.format),
+                            args.limit or None)
+    profile = characterize(records)
+    if args.json:
+        print(render_json({"trace": args.trace,
+                           "profile": profile.to_dict()}))
+    else:
+        print(format_profile(profile, source=args.trace))
+    return 0
+
+
+def cmd_trace_replay(args: argparse.Namespace) -> int:
+    """Replay a trace through one architecture: characterization table +
+    RunResult summary (optionally with span observability on)."""
+    from .core.tracereplay import replay_trace
+    from .host.traces import format_profile
+    workload = _trace_workload(args)
+    arch = _architecture(args)
+    recorder = None
+    if args.trace_out:
+        from .obs import enable_observability
+        recorder = enable_observability()
+    try:
+        outcome = replay_trace(workload, arch=arch)
+    finally:
+        if recorder is not None:
+            from .obs import disable_observability
+            disable_observability()
+    result, profile = outcome.result, outcome.profile
+    payload = result.to_payload()
+    if args.json:
+        print(render_json({
+            "trace": args.trace,
+            "sha256": workload.sha256,
+            "architecture": arch.label,
+            "fidelity": args.fidelity or "cycle",
+            "profile": profile.to_dict(),
+            "preconditioning_commands": outcome.preconditioning_commands,
+            "result": payload,
+        }))
+    else:
+        print(format_profile(profile, source=args.trace))
+        print()
+        print(f"architecture : {arch.label}")
+        if args.fidelity:
+            print(f"fidelity     : {args.fidelity} (calibrated fast "
+                  f"paths)" if arch.fidelity.any_fast
+                  else f"fidelity     : {args.fidelity}")
+        print(f"replay mode  : "
+              f"{'closed-loop' if args.closed_loop else 'open-loop'}"
+              + (f", time x{args.time_scale:g}"
+                 if args.time_scale != 1.0 else ""))
+        if outcome.preconditioning_commands:
+            print(f"precondition : {args.precondition} "
+                  f"({outcome.preconditioning_commands} warm-up commands)")
+        _print_result(payload)
+        if result.failed_commands:
+            print(f"failed       : {result.failed_commands} commands")
+    if args.trace_out:
+        _write_chrome_trace(recorder, args.trace_out)
+    return 0
 
 
 def cmd_trace_sweep(args: argparse.Namespace) -> int:
     """Replay one trace across Table II design points (sweep or
     campaign), printing per-point sustained MB/s."""
-    from .core.tracereplay import TraceWorkload, trace_sweep_points
-    workload = TraceWorkload.from_file(
-        args.trace, fmt=args.format,
-        honor_issue_times=not args.closed_loop,
-        precondition=args.precondition,
-        max_commands=args.commands or None)
+    from .core.tracereplay import trace_sweep_points
+    workload = _trace_workload(args)
     runner = runner_from_args(args)
-    points = trace_sweep_points(workload, _parse_configs(args.configs))
-    result = runner.run(points)
-    if args.json:
-        print(render_json({"trace": args.trace, "sha256": workload.sha256,
-                           "rows": result.payloads()}))
-    else:
-        header = f"{'point':<6} {'MB/s':>8} {'IOPS':>9} {'p99 us':>9}"
-        print(header)
-        print("-" * len(header))
-        for outcome in result.outcomes:
-            if outcome.failed:
-                continue
-            payload = outcome.payload
-            print(f"{outcome.name:<6} {payload['sustained_mbps']:>8.1f} "
-                  f"{payload['iops']:>9.0f} "
-                  f"{payload['latency_us']['p99']:>9.1f}")
-    return _print_summary(runner)
+    result = runner.run(trace_sweep_points(workload,
+                                           _parse_configs(args.configs)))
+    table = render_columns(
+        [("point", "<6"), ("MB/s", ">8.1f"), ("IOPS", ">9.0f"),
+         ("p99 us", ">9.1f")],
+        ([outcome.name, outcome.payload["sustained_mbps"],
+          outcome.payload["iops"], outcome.payload["latency_us"]["p99"]]
+         for outcome in result.outcomes if not outcome.failed))
+    return _finish(args, runner, table,
+                   {"trace": args.trace, "sha256": workload.sha256,
+                    "rows": result.payloads()})
+
+
+def cmd_trace_convert(args: argparse.Namespace) -> int:
+    """Convert a trace between formats (auto-detected input)."""
+    from .host.traces import iter_trace, limit_records
+    from .host.traces.formats import write_trace_file
+    records = limit_records(iter_trace(args.src, fmt=args.format),
+                            args.commands or None)
+    lines = write_trace_file(args.dst, records, args.to)
+    print(f"wrote {lines} {args.to} lines to {args.dst}")
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -569,7 +720,7 @@ def _parse_schemes(text: str) -> Optional[List[str]]:
     from .ftl import scheme_names
     if not text:
         return None
-    names = [name.strip() for name in text.split(",") if name.strip()]
+    names = _csv(text)
     unknown = [name for name in names if name not in scheme_names()]
     if unknown:
         raise SystemExit(f"unknown FTL schemes: {unknown}; "
@@ -612,15 +763,15 @@ def cmd_ftl_schemes(args: argparse.Namespace) -> int:
           f"({arch.total_dies} dies, {DEFAULT_BLOCKS_PER_PLANE} "
           f"blocks/plane, {DEFAULT_UTILIZATION:.0%} utilization)")
     print()
-    header = (f"{'scheme':<10} {'table B':>9} {'DRAM B':>9} "
-              f"{'flash B':>9} {'cached':>7}  description")
-    print(header)
-    print("-" * len(header))
-    for row in rows:
-        fp = row["footprint"]
-        print(f"{row['name']:<10} {fp['table_bytes']:>9d} "
-              f"{fp['dram_bytes']:>9d} {fp['flash_bytes']:>9d} "
-              f"{fp['cached_fraction']:>7.2f}  {row['description']}")
+    # The empty column widens the gap before the free-text description.
+    print(render_columns(
+        [("scheme", "<10"), ("table B", ">9d"), ("DRAM B", ">9d"),
+         ("flash B", ">9d"), ("cached", ">7.2f"), ("", ""),
+         ("description", "")],
+        ([row["name"], row["footprint"]["table_bytes"],
+          row["footprint"]["dram_bytes"], row["footprint"]["flash_bytes"],
+          row["footprint"]["cached_fraction"], "", row["description"]]
+         for row in rows)))
     return 0
 
 
@@ -630,60 +781,40 @@ def cmd_ftl_sweep(args: argparse.Namespace) -> int:
     page-map reference against the analytic WAF model."""
     from .core.ftlsweep import (analytic_waf_check, ftl_sweep,
                                 ftl_sweep_table)
-    from .core.tracereplay import TraceWorkload
-    workload = TraceWorkload.from_file(
-        args.trace, fmt=args.format,
-        honor_issue_times=not args.closed_loop,
-        max_commands=args.commands or None)
-    runner = runner_from_args(args, quiet=args.json)
-    schemes = _parse_schemes(args.schemes)
-    budgets = ([int(part) for part in args.dram_budgets.split(",") if part]
-               if args.dram_budgets else None)
-    try:
-        payloads = ftl_sweep(workload, schemes=schemes,
-                             dram_budgets=budgets, runner=runner,
-                             logical_utilization=args.utilization,
-                             blocks_per_plane=args.blocks_per_plane)
-    except Exception as error:
-        raise SystemExit(str(error))
-    rows = ftl_sweep_table(payloads)
+    workload = _trace_workload(args)
+    runner = runner_from_args(args)
+    rows = ftl_sweep_table(ftl_sweep(
+        workload, schemes=_parse_schemes(args.schemes),
+        dram_budgets=(_csv(args.dram_budgets, int) if args.dram_budgets
+                      else None),
+        runner=runner,
+        logical_utilization=args.utilization,
+        blocks_per_plane=args.blocks_per_plane))
     analytic = None if args.no_analytic else analytic_waf_check()
-    if args.json:
-        # No wall-clock summary line: JSON output must stay byte-identical
-        # across runs and worker counts (same convention as cmd_faults).
-        print(render_json({"trace": args.trace, "sha256": workload.sha256,
-                           "rows": rows,
-                           **({} if analytic is None
-                              else {"analytic": analytic})}))
-        return 1 if analytic is not None \
-            and not analytic["within_bound"] else 0
-    else:
-        header = (f"{'point':<14} {'scheme':<9} {'WAF':>8} {'MB/s':>7} "
-                  f"{'mean us':>9} {'p99 us':>9} {'table B':>9} "
-                  f"{'DRAM B':>9} {'cached':>7}")
-        print(header)
-        print("-" * len(header))
-        for row in rows:
-            print(f"{row['point']:<14} {row['scheme']:<9} "
-                  f"{row['waf']:>8.3f} {row['throughput_mbps']:>7.2f} "
-                  f"{row['mean_latency_us']:>9.1f} "
-                  f"{row['p99_latency_us']:>9.1f} "
-                  f"{row['table_bytes']:>9d} {row['dram_bytes']:>9d} "
-                  f"{row['cached_fraction']:>7.2f}")
-        if analytic is not None:
-            print()
-            print(f"analytic check : measured pagemap WAF "
+    lines = [render_columns(
+        [("point", "<14"), ("scheme", "<9"), ("WAF", ">8.3f"),
+         ("MB/s", ">7.2f"), ("mean us", ">9.1f"), ("p99 us", ">9.1f"),
+         ("table B", ">9d"), ("DRAM B", ">9d"), ("cached", ">7.2f")],
+        ([row["point"], row["scheme"], row["waf"], row["throughput_mbps"],
+          row["mean_latency_us"], row["p99_latency_us"],
+          row["table_bytes"], row["dram_bytes"], row["cached_fraction"]]
+         for row in rows))]
+    if analytic is not None:
+        lines += ["",
+                  f"analytic check : measured pagemap WAF "
                   f"{analytic['measured_waf']:.3f} vs greedy sim "
                   f"{analytic['greedy_sim_waf']:.3f} "
                   f"({analytic['deviation_vs_greedy']:.1%} off), "
-                  f"LRU closed form {analytic['lru_analytic_waf']:.3f}")
-            print("analytic check : "
+                  f"LRU closed form {analytic['lru_analytic_waf']:.3f}",
+                  "analytic check : "
                   + ("PASS (within bound)" if analytic["within_bound"]
-                     else "FAIL (outside bound)"))
-    status = _print_summary(runner)
-    if analytic is not None and not analytic["within_bound"]:
-        return 1
-    return status
+                     else "FAIL (outside bound)")]
+    document = {"trace": args.trace, "sha256": workload.sha256,
+                "rows": rows,
+                **({} if analytic is None else {"analytic": analytic})}
+    return _finish(args, runner, "\n".join(lines), document,
+                   failed=analytic is not None
+                   and not analytic["within_bound"])
 
 
 # ----------------------------------------------------------------------
@@ -722,51 +853,36 @@ def _tenant_specs_from_args(args: argparse.Namespace):
     return specs
 
 
-def _print_tenant_rows(rows: List[dict]) -> None:
-    header = (f"{'tenant':<8} {'workload':<8} {'wgt':>3} {'cmds':>5} "
-              f"{'share d/a':>11} {'p50 us':>9} {'p99 us':>9} "
-              f"{'p99.9':>9} {'p99.99':>9}")
-    print(header)
-    print("-" * len(header))
-    for row in rows:
-        latency = row["latency_us"]
-        print(f"{row['name']:<8} {row['workload']:<8} {row['weight']:>3} "
-              f"{row['commands']:>5} "
-              f"{row['demanded_share']:>5.2f}/{row['achieved_share']:<5.2f} "
-              f"{latency['p50']:>9.1f} {latency['p99']:>9.1f} "
-              f"{latency['p999']:>9.1f} {latency['p9999']:>9.1f}")
-
-
-def _print_matrix(title: str, names: List[str],
-                  cells: List[List[float]]) -> None:
-    print(title)
-    print(f"{'':<8}" + "".join(f"{name:>9}" for name in names))
-    for name, row in zip(names, cells):
-        print(f"{name:<8}" + "".join(f"{value:>9.3f}" for value in row))
+def _mix_title(args: argparse.Namespace, head: str) -> str:
+    return (f"{head}, {args.policy} arbitration"
+            + (", isolated channels" if args.isolate else ""))
 
 
 def cmd_tenants_run(args: argparse.Namespace) -> int:
     """Arbitrate one tenant mix and print per-tenant QoS metrics."""
     from .core.tenantsweep import run_tenant_mix, tenants_base_architecture
     specs = _tenant_specs_from_args(args)
-    try:
-        payload, __ = run_tenant_mix(
-            tenants_base_architecture(), specs, policy=args.policy,
-            isolate_channels=args.isolate,
-            label=f"t{len(specs)}-{args.policy}")
-    except (ValueError, OSError) as error:
-        raise SystemExit(str(error))
+    payload, __ = run_tenant_mix(
+        tenants_base_architecture(), specs, policy=args.policy,
+        isolate_channels=args.isolate,
+        label=f"t{len(specs)}-{args.policy}")
     if args.json:
         print(render_json(payload))
         return 0
     aggregate = payload["aggregate"]
-    print(f"{payload['label']}: {payload['n_tenants']} tenant(s), "
-          f"{args.policy} arbitration"
-          + (", isolated channels" if args.isolate else ""))
+    print(_mix_title(args, f"{payload['label']}: "
+                           f"{payload['n_tenants']} tenant(s)"))
     print(f"aggregate: {aggregate['throughput_mbps']:.1f} MB/s, "
           f"{aggregate['commands']} commands")
     print()
-    _print_tenant_rows(payload["tenants"])
+    print(render_columns(
+        [("tenant", "<8"), ("workload", "<8"), ("wgt", ">3"),
+         ("cmds", ">5"), ("share d/a", ">11"), ("p50 us", ">9.1f"),
+         ("p99 us", ">9.1f"), ("p99.9", ">9.1f"), ("p99.99", ">9.1f")],
+        ([row["name"], row["workload"], row["weight"], row["commands"],
+          _share(row), row["latency_us"]["p50"], row["latency_us"]["p99"],
+          row["latency_us"]["p999"], row["latency_us"]["p9999"]]
+         for row in payload["tenants"])))
     return 0
 
 
@@ -775,127 +891,49 @@ def cmd_tenants_report(args: argparse.Namespace) -> int:
     from .core.tenantsweep import (interference_matrix,
                                    tenants_base_architecture)
     specs = _tenant_specs_from_args(args)
-    try:
-        matrix, events = interference_matrix(
-            tenants_base_architecture(), specs, policy=args.policy,
-            isolate_channels=args.isolate)
-    except (ValueError, OSError) as error:
-        raise SystemExit(str(error))
+    matrix, events = interference_matrix(
+        tenants_base_architecture(), specs, policy=args.policy,
+        isolate_channels=args.isolate)
     if args.json:
         print(render_json({"policy": args.policy,
                            "isolate_channels": bool(args.isolate),
                            **matrix}))
         return 0
     names = matrix["tenants"]
-    print(f"noisy-neighbor matrix: {len(names)} tenants, "
-          f"{args.policy} arbitration"
-          + (", isolated channels" if args.isolate else "")
+    print(_mix_title(args, f"noisy-neighbor matrix: {len(names)} tenants")
           + f" ({events} kernel events)")
     print()
-    _print_matrix("mean-latency inflation (row = victim, col = neighbor):",
-                  names, matrix["inflation"])
+    print(_matrix("mean-latency inflation (row = victim, col = neighbor):",
+                  names, matrix["inflation"]))
     print()
-    _print_matrix("GC-attributed us/command gained in the pairing:",
-                  names, matrix["gc_attributed_us"])
+    print(_matrix("GC-attributed us/command gained in the pairing:",
+                  names, matrix["gc_attributed_us"]))
     return 0
 
 
 def cmd_tenants_sweep(args: argparse.Namespace) -> int:
     """Run the tenant-count × arbitration-policy grid."""
     from .core.tenantsweep import tenant_sweep, tenant_sweep_table
-    counts = [int(part) for part in args.counts.split(",") if part]
-    policies = [part.strip() for part in args.policies.split(",") if part]
-    runner = runner_from_args(args, quiet=args.json)
-    try:
-        payloads = tenant_sweep(counts=counts, policies=policies,
-                                runner=runner,
-                                interference=not args.no_interference)
-    except (RuntimeError, ValueError) as error:
-        raise SystemExit(str(error))
-    rows = tenant_sweep_table(payloads)
-    if args.json:
-        # No wall-clock summary line: JSON output must stay byte-identical
-        # across runs and worker counts (same convention as cmd_faults).
-        print(render_json({"rows": rows}))
-        return 0
-    header = (f"{'point':<10} {'tenant':<8} {'workload':<8} "
-              f"{'share d/a':>11} {'p50 us':>9} {'p99 us':>9} "
-              f"{'p99.9':>9} {'p99.99':>9} {'worst nbr':>10}")
-    print(header)
-    print("-" * len(header))
-    for row in rows:
-        worst = row["worst_neighbor_inflation"]
-        print(f"{row['point']:<10} {row['tenant']:<8} "
-              f"{row['workload']:<8} "
-              f"{row['demanded_share']:>5.2f}/"
-              f"{row['achieved_share']:<5.2f} "
-              f"{row['p50_latency_us']:>9.1f} "
-              f"{row['p99_latency_us']:>9.1f} "
-              f"{row['p999_latency_us']:>9.1f} "
-              f"{row['p9999_latency_us']:>9.1f} "
-              + (f"{worst:>10.3f}" if worst is not None else f"{'-':>10}"))
-    return _print_summary(runner)
+    runner = runner_from_args(args)
+    rows = tenant_sweep_table(tenant_sweep(
+        counts=_csv(args.counts, int), policies=_csv(args.policies),
+        runner=runner,
+        interference=not args.no_interference))
+    table = render_columns(
+        [("point", "<10"), ("tenant", "<8"), ("workload", "<8"),
+         ("share d/a", ">11"), ("p50 us", ">9.1f"), ("p99 us", ">9.1f"),
+         ("p99.9", ">9.1f"), ("p99.99", ">9.1f"), ("worst nbr", ">10.3f")],
+        ([row["point"], row["tenant"], row["workload"], _share(row),
+          row["p50_latency_us"], row["p99_latency_us"],
+          row["p999_latency_us"], row["p9999_latency_us"],
+          "-" if row["worst_neighbor_inflation"] is None
+          else row["worst_neighbor_inflation"]]
+         for row in rows))
+    return _finish(args, runner, table, {"rows": rows})
 
 
 # ----------------------------------------------------------------------
 # repro campaign …
-
-
-def _campaign_constraints(texts: List[str]):
-    from .core import parse_constraint
-    try:
-        return [parse_constraint(text) for text in texts]
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-
-def cmd_campaign_run(args: argparse.Namespace) -> int:
-    """Run (or resume) a canonical experiment as a campaign."""
-    from .core import CampaignRunner, adaptive_fig3
-    runner = CampaignRunner(args.dir, workers=args.workers or None,
-                            name=args.name or args.experiment,
-                            progress=None if args.quiet
-                            else print_progress,
-                            timeout_s=args.timeout or None)
-    if args.experiment == "adaptive":
-        outcome = adaptive_fig3(n_commands=args.commands,
-                                configs=_parse_configs(args.configs),
-                                budget_fraction=args.budget, runner=runner)
-        print(outcome.format())
-        return _print_summary(runner)
-    if args.experiment in ("fig3", "fig4"):
-        sweep = fig3_sweep if args.experiment == "fig3" else fig4_sweep
-        rows = sweep(n_commands=args.commands,
-                     configs=_parse_configs(args.configs), runner=runner,
-                     fidelity=fidelity_from_cli(args))
-        print(render_breakdown_table(rows))
-        return _print_summary(runner)
-    if args.experiment == "fig5":
-        series = fig5_wearout_sweep(n_commands=args.commands, runner=runner,
-                                    fidelity=fidelity_from_cli(args))
-        print(render_series_table(series))
-        return _print_summary(runner)
-    raise SystemExit(f"unknown experiment {args.experiment!r}")
-
-
-def cmd_campaign_worker(args: argparse.Namespace) -> int:
-    """Join an existing campaign as one worker process."""
-    from .core import CampaignError, run_worker
-    try:
-        executed = run_worker(args.dir, timeout_s=args.timeout or None,
-                              lease_ttl_s=args.ttl)
-    except CampaignError as error:
-        raise SystemExit(str(error))
-    print(f"worker done: executed {executed} point(s)")
-    return 0
-
-
-def _open_campaign(directory: str):
-    from .core import Campaign, CampaignError
-    try:
-        return Campaign.open(directory)
-    except CampaignError as error:
-        raise SystemExit(str(error))
 
 
 def _campaign_id(store, override: str) -> str:
@@ -908,9 +946,18 @@ def _campaign_id(store, override: str) -> str:
     return campaigns[0]["campaign_id"]
 
 
+def cmd_campaign_worker(args: argparse.Namespace) -> int:
+    """Join an existing campaign as one worker process."""
+    from .core import run_worker
+    executed = run_worker(args.dir, timeout_s=args.timeout or None,
+                          lease_ttl_s=args.ttl)
+    print(f"worker done: executed {executed} point(s)")
+    return 0
+
+
 def cmd_campaign_status(args: argparse.Namespace) -> int:
-    campaign = _open_campaign(args.dir)
-    status = campaign.status()
+    from .core import Campaign
+    status = Campaign.open(args.dir).status()
     if args.json:
         print(render_json(status.to_dict()))
     else:
@@ -920,15 +967,16 @@ def cmd_campaign_status(args: argparse.Namespace) -> int:
 
 def cmd_campaign_query(args: argparse.Namespace) -> int:
     """Rank points by any stored metric, with constraint filters."""
-    campaign = _open_campaign(args.dir)
-    with campaign.store() as store:
+    from .core import Campaign, parse_constraint
+    with Campaign.open(args.dir).store() as store:
         campaign_id = _campaign_id(store, args.campaign_id)
         if args.list_metrics:
             for metric in store.metric_names(campaign_id):
                 print(metric)
             return 0
         rows = store.query(campaign_id, args.metric,
-                           where=_campaign_constraints(args.where),
+                           where=[parse_constraint(text)
+                                  for text in args.where],
                            top=args.top or None, ascending=args.ascending)
     if args.json:
         print(render_json({"campaign": campaign_id, "metric": args.metric,
@@ -943,14 +991,14 @@ def cmd_campaign_query(args: argparse.Namespace) -> int:
 def cmd_campaign_report(args: argparse.Namespace) -> int:
     """Decision support: Pareto frontier, best-under-constraint,
     failure post-mortems."""
-    campaign = _open_campaign(args.dir)
-    with campaign.store() as store:
+    from .core import Campaign, parse_constraint
+    with Campaign.open(args.dir).store() as store:
         campaign_id = _campaign_id(store, args.campaign_id)
         counts = store.status_counts(campaign_id)
         frontier = store.pareto_frontier(campaign_id, args.metric)
-        constraints = _campaign_constraints(args.where)
-        best = store.best_under_constraint(campaign_id, args.metric,
-                                           constraints)
+        best = store.best_under_constraint(
+            campaign_id, args.metric,
+            [parse_constraint(text) for text in args.where])
         failures = store.failures(campaign_id)
     if args.json:
         print(render_json({
@@ -990,49 +1038,32 @@ def cmd_campaign_report(args: argparse.Namespace) -> int:
 
 def _reliability_grid(args: argparse.Namespace):
     from .core import ReliabilityGrid
-    fractions = tuple(float(part) for part in args.fractions.split(",")
-                      if part) if args.fractions else None
-    spares = tuple(int(part) for part in args.spares.split(",")
-                   if part) if args.spares else None
-    kinds = tuple(part for part in args.kinds.split(",")
-                  if part) if args.kinds else None
     grid = ReliabilityGrid()
     return ReliabilityGrid(
-        fractions=fractions or grid.fractions,
-        spares=spares or grid.spares,
-        kinds=kinds or grid.kinds,
+        fractions=tuple(_csv(args.fractions, float)) or grid.fractions,
+        spares=tuple(_csv(args.spares, int)) or grid.spares,
+        kinds=tuple(_csv(args.kinds)) or grid.kinds,
         n_commands=args.commands,
         campaign_seed=args.seed)
 
 
 def cmd_reliability_run(args: argparse.Namespace) -> int:
     """Monte-Carlo reliability campaign with CI-driven stopping."""
-    from .core import CampaignRunner, run_reliability_campaign
-    runner = CampaignRunner(args.dir, workers=args.workers or None,
-                            name=args.name or "reliability",
-                            progress=None if (args.quiet or args.json)
-                            else print_progress,
-                            timeout_s=args.timeout or None)
+    from .core import run_reliability_campaign
+    runner = runner_from_args(args, name="reliability")
     outcome = run_reliability_campaign(
         grid=_reliability_grid(args), runner=runner,
         replicas=args.replicas, batch=args.batch or None,
         target_half_width=args.target_half_width or None,
         metric=args.metric)
-    if args.json:
-        print(render_json(outcome.to_dict()))
-    else:
-        print(outcome.format())
-        _print_summary(runner)
-    return 1 if outcome.failed_points else 0
+    return _finish(args, runner, outcome.format(), outcome.to_dict(),
+                   failed=bool(outcome.failed_points))
 
 
 def cmd_reliability_report(args: argparse.Namespace) -> int:
     """Re-aggregate a reliability campaign directory (no simulation)."""
-    from .core import CampaignError, report_from_campaign
-    try:
-        outcome = report_from_campaign(args.dir, metric=args.metric)
-    except CampaignError as error:
-        raise SystemExit(str(error))
+    from .core import report_from_campaign
+    outcome = report_from_campaign(args.dir, metric=args.metric)
     if not outcome.estimates:
         raise SystemExit(f"no published rel/ points in {args.dir!r} — "
                          f"run 'repro reliability run' first")
@@ -1041,6 +1072,10 @@ def cmd_reliability_report(args: argparse.Namespace) -> int:
     else:
         print(outcome.format())
     return 1 if outcome.failed_points else 0
+
+
+# ----------------------------------------------------------------------
+# Parser + entry point
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1056,23 +1091,19 @@ def build_parser() -> argparse.ArgumentParser:
     validate.add_argument("--commands", type=int, default=800)
     validate.set_defaults(func=cmd_validate)
 
-    for name, func, help_text in (
-            ("fig3", cmd_fig3, "Fig. 3 SATA sweep"),
-            ("fig4", cmd_fig4, "Fig. 4 PCIe/NVMe sweep")):
+    for name, help_text, commands in (
+            ("fig3", "Fig. 3 SATA sweep", 2000),
+            ("fig4", "Fig. 4 PCIe/NVMe sweep", 2000),
+            ("fig5", "Fig. 5 wear-out sweep", 400)):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--commands", type=int, default=2000)
-        p.add_argument("--configs", type=str, default="",
-                       help="comma-separated subset of C1..C10")
+        p.add_argument("--commands", type=int, default=commands)
+        if name == "fig5":
+            p.add_argument("--steps", type=int, default=10)
+        else:
+            _add_configs(p)
         add_sweep_options(p)
         add_fidelity_option(p)
-        p.set_defaults(func=func)
-
-    fig5 = sub.add_parser("fig5", help="Fig. 5 wear-out sweep")
-    fig5.add_argument("--commands", type=int, default=400)
-    fig5.add_argument("--steps", type=int, default=10)
-    add_sweep_options(fig5)
-    add_fidelity_option(fig5)
-    fig5.set_defaults(func=cmd_fig5)
+        p.set_defaults(func=cmd_experiment, experiment=name)
 
     faults = sub.add_parser(
         "faults", help="seeded fault-injection campaign (reliability "
@@ -1080,8 +1111,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--commands", type=int, default=300)
     faults.add_argument("--seed", type=int, default=1234,
                         help="fault-plan seed; same seed = same schedule")
-    faults.add_argument("--json", action="store_true",
-                        help="emit deterministic JSON (for diffing runs)")
+    _add_json(faults, "deterministic rows (for diffing runs)")
     add_sweep_options(faults)
     faults.set_defaults(func=cmd_faults)
 
@@ -1090,16 +1120,8 @@ def build_parser() -> argparse.ArgumentParser:
     fig6.set_defaults(func=cmd_fig6)
 
     run = sub.add_parser("run", help="run one architecture/workload")
-    run.add_argument("--config", type=str, default="",
-                     help="architecture config file (flat or JSON)")
-    run.add_argument("--workload", type=str, default="SW",
-                     help="SW | SR | RW | RR")
-    run.add_argument("--commands", type=int, default=1000)
-    run.add_argument("--block", type=int, default=4096)
-    run.add_argument("--warm", action="store_true",
-                     help="warm-start the write cache")
-    run.add_argument("--json", action="store_true",
-                     help="emit the result as JSON")
+    _add_iozone_options(run, commands=1000)
+    _add_json(run, "the result")
     add_sweep_options(run)
     add_fidelity_option(run)
     run.set_defaults(func=cmd_run)
@@ -1108,14 +1130,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile", help="run one workload with span observability on; "
                         "print the latency breakdown and bottleneck "
                         "report, optionally export a Chrome trace")
-    profile.add_argument("--config", type=str, default="",
-                         help="architecture config file (flat or JSON)")
-    profile.add_argument("--workload", type=str, default="SW",
-                         help="SW | SR | RW | RR")
-    profile.add_argument("--commands", type=int, default=400)
-    profile.add_argument("--block", type=int, default=4096)
-    profile.add_argument("--warm", action="store_true",
-                         help="warm-start the write cache")
+    _add_iozone_options(profile, commands=400)
     profile.add_argument("--top", type=int, default=10,
                          help="rows per breakdown table")
     profile.add_argument("--buckets", type=int, default=60,
@@ -1123,77 +1138,50 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--trace-out", type=str, default="",
                          help="write a Chrome trace_event JSON here "
                               "(Perfetto-loadable)")
-    profile.add_argument("--json", action="store_true",
-                         help="emit the breakdown as JSON")
+    _add_json(profile, "the breakdown")
     profile.set_defaults(func=cmd_profile)
 
     trace = sub.add_parser(
-        "trace", help="real-trace workloads: characterize, replay or "
-                      "convert a native / MSR-Cambridge CSV / blkparse "
-                      "trace file")
+        "trace", help="real-trace workloads: characterize, replay, sweep "
+                      "or convert a native / MSR-Cambridge CSV / "
+                      "blkparse trace file")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
 
     characterize = trace_sub.add_parser(
         "characterize", help="one streaming pass: mix, footprint, "
                              "sequentiality, histograms, implied QD")
-    characterize.add_argument("trace", help="trace file (any format)")
-    characterize.add_argument("--format", type=str, default="auto",
-                              help="native | msr | blkparse | auto")
+    _add_trace_file(characterize)
     characterize.add_argument("--limit", type=int, default=0,
                               help="only the first N records (0 = all)")
-    characterize.add_argument("--json", action="store_true",
-                              help="emit the profile as JSON")
+    _add_json(characterize, "the profile")
     characterize.set_defaults(func=cmd_trace_characterize)
 
     replay = trace_sub.add_parser(
         "replay", help="replay the trace through a simulated drive; "
                        "prints the characterization table and the "
                        "RunResult summary")
-    replay.add_argument("trace", help="trace file (any format)")
-    replay.add_argument("--format", type=str, default="auto",
-                        help="native | msr | blkparse | auto")
-    replay.add_argument("--config", type=str, default="",
-                        help="architecture config file (flat or JSON)")
-    replay.add_argument("--commands", type=int, default=0,
-                        help="replay only the first N records (0 = all)")
-    replay.add_argument("--closed-loop", action="store_true",
-                        help="ignore trace issue times; saturate the "
-                             "queue (Fig. 3/4 regime)")
+    _add_trace_file(replay)
+    _add_config(replay)
+    _add_replay_options(replay)
     replay.add_argument("--time-scale", type=float, default=1.0,
                         help="scale issue times (0.5 = replay 2x faster)")
     replay.add_argument("--no-wrap", action="store_true",
                         help="do not wrap LBAs into the simulated "
                              "drive's capacity")
-    replay.add_argument("--precondition", type=str, default="none",
-                        choices=["none", "fill", "steady"],
-                        help="warm-up before measuring: fill the "
-                             "addressed region / fill + random "
-                             "overwrites (steady state)")
     replay.add_argument("--trace-out", type=str, default="",
                         help="record spans during the replay and write "
                              "a Chrome trace_event JSON here")
-    replay.add_argument("--json", action="store_true",
-                        help="emit profile + result as JSON")
+    _add_json(replay, "profile + result")
     add_fidelity_option(replay)
     replay.set_defaults(func=cmd_trace_replay)
 
     tsweep = trace_sub.add_parser(
         "sweep", help="replay one trace across Table II design points "
                       "(supports --campaign for durable, resumable runs)")
-    tsweep.add_argument("trace", help="trace file (any format)")
-    tsweep.add_argument("--format", type=str, default="auto",
-                        help="native | msr | blkparse | auto")
-    tsweep.add_argument("--configs", type=str, default="",
-                        help="comma-separated subset of C1..C10")
-    tsweep.add_argument("--commands", type=int, default=0,
-                        help="replay only the first N records (0 = all)")
-    tsweep.add_argument("--closed-loop", action="store_true",
-                        help="ignore trace issue times; saturate the queue")
-    tsweep.add_argument("--precondition", type=str, default="none",
-                        choices=["none", "fill", "steady"],
-                        help="warm-up before measuring")
-    tsweep.add_argument("--json", action="store_true",
-                        help="emit per-point results as JSON")
+    _add_trace_file(tsweep)
+    _add_configs(tsweep)
+    _add_replay_options(tsweep)
+    _add_json(tsweep, "per-point results")
     add_sweep_options(tsweep)
     tsweep.set_defaults(func=cmd_trace_sweep)
 
@@ -1222,7 +1210,7 @@ def build_parser() -> argparse.ArgumentParser:
     fschemes.add_argument("--dram-bytes", type=int, default=0,
                           help="ftl_dram_bytes budget for DRAM-sensitive "
                                "schemes (0 = scheme default)")
-    fschemes.add_argument("--json", action="store_true")
+    _add_json(fschemes, "the registry")
     fschemes.set_defaults(func=cmd_ftl_schemes)
 
     fsweep = ftl_sub.add_parser(
@@ -1230,11 +1218,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "expanded across DRAM budgets); chart WAF / "
                       "latency / mapping bytes and validate the page-map "
                       "reference against the analytic WAF model")
-    fsweep.add_argument("trace", nargs="?",
-                        default="examples/sample_msr.csv",
-                        help="trace file (default: the bundled sample)")
-    fsweep.add_argument("--format", type=str, default="auto",
-                        help="native | msr | blkparse | auto")
+    _add_trace_file(fsweep, default="examples/sample_msr.csv")
     fsweep.add_argument("--schemes", type=str, default="",
                         help="comma-separated subset of the registry "
                              "(default: every scheme)")
@@ -1242,11 +1226,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated ftl_dram_bytes ladder for "
                              "DRAM-sensitive schemes (default: derived "
                              "from the geometry)")
-    fsweep.add_argument("--commands", type=int, default=0,
-                        help="replay only the first N records (0 = all)")
-    fsweep.add_argument("--closed-loop", action="store_true",
-                        help="ignore trace issue times; saturate the "
-                             "queue")
+    _add_replay_options(fsweep, precondition=False)
     fsweep.add_argument("--utilization", type=float, default=0.75,
                         help="logical utilization of the FTL's physical "
                              "space")
@@ -1255,8 +1235,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "in short traces)")
     fsweep.add_argument("--no-analytic", action="store_true",
                         help="skip the analytic WAF cross-check")
-    fsweep.add_argument("--json", action="store_true",
-                        help="emit rows + analytic check as JSON")
+    _add_json(fsweep, "rows + analytic check")
     add_sweep_options(fsweep)
     fsweep.set_defaults(func=cmd_ftl_sweep)
 
@@ -1268,39 +1247,18 @@ def build_parser() -> argparse.ArgumentParser:
     tenants_sub = tenants.add_subparsers(dest="tenants_command",
                                          required=True)
 
-    def add_tenant_options(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument("--tenants", type=int, default=3,
-                            help="synthetic tenant count (varied workload "
-                                 "shapes, escalating weights)")
-        parser.add_argument("--policy", type=str, default="rr",
-                            choices=("rr", "wrr"),
-                            help="arbitration policy")
-        parser.add_argument("--commands", type=int, default=0,
-                            help="commands per tenant (0 = default 48)")
-        parser.add_argument("--rate", type=float, default=0.0,
-                            help="open-loop arrival rate per tenant in "
-                                 "IOPS (0 = closed loop, saturating)")
-        parser.add_argument("--isolate", action="store_true",
-                            help="give each tenant a disjoint channel "
-                                 "subset (namespace->channel pinning)")
-        parser.add_argument("--trace", type=str, default="",
-                            help="append a trace-replay tenant (implies "
-                                 "paced arrivals for the synthetic "
-                                 "tenants)")
-        parser.add_argument("--json", action="store_true")
-
     trun = tenants_sub.add_parser(
         "run", help="arbitrate one tenant mix; per-tenant "
                     "p50/p99/p99.9/p99.99 and achieved vs demanded "
                     "shares")
-    add_tenant_options(trun)
+    _add_tenant_options(trun)
     trun.set_defaults(func=cmd_tenants_run)
 
     treport = tenants_sub.add_parser(
         "report", help="N x N noisy-neighbor matrix: pairwise "
                        "mean-latency inflation vs solo baselines, with "
                        "the GC-attributed share from command spans")
-    add_tenant_options(treport)
+    _add_tenant_options(treport)
     treport.set_defaults(func=cmd_tenants_report)
 
     tsweep2 = tenants_sub.add_parser(
@@ -1313,8 +1271,7 @@ def build_parser() -> argparse.ArgumentParser:
     tsweep2.add_argument("--no-interference", action="store_true",
                          help="skip the pairwise interference matrices "
                               "(much faster)")
-    tsweep2.add_argument("--json", action="store_true",
-                         help="emit per-tenant QoS rows as JSON")
+    _add_json(tsweep2, "per-tenant QoS rows")
     add_sweep_options(tsweep2)
     tsweep2.set_defaults(func=cmd_tenants_sweep)
 
@@ -1322,8 +1279,7 @@ def build_parser() -> argparse.ArgumentParser:
         "calibrate", help="fit the fast-fidelity parameters from short "
                           "cycle-accurate probes (content-addressed "
                           "cache; see --fidelity fast elsewhere)")
-    cal.add_argument("--config", type=str, default="",
-                     help="architecture config file (flat or JSON)")
+    _add_config(cal)
     cal.add_argument("--cache-dir", type=str, default="",
                      help="calibration cache directory "
                           "(default .sweep-cache/calibration)")
@@ -1334,13 +1290,12 @@ def build_parser() -> argparse.ArgumentParser:
                           "against the golden files")
     cal.add_argument("--bound", type=float, default=0.05,
                      help="declared relative error bound for --check")
-    cal.add_argument("--json", action="store_true",
-                     help="emit calibration (and report) as JSON")
+    _add_json(cal, "calibration (and report)")
     cal.set_defaults(func=cmd_calibrate)
 
     report = sub.add_parser("report", help="run everything, emit markdown")
     report.add_argument("--commands", type=int, default=800)
-    report.add_argument("--configs", type=str, default="")
+    _add_configs(report)
     report.add_argument("--out", type=str, default="")
     report.add_argument("--skip-fig4", action="store_true")
     report.add_argument("--skip-reliability", action="store_true",
@@ -1352,7 +1307,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.set_defaults(func=cmd_report)
 
     explore = sub.add_parser("explore", help="design-space exploration")
-    explore.add_argument("--configs", type=str, default="")
+    _add_configs(explore)
     explore.add_argument("--commands", type=int, default=1000)
     add_sweep_options(explore)
     explore.set_defaults(func=cmd_explore)
@@ -1367,28 +1322,19 @@ def build_parser() -> argparse.ArgumentParser:
     crun = campaign_sub.add_parser(
         "run", help="run (or resume) an experiment as a campaign; "
                     "interrupted runs pick up with zero recomputation")
-    crun.add_argument("dir", help="campaign directory (created if missing)")
+    _add_campaign_run_options(crun, name="experiment")
     crun.add_argument("--experiment", type=str, default="fig3",
                       choices=["fig3", "fig4", "fig5", "adaptive"],
                       help="which canonical experiment to campaign "
                            "(adaptive = fast-fidelity screen + Pareto-band "
                            "promotion on the fig3 grid)")
     crun.add_argument("--commands", type=int, default=2000)
-    crun.add_argument("--configs", type=str, default="",
-                      help="comma-separated subset of C1..C10")
-    crun.add_argument("--workers", type=int, default=0,
-                      help="worker processes (0 = all cores)")
+    _add_configs(crun)
     crun.add_argument("--budget", type=float, default=0.5,
                       help="adaptive: max fraction of the grid promoted "
                            "to cycle fidelity")
-    crun.add_argument("--name", type=str, default="",
-                      help="campaign id in the store (default: experiment)")
-    crun.add_argument("--timeout", type=float, default=0.0,
-                      help="per-point time budget in seconds (0 = none)")
-    crun.add_argument("--quiet", action="store_true",
-                      help="suppress per-point progress lines")
     add_fidelity_option(crun)
-    crun.set_defaults(func=cmd_campaign_run)
+    crun.set_defaults(func=cmd_experiment)
 
     cworker = campaign_sub.add_parser(
         "worker", help="join an existing campaign as one extra worker "
@@ -1403,41 +1349,25 @@ def build_parser() -> argparse.ArgumentParser:
     cstatus = campaign_sub.add_parser(
         "status", help="point counts + live leases for a campaign dir")
     cstatus.add_argument("dir", help="campaign directory")
-    cstatus.add_argument("--json", action="store_true")
+    _add_json(cstatus, "the status")
     cstatus.set_defaults(func=cmd_campaign_status)
 
     cquery = campaign_sub.add_parser(
         "query", help="rank points by any stored metric "
                       "(dotted payload paths, e.g. latency_us.p99)")
-    cquery.add_argument("dir", help="campaign directory")
-    cquery.add_argument("--metric", type=str, default="ssd_cache_mbps")
-    cquery.add_argument("--where", action="append", default=[],
-                        metavar="CONSTRAINT",
-                        help='filter, e.g. "latency_us.p99<=2000" '
-                             "(repeatable)")
+    _add_store_options(cquery)
     cquery.add_argument("--top", type=int, default=0,
                         help="only the best N rows (0 = all)")
     cquery.add_argument("--ascending", action="store_true",
                         help="rank ascending (for latency-style metrics)")
-    cquery.add_argument("--campaign-id", type=str, default="",
-                        help="campaign id in the store (default: first)")
     cquery.add_argument("--list-metrics", action="store_true",
                         help="print the available metric names and exit")
-    cquery.add_argument("--json", action="store_true")
     cquery.set_defaults(func=cmd_campaign_query)
 
     creport = campaign_sub.add_parser(
         "report", help="decision support: Pareto frontier, "
                        "best-under-constraint, failure post-mortems")
-    creport.add_argument("dir", help="campaign directory")
-    creport.add_argument("--metric", type=str, default="ssd_cache_mbps")
-    creport.add_argument("--where", action="append", default=[],
-                         metavar="CONSTRAINT",
-                         help='constraint for "best", e.g. '
-                              '"latency_us.p99<=2000" (repeatable)')
-    creport.add_argument("--campaign-id", type=str, default="",
-                         help="campaign id in the store (default: first)")
-    creport.add_argument("--json", action="store_true")
+    _add_store_options(creport)
     creport.set_defaults(func=cmd_campaign_report)
 
     reliability = sub.add_parser(
@@ -1451,7 +1381,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="expand the fig-faults grid into seeded replicas and "
                     "estimate UBER / failed-command-rate with 95% CIs; "
                     "resumable, byte-identical across worker counts")
-    rrun.add_argument("dir", help="campaign directory (created if missing)")
+    _add_campaign_run_options(rrun, name="reliability")
     rrun.add_argument("--replicas", type=int, default=64,
                       help="replica budget per cell")
     rrun.add_argument("--batch", type=int, default=0,
@@ -1461,9 +1391,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="stop a cell early once the 95%% CI half-width "
                            "of --metric reaches this (0 = run the full "
                            "budget)")
-    rrun.add_argument("--metric", type=str, default="failed_rate",
-                      choices=["failed_rate", "uber"],
-                      help="stopping-rule / frontier reliability metric")
+    _add_reliability_metric(rrun)
     rrun.add_argument("--fractions", type=str, default="",
                       help="comma-separated wear levels "
                            "(default 0.5,0.9,1.0)")
@@ -1477,18 +1405,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="commands per replica")
     rrun.add_argument("--seed", type=int, default=1234,
                       help="campaign seed (replica seeds derive from it)")
-    rrun.add_argument("--workers", type=int, default=0,
-                      help="worker processes (0 = all cores)")
-    rrun.add_argument("--name", type=str, default="",
-                      help="campaign id in the store "
-                           "(default: reliability)")
-    rrun.add_argument("--timeout", type=float, default=0.0,
-                      help="per-point time budget in seconds (0 = none)")
-    rrun.add_argument("--quiet", action="store_true",
-                      help="suppress per-point progress lines")
-    rrun.add_argument("--json", action="store_true",
-                      help="deterministic estimator document (the bytes "
-                           "the reliability-smoke tier compares)")
+    _add_json(rrun, "the deterministic estimator document (the bytes "
+                    "the reliability-smoke tier compares)")
     rrun.set_defaults(func=cmd_reliability_run)
 
     rreport = reliability_sub.add_parser(
@@ -1496,19 +1414,19 @@ def build_parser() -> argparse.ArgumentParser:
                        "estimates + perf-vs-reliability-vs-spares Pareto "
                        "frontier, no simulation")
     rreport.add_argument("dir", help="campaign directory")
-    rreport.add_argument("--metric", type=str, default="failed_rate",
-                         choices=["failed_rate", "uber"],
-                         help="frontier reliability metric")
-    rreport.add_argument("--json", action="store_true")
+    _add_reliability_metric(rreport)
+    _add_json(rreport, "the estimates")
     rreport.set_defaults(func=cmd_reliability_report)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except USER_ERRORS as error:
+        raise SystemExit(str(error))
 
 
 if __name__ == "__main__":  # pragma: no cover

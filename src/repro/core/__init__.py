@@ -7,10 +7,10 @@ Fig. 2, Fig. 6 and Table I respectively.
 """
 
 from .adaptive import (AdaptiveOutcome, adaptive_breakdown_exploration,
-                       adaptive_fig3, calibrated_fast_fidelity,
-                       grid_coordinates, promote, propose_neighbors)
+                       adaptive_fig3, grid_coordinates, promote,
+                       propose_neighbors)
 from .calibrate import (DEFAULT_ERROR_BOUND, CalibrationResult, calibrate,
-                        calibration_key, fast_architecture,
+                        calibrated_fidelity, calibration_key,
                         fidelity_error_report)
 from .campaign import (Campaign, CampaignError, CampaignRunner,
                        CampaignStatus, Lease, LeaseQueue, run_worker)
@@ -19,7 +19,7 @@ from .experiments import (FAULT_CAMPAIGN_FRACTIONS, TABLE2_LABELS,
                           faults_architecture,
                           faults_campaign, fig3_profile, fig3_sweep,
                           fig3_workload, fig4_sweep, fig5_architecture,
-                          fig5_profile, fig5_wearout_sweep, profile_point,
+                          fig5_wearout_sweep, profile_point,
                           table2_configs,
                           table3_configs, validation_config)
 from .explorer import (DesignPoint, DesignSpaceExplorer, ExplorationResult,
@@ -46,7 +46,7 @@ from .reliability import (REL_PREFIX, Z_95, ReliabilityCell,
                           replica_points, replica_seed,
                           report_from_campaign, run_reliability_campaign,
                           wilson_interval)
-from .report import (render_breakdown_table, render_json,
+from .report import (render_breakdown_table, render_columns, render_json,
                      render_series_table, render_speed_table,
                      render_validation_table)
 from .sensitivity import (SensitivityCurve, SensitivityPoint,
@@ -67,7 +67,7 @@ __all__ = [
     "AdaptiveOutcome", "Campaign", "CampaignError", "CampaignRunner",
     "CampaignStatus", "Lease", "LeaseQueue", "ParetoEntry", "ResultStore",
     "adaptive_breakdown_exploration", "adaptive_fig3", "breakdown_points",
-    "calibrated_fast_fidelity", "entry_best", "entry_cheapest_within",
+    "entry_best", "entry_cheapest_within",
     "entry_frontier", "flatten_metrics", "frontier_value_at",
     "grid_coordinates", "multi_frontier", "pareto_frontier",
     "parse_constraint", "promote", "propose_neighbors", "run_worker",
@@ -78,7 +78,7 @@ __all__ = [
     "wilson_interval",
     "CAPABILITY_CHECKS", "CODE_VERSION", "CalibrationResult",
     "DEFAULT_ERROR_BOUND", "calibrate", "calibration_key",
-    "fast_architecture", "fidelity_error_report", "DesignPoint",
+    "calibrated_fidelity", "fidelity_error_report", "DesignPoint",
     "DesignSpaceExplorer", "PointFailure", "PointOutcome", "PointTimeout",
     "SweepCache", "SweepPoint",
     "SweepResult", "SweepRunner", "SweepSummary", "fingerprint",
@@ -91,7 +91,7 @@ __all__ = [
     "FAULT_CAMPAIGN_FRACTIONS", "TABLE2_LABELS", "TABLE3_LABELS",
     "ValidationPoint", "faults_architecture", "faults_campaign",
     "fig3_profile", "fig3_sweep",
-    "fig3_workload", "fig4_sweep", "fig5_architecture", "fig5_profile",
+    "fig3_workload", "fig4_sweep", "fig5_architecture",
     "fig5_wearout_sweep", "generate_design_space", "generate_report",
     "profile_point",
     "measure_speed",
@@ -103,7 +103,7 @@ __all__ = [
     "evaluate_tenants_point", "interference_matrix", "run_tenant_mix",
     "tenant_sweep", "tenant_sweep_points", "tenant_sweep_table",
     "tenants_base_architecture",
-    "render_breakdown_table", "render_json",
+    "render_breakdown_table", "render_columns", "render_json",
     "render_series_table", "render_speed_table", "render_table",
     "render_validation_table", "run_validation", "speed_sweep",
     "table2_configs", "table3_configs", "validation_config",

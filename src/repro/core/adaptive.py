@@ -25,6 +25,7 @@ from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
 from ..host.workload import Workload
 from ..ssd.architecture import SsdArchitecture
 from ..ssd.scenarios import BreakdownRow
+from .calibrate import calibrated_fidelity
 from .explorer import ResourceCostModel
 from .pareto import ParetoEntry, entry_frontier, frontier_value_at
 from .sweep import SweepPoint, SweepRunner
@@ -137,16 +138,6 @@ def propose_neighbors(coordinates: Mapping[str, Sequence[float]],
     return proposals
 
 
-def calibrated_fast_fidelity(base: Optional[SsdArchitecture] = None):
-    """The calibrated all-fast fidelity config (PR 6's screening tier)."""
-    from dataclasses import replace
-
-    from ..ssd.fidelity import fidelity_from_spec
-    from .calibrate import calibrate
-    config = fidelity_from_spec("fast")
-    return replace(config, **calibrate(base or SsdArchitecture()).to_dict())
-
-
 @dataclass
 class AdaptiveOutcome:
     """What an adaptive exploration did and what it concluded."""
@@ -208,8 +199,8 @@ def adaptive_breakdown_exploration(
     cost_model = cost_model or ResourceCostModel()
     runner = runner or SweepRunner(workers=1)
     if fast_fidelity is None:
-        fast_fidelity = calibrated_fast_fidelity(
-            next(iter(candidates.values())))
+        fast_fidelity = calibrated_fidelity(
+            "fast", next(iter(candidates.values())))
     names = sorted(candidates)
     costs = {name: cost_model.cost(candidates[name]) for name in names}
 

@@ -32,14 +32,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..dram.controller import DramController
 from ..kernel import Simulator
 from ..nand.geometry import PageAddress
 from ..ssd.architecture import SsdArchitecture
-from ..ssd.fidelity import Fidelity, FidelityConfig
+from ..ssd.fidelity import Fidelity, FidelityConfig, fidelity_from_spec
 from .sweep import CODE_VERSION, SweepCache, SweepRunner, canonical
 
 #: Bump when the probe definitions change (folded into the cache key).
@@ -245,18 +245,20 @@ def calibrate(arch: Optional[SsdArchitecture] = None,
     return result
 
 
-def fast_architecture(arch: Optional[SsdArchitecture] = None,
-                      calibration: Optional[CalibrationResult] = None,
-                      cache_dir: Optional[str] = DEFAULT_CACHE_DIR,
-                      **levels: str) -> SsdArchitecture:
-    """An architecture dialed to calibrated fast fidelity.
+def calibrated_fidelity(spec: str, arch: Optional[SsdArchitecture] = None
+                        ) -> Optional[FidelityConfig]:
+    """Resolve a fidelity spec (``"fast"``, ``"fast,dram=cycle"``, ...)
+    into a calibrated config; the empty spec means cycle (``None``).
 
-    Convenience wrapper: calibrates (or loads the cached fit) and
-    applies the resulting config; ``levels`` override per subsystem.
+    Any fast level pulls in the calibrated fast-path parameters for
+    ``arch`` (fitting them on first use; cached afterwards).
     """
-    arch = arch or SsdArchitecture()
-    calibration = calibration or calibrate(arch, cache_dir=cache_dir)
-    return arch.with_fidelity(calibration.to_fidelity(**levels))
+    if not spec:
+        return None
+    config = fidelity_from_spec(spec)
+    if config.any_fast:
+        config = replace(config, **calibrate(arch).to_dict())
+    return config
 
 
 # ----------------------------------------------------------------------

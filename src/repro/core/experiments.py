@@ -224,28 +224,6 @@ def fig3_profile(config: str = "C1", n_commands: int = 400,
                          label=f"fig3/{config}/cache", buckets=buckets)
 
 
-def fig5_profile(scheme: str = "adaptive", kind: str = "read",
-                 fraction: float = 1.0, n_commands: int = 200,
-                 buckets: int = 60):
-    """A profiled Fig. 5 point (ECC scheme x workload x wear fraction).
-
-    Shows the mechanism behind the fixed-vs-adaptive gap: at high wear
-    the ``ecc_decode`` stage share grows for the fixed scheme while the
-    adaptive one holds it flat.
-    """
-    if scheme not in ("fixed", "adaptive"):
-        raise ValueError(f"scheme must be fixed|adaptive, got {scheme!r}")
-    if kind not in ("read", "write"):
-        raise ValueError(f"kind must be read|write, got {kind!r}")
-    ecc = AdaptiveBch() if scheme == "adaptive" else FixedBch()
-    arch = fig5_architecture(ecc, fraction)
-    factory = sequential_read if kind == "read" else sequential_write
-    return profile_point(arch, factory(4096 * n_commands),
-                         n_commands=n_commands, warm_start=kind == "write",
-                         label=f"fig5/{scheme}/{kind}/{fraction}",
-                         buckets=buckets)
-
-
 #: Default endurance fractions for the fault-injection demo campaign:
 #: healthy mid-life, near end-of-life, and at rated endurance.
 FAULT_CAMPAIGN_FRACTIONS: Tuple[float, ...] = (0.5, 0.9, 1.0)

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
+from .report import render_columns
+
 PLATFORMS = ["SSDExplorer", "Emulation", "Trace-driven", "Hardware"]
 
 #: Rows of Table I: feature -> support per platform column.
@@ -195,13 +197,10 @@ def verify_ssdexplorer_column() -> Dict[str, bool]:
 def render_table() -> str:
     """Render Table I as fixed-width text."""
     width = max(len(feature) for feature in FEATURE_MATRIX) + 2
-    header = "Feature".ljust(width) + "".join(
-        platform.ljust(14) for platform in PLATFORMS)
-    lines = [header, "-" * len(header)]
-    for feature, support in FEATURE_MATRIX.items():
-        cells = "".join(("yes" if support[p] else "no").ljust(14)
-                        for p in PLATFORMS)
-        lines.append(feature.ljust(width) + cells)
-    lines.append("Simulation speed".ljust(width) + "".join(
-        SIMULATION_SPEED[p].ljust(14) for p in PLATFORMS))
-    return "\n".join(lines)
+    rows = [[feature] + ["yes" if support[p] else "no" for p in PLATFORMS]
+            for feature, support in FEATURE_MATRIX.items()]
+    rows.append(["Simulation speed"]
+                + [SIMULATION_SPEED[p] for p in PLATFORMS])
+    return render_columns(
+        [("Feature", f"<{width}")] + [(p, "<14") for p in PLATFORMS],
+        rows, sep="")

@@ -42,6 +42,7 @@ from ..host import sequential_read, sequential_write
 from .campaign import Campaign
 from .experiments import FAULT_CAMPAIGN_FRACTIONS, faults_architecture
 from .pareto import multi_frontier
+from .report import render_columns
 from .sweep import SweepPoint, SweepResult, SweepRunner
 
 #: Name prefix of every reliability replica point — the namespace that
@@ -381,20 +382,18 @@ class ReliabilityOutcome:
         }
 
     def format(self) -> str:
-        lines = [
-            f"{'cell':<22} {'reps':>5} {'MB/s':>8} {'fail-rate':>10} "
-            f"{'95% CI':>19} {'UBER':>10} {'conv':>5}"]
-        lines.append("-" * len(lines[0]))
+        rows = []
         for name in sorted(self.estimates):
             estimate = self.estimates[name]
             low, high = estimate.failed_rate_ci
-            flag = "yes" if self.converged.get(name) else "no"
-            lines.append(
-                f"{name:<22} {estimate.replicas:>5d} "
-                f"{estimate.mean_sustained_mbps:>8.1f} "
-                f"{estimate.failed_rate:>10.4f} "
-                f"[{low:>8.4f},{high:>8.4f}] "
-                f"{estimate.uber:>10.2e} {flag:>5}")
+            rows.append([name, estimate.replicas,
+                         estimate.mean_sustained_mbps, estimate.failed_rate,
+                         f"[{low:>8.4f},{high:>8.4f}]", estimate.uber,
+                         "yes" if self.converged.get(name) else "no"])
+        lines = [render_columns(
+            [("cell", "<22"), ("reps", ">5d"), ("MB/s", ">8.1f"),
+             ("fail-rate", ">10.4f"), ("95% CI", ">19"), ("UBER", ">10.2e"),
+             ("conv", ">5")], rows)]
         lines.append("")
         lines.append("perf-vs-reliability-vs-spares frontier:")
         for name in self.frontier:

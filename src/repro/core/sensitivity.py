@@ -17,6 +17,7 @@ from ..host.workload import Workload
 from ..ssd.architecture import SsdArchitecture
 from ..ssd.metrics import RunResult
 from ..ssd.scenarios import measure
+from .report import render_columns
 
 ArchFactory = Callable[[Any], SsdArchitecture]
 
@@ -102,8 +103,6 @@ def bottleneck_report(result: RunResult) -> List[Tuple[str, float]]:
 
 def render_sensitivity_table(curve: SensitivityCurve) -> str:
     """Fixed-width rendering of a sweep."""
-    header = curve.parameter.ljust(16) + "MB/s".rjust(10)
-    lines = [header, "-" * len(header)]
-    for value, mbps in curve.series():
-        lines.append(f"{str(value):<16}{mbps:10.1f}")
-    return "\n".join(lines)
+    return render_columns([(curve.parameter, "<16"), ("MB/s", ">10.1f")],
+                          ([str(value), mbps]
+                           for value, mbps in curve.series()), sep="")

@@ -127,8 +127,9 @@ def fingerprint(point: SweepPoint, salt: str = CODE_VERSION) -> str:
 
 
 class CampaignError(RuntimeError):
-    """A point set or result directory is inconsistent with what the
-    caller wants (e.g. a point that cannot be fingerprinted)."""
+    """A point set, result directory or sweep outcome is inconsistent
+    with what the caller wants (e.g. a point that cannot be
+    fingerprinted, or failed points where every payload was required)."""
 
 
 # ----------------------------------------------------------------------
@@ -419,7 +420,7 @@ class SweepResult:
         return [outcome for outcome in self.outcomes if outcome.failed]
 
     def checked_payloads(self, what: str,
-                         error: Type[Exception] = RuntimeError
+                         error: Type[Exception] = CampaignError
                          ) -> Dict[str, Dict[str, Any]]:
         """:meth:`payloads`, or raise ``error`` naming every failed point —
         a missing key then always means "not requested", never "dropped"."""

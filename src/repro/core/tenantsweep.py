@@ -335,7 +335,8 @@ def tenant_sweep(counts: Sequence[int] = DEFAULT_TENANT_COUNTS,
                  interference: bool = True) -> Dict[str, Dict[str, Any]]:
     """Run the grid; ``{point name: payload}``.
 
-    Raises ``RuntimeError`` if any point fails, naming each failed point
+    Raises :class:`~repro.core.sweep.CampaignError` (a ``RuntimeError``)
+    if any point fails, naming each failed point
     — a missing key always means "not requested", never "silently
     dropped".
     """

@@ -148,3 +148,20 @@ class TestReportRendering:
         text = render_series_table(series)
         assert "fixed-read" in text
         assert "120.0" in text
+
+
+class TestRenderColumns:
+    def test_header_takes_alignment_and_width_from_spec(self):
+        from repro.core import render_columns
+        text = render_columns([("point", "<6"), ("MB/s", ">8.1f")],
+                              [["C1", 12.345], ["C10", 7.0]])
+        assert text.splitlines() == [
+            "point      MB/s", "-" * 15, "C1         12.3", "C10         7.0"]
+
+    def test_string_cells_rows_and_no_rule(self):
+        from repro.core import render_columns
+        text = render_columns(
+            [("", "<4"), ("a", ">6.2f")],
+            [["x", "-"], "free text row", ["y", 1.5]], sep="", rule=False)
+        assert text.splitlines() == [
+            "         a", "x        -", "free text row", "y     1.50"]
