@@ -370,11 +370,6 @@ def _matrix(title: str, names: List[str], cells: List[List[float]]) -> str:
         sep="", rule=False)
 
 
-def _share(row: dict) -> str:
-    """The ``share d/a`` cell: demanded/achieved IOPS share."""
-    return f"{row['demanded_share']:>5.2f}/{row['achieved_share']:<5.2f}"
-
-
 # ----------------------------------------------------------------------
 # Paper experiments
 
@@ -574,7 +569,8 @@ def cmd_report(args: argparse.Namespace) -> int:
                            include_fig4=not args.skip_fig4,
                            include_reliability=not args.skip_reliability,
                            include_ftl=not args.skip_ftl,
-                           reliability_replicas=args.reliability_replicas)
+                           reliability_replicas=args.reliability_replicas,
+                           runner=runner_from_args(args, quiet=True))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -780,7 +776,7 @@ def cmd_ftl_sweep(args: argparse.Namespace) -> int:
     WAF / latency / mapping-footprint trade-off table and check the
     page-map reference against the analytic WAF model."""
     from .core.ftlsweep import (analytic_waf_check, ftl_sweep,
-                                ftl_sweep_table)
+                                ftl_sweep_table, render_ftl_sweep_table)
     workload = _trace_workload(args)
     runner = runner_from_args(args)
     rows = ftl_sweep_table(ftl_sweep(
@@ -791,28 +787,11 @@ def cmd_ftl_sweep(args: argparse.Namespace) -> int:
         logical_utilization=args.utilization,
         blocks_per_plane=args.blocks_per_plane))
     analytic = None if args.no_analytic else analytic_waf_check()
-    lines = [render_columns(
-        [("point", "<14"), ("scheme", "<9"), ("WAF", ">8.3f"),
-         ("MB/s", ">7.2f"), ("mean us", ">9.1f"), ("p99 us", ">9.1f"),
-         ("table B", ">9d"), ("DRAM B", ">9d"), ("cached", ">7.2f")],
-        ([row["point"], row["scheme"], row["waf"], row["throughput_mbps"],
-          row["mean_latency_us"], row["p99_latency_us"],
-          row["table_bytes"], row["dram_bytes"], row["cached_fraction"]]
-         for row in rows))]
-    if analytic is not None:
-        lines += ["",
-                  f"analytic check : measured pagemap WAF "
-                  f"{analytic['measured_waf']:.3f} vs greedy sim "
-                  f"{analytic['greedy_sim_waf']:.3f} "
-                  f"({analytic['deviation_vs_greedy']:.1%} off), "
-                  f"LRU closed form {analytic['lru_analytic_waf']:.3f}",
-                  "analytic check : "
-                  + ("PASS (within bound)" if analytic["within_bound"]
-                     else "FAIL (outside bound)")]
     document = {"trace": args.trace, "sha256": workload.sha256,
                 "rows": rows,
                 **({} if analytic is None else {"analytic": analytic})}
-    return _finish(args, runner, "\n".join(lines), document,
+    return _finish(args, runner, render_ftl_sweep_table(rows, analytic),
+                   document,
                    failed=analytic is not None
                    and not analytic["within_bound"])
 
@@ -860,7 +839,8 @@ def _mix_title(args: argparse.Namespace, head: str) -> str:
 
 def cmd_tenants_run(args: argparse.Namespace) -> int:
     """Arbitrate one tenant mix and print per-tenant QoS metrics."""
-    from .core.tenantsweep import run_tenant_mix, tenants_base_architecture
+    from .core.tenantsweep import (run_tenant_mix, share_cell,
+                                   tenants_base_architecture)
     specs = _tenant_specs_from_args(args)
     payload, __ = run_tenant_mix(
         tenants_base_architecture(), specs, policy=args.policy,
@@ -880,8 +860,9 @@ def cmd_tenants_run(args: argparse.Namespace) -> int:
          ("cmds", ">5"), ("share d/a", ">11"), ("p50 us", ">9.1f"),
          ("p99 us", ">9.1f"), ("p99.9", ">9.1f"), ("p99.99", ">9.1f")],
         ([row["name"], row["workload"], row["weight"], row["commands"],
-          _share(row), row["latency_us"]["p50"], row["latency_us"]["p99"],
-          row["latency_us"]["p999"], row["latency_us"]["p9999"]]
+          share_cell(row), row["latency_us"]["p50"],
+          row["latency_us"]["p99"], row["latency_us"]["p999"],
+          row["latency_us"]["p9999"]]
          for row in payload["tenants"])))
     return 0
 
@@ -913,23 +894,15 @@ def cmd_tenants_report(args: argparse.Namespace) -> int:
 
 def cmd_tenants_sweep(args: argparse.Namespace) -> int:
     """Run the tenant-count × arbitration-policy grid."""
-    from .core.tenantsweep import tenant_sweep, tenant_sweep_table
+    from .core.tenantsweep import (render_tenant_sweep_table, tenant_sweep,
+                                   tenant_sweep_table)
     runner = runner_from_args(args)
     rows = tenant_sweep_table(tenant_sweep(
         counts=_csv(args.counts, int), policies=_csv(args.policies),
         runner=runner,
         interference=not args.no_interference))
-    table = render_columns(
-        [("point", "<10"), ("tenant", "<8"), ("workload", "<8"),
-         ("share d/a", ">11"), ("p50 us", ">9.1f"), ("p99 us", ">9.1f"),
-         ("p99.9", ">9.1f"), ("p99.99", ">9.1f"), ("worst nbr", ">10.3f")],
-        ([row["point"], row["tenant"], row["workload"], _share(row),
-          row["p50_latency_us"], row["p99_latency_us"],
-          row["p999_latency_us"], row["p9999_latency_us"],
-          "-" if row["worst_neighbor_inflation"] is None
-          else row["worst_neighbor_inflation"]]
-         for row in rows))
-    return _finish(args, runner, table, {"rows": rows})
+    return _finish(args, runner, render_tenant_sweep_table(rows),
+                   {"rows": rows})
 
 
 # ----------------------------------------------------------------------

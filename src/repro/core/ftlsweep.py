@@ -27,7 +27,9 @@ from ..ftl.schemes import get_scheme, scheme_footprint, scheme_names
 from ..ftl.waf import GreedyWafSimulator, spare_factor, waf_lru_analytic
 from ..host.traces.records import TraceError
 from ..host.workload import CommandListWorkload
+from ..obs.profile import render_columns
 from ..ssd.architecture import SsdArchitecture
+from ..ssd.ftl_device import ftl_blocks
 from ..ssd.scenarios import Scenario, run_scenario
 from .sweep import SweepPoint, SweepRunner
 from .tracereplay import TraceWorkload, _load_commands, verify_trace
@@ -114,8 +116,13 @@ def ftl_sweep_points(workload: TraceWorkload,
                      blocks_per_plane: int = DEFAULT_BLOCKS_PER_PLANE
                      ) -> List[SweepPoint]:
     """One sweep point per scheme — DRAM-sensitive schemes get one per
-    budget in ``dram_budgets`` (named ``scheme@<KiB>``)."""
+    budget in ``dram_budgets`` (named ``scheme@<KiB>``).
+
+    Raises ``ValueError`` before building any point if the utilization
+    or block count cannot size an FTL on ``base``.
+    """
     arch = base or ftl_base_architecture()
+    ftl_blocks(arch, logical_utilization, blocks_per_plane)
     selected = schemes or scheme_names()
     budgets = dram_budgets if dram_budgets is not None else \
         default_dram_budgets(arch, logical_utilization, blocks_per_plane)
@@ -193,6 +200,33 @@ def ftl_sweep_table(payloads: Dict[str, Dict[str, Any]]
             "p99_latency_us": payload.get("latency_us", {}).get("p99"),
         })
     return rows
+
+
+def render_ftl_sweep_table(rows: List[Dict[str, Any]],
+                           analytic: Optional[Dict[str, Any]] = None
+                           ) -> str:
+    """The ``repro ftl sweep`` table over :func:`ftl_sweep_table` rows,
+    followed by the :func:`analytic_waf_check` verdict when given (also
+    the report's FTL section)."""
+    lines = [render_columns(
+        [("point", "<14"), ("scheme", "<9"), ("WAF", ">8.3f"),
+         ("MB/s", ">7.2f"), ("mean us", ">9.1f"), ("p99 us", ">9.1f"),
+         ("table B", ">9d"), ("DRAM B", ">9d"), ("cached", ">7.2f")],
+        ([row["point"], row["scheme"], row["waf"], row["throughput_mbps"],
+          row["mean_latency_us"], row["p99_latency_us"],
+          row["table_bytes"], row["dram_bytes"], row["cached_fraction"]]
+         for row in rows))]
+    if analytic is not None:
+        lines += ["",
+                  f"analytic check : measured pagemap WAF "
+                  f"{analytic['measured_waf']:.3f} vs greedy sim "
+                  f"{analytic['greedy_sim_waf']:.3f} "
+                  f"({analytic['deviation_vs_greedy']:.1%} off), "
+                  f"LRU closed form {analytic['lru_analytic_waf']:.3f}",
+                  "analytic check : "
+                  + ("PASS (within bound)" if analytic["within_bound"]
+                     else "FAIL (outside bound)")]
+    return "\n".join(lines)
 
 
 def analytic_waf_check(utilization: float = DEFAULT_UTILIZATION,

@@ -81,8 +81,9 @@ def golden_tenants_small() -> Dict[str, Any]:
     """A 3-tenant mix under both arbitration policies (synthetic only).
 
     Pins the whole multi-initiator stack — queue-pair arbitration, the
-    static stream merge, namespace partitioning, log-binned tail
-    percentiles, share accounting and the pairwise interference matrix.
+    static stream merge, namespace partitioning, tail percentiles (exact
+    nearest-rank over the tenant's N commands), share accounting and
+    the pairwise interference matrix.
     Any behavior drift in arbitration or placement shows up as a byte
     diff here.
     """

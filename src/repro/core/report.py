@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import json
-import re
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
+from ..obs.profile import render_columns
 from ..ssd.metrics import json_safe
 from ..ssd.scenarios import BreakdownRow
 from .speed import SpeedSample
@@ -21,34 +21,6 @@ def render_json(payload, indent: int = 2) -> str:
     """
     return json.dumps(json_safe(payload), indent=indent, sort_keys=True,
                       allow_nan=False)
-
-
-#: The alignment-and-width prefix of a format spec (``">8"`` of ``">8.1f"``).
-_SHAPE = re.compile(r"[<>^]?\d*")
-
-
-def render_columns(columns: Sequence[Tuple[str, str]], rows: Iterable,
-                   sep: str = " ", rule: bool = True) -> str:
-    """Render a fixed-width text table: header, dash rule, one line per row.
-
-    ``columns`` pairs each header with the format spec of its cells
-    (e.g. ``("MB/s", ">8.1f")``); the header takes the spec's alignment
-    and width.  A string cell is pre-formatted text (a composite value or
-    a ``-`` placeholder) and is only aligned; a string row is emitted
-    verbatim (a failure note).  ``rule=False`` drops the dash line.
-    """
-    shapes = [_SHAPE.match(spec).group() for __, spec in columns]
-    header = sep.join(format(title, shape)
-                      for (title, __), shape in zip(columns, shapes))
-    lines = [header, "-" * len(header)] if rule else [header]
-    for row in rows:
-        if isinstance(row, str):
-            lines.append(row)
-            continue
-        lines.append(sep.join(
-            format(cell, shape if isinstance(cell, str) else spec)
-            for cell, (__, spec), shape in zip(row, columns, shapes)))
-    return "\n".join(lines)
 
 
 def render_breakdown_table(rows: Dict[str, BreakdownRow]) -> str:

@@ -57,9 +57,12 @@ from .lease import DEFAULT_LEASE_TTL_S, LeaseKeeper, LeaseQueue, atomic_write
 #: (ftl_scheme / ftl_dram_bytes / ftl_group_pages) and real-FTL
 #: RunResult payloads gained the ftl metrics section.
 #: sweep-7: the tenants evaluator landed (multi-initiator arbitration,
-#: per-tenant log-binned tail percentiles, interference matrices) and
-#: devices gained namespace→channel placement state.
-CODE_VERSION = "sweep-7"
+#: per-tenant tail percentiles, interference matrices) and devices
+#: gained namespace→channel placement state.
+#: sweep-8: tenant-row percentiles are exact nearest-rank over the
+#: tenant's N commands (the RunResult rule) instead of histogram bin
+#: edges, so cached tenant payloads of sweep-7 are stale.
+CODE_VERSION = "sweep-8"
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +235,7 @@ def _evaluate_guarded(point: SweepPoint, key: str, salt: str,
     if use_alarm:
         def on_alarm(signum, frame):
             raise PointTimeout(
-                f"point {point.name!r} exceeded {timeout_s:.1f}s")
+                f"point {point.name!r} exceeded {timeout_s:g}s")
         try:
             previous = signal.signal(signal.SIGALRM, on_alarm)
             signal.setitimer(signal.ITIMER_REAL, timeout_s)

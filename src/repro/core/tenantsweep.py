@@ -7,9 +7,8 @@ throughput.  Each sweep point arbitrates N tenant streams
 through the standard :func:`~repro.ssd.metrics.run_workload` path, then
 separates the completed commands back per tenant to report:
 
-* p50 / p99 / p99.9 / p99.99 latency from a log-binned
-  :class:`~repro.kernel.LatencyHistogram` (linear bins collapse the far
-  tail into one overflow bucket — a regression test proves it);
+* p50 / p99 / p99.9 / p99.99 latency, exact nearest-rank over the
+  tenant's N commands (the rule every run result uses);
 * achieved vs demanded IOPS share (demand from arbitration weights, or
   from configured rates for open-loop tenants);
 * an N×N noisy-neighbor matrix: tenant *i*'s mean-latency inflation when
@@ -29,17 +28,13 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..host.tenants import (ARBITRATION_POLICIES, Tenant, TenantSpec,
                             build_tenants, merge_tenants)
 from ..host.workload import CommandListWorkload
-from ..kernel import LatencyHistogram
+from ..obs.profile import render_columns
 from ..obs.spans import disable_observability, enable_observability
 from ..ssd.architecture import SsdArchitecture
-from ..ssd.metrics import RunResult, json_safe
+from ..ssd.metrics import RunResult, _latency_percentiles_us, json_safe
 from ..ssd.scenarios import Scenario, run_scenario
 from .sweep import SweepPoint, SweepRunner
 from .tracereplay import verify_trace
-
-#: Sub-bins per power of two for tail percentiles: 16 bounds the relative
-#: quantile error at 1/16 ~ 6.3% across the whole dynamic range.
-TAIL_BINS_PER_OCTAVE = 16
 
 #: Tenant-set sizes and policies of the default sweep grid.
 DEFAULT_TENANT_COUNTS = (1, 2, 3)
@@ -116,9 +111,8 @@ def _tenant_rows(tenants: Sequence[Tenant],
     rows: List[Dict[str, Any]] = []
     for index, tenant in enumerate(tenants):
         lat = latencies[index]
-        hist = LatencyHistogram(bins_per_octave=TAIL_BINS_PER_OCTAVE)
-        for sample in lat:
-            hist.add(sample)
+        p50, p99, p999, p9999 = _latency_percentiles_us(
+            lat, (0.50, 0.99, 0.999, 0.9999))
         rows.append({
             "name": tenant.name,
             "workload": tenant.spec.workload,
@@ -132,10 +126,10 @@ def _tenant_rows(tenants: Sequence[Tenant],
             "latency_us": {
                 "mean": (sum(lat) / len(lat) / 1e6) if lat else 0.0,
                 "max": (max(lat) / 1e6) if lat else 0.0,
-                "p50": hist.percentile(0.50) / 1e6,
-                "p99": hist.percentile(0.99) / 1e6,
-                "p999": hist.percentile(0.999) / 1e6,
-                "p9999": hist.percentile(0.9999) / 1e6,
+                "p50": p50,
+                "p99": p99,
+                "p999": p999,
+                "p9999": p9999,
             },
         })
     return rows
@@ -381,3 +375,23 @@ def tenant_sweep_table(payloads: Dict[str, Dict[str, Any]]
                 "worst_neighbor_inflation": worst,
             })
     return rows
+
+
+def share_cell(row: Dict[str, Any]) -> str:
+    """The ``share d/a`` cell: demanded/achieved IOPS share."""
+    return f"{row['demanded_share']:>5.2f}/{row['achieved_share']:<5.2f}"
+
+
+def render_tenant_sweep_table(rows: Sequence[Dict[str, Any]]) -> str:
+    """The ``repro tenants sweep`` table over :func:`tenant_sweep_table`
+    rows (also the report's multi-tenant section)."""
+    return render_columns(
+        [("point", "<10"), ("tenant", "<8"), ("workload", "<8"),
+         ("share d/a", ">11"), ("p50 us", ">9.1f"), ("p99 us", ">9.1f"),
+         ("p99.9", ">9.1f"), ("p99.99", ">9.1f"), ("worst nbr", ">10.3f")],
+        ([row["point"], row["tenant"], row["workload"], share_cell(row),
+          row["p50_latency_us"], row["p99_latency_us"],
+          row["p999_latency_us"], row["p9999_latency_us"],
+          "-" if row["worst_neighbor_inflation"] is None
+          else row["worst_neighbor_inflation"]]
+         for row in rows))

@@ -17,13 +17,13 @@ to those reference values so accuracy drift is caught.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 from ..host.workload import (random_read, random_write, sequential_read,
                              sequential_write)
 from ..ssd.architecture import SsdArchitecture
-from ..ssd.scenarios import measure
 from .experiments import validation_config
+from .sweep import SweepPoint, SweepRunner
 
 #: Paper-reported relative error of SSDExplorer vs the OCZ Vertex.
 PAPER_ERROR_MARGINS = {
@@ -60,8 +60,14 @@ class ValidationPoint:
 
 
 def run_validation(n_commands: int = 1600,
-                   arch: SsdArchitecture = None) -> Dict[str, ValidationPoint]:
-    """Run the four IOZone workloads and compare against the reference."""
+                   arch: SsdArchitecture = None,
+                   runner: Optional[SweepRunner] = None
+                   ) -> Dict[str, ValidationPoint]:
+    """Run the four IOZone workloads and compare against the reference.
+
+    Each workload is one ``measure`` sweep point, evaluated by
+    ``runner`` (default: a serial :class:`SweepRunner`).
+    """
     arch = arch or validation_config()
     total = 4096 * n_commands
     workloads = {
@@ -70,13 +76,15 @@ def run_validation(n_commands: int = 1600,
         "RW": (random_write(total, span_bytes=64 << 20), True),
         "RR": (random_read(total, span_bytes=64 << 20), False),
     }
-    points = {}
-    for name, (workload, warm) in workloads.items():
-        result = measure(arch, workload, warm_start=warm,
-                         label=f"fig2/{name}")
-        points[name] = ValidationPoint(
-            workload=name,
-            simulated_mbps=result.sustained_mbps,
-            reference_mbps=REFERENCE_MBPS[name],
-        )
-    return points
+    points = [SweepPoint(name=f"fig2/{name}", arch=arch, workload=workload,
+                         evaluator="measure",
+                         params={"warm_start": warm,
+                                 "label": f"fig2/{name}"})
+              for name, (workload, warm) in workloads.items()]
+    runner = runner or SweepRunner(workers=1)
+    payloads = runner.run(points).checked_payloads("validation")
+    return {name: ValidationPoint(
+                workload=name,
+                simulated_mbps=payloads[f"fig2/{name}"]["sustained_mbps"],
+                reference_mbps=REFERENCE_MBPS[name])
+            for name in workloads}

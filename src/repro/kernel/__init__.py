@@ -20,13 +20,12 @@ from .resources import Grant, PriorityResource, Resource, Store
 from .simtime import (MS, NS, PS, SEC, US, Clock, format_time, ms, ns,
                       period_from_hz, ps, seconds, to_seconds, to_us, us)
 from .simulator import Simulator
-from .stats import (Accumulator, Counter, LatencyHistogram,
-                    StatSet, ThroughputMeter, UtilizationTracker)
+from .stats import (Accumulator, Counter, StatSet, ThroughputMeter,
+                    UtilizationTracker)
 
 __all__ = [
     "Accumulator", "Clock", "Component", "Condition", "ConfigError",
-    "Counter", "Event", "Grant", "Interrupt",
-    "LatencyHistogram", "MS", "NS", "PS",
+    "Counter", "Event", "Grant", "Interrupt", "MS", "NS", "PS",
     "PriorityResource", "Process", "Resource", "SEC", "SimulationError",
     "Simulator", "StatSet", "Store", "ThroughputMeter", "Timeout", "US",
     "UtilizationTracker", "all_of", "any_of", "format_time", "load_file",

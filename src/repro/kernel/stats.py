@@ -64,98 +64,6 @@ class Accumulator:
         return math.sqrt(self.variance)
 
 
-class LatencyHistogram:
-    """Log-spaced histogram with constant *relative* resolution.
-
-    A linear-bin histogram trades tail resolution for range: a
-    ``bin_width`` fine enough to resolve a 100 us median caps out at
-    ``max_bins * bin_width`` and everything past it collapses into the
-    overflow bucket, so p99.9/p99.99 of a long-tailed latency
-    distribution degrade to ``inf``; widening the bins to reach the tail
-    instead flattens the body into one bucket and misreports the median.
-    This variant bins on a base-2 log scale — ``bins_per_octave``
-    sub-bins per power of two — so every quantile resolves to within a
-    relative error of ``1 / bins_per_octave`` over the entire positive
-    float range, with no overflow bucket at all.
-
-    Binning uses :func:`math.frexp` and exact dyadic arithmetic (no
-    ``log``), so bin indices and edges are bit-identical across
-    platforms — the golden tier depends on that.
-    """
-
-    __slots__ = ("bins_per_octave", "bins", "count", "zeros")
-
-    def __init__(self, bins_per_octave: int = 8):
-        if bins_per_octave < 1:
-            raise ValueError(f"bins_per_octave must be >= 1, "
-                             f"got {bins_per_octave}")
-        self.bins_per_octave = bins_per_octave
-        self.bins: Dict[int, int] = {}
-        self.count = 0
-        #: Zero-valued samples get their own bucket (log bins cannot
-        #: represent 0; a zero-latency completion is still a sample).
-        self.zeros = 0
-
-    @property
-    def relative_error(self) -> float:
-        """Worst-case relative overstatement of any percentile.
-
-        Sub-bins are spaced *linearly* inside each octave, so the widest
-        relative step is an octave's first sub-bin:
-        ``(0.5 + 1/(2B)) / 0.5 - 1 == 1 / B``.  (A geometric spacing
-        would give ``2 ** (1/B) - 1``, but linear spacing keeps the edge
-        arithmetic exactly dyadic — the cross-platform bit-identity the
-        golden tier depends on.)
-        """
-        return 1.0 / self.bins_per_octave
-
-    def add(self, sample: float) -> None:
-        if sample < 0:
-            raise ValueError(f"latency samples must be >= 0, got {sample}")
-        self.count += 1
-        if sample == 0:
-            self.zeros += 1
-            return
-        mantissa, exponent = math.frexp(sample)   # sample = m * 2**e
-        # m in [0.5, 1): m - 0.5 is exact (Sterbenz), the scale by
-        # 2 * bins_per_octave is clamped against a half-ulp round-up.
-        sub = min(int((mantissa - 0.5) * 2 * self.bins_per_octave),
-                  self.bins_per_octave - 1)
-        key = exponent * self.bins_per_octave + sub
-        self.bins[key] = self.bins.get(key, 0) + 1
-
-    def _edge(self, key: int, upper: bool = True) -> float:
-        exponent, sub = divmod(key, self.bins_per_octave)
-        fraction = 0.5 + (sub + (1 if upper else 0)) \
-            / (2 * self.bins_per_octave)
-        return math.ldexp(fraction, exponent)
-
-    def percentile(self, fraction: float) -> float:
-        """Upper edge of the bin containing the given quantile.
-
-        ``fraction == 0.0`` is the distribution minimum and returns the
-        *lower* edge of the first occupied bin.  The result is always
-        finite — there is no overflow bucket.
-        """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must be in [0, 1], got {fraction}")
-        if self.count == 0:
-            return 0.0
-        if fraction == 0.0:
-            if self.zeros:
-                return 0.0
-            return self._edge(min(self.bins), upper=False)
-        target = fraction * self.count
-        seen = self.zeros
-        if self.zeros and seen >= target:
-            return 0.0
-        for key in sorted(self.bins):
-            seen += self.bins[key]
-            if seen >= target:
-                return self._edge(key)
-        return self._edge(max(self.bins)) if self.bins else 0.0
-
-
 class UtilizationTracker:
     """Time-weighted busy/idle tracker for a single unit.
 

@@ -1,5 +1,6 @@
 """Profile rendering: stage breakdown tables, bottleneck report,
-utilization timeline sparklines.
+utilization timeline sparklines, and :func:`render_columns`, the one
+fixed-width table renderer behind every text table of the package.
 
 Pure formatting over the aggregates a :class:`~repro.obs.spans.SpanRecorder`
 collects plus utilization timelines sampled elsewhere (the device layer
@@ -9,11 +10,39 @@ module never imports the SSD stack).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import re
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..kernel.simtime import format_time
 
 _SPARK = "▁▂▃▄▅▆▇█"
+
+#: The alignment-and-width prefix of a format spec (``">8"`` of ``">8.1f"``).
+_SHAPE = re.compile(r"[<>^]?\d*")
+
+
+def render_columns(columns: Sequence[Tuple[str, str]], rows: Iterable,
+                   sep: str = " ", rule: bool = True) -> str:
+    """Render a fixed-width text table: header, dash rule, one line per row.
+
+    ``columns`` pairs each header with the format spec of its cells
+    (e.g. ``("MB/s", ">8.1f")``); the header takes the spec's alignment
+    and width.  A string cell is pre-formatted text (a composite value or
+    a ``-`` placeholder) and is only aligned; a string row is emitted
+    verbatim (a failure note).  ``rule=False`` drops the dash line.
+    """
+    shapes = [_SHAPE.match(spec).group() for __, spec in columns]
+    header = sep.join(format(title, shape)
+                      for (title, __), shape in zip(columns, shapes))
+    lines = [header, "-" * len(header)] if rule else [header]
+    for row in rows:
+        if isinstance(row, str):
+            lines.append(row)
+            continue
+        lines.append(sep.join(
+            format(cell, shape if isinstance(cell, str) else spec)
+            for cell, (__, spec), shape in zip(row, columns, shapes)))
+    return "\n".join(lines)
 
 
 def sparkline(values: List[float], vmax: float = 1.0) -> str:
@@ -40,20 +69,14 @@ def render_stage_table(breakdown: Dict[str, Dict[str, float]],
                        top_k: int = 10,
                        title: str = "stage") -> str:
     """Fixed-width table of the top-k stages by total time-in-flight."""
-    header = (title.ljust(14) + "share".rjust(8) + "total".rjust(14)
-              + "mean".rjust(12) + "max".rjust(12) + "count".rjust(9))
-    lines = [header, "-" * len(header)]
-    for name, row in _sorted_rows(breakdown, top_k):
-        lines.append(
-            name.ljust(14)
-            + f"{row['share']:8.1%}"
-            + format_time(int(row["total_ps"])).rjust(14)
-            + format_time(int(row["mean_ps"])).rjust(12)
-            + format_time(int(row["max_ps"])).rjust(12)
-            + f"{int(row['count']):9d}")
-    if not breakdown:
-        lines.append("(no spans recorded)")
-    return "\n".join(lines)
+    rows = [[name, row["share"], format_time(int(row["total_ps"])),
+             format_time(int(row["mean_ps"])),
+             format_time(int(row["max_ps"])), int(row["count"])]
+            for name, row in _sorted_rows(breakdown, top_k)]
+    return render_columns(
+        [(title, "<14"), ("share", ">8.1%"), ("total", ">14"),
+         ("mean", ">12"), ("max", ">12"), ("count", ">9d")],
+        rows or ["(no spans recorded)"], sep="")
 
 
 def render_timelines(timelines: Dict[str, List[float]],

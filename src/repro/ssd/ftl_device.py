@@ -32,6 +32,22 @@ from .architecture import CachePolicy, SsdArchitecture
 from .device import DataPathMode, SsdDevice
 
 
+def ftl_blocks(arch: SsdArchitecture, logical_utilization: float,
+               ftl_blocks_per_plane: Optional[int] = None) -> int:
+    """Check an FTL's sizing against ``arch``; return its blocks per plane.
+
+    The FTL can run on a reduced block count per plane so that GC
+    activity appears within tractable trace lengths; the physical
+    address space it manages is mapped 1:1 onto the timed dies.
+    """
+    if not 0.0 < logical_utilization < 1.0:
+        raise ValueError("logical_utilization must be in (0, 1)")
+    blocks = ftl_blocks_per_plane or arch.geometry.blocks_per_plane
+    if blocks > arch.geometry.blocks_per_plane:
+        raise ValueError("ftl_blocks_per_plane exceeds the geometry")
+    return blocks
+
+
 class FtlSsdDevice(SsdDevice):
     """An :class:`SsdDevice` whose data placement is a real page-map FTL."""
 
@@ -42,15 +58,8 @@ class FtlSsdDevice(SsdDevice):
                  ftl_scheme: Optional[str] = None,
                  parent=None):
         super().__init__(sim, arch, name=name, mode=mode, parent=parent)
-        if not 0.0 < logical_utilization < 1.0:
-            raise ValueError("logical_utilization must be in (0, 1)")
         geometry = arch.geometry
-        # The FTL can run on a reduced block count per plane so that GC
-        # activity appears within tractable trace lengths; the physical
-        # address space it manages is mapped 1:1 onto the timed dies.
-        blocks = ftl_blocks_per_plane or geometry.blocks_per_plane
-        if blocks > geometry.blocks_per_plane:
-            raise ValueError("ftl_blocks_per_plane exceeds the geometry")
+        blocks = ftl_blocks(arch, logical_utilization, ftl_blocks_per_plane)
         self.backend = JournalingBackend(
             arch.total_dies, geometry.planes_per_die, blocks,
             geometry.pages_per_block)

@@ -262,18 +262,20 @@ def run_workload(sim: Simulator, device: SsdDevice, workload: Workload,
     )
 
 
-def _latency_percentiles_us(latencies) -> tuple:
-    """(p50, p95, p99) command latency in microseconds."""
+def _latency_percentiles_us(latencies,
+                            fractions=(0.50, 0.95, 0.99)) -> tuple:
+    """Command latency percentiles in microseconds, one per fraction.
+
+    Exact nearest rank over all samples: the sorted sample at index
+    ``round(f * (n - 1))``.  Every latency percentile in a payload
+    (run results and tenant rows) comes from here.
+    """
     if not latencies:
-        return 0.0, 0.0, 0.0
+        return (0.0,) * len(fractions)
     ordered = sorted(latencies)
     n = len(ordered)
-
-    def pick(fraction):
-        index = min(n - 1, max(0, int(round(fraction * (n - 1)))))
-        return ordered[index] / 1e6
-
-    return pick(0.50), pick(0.95), pick(0.99)
+    return tuple(ordered[min(n - 1, max(0, int(round(f * (n - 1)))))] / 1e6
+                 for f in fractions)
 
 
 def _sustained_mbps(completions, warmup_fraction: float = 0.5,

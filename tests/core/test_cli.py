@@ -193,6 +193,10 @@ class TestReport:
     # --skip-reliability keeps these fast; the reliability section is
     # covered by test_experiments.py::TestFullReportUnit and the
     # dedicated tier in test_reliability.py.
+    @pytest.fixture(autouse=True)
+    def _shared_cache(self, monkeypatch, report_cache_dir):
+        monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR", report_cache_dir)
+
     def test_report_to_file(self, tmp_path, capsys):
         out = tmp_path / "report.md"
         assert main(["report", "--commands", "60", "--configs", "C1",

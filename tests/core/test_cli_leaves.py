@@ -163,6 +163,16 @@ def test_missing_trace_is_one_line_error(argv, tmp_path):
     assert proc.stdout == ""
 
 
+def test_bad_ftl_utilization_is_one_line_error():
+    # Rejected before any point is built: no progress, nothing simulated.
+    proc = _repro("ftl", "sweep", SAMPLE, "--utilization", "1.5",
+                  "--workers", "1")
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines() == [
+        "logical_utilization must be in (0, 1)"]
+    assert proc.stdout == ""
+
+
 @fork_only
 def test_trace_sweep_json_identical_across_worker_counts(capsys):
     outputs = []

@@ -79,10 +79,12 @@ class TestValidationConfig:
 
 
 class TestFullReportUnit:
-    def test_generate_report_structure(self):
-        from repro.core import generate_report
-        text = generate_report(n_commands=50, configs=["C1"],
-                               include_fig4=False, reliability_replicas=2)
+    def test_generate_report_structure(self, report_cache_dir):
+        from repro.core import SweepRunner, generate_report
+        text = generate_report(
+            n_commands=50, configs=["C1"], include_fig4=False,
+            reliability_replicas=2,
+            runner=SweepRunner(workers=1, cache_dir=report_cache_dir))
         for heading in ("Table I", "Fig. 2", "Fig. 3", "Fig. 5", "Fig. 6",
                         "Reliability"):
             assert heading in text

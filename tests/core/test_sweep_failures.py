@@ -163,12 +163,15 @@ class TestTimeouts:
         point = SweepPoint(name="slow", arch="stub", workload="wl",
                            evaluator="test_sleepy",
                            params={"seconds": 10.0})
-        started = time.perf_counter()
-        result = SweepRunner(workers=1, timeout_s=0.2).run([point])
-        assert time.perf_counter() - started < 5.0
-        assert result.summary.failed == 1
-        assert result.outcomes[0].failure.error_type == "PointTimeout"
-        assert "exceeded" in result.outcomes[0].failure.message
+        # A sub-decisecond budget needs more than one decimal to show.
+        for budget, shown in ((0.2, "0.2s"), (0.001, "0.001s")):
+            started = time.perf_counter()
+            result = SweepRunner(workers=1, timeout_s=budget).run([point])
+            assert time.perf_counter() - started < 5.0
+            assert result.summary.failed == 1
+            failure = result.outcomes[0].failure
+            assert failure.error_type == "PointTimeout"
+            assert f"exceeded {shown}" in failure.message
 
     def test_fast_point_unaffected_by_timeout(self):
         result = SweepRunner(workers=1, timeout_s=60.0).run([good_point()])

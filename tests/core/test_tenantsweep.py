@@ -80,6 +80,19 @@ def test_single_tenant_identity_holds_under_both_policies():
     assert canonical(rr["aggregate"]) == canonical(wrr["aggregate"])
 
 
+def test_single_tenant_percentiles_match_aggregate():
+    # One tenant's commands are the whole run's commands, so its tail
+    # percentiles come out of the same nearest-rank rule as the
+    # aggregate's.
+    arch = tenants_base_architecture()
+    payload, __ = run_tenant_mix(arch, [SOLO], policy="rr", label="solo")
+    (row,) = payload["tenants"]
+    aggregate = payload["aggregate"]["latency_us"]
+    assert row["commands"] == payload["aggregate"]["commands"]
+    assert row["latency_us"]["p50"] == aggregate["p50"]
+    assert row["latency_us"]["p99"] == aggregate["p99"]
+
+
 # ----------------------------------------------------------------------
 # Sweep wiring
 

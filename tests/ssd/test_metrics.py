@@ -1,6 +1,8 @@
 """Tests for the workload runner: percentiles, sustained throughput,
 open-loop replay and the command-list adapter."""
 
+import random
+
 import pytest
 
 from repro.host import (CommandListWorkload, IoCommand, IoOpcode,
@@ -41,6 +43,38 @@ class TestPercentiles:
         samples = [3_000_000, 1_000_000, 2_000_000]
         p50, __, __ = _latency_percentiles_us(samples)
         assert p50 == 2.0
+
+    def test_long_tail_resolves_exactly(self):
+        # A ~100 us body, a 5 ms knee of ten samples, one 50 ms
+        # straggler: p99.9 and p99.99 must come from the knee and the
+        # maximum from the straggler, at the exact nearest rank.
+        rng = random.Random(0xBAD7A11)
+        samples = [int(rng.uniform(60.0, 150.0) * 1e6) for __ in range(9989)]
+        samples += [int(rng.uniform(4500.0, 5500.0) * 1e6)
+                    for __ in range(10)]
+        samples.append(50_000 * 1_000_000)
+        fractions = (0.50, 0.99, 0.999, 0.9999, 1.0)
+        ordered = sorted(samples)
+        got = _latency_percentiles_us(samples, fractions)
+        assert got == tuple(ordered[round(f * (len(samples) - 1))] / 1e6
+                            for f in fractions)
+        p50, p99, p999, p9999, top = got
+        assert 60.0 <= p50 <= p99 <= 150.0
+        assert 4500.0 <= p999 <= p9999 <= 5500.0
+        assert top == 50_000.0
+
+    def test_empty_with_any_fractions(self):
+        assert _latency_percentiles_us(
+            [], (0.50, 0.99, 0.999, 0.9999)) == (0.0, 0.0, 0.0, 0.0)
+
+    def test_zero_latency_samples_count(self):
+        p50, __, p99 = _latency_percentiles_us([0, 0, 0, 10_000_000])
+        assert p50 == 0.0
+        assert p99 == 10.0
+
+    def test_extreme_magnitudes_stay_exact(self):
+        samples = [1, 10 ** 18]
+        assert _latency_percentiles_us(samples, (0.0, 1.0)) == (1e-6, 1e12)
 
     def test_run_result_carries_percentiles(self):
         sim = Simulator()
