@@ -34,11 +34,10 @@ class _SpaceWaiter(Event):
         self.nbytes = nbytes
 
     def _wake(self, _entry: None) -> None:
-        # Too big: re-queue, the writer stays suspended.  Room, or no writer
-        # left (interrupted): trigger inline; it resumes in this event.
+        # Too big: re-queue, the writer stays suspended.  Room: trigger
+        # inline; the writer resumes in this event.
         manager, index = self.manager, self.buffer_index
-        if (self.callbacks and manager._occupancy[index] + self.nbytes
-                > manager.capacity_bytes):
+        if manager._occupancy[index] + self.nbytes > manager.capacity_bytes:
             manager._space_waiters[index].append(self)
             return
         self._ok = True

@@ -52,9 +52,9 @@ class RoundRobinArbiter:
         self._owner = None
         if any(self._pending.values()):
             # Re-arbitration costs one clock edge.
-            self.sim.call_after(self.clock.period_ps, self._grant_next)
+            self.sim._after(self.clock.period_ps, self._grant_next)
 
-    def _grant_next(self) -> None:
+    def _grant_next(self, _entry: None = None) -> None:
         if self._owner is not None:
             return
         for offset in range(self.n_masters):

@@ -21,14 +21,6 @@ class SimulationError(Exception):
     """Base class for kernel errors."""
 
 
-class Interrupt(SimulationError):
-    """Raised inside a process that another process interrupted."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot event processes can wait on.
 
@@ -136,26 +128,21 @@ class Timeout(Event):
 
 
 class Condition(Event):
-    """Waits for *all* or *any* of a set of events.
+    """Waits for *all* of a set of events.
 
-    The payload is a dict mapping each triggered child event to its value at
-    the time the condition fired.
+    The payload is a dict mapping each child event to its value.  The first
+    child to fail fails the condition with that child's exception.
     """
 
     __slots__ = ("events", "_need", "_count")
 
-    ALL = "all"
-    ANY = "any"
-
-    def __init__(self, sim: "Simulator", events: List[Event], mode: str):
-        super().__init__(sim, name=f"condition({mode})")
-        if mode not in (self.ALL, self.ANY):
-            raise ValueError(f"unknown condition mode {mode!r}")
+    def __init__(self, sim: "Simulator", events: List[Event]):
+        super().__init__(sim, name="all_of")
         if not events:
             raise ValueError("condition needs at least one event")
         self.events = list(events)
         self._count = 0
-        self._need = len(self.events) if mode == self.ALL else 1
+        self._need = len(self.events)
         # Fast path: children that are already processed are counted via a
         # direct call (no add_callback dispatch), which also lets an
         # already-satisfied condition trigger before any heap traffic.
@@ -175,15 +162,9 @@ class Condition(Event):
             return
         self._count += 1
         if self._count >= self._need:
-            self.succeed({ev: ev._value for ev in self.events
-                          if ev._value is not PENDING and ev._ok})
+            self.succeed({ev: ev._value for ev in self.events})
 
 
 def all_of(sim: "Simulator", events: List[Event]) -> Condition:
     """Return an event that fires when every event in ``events`` has fired."""
-    return Condition(sim, events, Condition.ALL)
-
-
-def any_of(sim: "Simulator", events: List[Event]) -> Condition:
-    """Return an event that fires when any event in ``events`` has fired."""
-    return Condition(sim, events, Condition.ANY)
+    return Condition(sim, events)

@@ -2,8 +2,7 @@
 
 These model the contention points of the SSD microarchitecture: a
 :class:`Resource` is a counted semaphore with a FIFO grant queue (an ONFI
-channel data bus, a DMA engine, a DRAM data bus); a :class:`Store` is a
-bounded producer/consumer FIFO (command queues, ring buffers); a
+channel data bus, a DMA engine, a DRAM data bus); a
 :class:`PriorityResource` lets urgent requesters (e.g. refresh logic) jump
 the queue.
 
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Deque, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Deque, Optional, TYPE_CHECKING
 
 from .events import PENDING, Event, SimulationError
 
@@ -237,90 +236,4 @@ class PriorityResource(Resource):
         while self._waiting and self._in_use < self.capacity:
             __, __, waiter = heapq.heappop(self._waiting)
             self._admit(waiter)
-
-
-class Store:
-    """A bounded FIFO of items with blocking put/get.
-
-    ``capacity=None`` means unbounded (puts never block).
-    """
-
-    def __init__(self, sim: "Simulator", name: str = "store",
-                 capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1 or None, got {capacity}")
-        self.sim = sim
-        self.name = name
-        self.capacity = capacity
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[Tuple[Event, Any]] = deque()
-        self.total_puts = 0
-        self.total_gets = 0
-        self._peak = 0
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def peak_occupancy(self) -> int:
-        """Largest number of items simultaneously held."""
-        return self._peak
-
-    def put(self, item: Any) -> Event:
-        """Insert ``item``; the returned event fires once there is room."""
-        event = Event(self.sim, name=f"{self.name}.put")
-        if self.capacity is None or len(self._items) < self.capacity:
-            self._commit_put(item)
-            event.succeed(item)
-        else:
-            self._putters.append((event, item))
-        return event
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False if the store is full."""
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            return False
-        self._commit_put(item)
-        return True
-
-    def get(self) -> Event:
-        """Remove the oldest item; the returned event carries it."""
-        event = Event(self.sim, name=f"{self.name}.get")
-        if self._items:
-            event.succeed(self._commit_get())
-        else:
-            self._getters.append(event)
-        return event
-
-    def try_get(self) -> Tuple[bool, Any]:
-        """Non-blocking get; returns ``(ok, item)``."""
-        if not self._items:
-            return False, None
-        return True, self._commit_get()
-
-    def _commit_put(self, item: Any) -> None:
-        self.total_puts += 1
-        if self._getters:
-            # Hand straight to the oldest waiting consumer.
-            self.total_gets += 1
-            self._getters.popleft().succeed(item)
-            return
-        self._items.append(item)
-        self._peak = max(self._peak, len(self._items))
-
-    def _commit_get(self) -> Any:
-        item = self._items.popleft()
-        self.total_gets += 1
-        # Room freed: admit the oldest blocked producer.
-        if self._putters and (self.capacity is None
-                              or len(self._items) < self.capacity):
-            putter, pending = self._putters.popleft()
-            self._commit_put(pending)
-            putter.succeed(pending)
-        return item
-
-    def __repr__(self) -> str:
-        cap = "inf" if self.capacity is None else self.capacity
-        return f"<Store {self.name} {len(self._items)}/{cap}>"
 

@@ -33,7 +33,7 @@ import time as _wall_time
 from types import FunctionType, MethodType
 from typing import Any, Callable, Dict, List, Optional
 
-from .events import Condition, Event, SimulationError, Timeout, all_of, any_of
+from .events import Condition, Event, SimulationError, Timeout, all_of
 from .process import Process, ProcessGenerator
 
 
@@ -46,12 +46,10 @@ class Simulator:
         self._times: List[int] = []
         #: FIFO batch of events or bare callbacks per pending timestamp.
         self._buckets: Dict[int, list] = {}
-        self._active_process: Optional[Process] = None
         #: Number of events processed since construction.
         self.events_processed: int = 0
         #: Wall-clock seconds spent inside :meth:`run`.
         self.wall_seconds: float = 0.0
-        self._stopped = False
 
     # ------------------------------------------------------------------
     # Time and introspection
@@ -60,11 +58,6 @@ class Simulator:
     def now(self) -> int:
         """Current simulation time in picoseconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently executing, if any."""
-        return self._active_process
 
     def peek(self) -> Optional[int]:
         """Time of the next scheduled event, or None if the calendar is empty."""
@@ -119,28 +112,9 @@ class Simulator:
         """Event that fires once every listed event has fired."""
         return all_of(self, events)
 
-    def any_of(self, events: List[Event]) -> Condition:
-        """Event that fires once any listed event has fired."""
-        return any_of(self, events)
-
-    def call_at(self, when: int, callback: Callable[[], None]) -> None:
-        """Run ``callback()`` at absolute sim time ``when`` (>= now)."""
-        if when < self._now:
-            raise SimulationError(
-                f"call_at(when={when}) is in the past (now={self._now})")
-        self._after(when - self._now, lambda _ev: callback())
-
-    def call_after(self, delay: int, callback: Callable[[], None]) -> None:
-        """Run ``callback()`` after ``delay`` picoseconds."""
-        self._after(delay, lambda _ev: callback())
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def stop(self) -> None:
-        """Request that :meth:`run` return after the current event."""
-        self._stopped = True
-
     def run(self, until: Optional[Any] = None) -> Any:
         """Advance simulation.
 
@@ -174,7 +148,6 @@ class Simulator:
         elif until is not None:
             raise TypeError(f"until must be None, int or Event, got {until!r}")
 
-        self._stopped = False
         started = _wall_time.perf_counter()
         processed = 0
         # Hot-attribute locals: the loop below runs once per event batch and
@@ -185,7 +158,7 @@ class Simulator:
         push_time = heapq.heappush
         method_type, function_type = MethodType, FunctionType
         try:
-            while times and not self._stopped:
+            while times:
                 when = times[0]
                 if stop_time is not None and when > stop_time:
                     self._now = stop_time
@@ -210,12 +183,11 @@ class Simulator:
                         if callbacks:
                             for callback in callbacks:
                                 callback(entry)
-                    if self._stopped or (stop_event is not None
-                                         and stop_event.callbacks is None):
+                    if stop_event is not None and stop_event.callbacks is None:
                         break
                 if index < len(batch):
-                    # Interrupted mid-batch: keep the unprocessed tail
-                    # scheduled so a later run() resumes exactly here.
+                    # The until-event fired mid-batch: keep the unprocessed
+                    # tail scheduled so a later run() resumes exactly here.
                     buckets[when] = batch[index:]
                     push_time(times, when)
                     break
@@ -223,7 +195,7 @@ class Simulator:
                 if stop_event is not None and stop_event.callbacks is None:
                     break
             else:
-                if stop_time is not None and not self._stopped:
+                if stop_time is not None:
                     self._now = max(self._now, stop_time)
         finally:
             self.events_processed += processed

@@ -169,11 +169,7 @@ class NandDie(Component):
     # ------------------------------------------------------------------
     def begin_read(self, address: PageAddress) -> int:
         """Start an array read; returns its duration in ps."""
-        self.geometry.validate(address)
-        key = (address.plane, address.block)
-        if address.page >= self._write_pointers.get(key,
-                                                    self._preload_default):
-            self.stats.counter("reads_unwritten").increment()
+        key = self._check_read(address)
         self._begin(self.READING)
         duration = self.timing.read_time(address.page,
                                          self.wear_fraction(*key))
@@ -188,10 +184,7 @@ class NandDie(Component):
     def finish_read(self, address: PageAddress) -> float:
         """Complete an array read; returns the block RBER."""
         self._end()
-        key = (address.plane, address.block)
-        self._wear_state(key).record_read()
-        self.stats.counter("reads").increment()
-        return self.rber(*key)
+        return self._record_read(address)
 
     def read(self, address: PageAddress):
         """Array read: sense a page into the page register.
@@ -205,14 +198,7 @@ class NandDie(Component):
     def begin_program(self, address: PageAddress) -> int:
         """Start an array program (erase-before-write and page order are
         enforced here); returns its duration in ps."""
-        self.geometry.validate(address)
-        key = (address.plane, address.block)
-        pointer = self._write_pointers.get(key, self._preload_default)
-        if address.page != pointer:
-            raise NandProtocolError(
-                f"{self.path()}: program page {address.page} of block "
-                f"{key} violates sequential-programming rule "
-                f"(write pointer is {pointer})")
+        key = self._check_program(address)
         self._begin(self.PROGRAMMING)
         duration = self.timing.program_time(address.page, address.block,
                                             self.wear_fraction(*key))
@@ -228,11 +214,7 @@ class NandDie(Component):
         """Complete an array program: advance the write pointer, add wear
         and draw the program status."""
         self._end()
-        key = (address.plane, address.block)
-        # begin_program checked the page against the pointer.
-        self._write_pointers[key] = address.page + 1
-        self._wear_state(key).record_program()
-        self.stats.counter("programs").increment()
+        self._record_program(address)
         if self.fault_plan is not None:
             # Program-status FAIL: the array time is spent, the page is
             # consumed, but the controller must treat the data as lost
@@ -267,10 +249,7 @@ class NandDie(Component):
         """Complete a block erase: reset the write pointer, add a P/E
         cycle and draw the erase status."""
         self._end()
-        key = (plane, block)
-        self._write_pointers[key] = 0
-        self._wear_state(key).record_erase()
-        self.stats.counter("erases").increment()
+        self._record_erase(plane, block)
         if self.fault_plan is not None:
             # Erase-status FAIL grows a bad block: the block is retired
             # on the spot and must never be allocated again.
@@ -288,6 +267,53 @@ class NandDie(Component):
         return duration
 
     # ------------------------------------------------------------------
+    # Per-address checks and bookkeeping, shared by the single-plane
+    # halves above and the multi-plane commands below.
+    # ------------------------------------------------------------------
+    def _check_read(self, address: PageAddress) -> Tuple[int, int]:
+        """Validate a read; count it if the page was never programmed."""
+        self.geometry.validate(address)
+        key = (address.plane, address.block)
+        if address.page >= self._write_pointers.get(key,
+                                                    self._preload_default):
+            self.stats.counter("reads_unwritten").increment()
+        return key
+
+    def _check_program(self, address: PageAddress) -> Tuple[int, int]:
+        """Validate a program against the block's write pointer."""
+        self.geometry.validate(address)
+        key = (address.plane, address.block)
+        pointer = self._write_pointers.get(key, self._preload_default)
+        if address.page != pointer:
+            raise NandProtocolError(
+                f"{self.path()}: program page {address.page} of block "
+                f"{key} violates sequential-programming rule "
+                f"(write pointer is {pointer})")
+        return key
+
+    def _record_read(self, address: PageAddress) -> float:
+        """Book a completed sense; returns the block RBER."""
+        key = (address.plane, address.block)
+        self._wear_state(key).record_read()
+        self.stats.counter("reads").increment()
+        return self.rber(*key)
+
+    def _record_program(self, address: PageAddress) -> None:
+        """Book a completed program: advance the pointer, add wear."""
+        key = (address.plane, address.block)
+        # _check_program checked the page against the pointer.
+        self._write_pointers[key] = address.page + 1
+        self._wear_state(key).record_program()
+        self.stats.counter("programs").increment()
+
+    def _record_erase(self, plane: int, block: int) -> None:
+        """Book a completed erase: reset the pointer, add a P/E cycle."""
+        key = (plane, block)
+        self._write_pointers[key] = 0
+        self._wear_state(key).record_erase()
+        self.stats.counter("erases").increment()
+
+    # ------------------------------------------------------------------
     # Multi-plane operations (ONFI interleaved-plane commands)
     # ------------------------------------------------------------------
     def _validate_multiplane(self, addresses) -> None:
@@ -303,8 +329,6 @@ class NandDie(Component):
             raise NandProtocolError(
                 f"{self.path()}: multi-plane addresses must share the page "
                 f"offset, got {sorted(pages)}")
-        for address in addresses:
-            self.geometry.validate(address)
 
     def program_multiplane(self, addresses):
         """Program one page in each of several planes concurrently.
@@ -315,13 +339,7 @@ class NandDie(Component):
         """
         self._validate_multiplane(addresses)
         for address in addresses:
-            key = (address.plane, address.block)
-            pointer = self._write_pointers.get(key, 0)
-            if address.page != pointer:
-                raise NandProtocolError(
-                    f"{self.path()}: multi-plane program page "
-                    f"{address.page} of block {key} violates the "
-                    f"sequential rule (pointer {pointer})")
+            self._check_program(address)
         self._begin(self.PROGRAMMING)
         duration = max(
             self.timing.program_time(address.page, address.block,
@@ -332,16 +350,15 @@ class NandDie(Component):
         yield self.sim.timeout(duration)
         self._end()
         for address in addresses:
-            key = (address.plane, address.block)
-            self._write_pointers[key] = address.page + 1
-            self._wear_state(key).record_program()
-        self.stats.counter("programs").increment(len(addresses))
+            self._record_program(address)
         self.stats.counter("multiplane_programs").increment()
         return duration
 
     def read_multiplane(self, addresses):
         """Sense one page in each of several planes concurrently."""
         self._validate_multiplane(addresses)
+        for address in addresses:
+            self._check_read(address)
         self._begin(self.READING)
         duration = max(
             self.timing.read_time(address.page,
@@ -351,12 +368,7 @@ class NandDie(Component):
         duration += self.multiplane_overhead_ps * (len(addresses) - 1)
         yield self.sim.timeout(duration)
         self._end()
-        rbers = []
-        for address in addresses:
-            key = (address.plane, address.block)
-            self._wear_state(key).record_read()
-            rbers.append(self.rber(*key))
-        self.stats.counter("reads").increment(len(addresses))
+        rbers = [self._record_read(address) for address in addresses]
         self.stats.counter("multiplane_reads").increment()
         return rbers
 
@@ -381,9 +393,7 @@ class NandDie(Component):
         yield self.sim.timeout(duration)
         self._end()
         for plane, block in blocks:
-            self._write_pointers[(plane, block)] = 0
-            self._wear_state((plane, block)).record_erase()
-        self.stats.counter("erases").increment(len(blocks))
+            self._record_erase(plane, block)
         self.stats.counter("multiplane_erases").increment()
         return duration
 

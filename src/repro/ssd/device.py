@@ -299,10 +299,8 @@ class SsdDevice(Component):
                     > self.buffers.capacity_bytes):
                 continue
             self.buffers._occupancy[buffer_index] += page_bytes
-            flush = self._flush(placement, buffer_index, page_bytes, pattern)
-            if self.fault_plan is not None:
-                flush = self._guard_background_flush(flush)
-            self.sim.process(flush)
+            self.sim.process(self._guard_background_flush(
+                self._flush(placement, buffer_index, page_bytes, pattern)))
             filled += 1
 
     def preload_for_reads(self) -> None:
@@ -411,34 +409,26 @@ class SsdDevice(Component):
         # for the program, whatever the cache policy says.
         wait_for_flash = (self.mode is DataPathMode.DDR_FLASH
                           or self.arch.cache_policy is CachePolicy.NO_CACHING)
+        flush = self._flush(placement, buffer_index, nbytes, pattern,
+                            command=command)
         if wait_for_flash:
-            if self.fault_plan is not None:
-                try:
-                    yield sim.process(self._flush(placement, buffer_index,
-                                                  nbytes, pattern,
-                                                  command=command))
-                except SparePoolExhausted:
-                    # Subclass of WriteFaultError — must be caught first
-                    # so the end-of-life cause survives classification.
-                    command.spare_pool_exhausted = True
-                    self._fail(command, IoStatus.WRITE_FAILED)
-                    return
-                except WriteFaultError:
-                    self._fail(command, IoStatus.WRITE_FAILED)
-                    return
-            else:
-                yield sim.process(self._flush(placement, buffer_index, nbytes,
-                                              pattern, command=command))
+            try:
+                yield sim.process(flush)
+            except SparePoolExhausted:
+                # Subclass of WriteFaultError — must be caught first so
+                # the end-of-life cause survives classification.
+                command.spare_pool_exhausted = True
+                self._fail(command, IoStatus.WRITE_FAILED)
+                return
+            except WriteFaultError:
+                self._fail(command, IoStatus.WRITE_FAILED)
+                return
             self._complete(command)
         else:
             self._complete(command)
-            flush = self._flush(placement, buffer_index, nbytes,
-                                pattern, command=command)
-            if self.fault_plan is not None:
-                # The host already saw success (volatile write cache); a
-                # late write fault can only be counted, as on real drives.
-                flush = self._guard_background_flush(flush)
-            sim.process(flush)
+            # The host already saw success (volatile write cache); a late
+            # write fault can only be counted, as on real drives.
+            sim.process(self._guard_background_flush(flush))
 
     def _guard_background_flush(self, flush):
         """Absorb write faults from an already-acknowledged cached write."""
@@ -481,19 +471,8 @@ class SsdDevice(Component):
                 page_bytes)
             # ...then the controller encodes, transfers and programs it;
             # allocation + program are atomic per die.
-            if self.fault_plan is not None:
-                yield from self._program_with_remap(controller, target,
-                                                    command=command)
-                return
-            __, way, die_index = target
-            order = self._write_lock(target)
-            grant = order.acquire()
-            yield grant
-            try:
-                address = self._next_page(target)
-                yield controller.program(way, die_index, address)
-            finally:
-                order.release(grant)
+            yield from self._program_with_remap(controller, target,
+                                                command=command)
 
         # A multi-page command stripes its pages over the channel's dies
         # in parallel (the target rotates per channel, decoupled from
@@ -647,26 +626,14 @@ class SsdDevice(Component):
             # Relocation: read a page from a retired block, rewrite it at
             # the allocation cursor.
             source = self._behind_address(target, page_offset=self._gc_die)
-            if self.fault_plan is not None:
-                try:
-                    yield controller.read(way, die_index, source)
-                except UncorrectableReadError:
-                    # The victim page is lost; count it and move on so one
-                    # worn-out page cannot wedge the whole GC pipeline.
-                    controller.stats.counter("gc_read_faults").increment()
-                    continue
-                yield from self._program_with_remap(controller, target)
-                controller.stats.counter("gc_relocations").increment()
-                continue
-            yield controller.read(way, die_index, source)
-            order = self._write_lock(target)
-            grant = order.acquire()
-            yield grant
             try:
-                destination = self._next_page(target)
-                yield controller.program(way, die_index, destination)
-            finally:
-                order.release(grant)
+                yield controller.read(way, die_index, source)
+            except UncorrectableReadError:
+                # The victim page is lost; count it and move on so one
+                # worn-out page cannot wedge the whole GC pipeline.
+                controller.stats.counter("gc_read_faults").increment()
+                continue
+            yield from self._program_with_remap(controller, target)
             controller.stats.counter("gc_relocations").increment()
         for __ in range(erases):
             way = self._gc_die % arch.n_ways

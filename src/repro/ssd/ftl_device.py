@@ -273,8 +273,8 @@ class _DieReplay(Event):
     A chain of kernel callbacks with the events of a process: a bootstrap,
     the FIFO replay-lock claim, then each entry's page-operation event,
     the next entry issued from the completion callback of the last.  The
-    event fires once the group is done; any error not absorbed under a
-    fault plan returns the lock and fails it.
+    event fires once the group is done; any error :data:`_ABSORBED` does
+    not name returns the lock and fails it.
     """
 
     __slots__ = ("device", "die_id", "group", "index", "controller", "way",
@@ -323,8 +323,7 @@ class _DieReplay(Event):
         else:  # pragma: no cover - journal kinds are closed
             self._abort(ValueError(f"unknown journal entry {kind!r}"))
             return
-        self.absorbed = (_ABSORBED.get(kind)
-                         if self.device.fault_plan is not None else None)
+        self.absorbed = _ABSORBED.get(kind)
         op.callbacks.append(self._entry_done)
 
     def _entry_done(self, op: Event) -> None:

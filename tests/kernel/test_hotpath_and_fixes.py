@@ -1,5 +1,5 @@
 """Regression tests for the stats/kernel correctness fixes and the
-event-kernel hot-path overhaul (same-time batch drain, timeout free list).
+event-kernel hot-path overhaul (same-time batch drain).
 
 Each stats/validation test here fails on the pre-fix implementations:
 
@@ -8,13 +8,12 @@ Each stats/validation test here fails on the pre-fix implementations:
 * ``UtilizationTracker.utilization(since=...)`` counted busy time from
   before the window against the window (masked by a ``min(1.0, ...)``
   clamp);
-* ``Simulator.call_at`` leaked ``Timeout``'s raw ``ValueError`` for past
-  times, and ``run(until=True)`` silently ran to t=1.
+* ``run(until=True)`` silently ran to t=1.
 """
 
 import pytest
 
-from repro.kernel import SimulationError, Simulator
+from repro.kernel import Simulator
 from repro.kernel.stats import ThroughputMeter, UtilizationTracker
 
 
@@ -117,14 +116,6 @@ class TestWindowedUtilization:
 
 
 class TestRunArgumentValidation:
-    def test_call_at_past_raises_simulation_error(self, sim):
-        sim.timeout(100)
-        sim.run()
-        with pytest.raises(SimulationError) as excinfo:
-            sim.call_at(50, lambda: None)
-        assert "50" in str(excinfo.value)
-        assert "100" in str(excinfo.value)
-
     def test_run_until_bool_rejected(self, sim):
         sim.timeout(5)
         with pytest.raises(TypeError):
@@ -162,17 +153,6 @@ class TestSameTimeBatchSemantics:
         sim.run()
         assert order == ["first", "second", ("cascade", 100)]
 
-    def test_stop_mid_batch_keeps_tail_scheduled(self, sim):
-        order = []
-        sim.timeout(10).add_callback(lambda ev: (order.append("a"),
-                                                 sim.stop()))
-        sim.timeout(10).add_callback(lambda ev: order.append("b"))
-        sim.run()
-        assert order == ["a"]
-        assert sim.peek() == 10  # the tail is still on the calendar
-        sim.run()
-        assert order == ["a", "b"]
-
     def test_run_until_event_mid_batch_resumes_cleanly(self, sim):
         order = []
         target = sim.timeout(10)
@@ -196,32 +176,20 @@ class TestSameTimeBatchSemantics:
 
         assert sim.run(until=sim.process(main())) == ["a", "b", "c"]
 
-        sim2 = Simulator()
 
-        def main_any():
-            procs = [sim2.process(make(d, v)) for d, v in ((30, "a"), (10, "b"))]
-            results = yield sim2.any_of(procs)
-            return (sim2.now, list(results.values()))
-
-        assert sim2.run(until=sim2.process(main_any())) == (10, ["b"])
-
-
-class TestTimeoutFreeList:
-    def test_pooled_timers_do_not_leak_values(self, sim):
-        """call_after timers are recycled; reuse must not corrupt payloads."""
+class TestTimerPayloads:
+    def test_bare_callbacks_keep_their_own_values(self, sim):
+        """Each bare calendar entry runs its own callback, wave after wave."""
         hits = []
-        for index in range(50):
-            sim.call_after(10 * (index + 1), lambda i=index: hits.append(i))
-        sim.run()
-        assert hits == list(range(50))
-        # The pool is primed now; a second wave reuses recycled objects.
-        hits.clear()
-        for index in range(50):
-            sim.call_after(10 * (index + 1), lambda i=index: hits.append(i))
-        sim.run()
-        assert hits == list(range(50))
+        for __ in range(2):
+            for index in range(50):
+                sim._after(10 * (index + 1),
+                           lambda _entry, i=index: hits.append(i))
+            sim.run()
+            assert hits == list(range(50))
+            hits.clear()
 
-    def test_int_yield_values_isolated_across_reuse(self, sim):
+    def test_int_yields_carry_no_payload(self, sim):
         seen = []
 
         def proc(n):
@@ -232,27 +200,8 @@ class TestTimeoutFreeList:
         sim.process(proc(100))
         sim.process(proc(100))
         sim.run()
-        # Implicit timeouts carry no payload; reuse must preserve that.
+        # Implicit timeouts carry no payload.
         assert seen == [None] * 200
-
-    def test_interrupted_pooled_timer_is_harmless(self, sim):
-        from repro.kernel import Interrupt
-
-        def sleeper():
-            try:
-                yield 1000
-            except Interrupt:
-                return "interrupted"
-
-        handle = sim.process(sleeper())
-
-        def interrupter():
-            yield 10
-            handle.interrupt()
-
-        sim.process(interrupter())
-        assert sim.run(until=handle) == "interrupted"
-        sim.run()  # drain the abandoned timer; must not raise
 
 
 class TestTracePlayer:

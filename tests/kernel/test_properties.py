@@ -6,7 +6,7 @@ FIFO fairness, resource conservation, and process isolation.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.kernel import Resource, Simulator, Store
+from repro.kernel import Resource, Simulator
 
 
 class TestEventOrderingProperties:
@@ -118,28 +118,3 @@ class TestResourceProperties:
         assert resource.busy_time() == sum(holds)
         assert resource.busy_time() <= sim.now
 
-
-class TestStoreProperties:
-    @given(items=st.lists(st.integers(), min_size=1, max_size=50),
-           capacity=st.integers(1, 8))
-    @settings(max_examples=40, deadline=None)
-    def test_fifo_no_loss_no_duplication(self, items, capacity):
-        sim = Simulator()
-        store = Store(sim, "s", capacity=capacity)
-        received = []
-
-        def producer():
-            for item in items:
-                yield store.put(item)
-
-        def consumer():
-            for __ in items:
-                value = yield store.get()
-                received.append(value)
-                yield 1  # consume slower than production
-
-        sim.process(producer())
-        done = sim.process(consumer())
-        sim.run(until=done)
-        assert received == items
-        assert len(store) == 0

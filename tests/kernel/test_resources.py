@@ -1,11 +1,11 @@
-"""Tests for Resource, PriorityResource and Store."""
+"""Tests for Resource and PriorityResource."""
 
 import gc
 
 import pytest
 
 from repro.kernel import (PriorityResource, Resource, SimulationError,
-                          Simulator, Store)
+                          Simulator)
 
 
 @pytest.fixture
@@ -348,102 +348,3 @@ class TestGrantCycle:
         assert grant not in gc.get_referents(grant)
         assert grant.triggered
 
-
-class TestStore:
-    def test_put_get_fifo(self, sim):
-        store = Store(sim, "q")
-        results = []
-
-        def producer():
-            for item in "abc":
-                yield store.put(item)
-                yield 10
-
-        def consumer():
-            for __ in range(3):
-                item = yield store.get()
-                results.append((item, sim.now))
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert [item for item, __ in results] == ["a", "b", "c"]
-
-    def test_get_blocks_until_put(self, sim):
-        store = Store(sim, "q")
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append((item, sim.now))
-
-        def producer():
-            yield 500
-            yield store.put("late")
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert got == [("late", 500)]
-
-    def test_bounded_put_blocks(self, sim):
-        store = Store(sim, "q", capacity=1)
-        log = []
-
-        def producer():
-            yield store.put("a")
-            log.append(("put-a", sim.now))
-            yield store.put("b")
-            log.append(("put-b", sim.now))
-
-        def consumer():
-            yield 100
-            item = yield store.get()
-            log.append((f"got-{item}", sim.now))
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert ("put-a", 0) in log
-        assert ("put-b", 100) in log
-
-    def test_try_put_respects_capacity(self, sim):
-        store = Store(sim, "q", capacity=2)
-        assert store.try_put(1)
-        assert store.try_put(2)
-        assert not store.try_put(3)
-        assert len(store) == 2
-
-    def test_try_get(self, sim):
-        store = Store(sim, "q")
-        ok, item = store.try_get()
-        assert not ok and item is None
-        store.try_put("x")
-        ok, item = store.try_get()
-        assert ok and item == "x"
-
-    def test_peak_occupancy(self, sim):
-        store = Store(sim, "q")
-        for i in range(5):
-            store.try_put(i)
-        store.try_get()
-        assert store.peak_occupancy == 5
-
-    def test_capacity_validation(self, sim):
-        with pytest.raises(ValueError):
-            Store(sim, capacity=0)
-
-    def test_handoff_to_waiting_getter_keeps_store_empty(self, sim):
-        store = Store(sim, "q", capacity=1)
-        got = []
-
-        def consumer():
-            item = yield store.get()
-            got.append(item)
-
-        sim.process(consumer())
-        sim.run()
-        store.try_put("direct")
-        sim.run()
-        assert got == ["direct"]
-        assert len(store) == 0

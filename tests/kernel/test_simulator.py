@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel import (Event, Interrupt, SimulationError, Simulator, us)
+from repro.kernel import SimulationError, Simulator, us
 
 
 @pytest.fixture
@@ -116,7 +116,7 @@ class TestRunUntil:
         done = sim.timeout(5, value="first")
         assert sim.run(until=done) == "first"
         hits = []
-        sim.call_after(10, lambda: hits.append(sim.now))
+        sim.timeout(10).add_callback(lambda ev: hits.append(sim.now))
         before = sim.events_processed
         assert sim.run(until=done) == "first"
         assert (sim.now, hits, sim.events_processed) == (5, [], before)
@@ -146,12 +146,6 @@ class TestRunUntil:
         sim.run()
         assert sim.peek() is None
         assert sim.now == 9
-
-    def test_stop_aborts_run(self, sim):
-        sim.timeout(5).add_callback(lambda ev: sim.stop())
-        sim.timeout(50)
-        sim.run()
-        assert sim.now == 5
 
     def test_until_bad_type_raises(self, sim):
         with pytest.raises(TypeError):
@@ -232,18 +226,6 @@ class TestProcesses:
         with pytest.raises(TypeError):
             sim.process(lambda: None)
 
-    def test_active_process_visible_inside(self, sim):
-        seen = []
-
-        def proc():
-            seen.append(sim.active_process)
-            yield 1
-
-        handle = sim.process(proc())
-        sim.run(until=handle)
-        assert seen == [handle]
-        assert sim.active_process is None
-
     def test_many_sequential_zero_delays_do_not_recurse(self, sim):
         # Regression guard: resuming on already-processed events must not
         # blow the Python stack.
@@ -255,77 +237,6 @@ class TestProcesses:
             return "ok"
 
         assert sim.run(until=sim.process(proc())) == "ok"
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_sleeping_process(self, sim):
-        def sleeper():
-            try:
-                yield us(100)
-            except Interrupt as interrupt:
-                return ("interrupted", sim.now, interrupt.cause)
-
-        handle = sim.process(sleeper())
-
-        def interrupter():
-            yield us(10)
-            handle.interrupt(cause="wakeup")
-
-        sim.process(interrupter())
-        assert sim.run(until=handle) == ("interrupted", us(10), "wakeup")
-
-    def test_interrupt_terminated_process_raises(self, sim):
-        def quick():
-            yield 1
-
-        handle = sim.process(quick())
-        sim.run()
-        with pytest.raises(SimulationError):
-            handle.interrupt()
-
-    def test_interrupt_detaches_a_pending_relay(self, sim):
-        done = sim.event()
-        done.succeed("old")
-        sim.run()
-
-        def sleeper():
-            try:
-                # Already processed: the resume rides a relay timer.
-                got = yield done
-            except Interrupt:
-                yield 5
-                return ("interrupted", sim.now)
-            return ("resumed", got)
-
-        handle = sim.process(sleeper())
-
-        def interrupter():
-            # Bootstrapped in the same batch, after the relay is queued.
-            handle.interrupt()
-            yield 0
-
-        sim.process(interrupter())
-        assert sim.run(until=handle) == ("interrupted", 5)
-        sim.run()
-
-    def test_interrupt_before_start_raises_naming_the_process(self, sim):
-        def body():
-            yield 10
-            return "ran"
-
-        handle = sim.process(body(), name="late-starter")
-        with pytest.raises(SimulationError, match="late-starter"):
-            handle.interrupt()
-        assert sim.run(until=handle) == "ran"
-
-    def test_is_alive(self, sim):
-        def proc():
-            yield 10
-
-        handle = sim.process(proc())
-        assert handle.is_alive
-        sim.run()
-        assert not handle.is_alive
 
 
 class TestConditions:
@@ -340,18 +251,6 @@ class TestConditions:
             return (sim.now, sorted(results.values()))
 
         assert sim.run(until=sim.process(main())) == (30, ["a", "b"])
-
-    def test_any_of_fires_on_first(self, sim):
-        def make(delay, value):
-            yield delay
-            return value
-
-        def main():
-            procs = [sim.process(make(d, v)) for d, v in ((30, "a"), (10, "b"))]
-            results = yield sim.any_of(procs)
-            return (sim.now, list(results.values()))
-
-        assert sim.run(until=sim.process(main())) == (10, ["b"])
 
     def test_all_of_propagates_failure(self, sim):
         def bad():
@@ -371,31 +270,6 @@ class TestConditions:
     def test_empty_condition_rejected(self, sim):
         with pytest.raises(ValueError):
             sim.all_of([])
-
-
-class TestCallbackScheduling:
-    def test_call_at(self, sim):
-        hits = []
-        sim.call_at(123, lambda: hits.append(sim.now))
-        sim.run()
-        assert hits == [123]
-
-    def test_call_after(self, sim):
-        hits = []
-
-        def proc():
-            yield 100
-            sim.call_after(23, lambda: hits.append(sim.now))
-
-        sim.process(proc())
-        sim.run()
-        assert hits == [123]
-
-    def test_call_at_past_raises(self, sim):
-        sim.timeout(100)
-        sim.run()
-        with pytest.raises(SimulationError, match=r"when=50.*now=100"):
-            sim.call_at(50, lambda: None)
 
 
 class TestKernelTimers:
@@ -473,17 +347,3 @@ class TestKernelTimers:
         sim._after(0, lambda entry: seen.append(entry))
         sim.run()
         assert seen == [None]
-
-    def test_interrupt_detaches_from_an_int_delay(self, sim):
-        def sleeper():
-            try:
-                yield 100
-            except Interrupt:
-                yield 5
-                return sim.now
-
-        handle = sim.process(sleeper())
-        sim.call_at(10, handle.interrupt)
-        assert sim.run(until=handle) == 15
-        sim.run()
-        assert sim.now == 100

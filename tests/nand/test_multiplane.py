@@ -115,6 +115,48 @@ class TestMultiplaneReadErase:
                 [(0, 0), (0, 1)])))
 
 
+class TestMultiplaneSharesSinglePlaneChecks:
+    """Multi-plane commands see the same write pointers as single-plane
+    ones, including the O(1) fully-programmed default of preload_all()."""
+
+    def test_program_rejects_page_zero_of_a_preloaded_block(self, sim):
+        die = make_die(sim)
+        die.preload_all()
+        with pytest.raises(NandProtocolError):
+            sim.run(until=sim.process(die.program_multiplane(
+                [PageAddress(0, 0, 0), PageAddress(1, 0, 0)])))
+        # The single-plane program rejects the same command.
+        with pytest.raises(NandProtocolError):
+            sim.run(until=sim.process(die.program(PageAddress(0, 0, 0))))
+        assert die.write_pointer(0, 0) == GEO.pages_per_block
+        assert die.write_pointer(1, 0) == GEO.pages_per_block
+        assert die.stats.counter("programs").value == 0
+
+    def test_erase_reopens_preloaded_blocks(self, sim):
+        die = make_die(sim)
+        die.preload_all()
+
+        def flow():
+            yield sim.process(die.erase_multiplane([(0, 0), (1, 0)]))
+            yield sim.process(die.program_multiplane(
+                [PageAddress(0, 0, 0), PageAddress(1, 0, 0)]))
+
+        sim.run(until=sim.process(flow()))
+        assert die.write_pointer(0, 0) == 1
+        assert die.write_pointer(1, 0) == 1
+        assert die.write_pointer(0, 1) == GEO.pages_per_block
+
+    def test_read_counts_unwritten_pages(self, sim):
+        die = make_die(sim)
+        addresses = [PageAddress(0, 0, 3), PageAddress(1, 0, 3)]
+        sim.run(until=sim.process(die.read_multiplane(addresses)))
+        assert die.stats.counter("reads_unwritten").value == 2
+        die.preload_all()
+        sim.run(until=sim.process(die.read_multiplane(addresses)))
+        assert die.stats.counter("reads_unwritten").value == 2
+        assert die.stats.counter("reads").value == 4
+
+
 def make_controller(sim, **kwargs):
     return ChannelWayController(
         sim, "chn0", 1, 1, GEO, MlcTimingModel(), WearModel(),
