@@ -5,9 +5,10 @@ the ONFI advanced commands.  This ablation quantifies their value on one
 die, which is where the paper's "model refinement" path would plug them
 into the full platform:
 
-* multi-plane program/read — one array operation covers both planes;
+* multi-plane program/read — one array operation covers both planes
+  (``program_page(way, die, address, *more)``);
 * cache program — the next page's data-in overlaps the current array
-  program.
+  program (``program_page(..., cached=True)``).
 """
 
 from repro.controller import ChannelWayController
@@ -46,8 +47,8 @@ def multiplane_flow(sim, controller):
     for index in range(N_PAGES // 2):
         page = index % GEO.pages_per_block
         block = index // GEO.pages_per_block
-        yield sim.process(controller.program_page_multiplane(
-            0, 0, [PageAddress(0, block, page), PageAddress(1, block, page)]))
+        yield sim.process(controller.program_page(
+            0, 0, PageAddress(0, block, page), PageAddress(1, block, page)))
 
 
 def cached_flow(sim, controller):
@@ -55,8 +56,8 @@ def cached_flow(sim, controller):
     for index in range(N_PAGES):
         plane, page = index % 2, (index // 2) % GEO.pages_per_block
         block = index // (2 * GEO.pages_per_block)
-        handles.append(sim.process(controller.program_page_cached(
-            0, 0, PageAddress(plane, block, page))))
+        handles.append(sim.process(controller.program_page(
+            0, 0, PageAddress(plane, block, page), cached=True)))
     yield sim.all_of(handles)
 
 

@@ -387,7 +387,8 @@ def cmd_features(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    points = run_validation(n_commands=args.commands)
+    points = run_validation(n_commands=args.commands,
+                            runner=runner_from_args(args, quiet=True))
     print(render_validation_table(points))
     return 0
 

@@ -178,7 +178,8 @@ class ChannelWayController(Component):
         if self._fast:
             return _FastRead(self, way, die_index, address, errors_present)
         return self.sim.process(self.read_page(
-            way, die_index, address, errors_present, span, command))
+            way, die_index, address, errors_present=errors_present,
+            span=span, command=command))
 
     def erase(self, way: int, die_index: int, plane: int,
               block: int) -> Event:
@@ -195,20 +196,34 @@ class ChannelWayController(Component):
                 f"generator; a fast controller runs page operations as "
                 f"callback chains — use {method}()")
 
-    def program_page(self, way: int, die_index: int, address: PageAddress):
-        """Generator (cycle fidelity): full write path for one page;
-        returns elapsed ps."""
+    def program_page(self, way: int, die_index: int, address: PageAddress,
+                     *more: PageAddress, cached: bool = False):
+        """Generator (cycle fidelity): full write path for one page, or
+        for one page in each plane of ``more`` too (ONFI multi-plane
+        program: one data-in per plane, one array operation); returns
+        elapsed ps.
+
+        ``cached`` is the ONFI cache program: the data-in moves into the
+        cache register ahead of the R/B# wait, so it overlaps the die's
+        previous array program (the bus FIFO keeps same-die transfers
+        ordered, R/B# keeps the array programs ordered).
+        """
         self._refuse_fast("program_page", "program")
         die = self.die(way, die_index)
+        lock = self._die_locks[way][die_index]
+        targets = (address,) + more
         start = self.sim.now
         yield from self._translate()
 
         slot = self.sram.acquire()
         yield slot
         try:
-            # Encode while the page sits in SRAM.
-            pe = die.pe_cycles(address.plane, address.block)
-            encode_ps = self.ecc.encode_time_ps(self.geometry.page_bytes, pe)
+            # Encode while the pages sit in SRAM.
+            encode_ps = 0
+            for target in targets:
+                encode_ps += self.ecc.encode_time_ps(
+                    self.geometry.page_bytes,
+                    die.pe_cycles(target.plane, target.block))
             if encode_ps:
                 engine = self.encoder.acquire()
                 yield engine
@@ -218,41 +233,55 @@ class ChannelWayController(Component):
                 if t0 >= 0:
                     _obs.record_span(self.path(), "ecc_encode", t0,
                                      self.sim.now)
-            # Wait for die ready (R/B#), then command + data-in on the
-            # ONFI fabric (payload + spare).
-            ready = self._die_locks[way][die_index].acquire()
-            yield ready
-            yield from self.buses.issue_command(way)
-            yield from self.buses.transfer(way, self.geometry.raw_page_bytes)
+            if not cached:
+                # Wait for die ready (R/B#) before the data-in.
+                ready = lock.acquire()
+                yield ready
+            # Command + data-in on the ONFI fabric (payload + spare).
+            for __ in targets:
+                yield from self.buses.issue_command(way)
+                yield from self.buses.transfer(way,
+                                               self.geometry.raw_page_bytes)
+            if cached:
+                ready = lock.acquire()
+                yield ready
         finally:
             self.sram.release(slot)
         # Array program: die busy, buses free.
         try:
-            yield self.sim.process(die.program(address))
+            yield self.sim.process(die.program(address, *more))
         finally:
-            self._die_locks[way][die_index].release(ready)
+            lock.release(ready)
         if die.fault_plan is not None and die.last_program_failed:
-            # Status poll reports FAIL: array time is spent, the page is
-            # consumed, and the device layer must remap the data.
+            # Status poll reports FAIL: array time is spent, the pages
+            # are consumed, and the device layer must remap the data.
             self.stats.counter("program_fail_reports").increment()
             raise ProgramFailError(
                 f"{self.path()}: program-status FAIL at way{way} "
-                f"die{die_index} {address}", address=address)
-        self.stats.counter("programs").increment()
-        self.stats.meter("write_data").record(self.geometry.page_bytes)
+                f"die{die_index} {' '.join(map(str, targets))}",
+                address=address)
+        self.stats.counter("programs").increment(len(targets))
+        if cached:
+            self.stats.counter("cached_programs").increment()
+        self.stats.meter("write_data").record(
+            self.geometry.page_bytes * len(targets))
         return self.sim.now - start
 
     def read_page(self, way: int, die_index: int, address: PageAddress,
-                  errors_present: bool = True, span=None, command=None):
-        """Generator (cycle fidelity): full read path for one page;
+                  *more: PageAddress, errors_present: bool = True,
+                  span=None, command=None):
+        """Generator (cycle fidelity): full read path for one page, or
+        for one page in each plane of ``more`` too (ONFI multi-plane
+        read: one array sense, then data-out and decode per plane);
         returns elapsed ps.
 
-        With fault injection enabled the drawn bit errors are compared
-        against the ECC scheme's correction capability at this block's
-        wear; an over-budget page climbs the read-retry ladder (each rung
-        pays a full re-sense + transfer + decode), and a page that
-        exhausts the ladder raises :class:`UncorrectableReadError` for
-        the device layer to surface as a command error completion.
+        With fault injection enabled the bit errors drawn for each plane
+        are compared against the ECC scheme's correction capability at
+        that block's wear; an over-budget plane sends the whole command
+        up the read-retry ladder (each rung pays a full re-sense +
+        transfer + decode), and a command that exhausts the ladder raises
+        :class:`UncorrectableReadError` for the first over-budget page,
+        for the device layer to surface as a command error completion.
 
         ``span`` is an optional :class:`~repro.obs.spans.CommandSpan`
         carried by the host command this page belongs to: the read path
@@ -267,6 +296,7 @@ class ChannelWayController(Component):
         self._refuse_fast("read_page", "read")
         die = self.die(way, die_index)
         plan = die.fault_plan
+        targets = (address,) + more
         start = self.sim.now
         yield from self._translate()
         if span is not None:
@@ -284,7 +314,7 @@ class ChannelWayController(Component):
                 yield from self.buses.issue_command(way)
                 if span is not None:
                     span.mark("bus_xfer", self.sim.now)
-                yield self.sim.process(die.read(address))
+                yield self.sim.process(die.read(address, *more))
                 if span is not None:
                     span.mark("nand_busy", self.sim.now)
             finally:
@@ -296,169 +326,67 @@ class ChannelWayController(Component):
                 span.mark("queue", self.sim.now)
             try:
                 # Data-out, then decode; wear decides the decode effort.
-                yield from self.buses.transfer(way,
-                                               self.geometry.raw_page_bytes)
-                if span is not None:
-                    span.mark("bus_xfer", self.sim.now)
-                pe = die.pe_cycles(address.plane, address.block)
-                decode_ps = self.ecc.decode_time_ps(self.geometry.page_bytes,
-                                                    pe, errors_present)
-                if decode_ps:
-                    engine = self.decoder.acquire()
-                    yield engine
+                for target in targets:
+                    yield from self.buses.transfer(
+                        way, self.geometry.raw_page_bytes)
                     if span is not None:
-                        span.mark("queue", self.sim.now)
-                    t0 = self.sim.now if _obs.enabled else -1
-                    yield self.sim.timeout(decode_ps)
-                    self.decoder.release(engine)
-                    if span is not None:
-                        span.mark("ecc_decode", self.sim.now)
-                    if t0 >= 0:
-                        _obs.record_span(self.path(), "ecc_decode", t0,
-                                         self.sim.now)
+                        span.mark("bus_xfer", self.sim.now)
+                    decode_ps = self.ecc.decode_time_ps(
+                        self.geometry.page_bytes,
+                        die.pe_cycles(target.plane, target.block),
+                        errors_present)
+                    if decode_ps:
+                        engine = self.decoder.acquire()
+                        yield engine
+                        if span is not None:
+                            span.mark("queue", self.sim.now)
+                        t0 = self.sim.now if _obs.enabled else -1
+                        yield self.sim.timeout(decode_ps)
+                        self.decoder.release(engine)
+                        if span is not None:
+                            span.mark("ecc_decode", self.sim.now)
+                        if t0 >= 0:
+                            _obs.record_span(self.path(), "ecc_decode", t0,
+                                             self.sim.now)
             finally:
                 self.sram.release(slot)
 
             if plan is None or not plan.config.bit_errors:
                 break
-            t = self.ecc.correction_for(pe)
-            errors = die.draw_read_errors(
-                address, self.ecc.codeword_bits(),
-                self.ecc.codewords_per_page(self.geometry.page_bytes),
-                attempt)
-            if errors <= t:
+            over = None      # the first over-budget page: (address, errors, t)
+            masked = 0       # pages whose errors ECC corrected
+            for target in targets:
+                t = self.ecc.correction_for(
+                    die.pe_cycles(target.plane, target.block))
+                errors = die.draw_read_errors(
+                    target, self.ecc.codeword_bits(),
+                    self.ecc.codewords_per_page(self.geometry.page_bytes),
+                    attempt)
+                if errors > t:
+                    over = over or (target, errors, t)
+                elif errors:
+                    masked += 1
+            if over is None:
                 if attempt:
                     self.stats.counter("read_retry_success").increment()
-                elif errors and command is not None:
-                    command.masked_page_reads += 1
+                elif command is not None:
+                    command.masked_page_reads += masked
                 break
             if attempt >= plan.config.read_retry_max:
                 self.stats.counter("uncorrectable_reads").increment()
+                target, errors, t = over
                 raise UncorrectableReadError(
-                    f"{self.path()}: way{way} die{die_index} {address} "
+                    f"{self.path()}: way{way} die{die_index} {target} "
                     f"uncorrectable after {attempt} retries "
                     f"({errors} errors > t={t})",
-                    address=address, errors=errors, t=t, retries=attempt)
+                    address=target, errors=errors, t=t, retries=attempt)
             attempt += 1
             self.stats.counter("read_retries").increment()
             if command is not None:
                 command.read_retries += 1
-        self.stats.counter("reads").increment()
-        self.stats.meter("read_data").record(self.geometry.page_bytes)
-        return self.sim.now - start
-
-    def program_page_cached(self, way: int, die_index: int,
-                            address: PageAddress):
-        """Cache-program variant: the data-in transfer of this page may
-        overlap the previous page's array program on the same die (the
-        ONFI cache-register pipeline).  The array itself still serializes;
-        only the bus transfer is hidden.
-        """
-        die = self.die(way, die_index)
-        start = self.sim.now
-        yield from self._translate()
-
-        slot = self.sram.acquire()
-        yield slot
-        try:
-            pe = die.pe_cycles(address.plane, address.block)
-            encode_ps = self.ecc.encode_time_ps(self.geometry.page_bytes, pe)
-            if encode_ps:
-                engine = self.encoder.acquire()
-                yield engine
-                yield self.sim.timeout(encode_ps)
-                self.encoder.release(engine)
-            # Transfer into the cache register without waiting for the
-            # array: the bus FIFO keeps same-die transfers ordered, and
-            # the R/B# lock below keeps array programs ordered.
-            yield from self.buses.issue_command(way)
-            yield from self.buses.transfer(way, self.geometry.raw_page_bytes)
-            ready = self._die_locks[way][die_index].acquire()
-            yield ready
-        finally:
-            self.sram.release(slot)
-        try:
-            yield self.sim.process(die.program(address))
-        finally:
-            self._die_locks[way][die_index].release(ready)
-        self.stats.counter("programs").increment()
-        self.stats.counter("cached_programs").increment()
-        self.stats.meter("write_data").record(self.geometry.page_bytes)
-        return self.sim.now - start
-
-    def program_page_multiplane(self, way: int, die_index: int,
-                                addresses):
-        """Multi-plane program: one data-in transfer per plane, then a
-        single interleaved array operation covering all planes."""
-        die = self.die(way, die_index)
-        start = self.sim.now
-        yield from self._translate()
-
-        slot = self.sram.acquire()
-        yield slot
-        try:
-            encode_total = 0
-            for address in addresses:
-                pe = die.pe_cycles(address.plane, address.block)
-                encode_total += self.ecc.encode_time_ps(
-                    self.geometry.page_bytes, pe)
-            if encode_total:
-                engine = self.encoder.acquire()
-                yield engine
-                yield self.sim.timeout(encode_total)
-                self.encoder.release(engine)
-            ready = self._die_locks[way][die_index].acquire()
-            yield ready
-            for __ in addresses:
-                yield from self.buses.issue_command(way)
-                yield from self.buses.transfer(
-                    way, self.geometry.raw_page_bytes)
-        finally:
-            self.sram.release(slot)
-        try:
-            yield self.sim.process(die.program_multiplane(addresses))
-        finally:
-            self._die_locks[way][die_index].release(ready)
-        self.stats.counter("programs").increment(len(addresses))
-        self.stats.meter("write_data").record(
-            self.geometry.page_bytes * len(addresses))
-        return self.sim.now - start
-
-    def read_page_multiplane(self, way: int, die_index: int, addresses,
-                             errors_present: bool = True):
-        """Multi-plane read: one array sense, then per-plane data-out and
-        decode."""
-        die = self.die(way, die_index)
-        start = self.sim.now
-        yield from self._translate()
-
-        ready = self._die_locks[way][die_index].acquire()
-        yield ready
-        try:
-            yield from self.buses.issue_command(way)
-            yield self.sim.process(die.read_multiplane(addresses))
-        finally:
-            self._die_locks[way][die_index].release(ready)
-
-        slot = self.sram.acquire()
-        yield slot
-        try:
-            for address in addresses:
-                yield from self.buses.transfer(
-                    way, self.geometry.raw_page_bytes)
-                pe = die.pe_cycles(address.plane, address.block)
-                decode_ps = self.ecc.decode_time_ps(
-                    self.geometry.page_bytes, pe, errors_present)
-                if decode_ps:
-                    engine = self.decoder.acquire()
-                    yield engine
-                    yield self.sim.timeout(decode_ps)
-                    self.decoder.release(engine)
-        finally:
-            self.sram.release(slot)
-        self.stats.counter("reads").increment(len(addresses))
+        self.stats.counter("reads").increment(len(targets))
         self.stats.meter("read_data").record(
-            self.geometry.page_bytes * len(addresses))
+            self.geometry.page_bytes * len(targets))
         return self.sim.now - start
 
     def erase_block(self, way: int, die_index: int, plane: int, block: int):

@@ -119,8 +119,6 @@ class BufferManager(Component):
             self._space_waiters[buffer_index].append(waiter)
             yield waiter
         self._occupancy[buffer_index] += nbytes
-        peak = self.stats.accumulator("occupancy_peak")
-        peak.add(self._occupancy[buffer_index])
 
     def release(self, buffer_index: int, nbytes: int) -> None:
         """Return space after data drained to flash (or host, for reads)."""

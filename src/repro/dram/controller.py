@@ -134,7 +134,6 @@ class DramController(Component):
             _obs.record_span(self.path(), "dram_buffer", start, now)
         counter("writes" if is_write else "reads").increment()
         self.stats.meter("data").record(nbytes)
-        self.stats.accumulator("latency_ps").add(elapsed)
         return elapsed
 
     def write(self, byte_address: int, nbytes: int):
@@ -253,7 +252,6 @@ class FastDramController(Component):
             _obs.record_span(self.path(), "dram_buffer", start, self.sim.now)
         self.stats.counter("writes" if is_write else "reads").increment()
         self.stats.meter("data").record(nbytes)
-        self.stats.accumulator("latency_ps").add(elapsed)
         return elapsed
 
     def write(self, byte_address: int, nbytes: int):

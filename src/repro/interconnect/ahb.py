@@ -150,7 +150,6 @@ class AhbBus(Component):
         elapsed = self.sim.now - start
         self.stats.counter("writes" if is_write else "reads").increment()
         self.stats.meter("data").record(nbytes)
-        self.stats.accumulator("latency_ps").add(elapsed)
         return elapsed
 
     def utilization(self) -> float:

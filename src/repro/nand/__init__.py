@@ -8,17 +8,13 @@ bus, and the wear-out / RBER model that drives the ECC experiments.
 from .die import NandDie, NandProtocolError
 from .geometry import DEFAULT_GEOMETRY, NandGeometry, PageAddress
 from .onfi import OnfiChannel, OnfiTiming
-from .onfi_commands import (COMMAND_SET, OnfiCommandSpec, command_bus_time_ps,
-                            sequence_description)
 from .timing import DEFAULT_TIMING, MlcTimingModel
 from .wear import (DEFAULT_WEAR, ENDURANCE_SLACK, BlockWearState,
                    EnduranceWarning, WearModel)
 
 __all__ = [
     "DEFAULT_GEOMETRY", "DEFAULT_TIMING", "DEFAULT_WEAR", "BlockWearState",
-    "COMMAND_SET", "ENDURANCE_SLACK", "EnduranceWarning", "MlcTimingModel",
-    "NandDie", "NandGeometry",
-    "NandProtocolError", "OnfiChannel", "OnfiCommandSpec", "OnfiTiming",
-    "PageAddress", "WearModel", "command_bus_time_ps",
-    "sequence_description",
+    "ENDURANCE_SLACK", "EnduranceWarning", "MlcTimingModel", "NandDie",
+    "NandGeometry", "NandProtocolError", "OnfiChannel", "OnfiTiming",
+    "PageAddress", "WearModel",
 ]

@@ -166,120 +166,142 @@ class NandDie(Component):
     # generators below wrap the halves around one timeout (yield them
     # with sim.process or from within another process); the controller's
     # fast-fidelity callback chains call the halves directly.
+    #
+    # Every operation takes its target plus optional extra planes (an
+    # ONFI multi-plane command).  The checks, stuck-busy draws, wear and
+    # pointer bookkeeping and status draws apply to each plane; the array
+    # time is the slowest plane's plus ``multiplane_overhead_ps`` per
+    # extra plane.
     # ------------------------------------------------------------------
-    def begin_read(self, address: PageAddress) -> int:
+    def begin_read(self, address: PageAddress, *more: PageAddress) -> int:
         """Start an array read; returns its duration in ps."""
-        key = self._check_read(address)
+        targets = (address,) + more
+        if more:
+            self._check_multiplane(targets)
+        for target in targets:
+            self._check_read(target)
         self._begin(self.READING)
-        duration = self.timing.read_time(address.page,
-                                         self.wear_fraction(*key))
-        if self.fault_plan is not None:
-            stuck = self.fault_plan.stuck_busy_ps(
-                self._fault_id, "read", address.plane, address.block)
-            if stuck:
-                duration += stuck
-                self.stats.counter("stuck_busy_faults").increment()
-        return duration
+        duration = 0
+        for plane, block, page in targets:
+            duration = max(duration, self.timing.read_time(
+                page, self.wear_fraction(plane, block))
+                + self._stuck_ps("read", plane, block))
+        return duration + self.multiplane_overhead_ps * len(more)
 
-    def finish_read(self, address: PageAddress) -> float:
-        """Complete an array read; returns the block RBER."""
+    def finish_read(self, address: PageAddress, *more: PageAddress):
+        """Complete an array read; returns the block RBER (with extra
+        planes, a list of each plane's RBER in command order)."""
         self._end()
-        return self._record_read(address)
+        rber = self._record_read(address)
+        if not more:
+            return rber
+        self.stats.counter("multiplane_reads").increment()
+        return [rber] + [self._record_read(target) for target in more]
 
-    def read(self, address: PageAddress):
-        """Array read: sense a page into the page register.
+    def read(self, address: PageAddress, *more: PageAddress):
+        """Array read: sense a page (per plane) into the page register.
 
         Generator; completes after ``t_READ``.  Returns the block RBER so
         the ECC model downstream can decide decode effort.
         """
-        yield self.sim.timeout(self.begin_read(address))
-        return self.finish_read(address)
+        yield self.sim.timeout(self.begin_read(address, *more))
+        return self.finish_read(address, *more)
 
-    def begin_program(self, address: PageAddress) -> int:
+    def begin_program(self, address: PageAddress, *more: PageAddress) -> int:
         """Start an array program (erase-before-write and page order are
-        enforced here); returns its duration in ps."""
-        key = self._check_program(address)
+        enforced per plane); returns its duration in ps."""
+        targets = (address,) + more
+        if more:
+            self._check_multiplane(targets)
+        for target in targets:
+            self._check_program(target)
         self._begin(self.PROGRAMMING)
-        duration = self.timing.program_time(address.page, address.block,
-                                            self.wear_fraction(*key))
-        if self.fault_plan is not None:
-            stuck = self.fault_plan.stuck_busy_ps(
-                self._fault_id, "program", address.plane, address.block)
-            if stuck:
-                duration += stuck
-                self.stats.counter("stuck_busy_faults").increment()
-        return duration
+        duration = 0
+        for plane, block, page in targets:
+            duration = max(duration, self.timing.program_time(
+                page, block, self.wear_fraction(plane, block))
+                + self._stuck_ps("program", plane, block))
+        return duration + self.multiplane_overhead_ps * len(more)
 
-    def finish_program(self, address: PageAddress) -> None:
-        """Complete an array program: advance the write pointer, add wear
-        and draw the program status."""
+    def finish_program(self, address: PageAddress,
+                       *more: PageAddress) -> None:
+        """Complete an array program: advance each write pointer, add
+        wear and draw each plane's program status."""
         self._end()
-        self._record_program(address)
-        if self.fault_plan is not None:
-            # Program-status FAIL: the array time is spent, the page is
-            # consumed, but the controller must treat the data as lost
-            # and remap (the page register still holds it).
-            self.last_program_failed = self.fault_plan.program_fails(
-                self._fault_id, address.plane, address.block, address.page)
-            if self.last_program_failed:
-                self.stats.counter("program_fails").increment()
+        failed = self._record_program(address)
+        for target in more:
+            failed = self._record_program(target) or failed
+        self.last_program_failed = failed
+        if more:
+            self.stats.counter("multiplane_programs").increment()
 
-    def program(self, address: PageAddress):
+    def program(self, address: PageAddress, *more: PageAddress):
         """Array program; enforces erase-before-write and page order."""
-        duration = self.begin_program(address)
+        duration = self.begin_program(address, *more)
         yield self.sim.timeout(duration)
-        self.finish_program(address)
+        self.finish_program(address, *more)
         return duration
 
-    def begin_erase(self, plane: int, block: int) -> int:
-        """Start a block erase; returns its duration in ps."""
-        self.geometry.validate(PageAddress(plane, block, 0))
+    def begin_erase(self, plane: int, block: int, *more) -> int:
+        """Start a block erase; ``more`` holds extra ``(plane, block)``
+        pairs.  Returns its duration in ps."""
+        targets = [PageAddress(plane_, block_, 0)
+                   for plane_, block_ in ((plane, block),) + more]
+        if more:
+            self._check_multiplane(targets)
+        for target in targets:
+            self.geometry.validate(target)
         self._begin(self.ERASING)
-        duration = self.timing.erase_time(block,
-                                          self.wear_fraction(plane, block))
-        if self.fault_plan is not None:
-            stuck = self.fault_plan.stuck_busy_ps(
-                self._fault_id, "erase", plane, block)
-            if stuck:
-                duration += stuck
-                self.stats.counter("stuck_busy_faults").increment()
-        return duration
+        duration = 0
+        for plane_, block_, __ in targets:
+            duration = max(duration, self.timing.erase_time(
+                block_, self.wear_fraction(plane_, block_))
+                + self._stuck_ps("erase", plane_, block_))
+        return duration + self.multiplane_overhead_ps * len(more)
 
-    def finish_erase(self, plane: int, block: int) -> None:
-        """Complete a block erase: reset the write pointer, add a P/E
-        cycle and draw the erase status."""
+    def finish_erase(self, plane: int, block: int, *more) -> None:
+        """Complete a block erase: reset each write pointer, add a P/E
+        cycle and draw each block's erase status."""
         self._end()
-        self._record_erase(plane, block)
-        if self.fault_plan is not None:
-            # Erase-status FAIL grows a bad block: the block is retired
-            # on the spot and must never be allocated again.
-            self.last_erase_failed = self.fault_plan.erase_fails(
-                self._fault_id, plane, block)
-            if self.last_erase_failed:
-                self.stats.counter("erase_fails").increment()
-                self.mark_bad(plane, block)
+        failed = self._record_erase(plane, block)
+        for extra in more:
+            failed = self._record_erase(*extra) or failed
+        self.last_erase_failed = failed
+        if more:
+            self.stats.counter("multiplane_erases").increment()
 
-    def erase(self, plane: int, block: int):
+    def erase(self, plane: int, block: int, *more):
         """Block erase; resets the write pointer and adds a P/E cycle."""
-        duration = self.begin_erase(plane, block)
+        duration = self.begin_erase(plane, block, *more)
         yield self.sim.timeout(duration)
-        self.finish_erase(plane, block)
+        self.finish_erase(plane, block, *more)
         return duration
 
     # ------------------------------------------------------------------
-    # Per-address checks and bookkeeping, shared by the single-plane
-    # halves above and the multi-plane commands below.
+    # Per-plane checks, fault draws and bookkeeping of the halves above.
     # ------------------------------------------------------------------
-    def _check_read(self, address: PageAddress) -> Tuple[int, int]:
+    def _check_multiplane(self, targets) -> None:
+        """ONFI multi-plane addressing: distinct planes, one page offset."""
+        planes = [target.plane for target in targets]
+        if len(set(planes)) != len(planes):
+            raise NandProtocolError(
+                f"{self.path()}: multi-plane addresses must use distinct "
+                f"planes, got {planes}")
+        pages = {target.page for target in targets}
+        if len(pages) != 1:
+            raise NandProtocolError(
+                f"{self.path()}: multi-plane addresses must share the page "
+                f"offset, got {sorted(pages)}")
+
+    def _check_read(self, address: PageAddress) -> None:
         """Validate a read; count it if the page was never programmed."""
         self.geometry.validate(address)
         key = (address.plane, address.block)
         if address.page >= self._write_pointers.get(key,
                                                     self._preload_default):
             self.stats.counter("reads_unwritten").increment()
-        return key
 
-    def _check_program(self, address: PageAddress) -> Tuple[int, int]:
+    def _check_program(self, address: PageAddress) -> None:
         """Validate a program against the block's write pointer."""
         self.geometry.validate(address)
         key = (address.plane, address.block)
@@ -289,7 +311,16 @@ class NandDie(Component):
                 f"{self.path()}: program page {address.page} of block "
                 f"{key} violates sequential-programming rule "
                 f"(write pointer is {pointer})")
-        return key
+
+    def _stuck_ps(self, kind: str, plane: int, block: int) -> int:
+        """Extra busy time drawn for one plane of an array operation."""
+        if self.fault_plan is None:
+            return 0
+        stuck = self.fault_plan.stuck_busy_ps(self._fault_id, kind, plane,
+                                              block)
+        if stuck:
+            self.stats.counter("stuck_busy_faults").increment()
+        return stuck
 
     def _record_read(self, address: PageAddress) -> float:
         """Book a completed sense; returns the block RBER."""
@@ -298,104 +329,38 @@ class NandDie(Component):
         self.stats.counter("reads").increment()
         return self.rber(*key)
 
-    def _record_program(self, address: PageAddress) -> None:
-        """Book a completed program: advance the pointer, add wear."""
+    def _record_program(self, address: PageAddress) -> bool:
+        """Book a completed program (advance the pointer, add wear) and
+        draw its status; True on program-status FAIL."""
         key = (address.plane, address.block)
         # _check_program checked the page against the pointer.
         self._write_pointers[key] = address.page + 1
         self._wear_state(key).record_program()
         self.stats.counter("programs").increment()
+        if self.fault_plan is None or not self.fault_plan.program_fails(
+                self._fault_id, address.plane, address.block, address.page):
+            return False
+        # Program-status FAIL: the array time is spent, the page is
+        # consumed, but the controller must treat the data as lost and
+        # remap (the page register still holds it).
+        self.stats.counter("program_fails").increment()
+        return True
 
-    def _record_erase(self, plane: int, block: int) -> None:
-        """Book a completed erase: reset the pointer, add a P/E cycle."""
+    def _record_erase(self, plane: int, block: int) -> bool:
+        """Book a completed erase (reset the pointer, add a P/E cycle)
+        and draw its status; True on erase-status FAIL."""
         key = (plane, block)
         self._write_pointers[key] = 0
         self._wear_state(key).record_erase()
         self.stats.counter("erases").increment()
-
-    # ------------------------------------------------------------------
-    # Multi-plane operations (ONFI interleaved-plane commands)
-    # ------------------------------------------------------------------
-    def _validate_multiplane(self, addresses) -> None:
-        if len(addresses) < 2:
-            raise ValueError("multi-plane operations need >= 2 addresses")
-        planes = [address.plane for address in addresses]
-        if len(set(planes)) != len(planes):
-            raise NandProtocolError(
-                f"{self.path()}: multi-plane addresses must use distinct "
-                f"planes, got {planes}")
-        pages = {address.page for address in addresses}
-        if len(pages) != 1:
-            raise NandProtocolError(
-                f"{self.path()}: multi-plane addresses must share the page "
-                f"offset, got {sorted(pages)}")
-
-    def program_multiplane(self, addresses):
-        """Program one page in each of several planes concurrently.
-
-        Array time is the slowest plane's tPROG plus a small per-extra-
-        plane issue overhead — the parallelism that makes multi-plane
-        commands worth their addressing restrictions.
-        """
-        self._validate_multiplane(addresses)
-        for address in addresses:
-            self._check_program(address)
-        self._begin(self.PROGRAMMING)
-        duration = max(
-            self.timing.program_time(address.page, address.block,
-                                     self.wear_fraction(address.plane,
-                                                        address.block))
-            for address in addresses)
-        duration += self.multiplane_overhead_ps * (len(addresses) - 1)
-        yield self.sim.timeout(duration)
-        self._end()
-        for address in addresses:
-            self._record_program(address)
-        self.stats.counter("multiplane_programs").increment()
-        return duration
-
-    def read_multiplane(self, addresses):
-        """Sense one page in each of several planes concurrently."""
-        self._validate_multiplane(addresses)
-        for address in addresses:
-            self._check_read(address)
-        self._begin(self.READING)
-        duration = max(
-            self.timing.read_time(address.page,
-                                  self.wear_fraction(address.plane,
-                                                     address.block))
-            for address in addresses)
-        duration += self.multiplane_overhead_ps * (len(addresses) - 1)
-        yield self.sim.timeout(duration)
-        self._end()
-        rbers = [self._record_read(address) for address in addresses]
-        self.stats.counter("multiplane_reads").increment()
-        return rbers
-
-    def erase_multiplane(self, blocks):
-        """Erase one block in each of several planes concurrently.
-
-        ``blocks`` is a list of (plane, block) pairs on distinct planes.
-        """
-        if len(blocks) < 2:
-            raise ValueError("multi-plane erase needs >= 2 blocks")
-        planes = [plane for plane, __ in blocks]
-        if len(set(planes)) != len(planes):
-            raise NandProtocolError(
-                f"{self.path()}: multi-plane erase needs distinct planes")
-        for plane, block in blocks:
-            self.geometry.validate(PageAddress(plane, block, 0))
-        self._begin(self.ERASING)
-        duration = max(
-            self.timing.erase_time(block, self.wear_fraction(plane, block))
-            for plane, block in blocks)
-        duration += self.multiplane_overhead_ps * (len(blocks) - 1)
-        yield self.sim.timeout(duration)
-        self._end()
-        for plane, block in blocks:
-            self._record_erase(plane, block)
-        self.stats.counter("multiplane_erases").increment()
-        return duration
+        if self.fault_plan is None or not self.fault_plan.erase_fails(
+                self._fault_id, plane, block):
+            return False
+        # Erase-status FAIL grows a bad block: the block is retired on
+        # the spot and must never be allocated again.
+        self.stats.counter("erase_fails").increment()
+        self.mark_bad(plane, block)
+        return True
 
     def preload_block(self, plane: int, block: int,
                       pages: Optional[int] = None) -> None:

@@ -115,18 +115,6 @@ class OnfiChannel(Component):
         self.stats.counter("transfers").increment()
         self.stats.meter("data").record(nbytes)
 
-    def command_and_transfer(self, nbytes: int):
-        """Command + data in one bus tenure (how real controllers do it)."""
-        grant = self.bus.acquire()
-        yield grant
-        t0 = self.sim.now if _obs.enabled else -1
-        yield self.sim.timeout(self.timing.effective_page_time(nbytes))
-        self.bus.release(grant)
-        if t0 >= 0:
-            _obs.record_span(self.path(), "bus_xfer", t0, self.sim.now)
-        self.stats.counter("transfers").increment()
-        self.stats.meter("data").record(nbytes)
-
     def utilization(self) -> float:
         """Fraction of sim time the bus was occupied."""
         return self.bus.utilization()

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 SAMPLE = os.path.join(os.path.dirname(__file__), "..", "..", "examples",
@@ -35,6 +36,27 @@ class TestFeatures:
         out = capsys.readouterr().out
         assert "WAF FTL" in out
         assert "capabilities verified" in out
+
+
+class TestValidate:
+    def test_second_run_simulates_nothing(self, tmp_path, monkeypatch,
+                                          capsys):
+        """validate builds its runner like every other fan-out command,
+        so REPRO_SWEEP_CACHE_DIR serves a rerun from the cache."""
+        monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR", str(tmp_path))
+        runners = []
+
+        def recording_runner(*args, **kwargs):
+            runners.append(real_runner(*args, **kwargs))
+            return runners[-1]
+
+        real_runner = cli.runner_from_args
+        monkeypatch.setattr(cli, "runner_from_args", recording_runner)
+        assert main(["validate", "--commands", "40"]) == 0
+        first = capsys.readouterr().out
+        assert main(["validate", "--commands", "40"]) == 0
+        assert capsys.readouterr().out == first
+        assert [runner.last_summary.cached for runner in runners] == [0, 4]
 
 
 class TestRun:

@@ -126,21 +126,61 @@ class TestProtocolErrors:
     def test_multiplane_duplicate_planes_rejected(self, sim):
         die = make_die(sim, geometry=GEO2)
         with pytest.raises(NandProtocolError):
-            next(die.program_multiplane([PageAddress(0, 0, 0),
-                                         PageAddress(0, 1, 0)]))
+            next(die.program(PageAddress(0, 0, 0), PageAddress(0, 1, 0)))
 
     def test_multiplane_page_offsets_must_match(self, sim):
         die = make_die(sim, geometry=GEO2)
         with pytest.raises(NandProtocolError):
-            next(die.read_multiplane([PageAddress(0, 0, 0),
-                                      PageAddress(1, 0, 3)]))
+            next(die.read(PageAddress(0, 0, 0), PageAddress(1, 0, 3)))
 
     def test_multiplane_erase_distinct_planes(self, sim):
         die = make_die(sim, geometry=GEO2)
         with pytest.raises(NandProtocolError):
-            next(die.erase_multiplane([(0, 0), (0, 1)]))
+            next(die.erase(0, 0, (0, 1)))
 
     def test_multiplane_needs_two_addresses(self, sim):
+        """One address is the single-plane command: no multi-plane
+        addressing check, no issue overhead."""
         die = make_die(sim, geometry=GEO2)
-        with pytest.raises(ValueError):
-            next(die.program_multiplane([PageAddress(0, 0, 0)]))
+        address = PageAddress(0, 0, 0)
+        assert die.begin_program(address) == die.timing.program_time(
+            address.page, address.block)
+        die.finish_program(address)
+        assert die.stats.counter("multiplane_programs").value == 0
+
+
+class TestMultiplaneFaults:
+    """A multi-plane command draws every fault for every plane, as the
+    single-plane command draws it for its one plane."""
+
+    def test_program_fails_and_sticks_on_every_plane(self):
+        single_sim, dual_sim = Simulator(), Simulator()
+        faults = dict(program_fail_prob=1.0, stuck_busy_prob=1.0)
+        single = make_die(single_sim, geometry=GEO2, **faults)
+        dual = make_die(dual_sim, geometry=GEO2, **faults)
+        single_sim.run(until=single_sim.process(
+            single.program(PageAddress(0, 0, 0))))
+        dual_sim.run(until=dual_sim.process(
+            dual.program(PageAddress(0, 0, 0), PageAddress(1, 0, 0))))
+        assert dual.last_program_failed
+        assert dual.stats.counter("program_fails").value == 2
+        assert dual.stats.counter("stuck_busy_faults").value == 2
+        # The slowest plane's time includes its stuck-busy draw.
+        assert dual_sim.now >= single_sim.now + dual.multiplane_overhead_ps
+
+    def test_erase_fail_retires_every_block(self, sim):
+        die = make_die(sim, geometry=GEO2, erase_fail_prob=1.0)
+        sim.run(until=sim.process(die.erase(0, 3, (1, 3))))
+        assert die.last_erase_failed
+        assert die.is_bad_block(0, 3)
+        assert die.is_bad_block(1, 3)
+        assert die.stats.counter("erase_fails").value == 2
+
+    def test_read_sticks_on_every_plane(self, sim):
+        die = make_die(sim, geometry=GEO2, stuck_busy_prob=1.0,
+                       stuck_busy_extra_ps=us(500))
+        sim.run(until=sim.process(die.read(PageAddress(0, 0, 0),
+                                           PageAddress(1, 0, 0))))
+        assert die.stats.counter("stuck_busy_faults").value == 2
+        assert sim.now == (die.timing.read_time() + us(500)
+                           + die.multiplane_overhead_ps)

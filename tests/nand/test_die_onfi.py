@@ -186,12 +186,6 @@ class TestOnfiChannel:
         sim.run()
         assert finish_times == [ns(1000), ns(2000)]
 
-    def test_command_and_transfer_single_tenure(self, sim):
-        timing = OnfiTiming(cycle_ps=ns(10), overhead_ps=ns(50))
-        channel = OnfiChannel(sim, "chn0", timing)
-        sim.run(until=sim.process(channel.command_and_transfer(64)))
-        assert sim.now == timing.effective_page_time(64)
-
     def test_utilization(self, sim):
         channel = OnfiChannel(sim, "chn0", OnfiTiming(cycle_ps=ns(10),
                                                       overhead_ps=0))
@@ -207,40 +201,3 @@ class TestOnfiChannel:
         channel = OnfiChannel(sim, "chn0", OnfiTiming())
         sim.run(until=sim.process(channel.transfer(4096)))
         assert channel.stats.meters["data"].bytes_total == 4096
-
-
-class TestOnfiCommandSet:
-    def test_known_sequences(self):
-        from repro.nand import COMMAND_SET
-        assert COMMAND_SET["page_read"].address_cycles == 5
-        assert COMMAND_SET["block_erase"].address_cycles == 3
-        assert COMMAND_SET["reset"].total_cycles == 1
-
-    def test_bus_time_reflects_cycles(self):
-        from repro.nand import command_bus_time_ps
-        timing = OnfiTiming(cycle_ps=ns(30), overhead_ps=ns(300))
-        read = command_bus_time_ps("page_read", timing)
-        erase = command_bus_time_ps("block_erase", timing)
-        # Erase has two fewer address cycles than read.
-        assert read - erase == 2 * ns(30)
-
-    def test_multiplane_repeats_command_group(self):
-        from repro.nand import command_bus_time_ps
-        timing = OnfiTiming(cycle_ps=ns(30), overhead_ps=0)
-        one = command_bus_time_ps("page_program", timing, planes=1)
-        two = command_bus_time_ps("page_program", timing, planes=2)
-        assert two - one == 7 * ns(30)  # 2 cmd + 5 addr cycles repeated
-
-    def test_unknown_operation_rejected(self):
-        from repro.nand import command_bus_time_ps, sequence_description
-        with pytest.raises(ValueError):
-            command_bus_time_ps("format", OnfiTiming())
-        with pytest.raises(ValueError):
-            sequence_description("format")
-        with pytest.raises(ValueError):
-            command_bus_time_ps("page_read", OnfiTiming(), planes=0)
-
-    def test_descriptions(self):
-        from repro.nand import sequence_description
-        assert "30h" in sequence_description("page_read")
-        assert "x2 planes" in sequence_description("page_program", planes=2)

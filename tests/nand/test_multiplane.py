@@ -1,10 +1,18 @@
-"""Tests for multi-plane NAND operations and cache programming."""
+"""Tests for multi-plane NAND operations and cache programming.
+
+A multi-plane command is the single-page call with extra planes:
+``die.program(address, *more)``, ``die.read(address, *more)``,
+``die.erase(plane, block, *more)`` and the controller's
+``program_page`` / ``read_page``; cache program is
+``program_page(..., cached=True)``.
+"""
 
 import pytest
 
-from repro.controller import ChannelWayController, GangScheme
-from repro.ecc import FixedBch
-from repro.kernel import Simulator
+from repro.controller import ChannelWayController
+from repro.ecc import AdaptiveBch, FixedBch
+from repro.faults import FaultConfig, FaultPlan, ProgramFailError
+from repro.kernel import SimulationError, Simulator
 from repro.kernel.simtime import ms, us
 from repro.nand import (MlcTimingModel, NandDie, NandGeometry,
                         NandProtocolError, OnfiTiming, PageAddress,
@@ -12,6 +20,7 @@ from repro.nand import (MlcTimingModel, NandDie, NandGeometry,
 
 GEO = NandGeometry(planes_per_die=2, blocks_per_plane=8, pages_per_block=8,
                    page_bytes=4096, spare_bytes=224)
+PAIR = (PageAddress(0, 0, 0), PageAddress(1, 0, 0))
 
 
 @pytest.fixture
@@ -26,9 +35,7 @@ def make_die(sim):
 class TestMultiplaneProgram:
     def test_cheaper_than_two_singles(self, sim):
         die = make_die(sim)
-        addresses = [PageAddress(0, 0, 0), PageAddress(1, 0, 0)]
-        duration = sim.run(until=sim.process(
-            die.program_multiplane(addresses)))
+        duration = sim.run(until=sim.process(die.program(*PAIR)))
         # max(tPROG) + overhead, far below the 2x of serial programs.
         assert duration < ms(3.5)
         assert die.write_pointer(0, 0) == 1
@@ -36,24 +43,23 @@ class TestMultiplaneProgram:
 
     def test_counts_programs_per_plane(self, sim):
         die = make_die(sim)
-        sim.run(until=sim.process(die.program_multiplane(
-            [PageAddress(0, 0, 0), PageAddress(1, 0, 0)])))
+        sim.run(until=sim.process(die.program(*PAIR)))
         assert die.stats.counter("programs").value == 2
         assert die.stats.counter("multiplane_programs").value == 1
 
     def test_rejects_same_plane(self, sim):
         die = make_die(sim)
         with pytest.raises(NandProtocolError):
-            sim.run(until=sim.process(die.program_multiplane(
-                [PageAddress(0, 0, 0), PageAddress(0, 1, 0)])))
+            sim.run(until=sim.process(die.program(
+                PageAddress(0, 0, 0), PageAddress(0, 1, 0))))
 
     def test_rejects_mismatched_page_offset(self, sim):
         die = make_die(sim)
 
         def flow():
             yield sim.process(die.program(PageAddress(0, 0, 0)))
-            yield sim.process(die.program_multiplane(
-                [PageAddress(0, 0, 1), PageAddress(1, 0, 0)]))
+            yield sim.process(die.program(
+                PageAddress(0, 0, 1), PageAddress(1, 0, 0)))
 
         with pytest.raises(NandProtocolError):
             sim.run(until=sim.process(flow()))
@@ -61,14 +67,20 @@ class TestMultiplaneProgram:
     def test_sequential_rule_enforced_per_plane(self, sim):
         die = make_die(sim)
         with pytest.raises(NandProtocolError):
-            sim.run(until=sim.process(die.program_multiplane(
-                [PageAddress(0, 0, 1), PageAddress(1, 0, 1)])))
+            sim.run(until=sim.process(die.program(
+                PageAddress(0, 0, 1), PageAddress(1, 0, 1))))
 
     def test_needs_two_addresses(self, sim):
+        """A multi-plane command needs two addresses: one address is the
+        single-plane program, with no issue overhead and no multi-plane
+        count."""
         die = make_die(sim)
-        with pytest.raises(ValueError):
-            sim.run(until=sim.process(die.program_multiplane(
-                [PageAddress(0, 0, 0)])))
+        address = PageAddress(0, 0, 0)
+        duration = sim.run(until=sim.process(die.program(address)))
+        assert duration == die.timing.program_time(address.page,
+                                                   address.block)
+        assert die.stats.counter("multiplane_programs").value == 0
+        assert die.stats.counter("programs").value == 1
 
 
 class TestMultiplaneReadErase:
@@ -76,19 +88,17 @@ class TestMultiplaneReadErase:
         die = make_die(sim)
 
         def flow():
-            yield sim.process(die.program_multiplane(
-                [PageAddress(0, 0, 0), PageAddress(1, 0, 0)]))
-            rbers = yield sim.process(die.read_multiplane(
-                [PageAddress(0, 0, 0), PageAddress(1, 0, 0)]))
+            yield sim.process(die.program(*PAIR))
+            rbers = yield sim.process(die.read(*PAIR))
             return rbers
 
         rbers = sim.run(until=sim.process(flow()))
         assert len(rbers) == 2
+        assert die.stats.counter("multiplane_reads").value == 1
 
     def test_read_time_near_single(self, sim):
         die = make_die(sim)
-        duration_event = sim.process(die.read_multiplane(
-            [PageAddress(0, 0, 0), PageAddress(1, 0, 0)]))
+        duration_event = sim.process(die.read(*PAIR))
         sim.run(until=duration_event)
         assert sim.now < us(65)  # tREAD + 2us overhead vs 2 x tREAD
 
@@ -96,23 +106,23 @@ class TestMultiplaneReadErase:
         die = make_die(sim)
 
         def flow():
-            yield sim.process(die.program_multiplane(
-                [PageAddress(0, 0, 0), PageAddress(1, 0, 0)]))
-            yield sim.process(die.erase_multiplane([(0, 0), (1, 0)]))
+            yield sim.process(die.program(*PAIR))
+            yield sim.process(die.erase(0, 0, (1, 0)))
 
         sim.run(until=sim.process(flow()))
         assert die.write_pointer(0, 0) == 0
         assert die.write_pointer(1, 0) == 0
         assert die.pe_cycles(0, 0) == 1
         assert die.pe_cycles(1, 0) == 1
+        assert die.stats.counter("multiplane_erases").value == 1
 
     def test_erase_validation(self, sim):
         die = make_die(sim)
-        with pytest.raises(ValueError):
-            sim.run(until=sim.process(die.erase_multiplane([(0, 0)])))
+        # One block is the single-plane erase.
+        sim.run(until=sim.process(die.erase(0, 0)))
+        assert die.stats.counter("multiplane_erases").value == 0
         with pytest.raises(NandProtocolError):
-            sim.run(until=sim.process(die.erase_multiplane(
-                [(0, 0), (0, 1)])))
+            sim.run(until=sim.process(die.erase(0, 0, (0, 1))))
 
 
 class TestMultiplaneSharesSinglePlaneChecks:
@@ -123,8 +133,7 @@ class TestMultiplaneSharesSinglePlaneChecks:
         die = make_die(sim)
         die.preload_all()
         with pytest.raises(NandProtocolError):
-            sim.run(until=sim.process(die.program_multiplane(
-                [PageAddress(0, 0, 0), PageAddress(1, 0, 0)])))
+            sim.run(until=sim.process(die.program(*PAIR)))
         # The single-plane program rejects the same command.
         with pytest.raises(NandProtocolError):
             sim.run(until=sim.process(die.program(PageAddress(0, 0, 0))))
@@ -137,9 +146,8 @@ class TestMultiplaneSharesSinglePlaneChecks:
         die.preload_all()
 
         def flow():
-            yield sim.process(die.erase_multiplane([(0, 0), (1, 0)]))
-            yield sim.process(die.program_multiplane(
-                [PageAddress(0, 0, 0), PageAddress(1, 0, 0)]))
+            yield sim.process(die.erase(0, 0, (1, 0)))
+            yield sim.process(die.program(*PAIR))
 
         sim.run(until=sim.process(flow()))
         assert die.write_pointer(0, 0) == 1
@@ -149,25 +157,29 @@ class TestMultiplaneSharesSinglePlaneChecks:
     def test_read_counts_unwritten_pages(self, sim):
         die = make_die(sim)
         addresses = [PageAddress(0, 0, 3), PageAddress(1, 0, 3)]
-        sim.run(until=sim.process(die.read_multiplane(addresses)))
+        sim.run(until=sim.process(die.read(*addresses)))
         assert die.stats.counter("reads_unwritten").value == 2
         die.preload_all()
-        sim.run(until=sim.process(die.read_multiplane(addresses)))
+        sim.run(until=sim.process(die.read(*addresses)))
         assert die.stats.counter("reads_unwritten").value == 2
         assert die.stats.counter("reads").value == 4
 
 
-def make_controller(sim, **kwargs):
+def make_controller(sim, ecc=None, **kwargs):
     return ChannelWayController(
         sim, "chn0", 1, 1, GEO, MlcTimingModel(), WearModel(),
-        OnfiTiming.asynchronous(), FixedBch(t=8), **kwargs)
+        OnfiTiming.asynchronous(), ecc or FixedBch(t=8), **kwargs)
+
+
+def install_plan(controller, **overrides):
+    controller.set_fault_plan(FaultPlan(FaultConfig(enabled=True, seed=21,
+                                                    **overrides)))
 
 
 class TestControllerMultiplane:
     def test_multiplane_program_beats_serial(self, sim):
         controller = make_controller(sim)
-        sim.run(until=sim.process(controller.program_page_multiplane(
-            0, 0, [PageAddress(0, 0, 0), PageAddress(1, 0, 0)])))
+        sim.run(until=sim.process(controller.program_page(0, 0, *PAIR)))
         multiplane_time = sim.now
 
         serial_sim = Simulator()
@@ -186,15 +198,23 @@ class TestControllerMultiplane:
         controller = make_controller(sim)
 
         def flow():
-            yield sim.process(controller.program_page_multiplane(
-                0, 0, [PageAddress(0, 0, 0), PageAddress(1, 0, 0)]))
-            elapsed = yield sim.process(controller.read_page_multiplane(
-                0, 0, [PageAddress(0, 0, 0), PageAddress(1, 0, 0)]))
+            yield sim.process(controller.program_page(0, 0, *PAIR))
+            elapsed = yield sim.process(controller.read_page(0, 0, *PAIR))
             return elapsed
 
         elapsed = sim.run(until=sim.process(flow()))
         assert elapsed > 0
         assert controller.stats.counter("reads").value == 2
+
+    @pytest.mark.parametrize("generator, kwargs", [
+        ("program_page", {}),
+        ("program_page", {"cached": True}),
+        ("read_page", {}),
+    ], ids=["program", "cached-program", "read"])
+    def test_refused_on_a_fast_controller(self, sim, generator, kwargs):
+        controller = make_controller(sim, fast=True)
+        with pytest.raises(SimulationError, match="cycle-fidelity"):
+            next(getattr(controller, generator)(0, 0, *PAIR, **kwargs))
 
 
 class TestCacheProgram:
@@ -205,12 +225,12 @@ class TestCacheProgram:
         def run_pair(cached):
             sim = Simulator()
             controller = make_controller(sim)
-            method = (controller.program_page_cached if cached
-                      else controller.program_page)
 
             def flow():
-                first = sim.process(method(0, 0, PageAddress(0, 0, 0)))
-                second = sim.process(method(0, 0, PageAddress(0, 0, 1)))
+                first = sim.process(controller.program_page(
+                    0, 0, PageAddress(0, 0, 0), cached=cached))
+                second = sim.process(controller.program_page(
+                    0, 0, PageAddress(0, 0, 1), cached=cached))
                 yield sim.all_of([first, second])
 
             sim.run(until=sim.process(flow()))
@@ -220,7 +240,52 @@ class TestCacheProgram:
 
     def test_cached_counter(self, sim):
         controller = make_controller(sim)
-        sim.run(until=sim.process(controller.program_page_cached(
-            0, 0, PageAddress(0, 0, 0))))
+        sim.run(until=sim.process(controller.program_page(
+            0, 0, PageAddress(0, 0, 0), cached=True)))
         assert controller.stats.counter("cached_programs").value == 1
         assert controller.stats.counter("programs").value == 1
+
+
+class TestEveryFormHonoursFaults:
+    """Multi-plane and cached commands draw and report faults exactly as
+    the single-page command does."""
+
+    @pytest.mark.parametrize("more, cached", [
+        ((PageAddress(1, 0, 0),), False),
+        ((PageAddress(1, 0, 0),), True),
+        ((), True),
+    ], ids=["2-plane", "2-plane-cached", "cached"])
+    def test_program_fail_raises(self, sim, more, cached):
+        controller = make_controller(sim)
+        install_plan(controller, program_fail_prob=1.0)
+        with pytest.raises(ProgramFailError) as info:
+            sim.run(until=sim.process(controller.program_page(
+                0, 0, PageAddress(0, 0, 0), *more, cached=cached)))
+        assert info.value.address == PageAddress(0, 0, 0)
+        assert controller.stats.counter("program_fail_reports").value == 1
+        die = controller.die(0, 0)
+        assert die.stats.counter("program_fails").value == 1 + len(more)
+        # The pages are consumed even though the data is lost.
+        assert die.write_pointer(0, 0) == 1
+
+    def test_two_plane_read_climbs_the_retry_ladder(self, sim):
+        """~220 mean errors per codeword on the first sense (t=40 at
+        rated endurance), ~11 on the first retry rung: every plane is
+        drawn, and the whole command re-senses until all planes are
+        correctable."""
+        controller = make_controller(sim, ecc=AdaptiveBch(),
+                                     initial_pe_cycles=3000)
+        install_plan(controller, rber_scale=20.0, retry_rber_scale=0.05)
+
+        def flow():
+            yield sim.process(controller.program_page(0, 0, *PAIR))
+            yield sim.process(controller.read_page(0, 0, *PAIR))
+
+        sim.run(until=sim.process(flow()))
+        retries = controller.stats.counter("read_retries").value
+        assert retries >= 1
+        assert controller.stats.counter("read_retry_success").value == 1
+        assert controller.stats.counter("reads").value == 2
+        die = controller.die(0, 0)
+        assert die.stats.counter("reads").value == 2 * (1 + retries)
+        assert die.stats.counter("read_bit_errors").value > 0
