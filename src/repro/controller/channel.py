@@ -207,6 +207,9 @@ class ChannelWayController(Component):
         cache register ahead of the R/B# wait, so it overlaps the die's
         previous array program (the bus FIFO keeps same-die transfers
         ordered, R/B# keeps the array programs ordered).
+
+        A program-status FAIL raises :class:`ProgramFailError` naming
+        only the failing targets; its ``address`` is the first of them.
         """
         self._refuse_fast("program_page", "program")
         die = self.die(way, die_index)
@@ -252,14 +255,16 @@ class ChannelWayController(Component):
             yield self.sim.process(die.program(address, *more))
         finally:
             lock.release(ready)
-        if die.fault_plan is not None and die.last_program_failed:
+        failed = die.failed_programs
+        if failed:
             # Status poll reports FAIL: array time is spent, the pages
-            # are consumed, and the device layer must remap the data.
+            # are consumed, and the device layer must remap the data of
+            # the failing planes.
             self.stats.counter("program_fail_reports").increment()
             raise ProgramFailError(
                 f"{self.path()}: program-status FAIL at way{way} "
-                f"die{die_index} {' '.join(map(str, targets))}",
-                address=address)
+                f"die{die_index} {' '.join(map(str, failed))}",
+                address=failed[0])
         self.stats.counter("programs").increment(len(targets))
         if cached:
             self.stats.counter("cached_programs").increment()

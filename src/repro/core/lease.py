@@ -9,8 +9,8 @@ drain the same point set without locks:
 * **Claiming** hard-links a fully written lease into ``<key>.lease`` —
   ``link`` fails if the lease exists, so exactly one worker wins, and no
   lease is ever seen half-written.  Leases carry owner, pid, host and an
-  expiry; :class:`LeaseKeeper` heartbeats the expiry while the point
-  simulates.
+  expiry; one :class:`LeaseKeeper` per drain heartbeats the expiry of
+  the lease its drain holds while the point simulates.
 * **Reaping** an orphaned lease (worker killed mid-point) renames the
   lease file to a tombstone — ``rename`` succeeds for exactly one
   reaper, so an orphaned point re-enters the queue exactly once.  Leases
@@ -26,7 +26,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional
+from typing import IO, Any, Dict, List, Mapping, Optional
 
 #: Default lease time-to-live.  Workers heartbeat at TTL/4, so a live
 #: worker never expires; a killed one is reaped within one TTL (or
@@ -39,10 +39,11 @@ def atomic_write(path: str, data: bytes) -> None:
 
     Readers see the old content or the new, never a partial file; on any
     failure the temporary file is unlinked and the exception re-raised.
+    A missing directory is created (see :func:`_create`).
     """
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "wb") as handle:
+        with _create(tmp) as handle:
             handle.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -51,6 +52,17 @@ def atomic_write(path: str, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def _create(path: str, mode: str = "wb") -> IO[Any]:
+    """Open ``path`` for writing, creating its directory only when it is
+    missing (the first write into it, or after it was removed) rather
+    than checking on every write."""
+    try:
+        return open(path, mode)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        return open(path, mode)
 
 
 def _worker_name() -> str:
@@ -114,7 +126,6 @@ class LeaseQueue:
         its content: a worker killed mid-claim leaves no empty lease file
         that no reaper could read (and the point claimable by nobody).
         """
-        os.makedirs(self.directory, exist_ok=True)
         lease = Lease(key=key, owner=owner or _worker_name(),
                       pid=os.getpid(), host=socket.gethostname(),
                       expires_unix=time.time() + self.ttl_s)
@@ -122,7 +133,7 @@ class LeaseQueue:
             self.directory,
             f".claim-{os.getpid()}-{threading.get_ident()}-{key[:16]}")
         try:
-            with open(staged, "w", encoding="utf-8") as handle:
+            with _create(staged, "w") as handle:  # json.dump: ASCII
                 json.dump(lease.to_dict(), handle)
             try:
                 os.link(staged, self._path(key))
@@ -255,22 +266,37 @@ class LeaseQueue:
 
 
 class LeaseKeeper:
-    """Daemon thread that heartbeats one lease while a point simulates."""
+    """Daemon thread that heartbeats whichever lease a drain holds.
 
-    def __init__(self, queue: LeaseQueue, lease: Lease):
+    One keeper lives for a whole drain: :meth:`hold` hands it the lease
+    just claimed, ``hold(None)`` takes it back before the lease is
+    released.  A heartbeat and a ``hold`` never interleave, so no
+    heartbeat rewrites a lease file after its release.  The thread
+    starts on ``__enter__``, in the process that drains (a forked child
+    has its own), and is joined on ``__exit__``.
+    """
+
+    def __init__(self, queue: LeaseQueue):
         self.queue = queue
-        self.lease = lease
+        self._lease: Optional[Lease] = None
+        self._lock = threading.Lock()
         self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread = threading.Thread(target=self._run, daemon=True,
+                                        name="lease-keeper")
+
+    def hold(self, lease: Optional[Lease]) -> None:
+        """Heartbeat ``lease`` from now on (``None``: heartbeat nothing)."""
+        with self._lock:
+            self._lease = lease
 
     def _run(self) -> None:
-        lease = self.lease
         interval = max(0.05, self.queue.ttl_s / 4.0)
         while not self._stop.wait(interval):
-            renewed = self.queue.heartbeat(lease)
-            if renewed is None:
-                return  # lease lost; publish stays idempotent
-            lease = renewed
+            with self._lock:
+                if self._lease is not None:
+                    # None when the lease was lost; publish stays
+                    # idempotent, so the point simply runs on.
+                    self._lease = self.queue.heartbeat(self._lease)
 
     def __enter__(self) -> "LeaseKeeper":
         self._thread.start()

@@ -81,23 +81,56 @@ def canonical(obj: Any) -> Any:
     fingerprint form — e.g. :class:`~repro.core.tracereplay.TraceWorkload`
     substitutes the trace file's content hash for its path, so moving a
     trace on disk never invalidates cached sweep results.
+
+    How an object reduces depends only on its class, so the rule is
+    chosen once per class (:func:`_reducer_for`) and looked up after.
     """
-    if hasattr(obj, "__canonical__"):
-        return canonical(obj.__canonical__())
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        body = {f.name: canonical(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-        return {"__dataclass__": type(obj).__qualname__, **body}
-    if isinstance(obj, enum.Enum):
-        return {"__enum__": type(obj).__qualname__, "value": obj.value}
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
-    if isinstance(obj, Mapping):
-        return {str(key): canonical(value)
-                for key, value in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(obj, (list, tuple)):
-        return [canonical(item) for item in obj]
-    raise TypeError(f"cannot fingerprint object of type {type(obj).__name__}")
+    cls = type(obj)
+    reduce = _REDUCERS.get(cls)
+    if reduce is None:
+        reduce = _REDUCERS[cls] = _reducer_for(cls)
+    return reduce(obj)
+
+
+#: ``class → reducer``, filled by :func:`canonical` on first sight.
+_REDUCERS: Dict[type, Callable[[Any], Any]] = {}
+
+
+def _reducer_for(cls: type) -> Callable[[Any], Any]:
+    """The reduction rule for instances of ``cls``; first match wins, in
+    the order ``__canonical__``, dataclass, enum, scalar, mapping,
+    list/tuple; ``TypeError`` when none matches.  A class object's
+    class is ``type`` (or a metaclass), which matches none of them, so a
+    class never fingerprints."""
+    if hasattr(cls, "__canonical__"):
+        return lambda obj: canonical(obj.__canonical__())
+    if dataclasses.is_dataclass(cls):
+        names = tuple(f.name for f in dataclasses.fields(cls))
+        qualname = cls.__qualname__
+
+        def reduce_dataclass(obj: Any) -> Dict[str, Any]:
+            body = {name: canonical(getattr(obj, name)) for name in names}
+            return {"__dataclass__": qualname, **body}
+        return reduce_dataclass
+    if issubclass(cls, enum.Enum):
+        qualname = cls.__qualname__
+        return lambda obj: {"__enum__": qualname, "value": obj.value}
+    if issubclass(cls, (bool, int, float, str, type(None))):
+        return _identity
+    if issubclass(cls, Mapping):
+        return _reduce_mapping
+    if issubclass(cls, (list, tuple)):
+        return lambda obj: [canonical(item) for item in obj]
+    raise TypeError(f"cannot fingerprint object of type {cls.__name__}")
+
+
+def _identity(obj: Any) -> Any:
+    return obj
+
+
+def _reduce_mapping(obj: Mapping[Any, Any]) -> Dict[str, Any]:
+    return {str(key): canonical(value)
+            for key, value in sorted(obj.items(), key=lambda kv: str(kv[0]))}
 
 
 @dataclass(frozen=True)
@@ -294,7 +327,6 @@ class SweepCache:
     def store(self, key: str, envelope: Dict[str, Any]) -> Dict[str, Any]:
         """Write ``envelope`` atomically; return it as :meth:`load` will
         read it back (JSON types: lists for tuples, string dict keys)."""
-        os.makedirs(self.directory, exist_ok=True)
         text = json.dumps(envelope, sort_keys=True)
         atomic_write(self._path(key), text.encode("utf-8"))
         return json.loads(text)
@@ -479,40 +511,44 @@ def drain(pending: Sequence[Tuple[SweepPoint, str]], cache: SweepCache,
     the leases of dead (same host) or expired owners are reaped, each
     exactly once, and their points re-run.  ``publish(point, key,
     envelope)`` stores an envelope and returns it as the cache reads it
-    back; ``on_point`` receives that envelope.
+    back; ``on_point`` receives that envelope.  One
+    :class:`~repro.core.lease.LeaseKeeper` thread heartbeats whichever
+    lease the call holds, from claim to release.
     """
     executed = 0
     published: Set[str] = set()  # by this call: no need to re-read
-    while True:
-        claimed_any = False
-        missing = 0
-        for point, key in pending:
-            if key in published or cache.load(key) is not None:
-                continue
-            missing += 1
-            lease = queue.claim(key, owner)
-            if lease is None:
-                continue
-            claimed_any = True
-            try:
-                if cache.load(key) is not None:
-                    continue  # published while we raced for the lease
-                with LeaseKeeper(queue, lease):
-                    envelope = _evaluate_guarded(point, key, salt, timeout_s)
-                envelope = publish(point, key, envelope)
-                published.add(key)
-                executed += 1
-                if on_point is not None:
-                    on_point(point, key, envelope)
-            finally:
-                queue.release(lease)
-        if missing == 0:
-            return executed
-        if not claimed_any:
-            # Everything left is leased elsewhere: recover orphans, then
-            # wait for live owners to publish.
-            if not (queue.reap_dead() or queue.reap_expired()):
-                time.sleep(poll_s)
+    with LeaseKeeper(queue) as keeper:
+        while True:
+            claimed_any = False
+            missing = 0
+            for point, key in pending:
+                if key in published or cache.load(key) is not None:
+                    continue
+                missing += 1
+                lease = queue.claim(key, owner)
+                if lease is None:
+                    continue
+                claimed_any = True
+                keeper.hold(lease)
+                try:
+                    if cache.load(key) is not None:
+                        continue  # published while we raced for the lease
+                    envelope = publish(point, key, _evaluate_guarded(
+                        point, key, salt, timeout_s))
+                    published.add(key)
+                    executed += 1
+                    if on_point is not None:
+                        on_point(point, key, envelope)
+                finally:
+                    keeper.hold(None)
+                    queue.release(lease)
+            if missing == 0:
+                return executed
+            if not claimed_any:
+                # Everything left is leased elsewhere: recover orphans,
+                # then wait for live owners to publish.
+                if not (queue.reap_dead() or queue.reap_expired()):
+                    time.sleep(poll_s)
 
 
 def _launch(width: int, target: Callable[..., Any],

@@ -252,7 +252,6 @@ class StatSet:
     def __init__(self, sim: "Simulator"):
         self.sim = sim
         self.counters: Dict[str, Counter] = {}
-        self.accumulators: Dict[str, Accumulator] = {}
         self.utilizations: Dict[str, UtilizationTracker] = {}
         self.meters: Dict[str, ThroughputMeter] = {}
 
@@ -260,12 +259,6 @@ class StatSet:
         stat = self.counters.get(name)
         if stat is None:
             stat = self.counters[name] = Counter()
-        return stat
-
-    def accumulator(self, name: str) -> Accumulator:
-        stat = self.accumulators.get(name)
-        if stat is None:
-            stat = self.accumulators[name] = Accumulator()
         return stat
 
     def utilization(self, name: str) -> UtilizationTracker:
@@ -285,11 +278,6 @@ class StatSet:
         out: Dict[str, float] = {}
         for name, counter in self.counters.items():
             out[f"{name}.count"] = counter.value
-        for name, acc in self.accumulators.items():
-            if acc.count:
-                out[f"{name}.mean"] = acc.mean
-                out[f"{name}.max"] = acc.maximum
-                out[f"{name}.n"] = acc.count
         for name, util in self.utilizations.items():
             out[f"{name}.utilization"] = util.utilization()
         for name, meter in self.meters.items():

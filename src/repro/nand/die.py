@@ -75,7 +75,9 @@ class NandDie(Component):
         self._fault_id = name
         self._bad_blocks: Set[Tuple[int, int]] = set()
         self._factory_checked: Set[Tuple[int, int]] = set()
-        self.last_program_failed = False
+        #: The targets of the last program that reported status FAIL,
+        #: in command order; empty when every plane passed.
+        self.failed_programs: Tuple[PageAddress, ...] = ()
         self.last_erase_failed = False
 
     # ------------------------------------------------------------------
@@ -226,12 +228,14 @@ class NandDie(Component):
     def finish_program(self, address: PageAddress,
                        *more: PageAddress) -> None:
         """Complete an array program: advance each write pointer, add
-        wear and draw each plane's program status."""
+        wear and draw each plane's program status; the failing targets
+        land in :attr:`failed_programs`."""
         self._end()
-        failed = self._record_program(address)
+        failed = (address,) if self._record_program(address) else ()
         for target in more:
-            failed = self._record_program(target) or failed
-        self.last_program_failed = failed
+            if self._record_program(target):
+                failed += (target,)
+        self.failed_programs = failed
         if more:
             self.stats.counter("multiplane_programs").increment()
 

@@ -50,7 +50,7 @@ class TestFaultDraws:
     def test_program_status_fail_flagged(self, sim):
         die = make_die(sim, program_fail_prob=1.0)
         sim.run(until=sim.process(die.program(PageAddress(0, 0, 0))))
-        assert die.last_program_failed
+        assert die.failed_programs == (PageAddress(0, 0, 0),)
         assert die.stats.counter("program_fails").value == 1
 
     def test_erase_fail_retires_block(self, sim):
@@ -162,7 +162,8 @@ class TestMultiplaneFaults:
             single.program(PageAddress(0, 0, 0))))
         dual_sim.run(until=dual_sim.process(
             dual.program(PageAddress(0, 0, 0), PageAddress(1, 0, 0))))
-        assert dual.last_program_failed
+        assert dual.failed_programs == (PageAddress(0, 0, 0),
+                                        PageAddress(1, 0, 0))
         assert dual.stats.counter("program_fails").value == 2
         assert dual.stats.counter("stuck_busy_faults").value == 2
         # The slowest plane's time includes its stuck-busy draw.

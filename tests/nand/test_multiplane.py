@@ -268,6 +268,23 @@ class TestEveryFormHonoursFaults:
         # The pages are consumed even though the data is lost.
         assert die.write_pointer(0, 0) == 1
 
+    def test_program_fail_names_only_the_failing_plane(self, sim):
+        class SecondPlaneFails(FaultPlan):
+            def program_fails(self, die, plane, block, page):
+                return plane == 1
+
+        controller = make_controller(sim)
+        controller.set_fault_plan(SecondPlaneFails(FaultConfig(enabled=True)))
+        with pytest.raises(ProgramFailError) as info:
+            sim.run(until=sim.process(controller.program_page(0, 0, *PAIR)))
+        assert info.value.address == PageAddress(1, 0, 0)
+        assert str(PageAddress(1, 0, 0)) in str(info.value)
+        assert str(PageAddress(0, 0, 0)) not in str(info.value)
+        die = controller.die(0, 0)
+        assert die.failed_programs == (PageAddress(1, 0, 0),)
+        assert die.stats.counter("program_fails").value == 1
+        assert controller.stats.counter("program_fail_reports").value == 1
+
     def test_two_plane_read_climbs_the_retry_ladder(self, sim):
         """~220 mean errors per codeword on the first sense (t=40 at
         rated endurance), ~11 on the first retry rung: every plane is
