@@ -221,8 +221,6 @@ def _add_store_options(parser: argparse.ArgumentParser) -> None:
                         metavar="CONSTRAINT",
                         help='constraint, e.g. "latency_us.p99<=2000" '
                              "(repeatable)")
-    parser.add_argument("--campaign-id", type=str, default="",
-                        help="campaign id in the store (default: first)")
     _add_json(parser, "the answer")
 
 
@@ -910,14 +908,17 @@ def cmd_tenants_sweep(args: argparse.Namespace) -> int:
 # repro campaign …
 
 
-def _campaign_id(store, override: str) -> str:
-    if override:
-        return override
-    campaigns = store.campaigns()
-    if not campaigns:
-        raise SystemExit("the campaign store is empty — run some points "
-                         "first")
-    return campaigns[0]["campaign_id"]
+def _constraints(args: argparse.Namespace, store, campaign_id: str):
+    """``--where`` parsed; a ``--metric`` or ``--where`` metric that the
+    stored points lack is a user error (once any point has metrics)."""
+    from .core import parse_constraint
+    constraints = [parse_constraint(text) for text in args.where]
+    known = store.metric_names(campaign_id)
+    for metric in [args.metric] + [metric for metric, _, _ in constraints]:
+        if known and metric not in known:
+            raise ValueError(f"unknown metric {metric!r}; see 'repro "
+                             f"campaign query {args.dir} --list-metrics'")
+    return constraints
 
 
 def cmd_campaign_worker(args: argparse.Namespace) -> int:
@@ -941,16 +942,16 @@ def cmd_campaign_status(args: argparse.Namespace) -> int:
 
 def cmd_campaign_query(args: argparse.Namespace) -> int:
     """Rank points by any stored metric, with constraint filters."""
-    from .core import Campaign, parse_constraint
-    with Campaign.open(args.dir).store() as store:
-        campaign_id = _campaign_id(store, args.campaign_id)
+    from .core import Campaign
+    campaign = Campaign.open(args.dir)
+    campaign_id = campaign.index()  # adds what outside workers published
+    with campaign.store() as store:
         if args.list_metrics:
             for metric in store.metric_names(campaign_id):
                 print(metric)
             return 0
         rows = store.query(campaign_id, args.metric,
-                           where=[parse_constraint(text)
-                                  for text in args.where],
+                           where=_constraints(args, store, campaign_id),
                            top=args.top or None, ascending=args.ascending)
     if args.json:
         print(render_json({"campaign": campaign_id, "metric": args.metric,
@@ -965,14 +966,15 @@ def cmd_campaign_query(args: argparse.Namespace) -> int:
 def cmd_campaign_report(args: argparse.Namespace) -> int:
     """Decision support: Pareto frontier, best-under-constraint,
     failure post-mortems."""
-    from .core import Campaign, parse_constraint
-    with Campaign.open(args.dir).store() as store:
-        campaign_id = _campaign_id(store, args.campaign_id)
+    from .core import Campaign
+    campaign = Campaign.open(args.dir)
+    campaign_id = campaign.index()
+    with campaign.store() as store:
+        constraints = _constraints(args, store, campaign_id)
         counts = store.status_counts(campaign_id)
         frontier = store.pareto_frontier(campaign_id, args.metric)
-        best = store.best_under_constraint(
-            campaign_id, args.metric,
-            [parse_constraint(text) for text in args.where])
+        best = store.best_under_constraint(campaign_id, args.metric,
+                                           constraints)
         failures = store.failures(campaign_id)
     if args.json:
         print(render_json({

@@ -12,7 +12,7 @@ Layout::
         points.pkl         the SweepPoint objects external workers load
         queue/             lease files, one per in-flight point
         results/           content-addressed envelopes (SweepCache format)
-        campaign.sqlite    the queryable result store (repro.core.store)
+        campaign.sqlite    the queryable index of results/ (repro.core.store)
 
 Execution is :class:`~repro.core.sweep.SweepRunner`'s: the same
 claim → evaluate → publish loop (:func:`~repro.core.sweep.drain`), the
@@ -22,11 +22,11 @@ summary.  What only a campaign adds:
 * **Identity** — ``manifest.json`` pins every point name to its
   fingerprint and the salt; resuming with a changed point or code
   version raises :class:`CampaignError` instead of mixing experiments.
-* **Publishing** also records each envelope in SQLite with ``INSERT OR
-  REPLACE``, and every pass ends with an idempotent sync of the rows a
-  crashed worker published but never recorded.  Payloads are
-  deterministic functions of the fingerprint, so execution is
-  at-least-once but the published result set is exactly-once and
+* **Indexing** — workers publish envelopes only; ``campaign.sqlite`` is
+  their projection, written by :meth:`Campaign.index` alone in one
+  transaction per runner pass or ``repro campaign query|report``.
+  Payloads are deterministic functions of the fingerprint, so execution
+  is at-least-once but the published result set is exactly-once and
   byte-identical to a serial ``SweepRunner`` run of the same grid.
 * **Resuming** never recomputes a published point, from any process;
   recorded *failures* are post-mortem data that a new run clears and
@@ -202,28 +202,52 @@ class Campaign:
                 atomic_write(campaign.manifest_path,
                              json.dumps(manifest, indent=2,
                                         sort_keys=True).encode("utf-8"))
-        manifest = campaign.load_manifest()
-        with campaign.store() as store:
-            store.record_campaign(manifest["name"], salt,
-                                  len(manifest["points"]),
-                                  name=manifest["name"])
         campaign.point_keys = {entry["name"]: entry["key"]
                                for entry in fresh}
         return campaign
 
     # -- state ---------------------------------------------------------
-    def publish(self, point: SweepPoint, key: str, envelope: Dict[str, Any],
-                campaign_id: str, store: ResultStore,
-                cost_model: ResourceCostModel) -> Dict[str, Any]:
-        """Atomically publish one envelope + index it in the store.
+    def publish(self, point: SweepPoint, key: str,
+                envelope: Dict[str, Any]) -> Dict[str, Any]:
+        """Atomically publish one envelope; return it as the cache
+        reads it back."""
+        return self.cache.store(key, envelope)
 
-        Returns the envelope as the cache reads it back, which is also
-        what the store records.
+    def index(self, points: Optional[Sequence[SweepPoint]] = None,
+              envelopes: Optional[Mapping[str, Dict[str, Any]]] = None,
+              cost_model: Optional[ResourceCostModel] = None) -> str:
+        """Index the published envelopes, as the store's only writer
+        (one connection, one commit); return the manifest's campaign id.
+
+        Records the campaign row and every published point of ``points``
+        (default: ``points.pkl``) whose row is missing or disagrees on
+        ``(key, cost, status)``; ``envelopes`` holds ``key → envelope``
+        already read.  Without ``cost_model`` existing rows keep their
+        price and new ones get the default :class:`ResourceCostModel`'s.
         """
-        envelope = self.cache.store(key, envelope)
-        store.record_point(campaign_id, point.name, envelope, key=key,
-                           cost=_point_cost(point, cost_model))
-        return envelope
+        manifest = self.load_manifest()
+        campaign_id = manifest["name"]
+        keys = {entry["name"]: entry["key"] for entry in manifest["points"]}
+        envelopes = envelopes or {}
+        with self.store() as store:
+            store.record_campaign(campaign_id, manifest["salt"], len(keys),
+                                  name=campaign_id)
+            indexed = {row["name"]: (row["key"], row["cost"], row["status"])
+                       for row in store.points(campaign_id)}
+            for point in self.load_points() if points is None else points:
+                key = keys[point.name]
+                envelope = envelopes.get(key) or self.cache.load(key)
+                if envelope is None:
+                    continue
+                old = indexed.get(point.name)
+                cost = old[1] if old and cost_model is None else \
+                    _point_cost(point, cost_model or ResourceCostModel())
+                row = (key, cost, envelope_status(envelope))
+                if old != row:
+                    store.record_point(campaign_id, point.name, envelope,
+                                       key=key, cost=cost)
+                    indexed[point.name] = row
+        return campaign_id
 
     def status(self, ttl_s: float = DEFAULT_LEASE_TTL_S) -> CampaignStatus:
         manifest = self.load_manifest()
@@ -289,8 +313,7 @@ def run_worker(directory: str, worker_id: Optional[str] = None,
                poll_s: float = 0.05,
                points: Optional[Sequence[SweepPoint]] = None,
                on_point: Optional[OnPoint] = None,
-               keys: Optional[Mapping[str, str]] = None,
-               cost_model: Optional[ResourceCostModel] = None) -> int:
+               keys: Optional[Mapping[str, str]] = None) -> int:
     """Drain a campaign: claim → evaluate → publish, until done.
 
     Runs :func:`~repro.core.sweep.drain` until every point has an
@@ -303,29 +326,20 @@ def run_worker(directory: str, worker_id: Optional[str] = None,
     ``points`` defaults to every point in ``points.pkl``.  ``keys`` is a
     verified ``name → key`` map (``Campaign.ensure``'s
     :attr:`~Campaign.point_keys`); without it every point is
-    fingerprinted here.  ``cost_model`` prices the store rows (default
-    :class:`ResourceCostModel`).  ``on_point(point, key, envelope)``
-    receives each envelope this worker publishes, as the cache holds it.
+    fingerprinted here.  ``on_point(point, key, envelope)`` receives
+    each envelope this worker publishes, as the cache holds it.
     """
     campaign = Campaign.open(directory)
-    manifest = campaign.load_manifest()
-    salt = manifest["salt"]
+    salt = campaign.load_manifest()["salt"]
     all_points = list(points) if points is not None \
         else campaign.load_points()
     if keys is None:
         keys = {point.name: fingerprint(point, salt) for point in all_points}
-    cost_model = cost_model or ResourceCostModel()
-    with campaign.store() as store:
-        def publish(point: SweepPoint, key: str,
-                    envelope: Dict[str, Any]) -> Dict[str, Any]:
-            return campaign.publish(point, key, envelope, manifest["name"],
-                                    store, cost_model)
-
-        return drain([(point, keys[point.name]) for point in all_points],
-                     campaign.cache,
-                     LeaseQueue(campaign.queue_dir, ttl_s=lease_ttl_s),
-                     publish, salt, timeout_s, owner=worker_id,
-                     poll_s=poll_s, on_point=on_point)
+    return drain([(point, keys[point.name]) for point in all_points],
+                 campaign.cache,
+                 LeaseQueue(campaign.queue_dir, ttl_s=lease_ttl_s),
+                 campaign.publish, salt, timeout_s, owner=worker_id,
+                 poll_s=poll_s, on_point=on_point)
 
 
 class CampaignRunner(SweepRunner):
@@ -337,7 +351,7 @@ class CampaignRunner(SweepRunner):
     runner — plus what only a campaign has: the manifest a resumed run
     must agree with, ``points.pkl`` for additional workers (other
     processes, other hosts) draining the same directory, and the SQLite
-    index behind ``repro campaign status|query|report``.
+    index behind ``repro campaign query|report``.
     """
 
     def __init__(self, directory: str, workers: Optional[int] = None,
@@ -366,29 +380,14 @@ class CampaignRunner(SweepRunner):
     def _drain(self, pending: Sequence[Tuple[SweepPoint, str]],
                cache: SweepCache, queue: LeaseQueue,
                on_point: Optional[OnPoint] = None) -> int:
-        # run_worker drains the campaign's own cache and queue, and
-        # records every publish in its store.
+        # run_worker drains the campaign's own cache and queue.
         return run_worker(self.directory, lease_ttl_s=self.lease_ttl_s,
                           timeout_s=self.timeout_s,
                           points=[point for point, _ in pending],
                           keys={point.name: key for point, key in pending},
-                          on_point=on_point, cost_model=self.cost_model)
+                          on_point=on_point)
 
-    def _sync(self, points: Sequence[SweepPoint], keys: Sequence[str],
+    def _sync(self, points: Sequence[SweepPoint],
               envelopes: Mapping[str, Dict[str, Any]]) -> None:
-        """Final idempotent store sync, so the store reflects this pass
-        even if a worker crashed between publishing and recording: only
-        rows missing or disagreeing on (key, cost, status) are rewritten.
-        """
-        campaign = Campaign(self.directory)
-        campaign_id = campaign.load_manifest()["name"]
-        with campaign.store() as store:
-            indexed = {row["name"]: (row["key"], row["cost"], row["status"])
-                       for row in store.points(campaign_id)}
-            for point, key in zip(points, keys):
-                row = (key, _point_cost(point, self.cost_model),
-                       envelope_status(envelopes[key]))
-                if indexed.get(point.name) != row:
-                    store.record_point(campaign_id, point.name,
-                                       envelopes[key], key=key, cost=row[1])
-                    indexed[point.name] = row
+        """Index the pass, priced with the runner's cost model."""
+        Campaign(self.directory).index(points, envelopes, self.cost_model)

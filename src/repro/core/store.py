@@ -13,11 +13,10 @@ index on top — the DAVOS-style decision-support layer.  Schema:
 * ``failures``   — post-mortem record (error type, message, traceback)
   for every failed point.
 
-Writers are idempotent (``INSERT OR REPLACE`` keyed by campaign+name):
-republishing a deterministic payload never duplicates a row, which is
-what makes at-least-once campaign workers publish exactly-once results.
-The store opens in WAL mode with a busy timeout so concurrent workers
-(processes, or hosts on a shared directory) can record as they go.
+Writers are idempotent (``INSERT OR REPLACE`` keyed by campaign+name),
+and a campaign has one: :meth:`~repro.core.campaign.Campaign.index`
+projects the published envelopes here in one transaction.  WAL mode and
+a busy timeout let concurrent indexers serialize instead of erroring.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ from __future__ import annotations
 import json
 import operator
 import sqlite3
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..ssd.metrics import json_safe
 from .pareto import (ParetoEntry, entry_best, entry_cheapest_within,
@@ -127,9 +126,9 @@ def envelope_status(envelope: Mapping[str, Any]) -> str:
 class ResultStore:
     """One SQLite database of campaign results (see module docstring).
 
-    Each process (worker, CLI, test) opens its own instance; connections
-    are lazy and WAL-journaled so concurrent writers on the same file
-    serialize safely instead of erroring.
+    Each process opens its own instance; connections are lazy and
+    WAL-journaled.  Writes form one transaction, committed when the
+    store closes cleanly and rolled back when it closes on an exception.
     """
 
     def __init__(self, path: str, timeout_s: float = 30.0):
@@ -155,13 +154,16 @@ class ResultStore:
 
     def close(self) -> None:
         if self._conn is not None:
+            self._conn.commit()
             self._conn.close()
             self._conn = None
 
     def __enter__(self) -> "ResultStore":
         return self
 
-    def __exit__(self, *exc_info: Any) -> None:
+    def __exit__(self, exc_type: Any, *exc_info: Any) -> None:
+        if exc_type is not None and self._conn is not None:
+            self._conn.rollback()
         self.close()
 
     # ------------------------------------------------------------------
@@ -169,12 +171,10 @@ class ResultStore:
 
     def record_campaign(self, campaign_id: str, salt: str,
                         total_points: int, name: str = "") -> None:
-        conn = self._connection()
-        with conn:
-            conn.execute(
-                "INSERT OR REPLACE INTO campaigns "
-                "(campaign_id, name, salt, total_points) VALUES (?,?,?,?)",
-                (campaign_id, name or campaign_id, salt, total_points))
+        self._connection().execute(
+            "INSERT OR REPLACE INTO campaigns "
+            "(campaign_id, name, salt, total_points) VALUES (?,?,?,?)",
+            (campaign_id, name or campaign_id, salt, total_points))
 
     def record_point(self, campaign_id: str, name: str,
                      envelope: Mapping[str, Any],
@@ -192,32 +192,30 @@ class ResultStore:
         failure = envelope.get("failure")
         status = envelope_status(envelope)
         conn = self._connection()
-        with conn:
+        conn.execute(
+            "INSERT OR REPLACE INTO points (campaign_id, name, key, "
+            "evaluator, status, cost, events, elapsed_s, payload) "
+            "VALUES (?,?,?,?,?,?,?,?,?)",
+            (campaign_id, name, key,
+             str(envelope.get("evaluator", "")), status, cost,
+             int(envelope.get("events", 0)),
+             float(envelope.get("elapsed_s", 0.0)),
+             json.dumps(payload, sort_keys=True)))
+        conn.execute("DELETE FROM metrics WHERE campaign_id=? AND name=?",
+                     (campaign_id, name))
+        conn.executemany(
+            "INSERT OR REPLACE INTO metrics VALUES (?,?,?,?)",
+            [(campaign_id, name, metric, value)
+             for metric, value in sorted(flatten_metrics(payload).items())])
+        conn.execute("DELETE FROM failures WHERE campaign_id=? AND name=?",
+                     (campaign_id, name))
+        if failure:
             conn.execute(
-                "INSERT OR REPLACE INTO points (campaign_id, name, key, "
-                "evaluator, status, cost, events, elapsed_s, payload) "
-                "VALUES (?,?,?,?,?,?,?,?,?)",
-                (campaign_id, name, key,
-                 str(envelope.get("evaluator", "")), status, cost,
-                 int(envelope.get("events", 0)),
-                 float(envelope.get("elapsed_s", 0.0)),
-                 json.dumps(payload, sort_keys=True)))
-            conn.execute("DELETE FROM metrics WHERE campaign_id=? AND "
-                         "name=?", (campaign_id, name))
-            conn.executemany(
-                "INSERT OR REPLACE INTO metrics VALUES (?,?,?,?)",
-                [(campaign_id, name, metric, value)
-                 for metric, value in sorted(
-                     flatten_metrics(payload).items())])
-            conn.execute("DELETE FROM failures WHERE campaign_id=? AND "
-                         "name=?", (campaign_id, name))
-            if failure:
-                conn.execute(
-                    "INSERT OR REPLACE INTO failures VALUES (?,?,?,?,?)",
-                    (campaign_id, name,
-                     str(failure.get("error_type", "Exception")),
-                     str(failure.get("message", "")),
-                     str(failure.get("traceback", ""))))
+                "INSERT OR REPLACE INTO failures VALUES (?,?,?,?,?)",
+                (campaign_id, name,
+                 str(failure.get("error_type", "Exception")),
+                 str(failure.get("message", "")),
+                 str(failure.get("traceback", ""))))
 
     # ------------------------------------------------------------------
     # Readers

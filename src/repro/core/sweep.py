@@ -669,7 +669,7 @@ class SweepRunner:
             for key in keys:  # published by the children or other workers
                 if key in unsettled:
                     settle(key, cache.load(key) or _LOST)
-            self._sync(points, keys, envelopes)
+            self._sync(points, envelopes)
 
         # Disjoint accounting: cached + simulated + failed == total.
         fresh = [o for o in outcomes if not o.cached and not o.failed]
@@ -715,7 +715,7 @@ class SweepRunner:
                      lambda point, key, envelope: cache.store(key, envelope),
                      self.salt, self.timeout_s, on_point=on_point)
 
-    def _sync(self, points: Sequence[SweepPoint], keys: Sequence[str],
+    def _sync(self, points: Sequence[SweepPoint],
               envelopes: Mapping[str, Dict[str, Any]]) -> None:
         """Record the finished pass beside the envelopes (nothing here)."""
 

@@ -1,14 +1,15 @@
 """One campaign pass does each point's bookkeeping once.
 
 ``CampaignRunner.run`` fingerprints every point once (in
-``Campaign.ensure``), writes each store row once (the in-process worker
-records with the runner's cost model, and the final sync only fills the
-rows that are missing or stale), and reads from disk only what other
-workers published.  These tests pin the counts, and that the store a
-pass leaves behind is exactly the one a plain ``record_point`` of every
-published envelope would build.
+``Campaign.ensure``), writes each store row once (workers publish
+envelopes only, and the pass's one ``Campaign.index`` fills the rows
+that are missing or stale in one transaction), and reads from disk only
+what other workers published.  These tests pin the counts, and that the
+store a pass leaves behind is exactly the one a plain ``record_point``
+of every published envelope would build, and can be rebuilt from them.
 """
 
+import glob
 import os
 import sqlite3
 import tempfile
@@ -18,6 +19,7 @@ import pytest
 
 from repro.core import (Campaign, CampaignRunner, ResourceCostModel,
                         ResultStore, SweepPoint, run_worker)
+from repro.cli import main
 from repro.core import campaign as campaign_module
 from repro.core import sweep as sweep_module
 from repro.host import sequential_write
@@ -201,3 +203,73 @@ class TestCrashGap:
         assert tables(db) == expected
         assert expected == reference_tables(tmp_path, directory, points,
                                             COSTS)
+
+
+def trace_connections(monkeypatch):
+    """The SQL each new ``ResultStore`` connection runs, one list each."""
+    connections = []
+    original = ResultStore._connection
+
+    def traced(self):
+        if self._conn is None:
+            statements = []
+            original(self).set_trace_callback(statements.append)
+            connections.append(statements)
+        return original(self)
+
+    monkeypatch.setattr(ResultStore, "_connection", traced)
+    return connections
+
+
+def cli_documents(directory, capsys):
+    """``campaign query --json`` and ``campaign report --json`` stdout."""
+    documents = []
+    for argv in (["campaign", "query", directory, "--metric", "value"],
+                 ["campaign", "report", directory, "--metric", "value",
+                  "--where", "latency_us.p99<=99"]):
+        assert main(argv + ["--json"]) == 0
+        documents.append(capsys.readouterr().out)
+    return documents
+
+
+class TestProjection:
+    def test_workers_never_open_the_store(self, tmp_path):
+        directory = str(tmp_path / "camp")
+        db = str(tmp_path / "camp" / "campaign.sqlite")
+        points = grid()
+        Campaign.ensure(directory, points)
+        assert run_worker(directory) == len(points)
+        assert not os.path.exists(db)
+        assert Campaign.open(directory).index() == "campaign"
+        assert tables(db) == reference_tables(tmp_path, directory, points,
+                                              ResourceCostModel())
+
+    @pytest.mark.parametrize("passes", [1, 2], ids=["cold", "warm"])
+    def test_one_connection_one_commit_per_pass(self, tmp_path,
+                                                monkeypatch, passes):
+        runner = CampaignRunner(str(tmp_path / "camp"), workers=1,
+                                cost_model=COSTS)
+        for _ in range(passes - 1):
+            runner.run(grid())
+        connections = trace_connections(monkeypatch)
+        runner.run(grid())
+        assert [statements.count("COMMIT") for statements in connections] \
+            == [1]
+
+    def test_deleted_store_rebuilt_on_open(self, tmp_path, capsys):
+        directory = str(tmp_path / "camp")
+        db = str(tmp_path / "camp" / "campaign.sqlite")
+        CampaignRunner(directory, workers=1).run(grid())
+        before, found = cli_documents(directory, capsys), tables(db)
+        for path in glob.glob(db + "*"):
+            os.remove(path)
+        assert cli_documents(directory, capsys) == before
+        assert tables(db) == found
+
+    def test_open_never_reprices_a_row(self, tmp_path, capsys):
+        directory = str(tmp_path / "camp")
+        points = grid()
+        CampaignRunner(directory, workers=1, cost_model=COSTS).run(points)
+        cli_documents(directory, capsys)
+        assert tables(str(tmp_path / "camp" / "campaign.sqlite")) \
+            == reference_tables(tmp_path, directory, points, COSTS)

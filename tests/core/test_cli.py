@@ -265,3 +265,47 @@ class TestReliabilityCli:
     def test_report_requires_campaign(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["reliability", "report", str(tmp_path / "missing")])
+
+
+class TestCampaignStoreCli:
+    @pytest.fixture(scope="class")
+    def campaign(self, tmp_path_factory):
+        directory = str(tmp_path_factory.mktemp("store") / "camp")
+        assert main(["campaign", "run", directory, "--configs", "C1",
+                     "--commands", "40", "--workers", "1", "--quiet"]) == 0
+        return directory
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "--metric", "latency_us.p999"],
+        ["query", "--where", "nope<=3"],
+        ["report", "--metric", "nope", "--where", "nope2<=3"],
+        ["report", "--where", "latency_us.p99<=3", "--where", "nope<=3"],
+    ], ids=["query-metric", "query-where", "report-metric",
+            "report-where"])
+    def test_unknown_metric_is_a_user_error(self, campaign, argv, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["campaign", argv[0], campaign] + argv[1:])
+        message = str(raised.value.code)
+        assert "unknown metric" in message and "--list-metrics" in message
+        assert "\n" not in message
+        assert capsys.readouterr().out == ""
+
+    def test_campaign_id_is_the_manifests(self, campaign, capsys):
+        with pytest.raises(SystemExit):
+            main(["campaign", "query", campaign, "--campaign-id", "bogus"])
+        assert main(["campaign", "query", campaign]) == 0
+        assert capsys.readouterr().out.startswith("C1 ")
+
+    def test_all_failed_campaign_prints_post_mortems(self, tmp_path, capsys):
+        from repro.core import CampaignRunner, SweepPoint
+        from repro.host import sequential_write
+        from repro.ssd import SsdArchitecture
+        directory = str(tmp_path / "failed")
+        CampaignRunner(directory, workers=1).run([SweepPoint(
+            name="bad", arch=SsdArchitecture(),
+            workload=sequential_write(4096), evaluator="no-such")])
+        assert main(["campaign", "report", directory, "--metric",
+                     "nope"]) == 1
+        out = capsys.readouterr().out
+        assert "0 ok, 1 failed" in out
+        assert "bad: ValueError: unknown evaluator 'no-such'" in out
