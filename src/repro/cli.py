@@ -93,10 +93,6 @@ def add_sweep_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore cached results, re-simulate every "
                              "point")
-    parser.add_argument("--resume", action="store_true",
-                        help="continue a killed sweep from its cached "
-                             "partial results (requires a cache dir); "
-                             "previously failed points are re-run")
     parser.add_argument("--timeout", type=float, default=0.0,
                         help="per-point time budget in seconds "
                              "(0 = unlimited); a point over budget is "
@@ -274,9 +270,8 @@ def runner_from_args(args: argparse.Namespace, quiet: bool = False,
 
     With ``--campaign DIR`` the points run through a durable
     :class:`~repro.core.campaign.CampaignRunner` under the campaign id
-    ``"campaign"`` (always resumable, so ``--resume`` is implied).
-    ``campaign run`` and ``reliability run`` drain into their ``dir``
-    under ``--name`` (default ``name``).  Otherwise a plain
+    ``"campaign"``.  ``campaign run`` and ``reliability run`` drain into
+    their ``dir`` under ``--name`` (default ``name``).  Otherwise a plain
     :class:`SweepRunner`.  Progress lines are off with ``quiet``,
     ``--quiet`` or ``--json`` (the JSON document is all of stdout).
     """
@@ -286,7 +281,6 @@ def runner_from_args(args: argparse.Namespace, quiet: bool = False,
     cache_dir = (getattr(args, "cache_dir", "")
                  or os.environ.get("REPRO_SWEEP_CACHE_DIR", "")) or None
     no_cache = getattr(args, "no_cache", False)
-    resume = getattr(args, "resume", False)
     workers = getattr(args, "workers", 1) or None   # 0 -> all cores
     timeout = getattr(args, "timeout", 0.0) or None  # 0 -> unlimited
     directory = getattr(args, "dir", "")
@@ -303,13 +297,6 @@ def runner_from_args(args: argparse.Namespace, quiet: bool = False,
         from .core import CampaignRunner
         return CampaignRunner(directory, workers=workers, name=name,
                               progress=progress, timeout_s=timeout)
-    if resume and no_cache:
-        raise SystemExit("--resume and --no-cache are contradictory: "
-                         "resuming replays cached partial results")
-    if resume and cache_dir is None:
-        raise SystemExit("--resume needs --cache-dir (or "
-                         "REPRO_SWEEP_CACHE_DIR) pointing at the "
-                         "interrupted sweep's cache")
     return SweepRunner(workers=workers,
                        cache_dir=None if no_cache else cache_dir,
                        progress=progress, timeout_s=timeout)

@@ -268,8 +268,6 @@ class ChannelWayController(Component):
         self.stats.counter("programs").increment(len(targets))
         if cached:
             self.stats.counter("cached_programs").increment()
-        self.stats.meter("write_data").record(
-            self.geometry.page_bytes * len(targets))
         return self.sim.now - start
 
     def read_page(self, way: int, die_index: int, address: PageAddress,
@@ -390,8 +388,6 @@ class ChannelWayController(Component):
             if command is not None:
                 command.read_retries += 1
         self.stats.counter("reads").increment(len(targets))
-        self.stats.meter("read_data").record(
-            self.geometry.page_bytes * len(targets))
         return self.sim.now - start
 
     def erase_block(self, way: int, die_index: int, plane: int, block: int):
@@ -566,8 +562,6 @@ class _FastProgram(_FastPageOp):
         self.die.finish_program(self.address)
 
     def _array_done(self) -> None:
-        ctrl = self.ctrl
-        ctrl.stats.meter("write_data").record(ctrl.geometry.page_bytes)
         self._finish("programs")
 
 
@@ -620,8 +614,6 @@ class _FastRead(_FastPageOp):
         self._read_done()
 
     def _read_done(self) -> None:
-        ctrl = self.ctrl
-        ctrl.stats.meter("read_data").record(ctrl.geometry.page_bytes)
         self._finish("reads")
 
 

@@ -9,8 +9,9 @@ cycle-accurate probes —
 * **DRAM**: stream accesses of several sizes through a
   :class:`~repro.dram.controller.DramController` (refresh running) and
   least-squares fit ``elapsed = overhead + nbytes * ps_per_byte``;
-* **CPU**: run the real firmware dispatch loop over the AHB and take
-  its steady-state cycles per command;
+* **CPU**: run the real firmware dispatch loop
+  (:func:`~repro.cpu.firmware.calibrate_command_cycles`) and take its
+  steady-state cycles per command;
 * **NAND**: issue uncontended page program/read ops through a
   cycle-accurate channel controller and measure the residual between
   the phase chain and the closed form —
@@ -35,6 +36,7 @@ import os
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..cpu.firmware import calibrate_command_cycles
 from ..dram.controller import DramController
 from ..kernel import Simulator
 from ..nand.geometry import PageAddress
@@ -130,23 +132,6 @@ def _probe_dram(arch: SsdArchitecture,
     return max(0, int(round(intercept))), max(slope, 1e-9)
 
 
-def _probe_cpu(n_commands: int = 32) -> int:
-    """Steady-state firmware dispatch cost over the AHB, in cycles."""
-    from ..cpu.firmware import FirmwareCpu
-    from ..interconnect import AhbBus
-    sim = Simulator()
-    ahb = AhbBus(sim, "ahb")
-    cpu = FirmwareCpu(sim, "cal", ahb=ahb)
-
-    def feeder():
-        for index in range(n_commands):
-            yield sim.process(cpu.process_command(
-                1, index * 8, 8, {"channel": index % 4, "way": 0, "die": 0}))
-
-    sim.run(until=sim.process(feeder()))
-    return int(round(cpu.cycles_retired / n_commands))
-
-
 def _nand_op_elapsed(arch: SsdArchitecture, fast: bool,
                      nand_overhead_ps: int = 0) -> Tuple[int, int]:
     """(program_ps, read_ps) of one uncontended page op per fidelity."""
@@ -230,7 +215,7 @@ def calibrate(arch: Optional[SsdArchitecture] = None,
     result = CalibrationResult(
         dram_overhead_ps=dram_overhead_ps,
         dram_ps_per_byte=dram_ps_per_byte,
-        cpu_cycles=_probe_cpu(),
+        cpu_cycles=int(round(calibrate_command_cycles())),
         nand_overhead_ps=_probe_nand(arch),
     )
     if cache is not None:

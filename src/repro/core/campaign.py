@@ -30,7 +30,7 @@ summary.  What only a campaign adds:
   byte-identical to a serial ``SweepRunner`` run of the same grid.
 * **Resuming** never recomputes a published point, from any process;
   recorded *failures* are post-mortem data that a new run clears and
-  re-runs, exactly like ``SweepRunner --resume``.
+  re-runs, exactly like a ``SweepRunner`` over a warm cache.
 """
 
 from __future__ import annotations

@@ -368,8 +368,8 @@ class PointFailure:
     """Typed record of a point that crashed, timed out or was lost.
 
     Stored in the cache envelope (so post-mortems survive the run) but
-    always treated as a cache *miss* on load — ``--resume`` re-runs
-    failed points instead of replaying their failures.
+    always treated as a cache *miss* on load — a rerun over the cache
+    re-runs failed points instead of replaying their failures.
     """
 
     error_type: str

@@ -52,7 +52,6 @@ class CpuCore(Component):
         self._pending_interrupt = False
         self._wakeup: Optional[Event] = None
         self.cycles_retired = 0
-        self.instructions_retired = 0
 
     # ------------------------------------------------------------------
     # External control
@@ -154,7 +153,6 @@ class CpuCore(Component):
                 raise CpuFault(f"unimplemented opcode {opcode}")
 
             accumulated += cost
-            self.instructions_retired += 1
             self.pc = next_pc
 
             if accumulated >= self.quantum_cycles:
@@ -165,7 +163,6 @@ class CpuCore(Component):
         if accumulated:
             yield self.sim.timeout(accumulated * period)
             self.cycles_retired += accumulated
-        self.stats.counter("instructions").increment(self.instructions_retired)
         return self.cycles_retired
 
     # ------------------------------------------------------------------

@@ -31,7 +31,7 @@ class DmaEngine(Component):
         self.setup_ps = setup_ps
         self._contexts = Resource(sim, f"{name}.ctx", capacity=channels)
 
-    def execute(self, mover, nbytes: int = 0):
+    def execute(self, mover):
         """Generator: run one descriptor.
 
         ``mover`` is a generator performing the actual transfer; the engine
@@ -49,9 +49,6 @@ class DmaEngine(Component):
             self._contexts.release(grant)
         if t0 >= 0:
             _obs.record_span(self.path(), "dma", t0, self.sim.now)
-        self.stats.counter("descriptors").increment()
-        if nbytes:
-            self.stats.meter("data").record(nbytes)
         return result
 
     def utilization(self) -> float:

@@ -133,7 +133,7 @@ class DramController(Component):
         if _obs.enabled:
             _obs.record_span(self.path(), "dram_buffer", start, now)
         counter("writes" if is_write else "reads").increment()
-        self.stats.meter("data").record(nbytes)
+        counter("bytes").increment(nbytes)
         return elapsed
 
     def write(self, byte_address: int, nbytes: int):
@@ -251,7 +251,7 @@ class FastDramController(Component):
         if _obs.enabled:
             _obs.record_span(self.path(), "dram_buffer", start, self.sim.now)
         self.stats.counter("writes" if is_write else "reads").increment()
-        self.stats.meter("data").record(nbytes)
+        self.stats.counter("bytes").increment(nbytes)
         return elapsed
 
     def write(self, byte_address: int, nbytes: int):

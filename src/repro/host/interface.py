@@ -159,7 +159,7 @@ class HostInterface(Component):
             span.mark("host_xfer", self.sim.now)
         if t0 >= 0:
             _obs.record_span(self.path(), "host_xfer", t0, self.sim.now)
-        self.stats.meter("link").record(nbytes)
+        self.stats.counter("bytes").increment(nbytes)
         self.stats.counter("transfers").increment()
 
     def utilization(self) -> float:

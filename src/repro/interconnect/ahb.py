@@ -149,7 +149,6 @@ class AhbBus(Component):
 
         elapsed = self.sim.now - start
         self.stats.counter("writes" if is_write else "reads").increment()
-        self.stats.meter("data").record(nbytes)
         return elapsed
 
     def utilization(self) -> float:

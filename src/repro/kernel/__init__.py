@@ -19,14 +19,13 @@ from .resources import Grant, PriorityResource, Resource
 from .simtime import (MS, NS, PS, SEC, US, Clock, format_time, ms, ns,
                       period_from_hz, ps, seconds, to_seconds, to_us, us)
 from .simulator import Simulator
-from .stats import (Accumulator, Counter, StatSet, ThroughputMeter,
-                    UtilizationTracker)
+from .stats import Accumulator, Counter, StatSet, UtilizationTracker
 
 __all__ = [
     "Accumulator", "Clock", "Component", "Condition", "ConfigError",
     "Counter", "Event", "Grant", "MS", "NS", "PS", "PriorityResource",
     "Process", "Resource", "SEC", "SimulationError", "Simulator", "StatSet",
-    "ThroughputMeter", "Timeout", "US", "UtilizationTracker", "all_of",
+    "Timeout", "US", "UtilizationTracker", "all_of",
     "format_time", "load_file", "loads", "ms", "ns", "parse_flat_config",
     "period_from_hz", "ps", "seconds", "to_seconds", "to_us", "us",
 ]

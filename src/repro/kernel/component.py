@@ -2,13 +2,14 @@
 
 Every architectural block of the virtual platform (host interface, bus,
 controller, die, ...) derives from :class:`Component`.  Components form a
-named tree — mirroring SystemC's module hierarchy — so statistics and debug
-traces carry full hierarchical paths like ``ssd.chn3.way1.die0``.
+named tree — mirroring SystemC's module hierarchy — so span tracks and
+error messages carry full hierarchical paths like ``ssd.chn3.way1.die0``.
+Sibling names must be unique, which keeps those paths unique.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from .stats import StatSet
 
@@ -52,31 +53,6 @@ class Component:
             parts.append(node.name)
             node = node.parent
         return ".".join(reversed(parts))
-
-    def walk(self) -> Iterator["Component"]:
-        """Yield this component and all descendants, depth first."""
-        yield self
-        for child in self.children.values():
-            yield from child.walk()
-
-    def find(self, dotted: str) -> "Component":
-        """Look up a descendant by dotted path relative to this component."""
-        node: Component = self
-        for part in dotted.split("."):
-            try:
-                node = node.children[part]
-            except KeyError:
-                raise KeyError(f"no component {part!r} under {node.path()}") from None
-        return node
-
-    def collect_stats(self) -> Dict[str, Dict[str, float]]:
-        """Gather every descendant's statistics keyed by component path."""
-        collected: Dict[str, Dict[str, float]] = {}
-        for node in self.walk():
-            snapshot = node.stats.snapshot()
-            if snapshot:
-                collected[node.path()] = snapshot
-        return collected
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.path()}>"

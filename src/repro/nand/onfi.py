@@ -113,7 +113,6 @@ class OnfiChannel(Component):
         if t0 >= 0:
             _obs.record_span(self.path(), "bus_xfer", t0, self.sim.now)
         self.stats.counter("transfers").increment()
-        self.stats.meter("data").record(nbytes)
 
     def utilization(self) -> float:
         """Fraction of sim time the bus was occupied."""

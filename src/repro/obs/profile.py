@@ -4,8 +4,9 @@ fixed-width table renderer behind every text table of the package.
 
 Pure formatting over the aggregates a :class:`~repro.obs.spans.SpanRecorder`
 collects plus utilization timelines sampled elsewhere (the device layer
-walks its :class:`~repro.kernel.stats.UtilizationTracker` instances; this
-module never imports the SSD stack).
+samples its die-array :class:`~repro.kernel.stats.UtilizationTracker`
+instances with ``timeline(buckets)``; this module never imports the SSD
+stack).
 """
 
 from __future__ import annotations

@@ -312,8 +312,7 @@ class SsdDevice(Component):
     # ------------------------------------------------------------------
     # Data movement helpers
     # ------------------------------------------------------------------
-    def _ppdma_move(self, controller: ChannelWayController, mover,
-                    nbytes: int):
+    def _ppdma_move(self, controller: ChannelWayController, mover):
         """Generator: move one page between DRAM and the channel SRAM.
 
         Cycle fidelity runs the descriptor through the PP-DMA engine as
@@ -327,7 +326,7 @@ class SsdDevice(Component):
                 yield self.sim.timeout(controller.ppdma.setup_ps)
             return (yield from mover)
         return (yield self.sim.process(
-            controller.ppdma.execute(mover, nbytes=nbytes)))
+            controller.ppdma.execute(mover)))
 
     # ------------------------------------------------------------------
     # Compression helpers
@@ -467,8 +466,7 @@ class SsdDevice(Component):
         def page_job(target):
             # PP-DMA pulls the page out of the DRAM buffer...
             yield from self._ppdma_move(
-                controller, self.buffers.read(buffer_index, page_bytes),
-                page_bytes)
+                controller, self.buffers.read(buffer_index, page_bytes))
             # ...then the controller encodes, transfers and programs it;
             # allocation + program are atomic per die.
             yield from self._program_with_remap(controller, target,
@@ -570,8 +568,7 @@ class SsdDevice(Component):
                 self._fail(command, IoStatus.UNCORRECTABLE)
                 return
             yield from self._ppdma_move(
-                controller, self.buffers.write(buffer_index, page_bytes),
-                page_bytes)
+                controller, self.buffers.write(buffer_index, page_bytes))
             if span is not None:
                 span.mark("dram_buffer", sim.now)
         if self.mode is not DataPathMode.DDR_FLASH:

@@ -44,22 +44,18 @@ class EnergyModel:
         """Energy per component class, in nanojoules, from device stats."""
         programs = reads = erases = onfi_bytes = 0
         for channel in device.channels:
-            programs += channel.stats.counter("programs").value
-            reads += channel.stats.counter("reads").value
+            channel_programs = channel.stats.counter("programs").value
+            channel_reads = channel.stats.counter("reads").value
+            programs += channel_programs
+            reads += channel_reads
             erases += channel.stats.counter("erases").value
-            write_meter = channel.stats.meters.get("write_data")
-            read_meter = channel.stats.meters.get("read_data")
-            if write_meter:
-                onfi_bytes += write_meter.bytes_total
-            if read_meter:
-                onfi_bytes += read_meter.bytes_total
+            # Every counted program moves one page in, every read one out.
+            onfi_bytes += ((channel_programs + channel_reads)
+                           * channel.geometry.page_bytes)
 
-        dram_bytes = sum(
-            buffer.stats.meters["data"].bytes_total
-            for buffer in device.buffers.buffers
-            if "data" in buffer.stats.meters)
-        link_meter = device.hostif.stats.meters.get("link")
-        link_bytes = link_meter.bytes_total if link_meter else 0
+        dram_bytes = sum(buffer.stats.counter("bytes").value
+                         for buffer in device.buffers.buffers)
+        link_bytes = device.hostif.stats.counter("bytes").value
 
         seconds = device.sim.now / 1e12
         return {

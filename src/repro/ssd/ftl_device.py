@@ -157,8 +157,7 @@ class FtlSsdDevice(SsdDevice):
                 channel_index, __, __ = self.die_coordinates(host_die)
                 replay = sim.process(self._replay(entries))
                 pull = sim.process(self.channels[channel_index].ppdma.execute(
-                    self.buffers.read(buffer_index, page_bytes),
-                    nbytes=page_bytes))
+                    self.buffers.read(buffer_index, page_bytes)))
                 yield sim.all_of([replay, pull])
         finally:
             self.buffers.release(buffer_index, nbytes)
@@ -187,8 +186,7 @@ class FtlSsdDevice(SsdDevice):
         page_bytes = self.arch.geometry.page_bytes
         buffer_index = self.buffers.buffer_for_channel(placement_hint[0])
         yield sim.process(self.channels[placement_hint[0]].ppdma.execute(
-            self.buffers.write(buffer_index, page_bytes),
-            nbytes=page_bytes))
+            self.buffers.write(buffer_index, page_bytes)))
         if self.mode is not DataPathMode.DDR_FLASH:
             yield from self.hostif.transfer(command.nbytes)
         self._complete(command)

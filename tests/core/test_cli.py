@@ -128,7 +128,6 @@ class TestSweepFlags:
             assert args.workers == 0          # 0 = all cores
             assert args.cache_dir == ""
             assert not args.no_cache
-            assert not args.resume
 
     def test_explore_with_workers_and_cache(self, tmp_path, capsys):
         argv = ["explore", "--configs", "C1", "--commands", "200",
@@ -150,23 +149,15 @@ class TestSweepFlags:
         assert main(base + ["--no-cache"]) == 0
         assert "1 simulated" in capsys.readouterr().out
 
-    def test_resume_conflicts(self):
-        with pytest.raises(SystemExit):
-            main(["explore", "--configs", "C1", "--commands", "50",
-                  "--resume"])                        # no cache dir
-        with pytest.raises(SystemExit):
-            main(["explore", "--configs", "C1", "--commands", "50",
-                  "--cache-dir", "/tmp/x", "--resume", "--no-cache"])
-
     def test_resume_continues_partial_sweep(self, tmp_path, capsys):
-        # Seed the cache with C1 only, then "resume" a C1+C6 sweep: C1 is
-        # replayed, only C6 simulates.
+        # Seed the cache with C1 only, then rerun a C1+C6 sweep over the
+        # same cache: resuming is the default, so C1 is replayed and only
+        # C6 simulates.
         assert main(["explore", "--configs", "C1", "--commands", "200",
                      "--workers", "1", "--cache-dir", str(tmp_path)]) == 0
         capsys.readouterr()
         assert main(["explore", "--configs", "C1,C6", "--commands", "200",
-                     "--workers", "1", "--cache-dir", str(tmp_path),
-                     "--resume"]) == 0
+                     "--workers", "1", "--cache-dir", str(tmp_path)]) == 0
         assert "1 cached, 1 simulated" in capsys.readouterr().out
 
     def test_run_cached_result_is_flagged(self, tmp_path, capsys):

@@ -196,7 +196,7 @@ class TestDmaEngine:
             yield sim.timeout(ns(400))
             return "moved"
 
-        result = sim.run(until=sim.process(dma.execute(mover(), nbytes=512)))
+        result = sim.run(until=sim.process(dma.execute(mover())))
         assert result == "moved"
         assert sim.now == ns(500)
 

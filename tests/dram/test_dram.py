@@ -96,7 +96,9 @@ class TestDramController:
                 yield sim.process(ctrl.write(i * 4096, 4096))
 
         sim.run(until=sim.process(flow()))
-        mbps = ctrl.stats.meters["data"].megabytes_per_second()
+        issued = ctrl.stats.counter("bytes").value
+        assert issued == 64 * 4096
+        mbps = issued / 1e6 / (sim.now / 1e12)
         assert mbps > 0.7 * timing.peak_bandwidth_mbps()
         assert mbps <= timing.peak_bandwidth_mbps()
 
@@ -321,10 +323,10 @@ class TestBankParallelism:
 
         sim.run(until=sim.process(flow()))
         # The peak-bandwidth bound is an absolute-time claim, so measure
-        # from t=0: the default [first, last] sample window excludes the
-        # first burst's own activate/CAS latency and can legitimately
-        # read a few percent above peak.
-        mbps = ctrl.stats.meters["data"].megabytes_per_second(from_zero=True)
+        # from t=0 (the run ends with the last access).
+        issued = ctrl.stats.counter("bytes").value
+        assert issued == 16 * 2048
+        mbps = issued / 1e6 / (sim.now / 1e12)
         assert mbps <= timing.peak_bandwidth_mbps() * 1.001
 
 
@@ -373,7 +375,7 @@ class TestContendedRefreshPinned:
         assert sim.events_processed == 274
         counters = ctrl.stats.counters
         assert {name: counters[name].value for name in counters} == {
-            "reads": 8, "writes": 9, "refreshes": 10,
+            "reads": 8, "writes": 9, "bytes": 17 * 2048, "refreshes": 10,
             "row_hits": 1, "row_misses": 2, "row_empty": 16}
         assert ctrl.bus.busy_time() == 23_145_000
         assert (ctrl.bus.total_wait_ps, ctrl.bus.total_grants) == (
@@ -461,7 +463,8 @@ class TestRefreshLifecycle:
 
     def test_disabled_refresh_adds_no_stats(self, sim):
         ctrl = self._idle_run(sim, enable_refresh=False)
-        assert ctrl.stats.snapshot() == {}
+        assert ctrl.stats.counters == {}
+        assert ctrl.stats.utilizations == {}
         assert sim.events_processed == 0
 
     def test_refresh_counter_created_by_first_refresh(self, sim):
@@ -470,4 +473,5 @@ class TestRefreshLifecycle:
         sim.run(until=self.INTERVAL - 1)
         assert "refreshes" not in ctrl.stats.counters
         sim.run(until=2 * self.INTERVAL - 1)
-        assert ctrl.stats.snapshot() == {"refreshes.count": 1}
+        assert {name: counter.value for name, counter
+                in ctrl.stats.counters.items()} == {"refreshes": 1}

@@ -3,53 +3,21 @@ event-kernel hot-path overhaul (same-time batch drain).
 
 Each stats/validation test here fails on the pre-fix implementations:
 
-* ``ThroughputMeter`` treated a sample at t=0 as "no window" (``last_ps or
-  0``) and reported 0.0 despite recorded bytes;
-* ``UtilizationTracker.utilization(since=...)`` counted busy time from
-  before the window against the window (masked by a ``min(1.0, ...)``
-  clamp);
+* a windowed ``UtilizationTracker`` query counted busy time from before
+  the window against the window (masked by a ``min(1.0, ...)`` clamp);
+  the windows are now asked through ``busy_between(start, sim.now)``;
 * ``run(until=True)`` silently ran to t=1.
 """
 
 import pytest
 
 from repro.kernel import Simulator
-from repro.kernel.stats import ThroughputMeter, UtilizationTracker
+from repro.kernel.stats import UtilizationTracker
 
 
 @pytest.fixture
 def sim():
     return Simulator()
-
-
-class TestThroughputMeterTimeZero:
-    def test_sample_at_time_zero_not_dropped(self, sim):
-        meter = ThroughputMeter(sim)
-        meter.record(1_000_000)  # 1 MB at t=0
-        sim.timeout(10**12)      # advance the clock one second
-        sim.run()
-        assert meter.megabytes_per_second() == pytest.approx(1.0)
-        assert meter.iops() == pytest.approx(1.0)
-
-    def test_sample_at_time_zero_with_clock_still_at_zero(self, sim):
-        meter = ThroughputMeter(sim)
-        meter.record(4096)
-        # Degenerate: no time has passed at all — nothing meaningful to
-        # report, but it must not crash.
-        assert meter.megabytes_per_second() == 0.0
-        assert meter.iops() == 0.0
-
-    def test_later_samples_unaffected(self, sim):
-        meter = ThroughputMeter(sim)
-
-        def proc():
-            meter.record(1_000_000)      # t=0
-            yield 10**12
-            meter.record(1_000_000)      # t=1s
-
-        sim.process(proc())
-        sim.run()
-        assert meter.megabytes_per_second() == pytest.approx(2.0)
 
 
 class TestWindowedUtilization:
@@ -66,8 +34,7 @@ class TestWindowedUtilization:
         sim.run()
         # All busy time precedes the window: must be 0, not the clamped 1.0
         # the old implementation produced.
-        assert tracker.utilization(since=1000) == 0.0
-        assert tracker.busy_time(since=1000) == 0
+        assert tracker.busy_between(1000, sim.now) == 0
         assert tracker.utilization() == pytest.approx(0.5)
 
     def test_straddling_segment_split(self, sim):
@@ -82,8 +49,9 @@ class TestWindowedUtilization:
         sim.process(proc())
         sim.run()
         # Window [500, 1500): only [500, 1000) of the busy segment counts.
-        assert tracker.busy_time(since=500) == 500
-        assert tracker.utilization(since=500) == pytest.approx(0.5)
+        assert tracker.busy_between(500, sim.now) == 500
+        assert tracker.busy_between(500, sim.now) / (sim.now - 500) \
+            == pytest.approx(0.5)
 
     def test_open_segment_clipped_to_window(self, sim):
         tracker = UtilizationTracker(sim)
@@ -95,8 +63,9 @@ class TestWindowedUtilization:
 
         sim.process(proc())
         sim.run()
-        assert tracker.busy_time(since=500) == 500
-        assert tracker.utilization(since=500) == pytest.approx(1.0)
+        assert tracker.busy_between(500, sim.now) == 500
+        assert tracker.busy_between(500, sim.now) / (sim.now - 500) \
+            == pytest.approx(1.0)
 
     def test_multiple_segments_windowed(self, sim):
         tracker = UtilizationTracker(sim)
@@ -111,8 +80,9 @@ class TestWindowedUtilization:
         sim.process(proc())
         sim.run()
         assert tracker.busy_time() == 400
-        assert tracker.busy_time(since=400) == 200
-        assert tracker.utilization(since=400) == pytest.approx(0.5)
+        assert tracker.busy_between(400, sim.now) == 200
+        assert tracker.busy_between(400, sim.now) / (sim.now - 400) \
+            == pytest.approx(0.5)
 
 
 class TestRunArgumentValidation:

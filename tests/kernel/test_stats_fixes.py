@@ -1,8 +1,7 @@
 """Regression tests for the stats/metrics bugfix sweep.
 
-Each class locks one fix: the UtilizationTracker windowed-busy bisect
-(checked against a brute-force reference) and the ThroughputMeter
-observed-window semantics.
+Locks the UtilizationTracker windowed-busy bisect (checked against a
+brute-force reference) and the timeline sampled from it.
 """
 
 import random
@@ -10,7 +9,7 @@ import random
 import pytest
 
 from repro.kernel import Simulator
-from repro.kernel.stats import ThroughputMeter, UtilizationTracker
+from repro.kernel.stats import UtilizationTracker
 
 
 @pytest.fixture
@@ -89,39 +88,9 @@ class TestBusyBetweenProperty:
 
     def test_timeline_buckets(self, sim):
         tracker, __ = self.drive(sim, [(100, 100)])
-        series = tracker.timeline(buckets=4, start=0, end=200)
-        assert series == [1.0, 1.0, 0.0, 0.0]
-        assert tracker.timeline(buckets=3, start=100, end=100) == []
+        assert sim.now == 200
+        assert tracker.timeline(4) == [1.0, 1.0, 0.0, 0.0]
+        # No elapsed time: nothing to sample.
+        assert UtilizationTracker(Simulator()).timeline(3) == []
         with pytest.raises(ValueError):
             tracker.timeline(buckets=0)
-
-
-class TestThroughputWindow:
-    def test_zero_width_window_falls_back_to_elapsed(self, sim):
-        meter = ThroughputMeter(sim)
-
-        def proc():
-            yield 1_000_000          # 1 us
-            meter.record(1_000_000)  # single sample: zero-width window
-            yield 1_000_000          # idle tail to 2 us
-
-        sim.process(proc())
-        sim.run()
-        # [first, last] is zero-width; fall back to time since the
-        # window started (1 us), not 0.0 and not a crash.
-        assert meter.megabytes_per_second() == pytest.approx(1e6)
-        assert meter.iops() == pytest.approx(1e6)
-
-    def test_sample_at_time_zero_is_a_window(self, sim):
-        meter = ThroughputMeter(sim)
-
-        def proc():
-            meter.record(512)  # at t=0
-            yield 1_000_000
-
-        sim.process(proc())
-        sim.run()
-        # last_ps == 0 must not read as "no data": from_zero falls back
-        # to the current sim time.
-        assert meter.megabytes_per_second(from_zero=True) > 0.0
-        assert meter.megabytes_per_second() > 0.0

@@ -197,7 +197,9 @@ class TestOnfiChannel:
         sim.run(until=sim.process(flow()))
         assert channel.utilization() == pytest.approx(0.5)
 
-    def test_data_meter_records_bytes(self, sim):
-        channel = OnfiChannel(sim, "chn0", OnfiTiming())
+    def test_transfer_counted_and_timed_by_size(self, sim):
+        timing = OnfiTiming()
+        channel = OnfiChannel(sim, "chn0", timing)
         sim.run(until=sim.process(channel.transfer(4096)))
-        assert channel.stats.meters["data"].bytes_total == 4096
+        assert channel.stats.counter("transfers").value == 1
+        assert sim.now == timing.data_time(4096)
