@@ -14,8 +14,8 @@ test-fast:
 
 # Simulator benchmark smoke: the perfbench harness self-test, then one
 # gated run of each of the four workloads against the committed
-# references, as CI does (see perfbench/README.md for the full
-# benchmark).
+# references, plus the two fast-chain workloads at a second seed (17),
+# as CI does (see perfbench/README.md for the full benchmark).
 perfbench:
 	$(PYTHON) perfbench/selftest.py
 	$(PYTHON) perfbench/run.py --workload fig3_sw_cycle --seed 0 \
@@ -25,6 +25,10 @@ perfbench:
 	$(PYTHON) perfbench/run.py --workload ftl_dftl_steady --seed 0 \
 		--seconds 2 --trace 0
 	$(PYTHON) perfbench/run.py --workload tenants_mix_fast --seed 0 \
+		--seconds 2 --trace 0
+	$(PYTHON) perfbench/run.py --workload ftl_dftl_steady --seed 17 \
+		--seconds 2 --trace 0
+	$(PYTHON) perfbench/run.py --workload tenants_mix_fast --seed 17 \
 		--seconds 2 --trace 0
 
 # Fault-injection determinism check: the seeded campaign must produce

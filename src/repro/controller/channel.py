@@ -20,7 +20,7 @@ instantiated per channel; the SSD device drives it with DRAM movers.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..cpu.dma import DmaEngine
 from ..ecc.adaptive import EccScheme
@@ -35,6 +35,10 @@ from ..nand.onfi import OnfiTiming
 from ..nand.timing import MlcTimingModel
 from ..nand.wear import WearModel
 from .gang import ChannelBuses, GangScheme
+
+
+#: Indices of a fast controller's fixed times (ChannelWayController._fast).
+_PREP, _COMMAND, _PAGE, _DATA_OUT = range(4)
 
 
 class ChannelWayController(Component):
@@ -65,10 +69,26 @@ class ChannelWayController(Component):
         self.translator_cycles = translator_cycles
         #: Fast fidelity: page operations collapse the ONFI phase chain
         #: into one prep timeout + one bus tenure (see _FastPageOp).
-        self._fast = fast
-        #: Calibrated residual overhead per fast op (covers the phase
-        #: boundaries the closed form folds away).
-        self._fast_overhead_ps = fast_overhead_ps
+        #: Their fixed times, from the frozen timing, geometry and clock,
+        #: are computed here once, indexed by _PREP, _COMMAND, _PAGE and
+        #: _DATA_OUT; None at cycle fidelity.  A plain tuple of ints: the
+        #: garbage collector stops tracking it, where an object per
+        #: controller would pile up in the oldest generation.
+        self._fast: Optional[Tuple[int, int, int, int]] = None
+        if fast:
+            raw_page_bytes = geometry.raw_page_bytes
+            self._fast = (
+                # Translate + the calibrated residual overhead per op
+                # (it covers the phase boundaries the closed form folds
+                # away); a program adds its encode time.
+                self.clock.cycles(translator_cycles) + fast_overhead_ps,
+                onfi_timing.command_time() + onfi_timing.overhead_ps,
+                onfi_timing.effective_page_time(raw_page_bytes),
+                onfi_timing.data_time(raw_page_bytes))
+        # ECC latency is a pure function of wear (the scheme and its
+        # latency model are frozen): priced once per P/E count.
+        self._encode_memo: Dict[int, int] = {}
+        self._decode_memo: Dict[Tuple[int, bool], int] = {}
 
         self.buses = ChannelBuses(sim, "gang", gang_scheme, n_ways,
                                   onfi_timing, parent=self)
@@ -147,6 +167,23 @@ class ChannelWayController(Component):
     @property
     def total_dies(self) -> int:
         return self.n_ways * self.dies_per_way
+
+    def _fast_encode_ps(self, pe: int) -> int:
+        """ECC encode time of one page at ``pe`` P/E cycles (memoised)."""
+        encode_ps = self._encode_memo.get(pe)
+        if encode_ps is None:
+            encode_ps = self._encode_memo[pe] = self.ecc.encode_time_ps(
+                self.geometry.page_bytes, pe)
+        return encode_ps
+
+    def _fast_decode_ps(self, pe: int, errors_present: bool) -> int:
+        """ECC decode time of one page at ``pe`` P/E cycles (memoised)."""
+        key = (pe, errors_present)
+        decode_ps = self._decode_memo.get(key)
+        if decode_ps is None:
+            decode_ps = self._decode_memo[key] = self.ecc.decode_time_ps(
+                self.geometry.page_bytes, pe, errors_present)
+        return decode_ps
 
     def _translate(self):
         """Command translator latency (controller clock cycles)."""
@@ -468,14 +505,7 @@ class _FastPageOp(Event):
     # -- subclass hooks -------------------------------------------------
     def _prep_ps(self) -> int:
         """Translate (+ encode) + calibrated residual, ahead of the lock."""
-        ctrl = self.ctrl
-        return (ctrl.clock.cycles(ctrl.translator_cycles)
-                + ctrl._fast_overhead_ps)
-
-    def _tenure_ps(self) -> int:
-        """The bus tenure held before the array operation."""
-        timing = self.ctrl.buses.timing
-        return timing.command_time() + timing.overhead_ps
+        return self.ctrl._fast[_PREP]
 
     def _begin_array(self) -> int:
         raise NotImplementedError
@@ -511,7 +541,8 @@ class _FastPageOp(Event):
         self._bus_hold = self._bus.claim(self._on_bus)
 
     def _on_bus(self, _event) -> None:
-        self.sim._after(self._tenure_ps(), self._array)
+        # The bus tenure held before the array operation: the command.
+        self.sim._after(self.ctrl._fast[_COMMAND], self._array)
 
     def _array(self, _event) -> None:
         self._bus.give_back(self._bus_hold)
@@ -543,17 +574,14 @@ class _FastProgram(_FastPageOp):
         super().__init__(ctrl, way, die_index)
 
     def _prep_ps(self) -> int:
-        ctrl = self.ctrl
         address = self.address
-        pe = self.die.pe_cycles(address.plane, address.block)
-        return (ctrl.clock.cycles(ctrl.translator_cycles)
-                + ctrl.ecc.encode_time_ps(ctrl.geometry.page_bytes, pe)
-                + ctrl._fast_overhead_ps)
-
-    def _tenure_ps(self) -> int:
         ctrl = self.ctrl
-        return ctrl.buses.timing.effective_page_time(
-            ctrl.geometry.raw_page_bytes)
+        return ctrl._fast[_PREP] + ctrl._fast_encode_ps(
+            self.die.pe_cycles(address.plane, address.block))
+
+    def _on_bus(self, _event) -> None:
+        # Command + data-in: one page tenure.
+        self.sim._after(self.ctrl._fast[_PAGE], self._array)
 
     def _begin_array(self) -> int:
         return self.die.begin_program(self.address)
@@ -586,18 +614,15 @@ class _FastRead(_FastPageOp):
         self._bus_hold = self._bus.claim(self._on_data_bus)
 
     def _on_data_bus(self, _event) -> None:
-        ctrl = self.ctrl
-        self.sim._after(
-            ctrl.buses.timing.data_time(ctrl.geometry.raw_page_bytes),
-            self._decode)
+        self.sim._after(self.ctrl._fast[_DATA_OUT], self._decode)
 
     def _decode(self, _event) -> None:
         self._bus.give_back(self._bus_hold)
         ctrl = self.ctrl
         address = self.address
-        pe = self.die.pe_cycles(address.plane, address.block)
-        self._decode_ps = ctrl.ecc.decode_time_ps(
-            ctrl.geometry.page_bytes, pe, self.errors_present)
+        self._decode_ps = ctrl._fast_decode_ps(
+            self.die.pe_cycles(address.plane, address.block),
+            self.errors_present)
         if self._decode_ps:
             # The decoder regularly exceeds the page's bus time under
             # adaptive BCH at high wear, so its engine contention stays

@@ -25,6 +25,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from .simulator import Simulator
 
 
+def _nothing_held(resource: "Resource") -> SimulationError:
+    # A slot returned while none is held would drive in_use below zero
+    # and let the resource admit more holders than its capacity.
+    return SimulationError(
+        f"{resource.name}: slot given back, but no slot is held")
+
+
 class Grant(Event):
     """An event that fires once the resource is granted to the requester."""
 
@@ -113,35 +120,27 @@ class Resource:
         except ValueError:
             raise SimulationError(f"grant {grant!r} was never issued by {self.name}")
 
-    def take_free_slot(self) -> bool:
-        """Hold a free slot at once, without a :class:`Grant`.
-
-        Succeeds only when a slot is free and nobody waits; it then does
-        the bookkeeping of an immediate grant (wait 0) and returns True.
-        Otherwise it changes nothing and returns False.  The caller must
-        give the slot back with :meth:`return_slot`.
-        """
-        if self._in_use >= self.capacity or self._waiting:
-            return False
-        self.total_grants += 1
-        if self._in_use == 0:
-            self._busy_since = self.sim._now
-        self._in_use += 1
-        return True
-
     def claim(self, callback: Callable[[Optional[Grant]], None],
               priority: int = 0) -> Optional[Grant]:
         """Hold a slot for a callback chain; ``callback`` runs once held.
 
-        A free slot is held in place (:meth:`take_free_slot`) and
-        ``callback(None)`` runs as a zero-delay bare calendar entry, in the
-        place the grant event would have had in this batch; otherwise the
-        request queues as a :class:`Grant` that carries the callback.
-        Either way the kernel processes the same events at the same
-        times.  Returns the Grant, or None for a slot held in place;
-        hand it back to :meth:`give_back`.
+        A free slot is held in place, with the bookkeeping of an
+        immediate grant (one grant, wait 0, busy from now), and
+        ``callback(None)`` runs as a zero-delay bare calendar entry, in
+        the place the grant event would have had in this batch;
+        otherwise the request queues as a :class:`Grant` that carries
+        the callback.  Either way the kernel processes the same events
+        at the same times.  Returns the Grant, or None for a slot held
+        in place; hand it back to :meth:`give_back`.
         """
-        if self.take_free_slot():
+        # acquire()'s test: a waiter exists only while every slot is
+        # held, because a returned slot admits the waiters first.
+        in_use = self._in_use
+        if in_use < self.capacity:
+            self.total_grants += 1
+            if in_use == 0:
+                self._busy_since = self.sim._now
+            self._in_use = in_use + 1
             self.sim._after(0, callback)
             return None
         grant = self.acquire(priority)
@@ -158,11 +157,14 @@ class Resource:
     def return_slot(self) -> None:
         """Give back one held slot and admit waiters in FIFO order.
 
-        :meth:`release` ends here after its checks; a slot taken with
-        :meth:`take_free_slot` is returned by calling it directly.
+        :meth:`release` ends here after its checks; a slot held in place
+        by :meth:`claim` comes back here through :meth:`give_back`.
         """
-        self._in_use -= 1
-        if self._in_use == 0 and self._busy_since is not None:
+        in_use = self._in_use - 1
+        if in_use < 0:
+            raise _nothing_held(self)
+        self._in_use = in_use
+        if in_use == 0 and self._busy_since is not None:
             self._busy_accum += self.sim._now - self._busy_since
             self._busy_since = None
         waiting = self._waiting
@@ -229,8 +231,11 @@ class PriorityResource(Resource):
 
     def return_slot(self) -> None:
         """Give back one held slot and admit waiters in priority order."""
-        self._in_use -= 1
-        if self._in_use == 0 and self._busy_since is not None:
+        in_use = self._in_use - 1
+        if in_use < 0:
+            raise _nothing_held(self)
+        self._in_use = in_use
+        if in_use == 0 and self._busy_since is not None:
             self._busy_accum += self.sim._now - self._busy_since
             self._busy_since = None
         while self._waiting and self._in_use < self.capacity:

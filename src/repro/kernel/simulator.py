@@ -166,13 +166,11 @@ class Simulator:
                 pop_time(times)
                 self._now = when
                 batch = buckets[when]
-                index = 0
+                first = processed
                 # Drain the whole same-time batch in FIFO order.  Entries
                 # scheduled at `now` during the drain append to this same
-                # list, so `len(batch)` is re-read every iteration.
-                while index < len(batch):
-                    entry = batch[index]
-                    index += 1
+                # list, and the list iterator reaches them too.
+                for entry in batch:
                     processed += 1
                     cls = entry.__class__
                     if cls is method_type or cls is function_type:
@@ -185,15 +183,18 @@ class Simulator:
                                 callback(entry)
                     if stop_event is not None and stop_event.callbacks is None:
                         break
-                if index < len(batch):
-                    # The until-event fired mid-batch: keep the unprocessed
-                    # tail scheduled so a later run() resumes exactly here.
-                    buckets[when] = batch[index:]
+                else:
+                    del buckets[when]
+                    continue
+                # The until-event fired: keep the unprocessed tail of the
+                # batch scheduled so a later run() resumes exactly here.
+                done = processed - first
+                if done < len(batch):
+                    buckets[when] = batch[done:]
                     push_time(times, when)
-                    break
-                del buckets[when]
-                if stop_event is not None and stop_event.callbacks is None:
-                    break
+                else:
+                    del buckets[when]
+                break
             else:
                 if stop_time is not None:
                     self._now = max(self._now, stop_time)

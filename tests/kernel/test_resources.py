@@ -178,24 +178,26 @@ class TestPriorityResource:
         assert res.queue_length == 0
         assert res.in_use == 0
 
-    def test_take_free_slot_books_an_immediate_grant(self, sim):
+    def test_claim_books_an_immediate_grant(self, sim):
         res = PriorityResource(sim, "arb")
         sim.run(until=10)
-        assert res.take_free_slot()
+        assert res.claim(lambda ev: None) is None
         assert (res.in_use, res.total_grants, res.total_wait_ps) == (1, 1, 0)
-        assert not res.take_free_slot()
+        queued = res.claim(lambda ev: None)
+        assert queued is not None and not queued.triggered
         assert (res.in_use, res.total_grants) == (1, 1)
+        res.give_back(queued)
         sim.run(until=25)
-        res.return_slot()
+        res.give_back(None)
         assert res.in_use == 0
         assert res.busy_time() == 15
 
     def test_return_slot_admits_the_most_urgent_waiter(self, sim):
         res = PriorityResource(sim, "arb")
-        assert res.take_free_slot()
+        assert res.claim(lambda ev: None) is None
         late = res.acquire(5)
         urgent = res.acquire(0)
-        res.return_slot()
+        res.give_back(None)
         assert urgent.triggered and not late.triggered
         res.release(urgent)
         assert late.triggered
@@ -283,8 +285,8 @@ class TestWaitAccounting:
 
 
 class TestClaim:
-    """``take_free_slot``/``return_slot``/``claim``/``give_back`` on both
-    resource kinds: the callback-chain way to hold a slot."""
+    """``claim``/``give_back`` on both resource kinds: the callback-chain
+    way to hold a slot."""
 
     @pytest.mark.parametrize("kind", [Resource, PriorityResource])
     def test_claim_free_slot_holds_in_place(self, sim, kind):
@@ -303,12 +305,12 @@ class TestClaim:
     @pytest.mark.parametrize("kind", [Resource, PriorityResource])
     def test_claim_held_slot_queues_a_grant(self, sim, kind):
         res = kind(sim, "r")
-        assert res.take_free_slot()
+        assert res.claim(lambda ev: None) is None
         seen = []
         hold = res.claim(lambda ev: seen.append(sim.now))
         assert hold is not None and not hold.triggered
         sim.run(until=20)
-        res.return_slot()
+        res.give_back(None)
         sim.run()
         assert seen == [20]
         assert (res.total_grants, res.total_wait_ps) == (2, 20)
@@ -317,13 +319,39 @@ class TestClaim:
 
     def test_fifo_return_slot_admits_in_arrival_order(self, sim):
         res = Resource(sim, "r")
-        assert res.take_free_slot()
-        assert not res.take_free_slot()
+        assert res.claim(lambda ev: None) is None
         first, second = res.acquire(), res.acquire()
-        res.return_slot()
+        res.give_back(None)
         assert first.triggered and not second.triggered
         res.release(first)
         assert second.triggered
+
+
+class TestGiveBackUnheld:
+    """Returning a slot nobody holds is refused, as a double release()
+    is: ``in_use`` must not go negative and double-book the resource."""
+
+    @pytest.mark.parametrize("kind", [Resource, PriorityResource])
+    def test_fresh_resource_refuses(self, sim, kind):
+        res = kind(sim, "chan0.bus")
+        with pytest.raises(SimulationError, match="chan0.bus"):
+            res.give_back(None)
+        assert res.in_use == 0
+        with pytest.raises(SimulationError, match="chan0.bus"):
+            res.return_slot()
+        assert res.in_use == 0
+
+    @pytest.mark.parametrize("kind", [Resource, PriorityResource])
+    def test_second_give_back_of_one_hold_refuses(self, sim, kind):
+        res = kind(sim, "chan0.bus")
+        assert res.claim(lambda ev: None) is None
+        res.give_back(None)
+        with pytest.raises(SimulationError, match="chan0.bus"):
+            res.give_back(None)
+        # The capacity still holds: a second holder queues.
+        assert res.claim(lambda ev: None) is None
+        assert res.claim(lambda ev: None) is not None
+        assert res.in_use == 1
 
 
 class TestGrantCycle:

@@ -347,3 +347,45 @@ class TestKernelTimers:
         sim._after(0, lambda entry: seen.append(entry))
         sim.run()
         assert seen == [None]
+
+
+class TestUntilInsideABareEntry:
+    """``run(until=ev)`` where ``ev`` is processed inline by a bare
+    calendar entry (``_SpaceWaiter._wake`` calls ``Event._process()``):
+    the stop check follows every entry, not only event entries."""
+
+    def test_stops_at_that_entry_and_keeps_the_batch_tail(self, sim):
+        from repro.dram import DEFAULT_DDR2, BufferManager
+
+        manager = BufferManager(sim, "buffers", 1, DEFAULT_DDR2, 1,
+                                capacity_bytes_per_buffer=100,
+                                enable_refresh=False)
+        order = []
+
+        def writer(tag, nbytes):
+            yield from manager.reserve(0, nbytes)
+            order.append((tag, sim.now))
+
+        sim.process(writer("first", 100))
+        sim.process(writer("blocked", 60))
+        sim.run()
+        assert order == [("first", 0)]
+        waiter = manager._space_waiters[0][0]
+
+        def drain(_entry):
+            order.append(("drain", sim.now))
+            manager.release(0, 100)     # schedules waiter._wake at now
+            sim._after(0, lambda _e: order.append(("tail", sim.now)))
+
+        sim._after(10, drain)
+        sim._after(10, lambda _e: order.append(("same-time", sim.now)))
+        assert sim.run(until=waiter) is None
+        # _wake processed the waiter, which resumed the writer inline;
+        # the entries after it in the t=10 batch are still scheduled.
+        assert order == [("first", 0), ("drain", 10), ("same-time", 10),
+                         ("blocked", 10)]
+        assert waiter.processed and sim.now == 10
+        assert sim.peek() == 10
+        sim.run()
+        assert order[-1] == ("tail", 10)
+        assert manager.occupancy(0) == 60
