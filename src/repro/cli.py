@@ -27,7 +27,7 @@ Usage::
 
 Every subcommand prints the same rows/series the paper's tables and
 figures report.  Each shared job has one helper: ``_architecture``
-loads ``--config`` (dialed to ``--fidelity``), ``_iozone`` and
+loads ``--config`` (fast levels calibrated), ``_iozone`` and
 ``_trace_workload`` build the workloads, ``runner_from_args`` builds
 every sweep or campaign runner, ``cmd_experiment`` runs fig3/fig4/fig5
 standalone or as a campaign, ``_finish`` is the output tail of every
@@ -230,13 +230,19 @@ def _add_reliability_metric(parser: argparse.ArgumentParser) -> None:
 # Loading: architecture, workloads, runner
 
 
-def _architecture(args: argparse.Namespace) -> SsdArchitecture:
-    """The architecture ``--config`` names (default: the stock drive),
-    dialed to ``--fidelity`` where the subcommand has one."""
-    arch = (from_config(load_file(args.config)) if args.config
+def _configured(args: argparse.Namespace) -> SsdArchitecture:
+    """The architecture ``--config`` names (default: the stock drive)."""
+    return (from_config(load_file(args.config)) if args.config
             else SsdArchitecture())
-    fidelity = calibrated_fidelity(getattr(args, "fidelity", ""), arch)
-    return arch if fidelity is None else arch.with_fidelity(fidelity)
+
+
+def _architecture(args: argparse.Namespace) -> SsdArchitecture:
+    """:func:`_configured`, dialed to ``--fidelity`` where the subcommand
+    has one, else to the config's own ``fidelity.*`` keys.  Fast levels
+    run calibrated either way."""
+    arch = _configured(args)
+    return arch.with_fidelity(calibrated_fidelity(
+        getattr(args, "fidelity", "") or arch.fidelity, arch))
 
 
 def _iozone(args: argparse.Namespace, arch: SsdArchitecture):
@@ -516,7 +522,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     fast fig3/fig5 error against the golden files."""
     from .core import calibrate, fidelity_error_report
     from .core.calibrate import DEFAULT_CACHE_DIR
-    result = calibrate(_architecture(args),
+    result = calibrate(_configured(args),
                        cache_dir=args.cache_dir or DEFAULT_CACHE_DIR,
                        use_cache=not args.no_cache)
     report = None
@@ -533,7 +539,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         print(f"dram_overhead_ps : {result.dram_overhead_ps}")
         print(f"dram_ps_per_byte : {result.dram_ps_per_byte:.3f}")
         print(f"cpu_cycles       : {result.cpu_cycles}")
-        print(f"nand_overhead_ps : {result.nand_overhead_ps}")
         print("(served from the calibration cache)" if result.cached
               else "(fitted from fresh cycle-accurate probes)")
         if report is not None:

@@ -7,7 +7,7 @@ Matching uses hash chains over 3-byte prefixes, like zlib's deflate.
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Union
+from typing import List, NamedTuple, Union
 
 WINDOW_SIZE = 32768
 MIN_MATCH = 3
@@ -107,9 +107,3 @@ def detokenize(tokens: List[Token]) -> bytes:
             for offset in range(token.length):
                 output.append(output[start + offset])
     return bytes(output)
-
-
-def iter_token_sizes(tokens: List[Token]) -> Iterator[int]:
-    """Bytes of original data each token covers (for ratio estimation)."""
-    for token in tokens:
-        yield 1 if isinstance(token, Literal) else token.length

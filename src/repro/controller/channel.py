@@ -54,7 +54,6 @@ class ChannelWayController(Component):
                  translator_cycles: int = 12,
                  initial_pe_cycles: int = 0,
                  fast: bool = False,
-                 fast_overhead_ps: int = 0,
                  parent: Optional[Component] = None):
         super().__init__(sim, name, parent)
         if dies_per_way < 1:
@@ -78,10 +77,8 @@ class ChannelWayController(Component):
         if fast:
             raw_page_bytes = geometry.raw_page_bytes
             self._fast = (
-                # Translate + the calibrated residual overhead per op
-                # (it covers the phase boundaries the closed form folds
-                # away); a program adds its encode time.
-                self.clock.cycles(translator_cycles) + fast_overhead_ps,
+                # Translate; a program adds its encode time.
+                self.clock.cycles(translator_cycles),
                 onfi_timing.command_time() + onfi_timing.overhead_ps,
                 onfi_timing.effective_page_time(raw_page_bytes),
                 onfi_timing.data_time(raw_page_bytes))
@@ -504,7 +501,7 @@ class _FastPageOp(Event):
 
     # -- subclass hooks -------------------------------------------------
     def _prep_ps(self) -> int:
-        """Translate (+ encode) + calibrated residual, ahead of the lock."""
+        """Translate (+ encode), ahead of the lock."""
         return self.ctrl._fast[_PREP]
 
     def _begin_array(self) -> int:

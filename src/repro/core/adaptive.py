@@ -152,10 +152,6 @@ class AdaptiveOutcome:
     rows: Dict[str, BreakdownRow] = field(default_factory=dict)
 
     @property
-    def fast_frontier(self) -> List[ParetoEntry]:
-        return entry_frontier(self.fast_entries)
-
-    @property
     def cycle_frontier(self) -> List[ParetoEntry]:
         """The answer: the cycle-fidelity Pareto frontier."""
         return entry_frontier(self.cycle_entries)

@@ -3,7 +3,7 @@
 The fast abstraction levels (see :mod:`repro.ssd.fidelity`) ship with
 analytic defaults derived from the timing dataclasses, but the honest
 way to parameterize a high-level model is to *measure the detailed one*
-(the SimpleSSD/Amber recipe).  :func:`calibrate` runs three short
+(the SimpleSSD/Amber recipe).  :func:`calibrate` runs two short
 cycle-accurate probes —
 
 * **DRAM**: stream accesses of several sizes through a
@@ -11,16 +11,16 @@ cycle-accurate probes —
   least-squares fit ``elapsed = overhead + nbytes * ps_per_byte``;
 * **CPU**: run the real firmware dispatch loop
   (:func:`~repro.cpu.firmware.calibrate_command_cycles`) and take its
-  steady-state cycles per command;
-* **NAND**: issue uncontended page program/read ops through a
-  cycle-accurate channel controller and measure the residual between
-  the phase chain and the closed form —
+  steady-state cycles per command —
 
 and returns a :class:`CalibrationResult` whose parameters slot straight
-into a :class:`~repro.ssd.fidelity.FidelityConfig`.  Results persist in
-a content-addressed JSON cache keyed by the timing models and the probe
-definition (same scheme as the sweep cache), so re-calibrating is free
-until the underlying models change.
+into a :class:`~repro.ssd.fidelity.FidelityConfig`.  Fast NAND needs no
+probe: an uncontended fast page operation takes exactly the cycle
+model's time (``tests/controller/test_fast_constants.py`` checks it).
+Results persist in a content-addressed JSON cache keyed by the DRAM
+timing (the only model input a probe reads) and the probe definition
+(same scheme as the sweep cache), so re-calibrating is free until the
+underlying models change.
 
 :func:`fidelity_error_report` closes the loop: it reruns the checked-in
 fig3/fig5 goldens at fast fidelity and reports the relative error per
@@ -34,18 +34,17 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..cpu.firmware import calibrate_command_cycles
 from ..dram.controller import DramController
 from ..kernel import Simulator
-from ..nand.geometry import PageAddress
 from ..ssd.architecture import SsdArchitecture
 from ..ssd.fidelity import Fidelity, FidelityConfig, fidelity_from_spec
 from .sweep import CODE_VERSION, SweepCache, SweepRunner, canonical
 
 #: Bump when the probe definitions change (folded into the cache key).
-PROBE_VERSION = "calibrate-1"
+PROBE_VERSION = "calibrate-2"
 
 #: Declared fast-vs-golden relative error bound (fig3/fig5 metrics).
 DEFAULT_ERROR_BOUND = 0.05
@@ -58,29 +57,19 @@ class CalibrationResult:
     dram_overhead_ps: int
     dram_ps_per_byte: float
     cpu_cycles: int
-    nand_overhead_ps: int
     cached: bool = False
 
-    def to_fidelity(self, default: str = Fidelity.FAST.value,
-                    **levels: str) -> FidelityConfig:
-        """A :class:`FidelityConfig` carrying these parameters.
-
-        ``levels`` may override per-subsystem fidelity (e.g.
-        ``dram="cycle"``).
-        """
-        return FidelityConfig(default=default,
-                              dram_overhead_ps=self.dram_overhead_ps,
-                              dram_ps_per_byte=self.dram_ps_per_byte,
-                              cpu_cycles=self.cpu_cycles,
-                              nand_overhead_ps=self.nand_overhead_ps,
-                              **levels)
+    def to_fidelity(self) -> FidelityConfig:
+        """An all-fast :class:`FidelityConfig` carrying these parameters
+        (mixed levels: :func:`calibrated_fidelity`)."""
+        return FidelityConfig(default=Fidelity.FAST.value,
+                              **self.to_dict())
 
     def to_dict(self) -> Dict[str, Any]:
         return {
             "dram_overhead_ps": self.dram_overhead_ps,
             "dram_ps_per_byte": self.dram_ps_per_byte,
             "cpu_cycles": self.cpu_cycles,
-            "nand_overhead_ps": self.nand_overhead_ps,
         }
 
     @classmethod
@@ -89,7 +78,6 @@ class CalibrationResult:
         return cls(dram_overhead_ps=int(payload["dram_overhead_ps"]),
                    dram_ps_per_byte=float(payload["dram_ps_per_byte"]),
                    cpu_cycles=int(payload["cpu_cycles"]),
-                   nand_overhead_ps=int(payload["nand_overhead_ps"]),
                    cached=cached)
 
 
@@ -132,56 +120,16 @@ def _probe_dram(arch: SsdArchitecture,
     return max(0, int(round(intercept))), max(slope, 1e-9)
 
 
-def _nand_op_elapsed(arch: SsdArchitecture, fast: bool,
-                     nand_overhead_ps: int = 0) -> Tuple[int, int]:
-    """(program_ps, read_ps) of one uncontended page op per fidelity."""
-    from ..controller import ChannelWayController
-    sim = Simulator()
-    controller = ChannelWayController(
-        sim, "probe", 1, 1, arch.geometry, arch.nand_timing,
-        arch.wear_model, arch.onfi_timing, arch.ecc,
-        gang_scheme=arch.gang_scheme, fast=fast,
-        fast_overhead_ps=nand_overhead_ps)
-    out: Dict[str, int] = {}
-
-    def run():
-        address = PageAddress(0, 0, 0)
-        out["program"] = yield controller.program(0, 0, address)
-        out["read"] = yield controller.read(0, 0, address)
-
-    sim.run(until=sim.process(run()))
-    return out["program"], out["read"]
-
-
-def _probe_nand(arch: SsdArchitecture) -> int:
-    """Residual overhead the fast closed form must add per op (ps).
-
-    Deterministic timing jitter (``_block_jitter``) is identical across
-    fidelities for the same address, so the uncontended difference is
-    exactly the phase-chain residue the single-tenure model folds away.
-    """
-    cycle_program, cycle_read = _nand_op_elapsed(arch, fast=False)
-    fast_program, fast_read = _nand_op_elapsed(arch, fast=True)
-    residual = ((cycle_program - fast_program)
-                + (cycle_read - fast_read)) / 2
-    return max(0, int(round(residual)))
-
-
 # ----------------------------------------------------------------------
 # Cache + entry point
 
 
 def calibration_key(arch: SsdArchitecture) -> str:
-    """Content hash of everything the probe outcomes depend on."""
+    """Content hash of everything the probe outcomes depend on: the
+    DRAM timing (the CPU probe reads no part of ``arch``)."""
     document = {
         "salt": f"{CODE_VERSION}/{PROBE_VERSION}",
         "dram_timing": canonical(arch.dram_timing),
-        "onfi_timing": canonical(arch.onfi_timing),
-        "nand_timing": canonical(arch.nand_timing),
-        "wear_model": canonical(arch.wear_model),
-        "geometry": canonical(arch.geometry),
-        "ecc": canonical(arch.ecc),
-        "gang_scheme": canonical(arch.gang_scheme),
     }
     blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -216,7 +164,6 @@ def calibrate(arch: Optional[SsdArchitecture] = None,
         dram_overhead_ps=dram_overhead_ps,
         dram_ps_per_byte=dram_ps_per_byte,
         cpu_cycles=int(round(calibrate_command_cycles())),
-        nand_overhead_ps=_probe_nand(arch),
     )
     if cache is not None:
         cache.store(key, {
@@ -230,17 +177,19 @@ def calibrate(arch: Optional[SsdArchitecture] = None,
     return result
 
 
-def calibrated_fidelity(spec: str, arch: Optional[SsdArchitecture] = None
+def calibrated_fidelity(spec: Union[str, FidelityConfig],
+                        arch: Optional[SsdArchitecture] = None
                         ) -> Optional[FidelityConfig]:
     """Resolve a fidelity spec (``"fast"``, ``"fast,dram=cycle"``, ...)
-    into a calibrated config; the empty spec means cycle (``None``).
+    or config into a calibrated config; the empty spec means cycle
+    (``None``).
 
     Any fast level pulls in the calibrated fast-path parameters for
     ``arch`` (fitting them on first use; cached afterwards).
     """
     if not spec:
         return None
-    config = fidelity_from_spec(spec)
+    config = fidelity_from_spec(spec) if isinstance(spec, str) else spec
     if config.any_fast:
         config = replace(config, **calibrate(arch).to_dict())
     return config

@@ -62,7 +62,9 @@ from .lease import DEFAULT_LEASE_TTL_S, LeaseKeeper, LeaseQueue, atomic_write
 #: sweep-8: tenant-row percentiles are exact nearest-rank over the
 #: tenant's N commands (the RunResult rule) instead of histogram bin
 #: edges, so cached tenant payloads of sweep-7 are stale.
-CODE_VERSION = "sweep-8"
+#: sweep-9: the fidelity config lost its always-zero NAND overhead
+#: field, so every architecture reduces to a different canonical form.
+CODE_VERSION = "sweep-9"
 
 
 # ----------------------------------------------------------------------

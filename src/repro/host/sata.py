@@ -106,12 +106,6 @@ def ncq_write_sequence(nbytes: int,
     return sequence
 
 
-def ncq_read_sequence(nbytes: int,
-                      link: SataLink = SataLink()) -> List[Tuple[str, int]]:
-    """The FIS timeline of one NCQ read (data direction reversed)."""
-    return ncq_write_sequence(nbytes, link)
-
-
 def ncq_command_total_ps(nbytes: int, link: SataLink = SataLink()) -> int:
     """End-to-end link time of one NCQ command."""
     return sum(duration for __, duration in ncq_write_sequence(nbytes, link))

@@ -98,10 +98,6 @@ class AhbBus(Component):
     def n_masters(self) -> int:
         return len(self._masters)
 
-    @property
-    def n_slaves(self) -> int:
-        return len(self._slaves)
-
     # ------------------------------------------------------------------
     # Transfers
     # ------------------------------------------------------------------

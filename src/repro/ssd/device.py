@@ -95,7 +95,6 @@ class SsdDevice(Component):
                 arch.onfi_timing, arch.ecc, gang_scheme=arch.gang_scheme,
                 initial_pe_cycles=arch.initial_pe_cycles,
                 fast=nand_fast,
-                fast_overhead_ps=fidelity.nand_overhead_ps or 0,
                 parent=self)
             for c in range(arch.n_channels)
         ]

@@ -7,26 +7,27 @@ SimpleSSD/Amber split, every design point carries a
 
 * ``cycle`` — the detailed golden models (ONFI phase chains, per-beat
   DRAM events, firmware dispatch), and
-* ``fast``  — calibrated closed-form service models (single bus tenure
-  per NAND op, linear DRAM service time with an analytic refresh
-  derate, fixed per-command CPU cost).
+* ``fast``  — closed-form service models: a single bus tenure per NAND
+  op (exact when the op is uncontended), a linear DRAM service time
+  with an analytic refresh derate, and a fixed per-command CPU cost.
 
 The config is part of :class:`~repro.ssd.architecture.SsdArchitecture`
 and therefore of every sweep fingerprint: cycle and fast runs of the
 same point can never collide in the result cache.
 
-Calibrated parameters (``dram_overhead_ps`` etc.) are optional: the
-analytic defaults derived from the timing dataclasses are good enough
-to stay inside the declared error bound, and
+The calibrated parameters (DRAM service model, CPU cost) are optional:
+the analytic defaults derived from the timing dataclasses are good
+enough to stay inside the declared error bound, and
 :mod:`repro.core.calibrate` refines them from short cycle-accurate
-probes.
+probes.  Fast NAND has no parameter: it is built from the same ONFI,
+array and ECC timing as the cycle model.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 
 class Fidelity(enum.Enum):
@@ -61,9 +62,6 @@ class FidelityConfig:
     dram_ps_per_byte: Optional[float] = None
     #: Calibrated fixed per-command CPU cost (core cycles).
     cpu_cycles: Optional[int] = None
-    #: Calibrated extra controller overhead per fast NAND op (ps),
-    #: absorbing the phase-chain residue the closed form folds away.
-    nand_overhead_ps: Optional[int] = None
 
     def __post_init__(self) -> None:
         valid = {f.value for f in Fidelity}
@@ -81,8 +79,6 @@ class FidelityConfig:
             raise ValueError("dram_ps_per_byte must be positive")
         if self.cpu_cycles is not None and self.cpu_cycles < 0:
             raise ValueError("cpu_cycles must be >= 0")
-        if self.nand_overhead_ps is not None and self.nand_overhead_ps < 0:
-            raise ValueError("nand_overhead_ps must be >= 0")
 
     # ------------------------------------------------------------------
     def level(self, subsystem: str) -> Fidelity:
@@ -97,15 +93,6 @@ class FidelityConfig:
         """True if at least one subsystem runs its fast path."""
         return any(self.level(name) is Fidelity.FAST
                    for name in SUBSYSTEMS)
-
-    @property
-    def all_cycle(self) -> bool:
-        """True when every subsystem runs the detailed golden model."""
-        return not self.any_fast
-
-    def scaled(self, **overrides: Any) -> "FidelityConfig":
-        """Convenience wrapper around :func:`dataclasses.replace`."""
-        return replace(self, **overrides)
 
 
 def fidelity_from_spec(spec: str) -> FidelityConfig:

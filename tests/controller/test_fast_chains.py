@@ -23,11 +23,11 @@ GEO = NandGeometry(planes_per_die=1, blocks_per_plane=64, pages_per_block=16,
                    page_bytes=4096, spare_bytes=224)
 
 
-def make_fast(sim, ecc=None, **kwargs):
+def make_controller(sim, ecc=None, fast=True, **kwargs):
     return ChannelWayController(
         sim, "chn0", 2, 2, GEO, MlcTimingModel(), WearModel(),
-        OnfiTiming.asynchronous(), ecc or FixedBch(t=8), fast=True,
-        fast_overhead_ps=1500, **kwargs)
+        OnfiTiming.asynchronous(), ecc or FixedBch(t=8), fast=fast,
+        **kwargs)
 
 
 def count_acquires(monkeypatch, resource):
@@ -42,25 +42,31 @@ def count_acquires(monkeypatch, resource):
     return calls
 
 
+def run_alone(op, args, fast):
+    """(elapsed, simulator) of one page operation on an idle controller."""
+    sim = Simulator()
+    controller = make_controller(sim, fast=fast)
+    if op == "read":
+        controller.die(0, 0).preload_all()
+    return sim.run(until=getattr(controller, op)(*args)), sim
+
+
 class TestUncontended:
-    @pytest.mark.parametrize("op, args, events, elapsed", [
-        ("program", (0, 0, PageAddress(0, 0, 0)), 7, 1_038_987_500),
-        ("read", (0, 0, PageAddress(0, 0, 0)), 11, 220_235_500),
-        ("erase", (0, 0, 0, 0), 7, 1_000_571_500),
+    @pytest.mark.parametrize("op, args, events", [
+        ("program", (0, 0, PageAddress(0, 0, 0)), 7),
+        ("read", (0, 0, PageAddress(0, 0, 0)), 11),
+        ("erase", (0, 0, 0, 0), 7),
     ])
-    def test_same_events_and_elapsed_as_the_process(self, op, args, events,
-                                                    elapsed):
-        sim = Simulator()
-        controller = make_fast(sim)
-        if op == "read":
-            controller.die(0, 0).preload_all()
-        assert sim.run(until=getattr(controller, op)(*args)) == elapsed
+    def test_same_events_and_elapsed_as_the_process(self, op, args, events):
+        elapsed, sim = run_alone(op, args, fast=True)
+        # Uncontended, the fast chain takes the cycle generator's time.
+        assert elapsed == run_alone(op, args, fast=False)[0]
         assert sim.events_processed == events
         assert sim.now == elapsed
 
     def test_free_resources_are_held_in_place(self, monkeypatch):
         sim = Simulator()
-        controller = make_fast(sim)
+        controller = make_controller(sim)
         die = controller.die(0, 0)
         die.preload_all()
         resources = [controller._die_locks[0][0],
@@ -77,7 +83,7 @@ class TestUncontended:
 class TestContended:
     def test_second_read_on_a_die_takes_the_grant_route(self, monkeypatch):
         sim = Simulator()
-        controller = make_fast(sim, ecc=AdaptiveBch(),
+        controller = make_controller(sim, ecc=AdaptiveBch(),
                                initial_pe_cycles=3000)
         controller.die(0, 0).preload_all()
         controller.die(1, 0).preload_all()
@@ -92,7 +98,7 @@ class TestContended:
         # Only the second read on die (0, 0) found R/B# held.
         assert len(lock_calls) == 1
         assert (first.value, second.value, other_way.value) == (
-            518_875_500, 1_176_283_500, 847_579_500)
+            518_874_000, 1_176_282_000, 847_578_000)
         assert sim.events_processed == 33
         stats = [(res.total_grants, res.total_wait_ps, res.busy_time())
                  for res in (lock, bus, decoder)]
@@ -105,7 +111,7 @@ class TestContended:
 class TestFailure:
     def test_sequential_violation_fails_the_event_and_frees_the_die(self):
         sim = Simulator()
-        controller = make_fast(sim)
+        controller = make_controller(sim)
         out_of_order = controller.program(0, 0, PageAddress(0, 0, 1))
         with pytest.raises(NandProtocolError, match="sequential"):
             sim.run(until=out_of_order)
@@ -121,7 +127,7 @@ class TestFailure:
 
     def test_failure_releases_a_queued_grant_too(self):
         sim = Simulator()
-        controller = make_fast(sim)
+        controller = make_controller(sim)
         good = controller.program(0, 0, PageAddress(0, 0, 0))
         bad = controller.program(0, 0, PageAddress(0, 0, 5))
         sim.run(until=good)
@@ -131,7 +137,7 @@ class TestFailure:
 
     def test_out_of_range_die_fails_the_event(self):
         sim = Simulator()
-        controller = make_fast(sim)
+        controller = make_controller(sim)
         with pytest.raises(ValueError, match="way 7 out of range"):
             sim.run(until=controller.erase(7, 0, 0, 0))
 
@@ -143,7 +149,7 @@ class TestFailure:
     def test_cycle_generators_refuse_a_fast_controller(self, generator, args,
                                                        method):
         sim = Simulator()
-        controller = make_fast(sim)
+        controller = make_controller(sim)
         process = sim.process(getattr(controller, generator)(*args))
         with pytest.raises(SimulationError, match=rf"use {method}\(\)"):
             sim.run(until=process)

@@ -6,17 +6,24 @@ Each constant is checked here against a direct call to the frozen
 ``OnfiTiming``, ``Clock`` and ``EccScheme`` it stands for, on every
 Table II/III configuration, for both ECC schemes, at every P/E count
 from fresh to 1.1x rated endurance and both ``errors_present`` values.
+
+An uncontended fast page operation is exact: its program, read and
+erase take the same picoseconds as the cycle-accurate generators on the
+same controller, so the fast NAND model has no residual to calibrate.
+That equality is checked on every Table II/III configuration, ONFI
+asynchronous and source-synchronous 133/200 MT/s, both gang schemes, a
+2-plane 8 KiB geometry and both ECC schemes, fresh and at rated P/E.
 """
 
 import warnings
 
 import pytest
 
-from repro.controller import ChannelWayController
+from repro.controller import ChannelWayController, GangScheme
 from repro.core.experiments import table2_configs, table3_configs
 from repro.ecc import AdaptiveBch, FixedBch
 from repro.kernel import Simulator
-from repro.nand import OnfiTiming
+from repro.nand import NandGeometry, OnfiTiming, PageAddress
 from repro.nand.wear import EnduranceWarning
 
 CONFIGS = ([(f"table2-{name}", arch)
@@ -24,14 +31,14 @@ CONFIGS = ([(f"table2-{name}", arch)
            + [(f"table3-{name}", arch)
               for name, arch in table3_configs().items()])
 SCHEMES = [FixedBch(), AdaptiveBch()]
-OVERHEAD_PS = 1_234_500
 
 
-def make_controller(arch, ecc, onfi_timing=None):
+def make_controller(arch, ecc, onfi_timing=None, geometry=None, sim=None,
+                    fast=True, **kwargs):
     return ChannelWayController(
-        Simulator(), "chn0", arch.n_ways, arch.dies_per_way, arch.geometry,
-        arch.nand_timing, arch.wear_model, onfi_timing or arch.onfi_timing,
-        ecc, fast=True, fast_overhead_ps=OVERHEAD_PS)
+        sim or Simulator(), "chn0", arch.n_ways, arch.dies_per_way,
+        geometry or arch.geometry, arch.nand_timing, arch.wear_model,
+        onfi_timing or arch.onfi_timing, ecc, fast=fast, **kwargs)
 
 
 @pytest.mark.parametrize("ecc", SCHEMES, ids=lambda ecc: ecc.name)
@@ -42,7 +49,7 @@ def test_constants_and_memos_match_direct_calls(label, arch, ecc):
     timing = arch.onfi_timing
     raw = arch.geometry.raw_page_bytes
     assert ctrl._fast == (
-        ctrl.clock.cycles(ctrl.translator_cycles) + OVERHEAD_PS,
+        ctrl.clock.cycles(ctrl.translator_cycles),
         timing.command_time() + timing.overhead_ps,
         timing.effective_page_time(raw),
         timing.data_time(raw))
@@ -76,3 +83,61 @@ def test_constants_follow_the_onfi_timing(timing):
     assert command_ps == timing.command_time() + timing.overhead_ps
     assert page_ps == timing.effective_page_time(raw)
     assert data_out_ps == timing.data_time(raw)
+
+
+def uncontended_elapsed(arch, ecc, fast, **kwargs):
+    """Elapsed ps of one program, read (with and without raw errors) and
+    erase, one after another on an otherwise idle controller."""
+    sim = Simulator()
+    ctrl = make_controller(arch, ecc, sim=sim, fast=fast, **kwargs)
+    out = {}
+
+    def run():
+        address = PageAddress(0, 0, 0)
+        out["program"] = yield ctrl.program(0, 0, address)
+        out["read"] = yield ctrl.read(0, 0, address)
+        out["clean_read"] = yield ctrl.read(0, 0, address,
+                                            errors_present=False)
+        out["erase"] = yield ctrl.erase(0, 0, 0, 0)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EnduranceWarning)
+        sim.run(until=sim.process(run()))
+    return out
+
+
+def assert_fast_equals_cycle(arch, ecc, **kwargs):
+    cycle = uncontended_elapsed(arch, ecc, fast=False, **kwargs)
+    assert uncontended_elapsed(arch, ecc, fast=True, **kwargs) == cycle
+    assert all(elapsed > 0 for elapsed in cycle.values())
+
+
+@pytest.mark.parametrize("worn", [False, True], ids=["fresh", "rated-pe"])
+@pytest.mark.parametrize("ecc", [None] + SCHEMES,
+                         ids=lambda ecc: ecc.name if ecc else "arch-ecc")
+@pytest.mark.parametrize("label, arch", CONFIGS,
+                         ids=[label for label, __ in CONFIGS])
+def test_uncontended_fast_equals_cycle(label, arch, ecc, worn):
+    pe = arch.wear_model.rated_endurance if worn else 0
+    assert_fast_equals_cycle(arch, ecc or arch.ecc,
+                             gang_scheme=arch.gang_scheme,
+                             initial_pe_cycles=pe)
+
+
+@pytest.mark.parametrize("worn", [False, True], ids=["fresh", "rated-pe"])
+@pytest.mark.parametrize("ecc", SCHEMES, ids=lambda ecc: ecc.name)
+@pytest.mark.parametrize("gang", list(GangScheme), ids=lambda g: g.value)
+@pytest.mark.parametrize("geometry", [
+    None, NandGeometry(planes_per_die=2, page_bytes=8192)],
+    ids=["arch-geometry", "2plane-8KiB"])
+@pytest.mark.parametrize("timing", [
+    OnfiTiming.asynchronous(), OnfiTiming.source_synchronous(133),
+    OnfiTiming.source_synchronous(200)],
+    ids=["async", "sync133", "sync200"])
+def test_uncontended_fast_equals_cycle_across_interfaces(
+        timing, geometry, gang, ecc, worn):
+    __, arch = CONFIGS[0]
+    pe = arch.wear_model.rated_endurance if worn else 0
+    assert_fast_equals_cycle(arch, ecc, onfi_timing=timing,
+                             geometry=geometry, gang_scheme=gang,
+                             initial_pe_cycles=pe)

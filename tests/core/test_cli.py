@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 
 import pytest
@@ -83,6 +84,21 @@ class TestRun:
                      "--commands", "40"]) == 0
         out = capsys.readouterr().out
         assert "8-DDR-buf;8-CHN;4-WAY;2-DIE" in out
+
+    def test_config_fast_dial_runs_calibrated(self, tmp_path, monkeypatch,
+                                              capsys):
+        """A config file's ``fidelity.default = fast`` runs the same
+        calibrated fast paths as ``--fidelity fast``."""
+        monkeypatch.chdir(tmp_path)  # the calibration cache lands here
+        monkeypatch.delenv("REPRO_SWEEP_CACHE_DIR", raising=False)
+        config = tmp_path / "fast.cfg"
+        config.write_text("[fidelity]\ndefault = fast\n")
+        documents = []
+        for dial in (["--config", str(config)], ["--fidelity", "fast"]):
+            assert main(["run", "--workload", "SW", "--commands", "80",
+                         "--json"] + dial) == 0
+            documents.append(json.loads(capsys.readouterr().out))
+        assert documents[0] == documents[1]
 
     def test_warm_flag(self, capsys):
         assert main(["run", "--workload", "SW", "--commands", "60",

@@ -17,13 +17,15 @@ import random
 
 import pytest
 
+from repro.controller import GangScheme
 from repro.core import (CalibrationResult, SweepPoint, SweepRunner,
-                        calibrate, calibration_key, fidelity_error_report,
-                        fig3_sweep, fingerprint)
+                        calibrate, calibrated_fidelity, calibration_key,
+                        fidelity_error_report, fig3_sweep, fingerprint)
 from repro.core.goldens import (compute_golden, load_golden,
                                 serialize_golden)
 from repro.host import sequential_read, sequential_write
-from repro.nand import NandGeometry
+from repro.ecc import AdaptiveBch
+from repro.nand import NandGeometry, OnfiTiming
 from repro.ssd import SsdArchitecture
 from repro.ssd.scenarios import measure
 
@@ -57,12 +59,25 @@ class TestCalibration:
             dram_timing=Ddr2Timing(clock_hz=533e6))
         assert calibration_key(base) != calibration_key(faster)
 
-    def test_to_fidelity_carries_parameters(self, calibration):
+    def test_key_ignores_what_no_probe_reads(self):
+        # The probes read only the DRAM timing: the NAND side, its
+        # interface and its ECC move no calibrated parameter.
+        base = SsdArchitecture()
+        other_nand = SsdArchitecture(
+            onfi_timing=OnfiTiming.source_synchronous(200),
+            geometry=NandGeometry(planes_per_die=2, page_bytes=8192),
+            ecc=AdaptiveBch(), gang_scheme=GangScheme.SHARED_CONTROL)
+        assert calibration_key(base) == calibration_key(other_nand)
+
+    def test_to_fidelity_carries_parameters(self, calibration, tmp_path,
+                                            monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the calibration cache lands here
         config = calibration.to_fidelity()
         assert config.any_fast
         assert config.dram_ps_per_byte == calibration.dram_ps_per_byte
-        mixed = calibration.to_fidelity(dram="cycle")
+        mixed = calibrated_fidelity("fast,dram=cycle")
         assert mixed.level("dram").value == "cycle"
+        assert mixed.cpu_cycles == calibration.cpu_cycles
 
 
 class TestErrorBoundTier:

@@ -12,7 +12,7 @@ from repro.faults import FaultConfig
 class TestFidelityConfig:
     def test_defaults_cycle(self):
         config = FidelityConfig()
-        assert config.all_cycle and not config.any_fast
+        assert not config.any_fast
         for subsystem in ("nand", "dram", "cpu"):
             assert config.level(subsystem) is Fidelity.CYCLE
 
@@ -20,7 +20,7 @@ class TestFidelityConfig:
         config = FidelityConfig(default="fast", dram="cycle")
         assert config.level("nand") is Fidelity.FAST
         assert config.level("dram") is Fidelity.CYCLE
-        assert config.any_fast and not config.all_cycle
+        assert config.any_fast
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -53,7 +53,7 @@ class TestFidelityConfig:
 
 class TestArchitectureFidelity:
     def test_default_is_cycle(self):
-        assert SsdArchitecture().fidelity.all_cycle
+        assert not SsdArchitecture().fidelity.any_fast
 
     def test_with_fidelity_accepts_spec_strings(self):
         arch = SsdArchitecture().with_fidelity("fast,cpu=cycle")
