@@ -51,6 +51,7 @@ from .core import (CampaignError, DesignSpaceExplorer, ResourceCostModel,
                    render_validation_table, run_validation, speed_sweep,
                    table2_configs, table3_configs,
                    verify_ssdexplorer_column)
+from .core.calibrate import DEFAULT_CACHE_DIR
 from .host.workload import IOZONE_SUITE
 from .kernel import load_file
 from .ssd import SsdArchitecture, from_config
@@ -236,13 +237,38 @@ def _configured(args: argparse.Namespace) -> SsdArchitecture:
             else SsdArchitecture())
 
 
+def _sweep_cache_dir(args: argparse.Namespace) -> Optional[str]:
+    """``--cache-dir``, else ``REPRO_SWEEP_CACHE_DIR``, else None."""
+    return (getattr(args, "cache_dir", "")
+            or os.environ.get("REPRO_SWEEP_CACHE_DIR", "")) or None
+
+
+def _calibration_dir(args: argparse.Namespace) -> str:
+    """Where the CLI keeps the calibration fit: ``calibration/`` in the
+    campaign directory, else in :func:`_sweep_cache_dir`, else the
+    default ``.sweep-cache/calibration``."""
+    root = (getattr(args, "campaign", "") or getattr(args, "dir", "")
+            or _sweep_cache_dir(args))
+    return os.path.join(root, "calibration") if root else DEFAULT_CACHE_DIR
+
+
+def _calibrated(spec, args: argparse.Namespace,
+                arch: Optional[SsdArchitecture] = None):
+    """:func:`calibrated_fidelity` with the fit in
+    :func:`_calibration_dir` (fitted afresh and kept nowhere under
+    ``--no-cache``)."""
+    cache_dir = (None if getattr(args, "no_cache", False)
+                 else _calibration_dir(args))
+    return calibrated_fidelity(spec, arch, cache_dir=cache_dir)
+
+
 def _architecture(args: argparse.Namespace) -> SsdArchitecture:
     """:func:`_configured`, dialed to ``--fidelity`` where the subcommand
     has one, else to the config's own ``fidelity.*`` keys.  Fast levels
     run calibrated either way."""
     arch = _configured(args)
-    return arch.with_fidelity(calibrated_fidelity(
-        getattr(args, "fidelity", "") or arch.fidelity, arch))
+    return arch.with_fidelity(_calibrated(
+        getattr(args, "fidelity", "") or arch.fidelity, args, arch))
 
 
 def _iozone(args: argparse.Namespace, arch: SsdArchitecture):
@@ -284,8 +310,7 @@ def runner_from_args(args: argparse.Namespace, quiet: bool = False,
     quiet = (quiet or getattr(args, "quiet", False)
              or getattr(args, "json", False))
     progress = None if quiet else print_progress
-    cache_dir = (getattr(args, "cache_dir", "")
-                 or os.environ.get("REPRO_SWEEP_CACHE_DIR", "")) or None
+    cache_dir = _sweep_cache_dir(args)
     no_cache = getattr(args, "no_cache", False)
     workers = getattr(args, "workers", 1) or None   # 0 -> all cores
     timeout = getattr(args, "timeout", 0.0) or None  # 0 -> unlimited
@@ -393,18 +418,20 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         text = adaptive_fig3(n_commands=args.commands,
                              configs=_parse_configs(args.configs),
                              budget_fraction=args.budget,
-                             runner=runner).format()
+                             runner=runner,
+                             fast_fidelity=_calibrated("fast", args)
+                             ).format()
     elif args.experiment == "fig5":
         steps = getattr(args, "steps", 10)   # campaign run: the default
         text = render_series_table(fig5_wearout_sweep(
             fractions=[i / steps for i in range(steps + 1)],
             n_commands=args.commands, runner=runner,
-            fidelity=calibrated_fidelity(args.fidelity)))
+            fidelity=_calibrated(args.fidelity, args)))
     else:
         sweep = fig3_sweep if args.experiment == "fig3" else fig4_sweep
         text = render_breakdown_table(sweep(
             n_commands=args.commands, configs=_parse_configs(args.configs),
-            runner=runner, fidelity=calibrated_fidelity(args.fidelity)))
+            runner=runner, fidelity=_calibrated(args.fidelity, args)))
     return _finish(args, runner, text)
 
 
@@ -521,9 +548,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     """Fit (or show) the fast-fidelity parameters; optionally check the
     fast fig3/fig5 error against the golden files."""
     from .core import calibrate, fidelity_error_report
-    from .core.calibrate import DEFAULT_CACHE_DIR
     result = calibrate(_configured(args),
-                       cache_dir=args.cache_dir or DEFAULT_CACHE_DIR,
+                       cache_dir=_calibration_dir(args),
                        use_cache=not args.no_cache)
     report = None
     if args.check:
@@ -1249,8 +1275,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "cache; see --fidelity fast elsewhere)")
     _add_config(cal)
     cal.add_argument("--cache-dir", type=str, default="",
-                     help="calibration cache directory "
-                          "(default .sweep-cache/calibration)")
+                     help="sweep cache directory; the fit is kept in "
+                          "its calibration/ subdirectory (default "
+                          "$REPRO_SWEEP_CACHE_DIR, else .sweep-cache)")
     cal.add_argument("--no-cache", action="store_true",
                      help="re-run the probes even if a cached fit exists")
     cal.add_argument("--check", action="store_true",

@@ -255,8 +255,10 @@ def adaptive_fig3(n_commands: int = 2000,
                   configs: Optional[List[str]] = None,
                   budget_fraction: float = 0.5,
                   runner: Optional[SweepRunner] = None,
-                  metric: str = "ssd_cache_mbps") -> AdaptiveOutcome:
-    """Adaptive exploration of the fig3 (Table II, SATA II) grid."""
+                  metric: str = "ssd_cache_mbps",
+                  fast_fidelity=None) -> AdaptiveOutcome:
+    """Adaptive exploration of the fig3 (Table II, SATA II) grid
+    (``fast_fidelity`` as in :func:`adaptive_breakdown_exploration`)."""
     from ..host.interface import sata2_spec
     from .experiments import TABLE2_LABELS, fig3_workload, table2_configs
     base = SsdArchitecture(host=sata2_spec())
@@ -265,4 +267,5 @@ def adaptive_fig3(n_commands: int = 2000,
                   in table2_configs(base).items() if name in selected}
     return adaptive_breakdown_exploration(
         candidates, fig3_workload(n_commands),
-        budget_fraction=budget_fraction, metric=metric, runner=runner)
+        budget_fraction=budget_fraction, metric=metric, runner=runner,
+        fast_fidelity=fast_fidelity)

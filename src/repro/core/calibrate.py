@@ -178,20 +178,23 @@ def calibrate(arch: Optional[SsdArchitecture] = None,
 
 
 def calibrated_fidelity(spec: Union[str, FidelityConfig],
-                        arch: Optional[SsdArchitecture] = None
+                        arch: Optional[SsdArchitecture] = None,
+                        cache_dir: Optional[str] = DEFAULT_CACHE_DIR
                         ) -> Optional[FidelityConfig]:
     """Resolve a fidelity spec (``"fast"``, ``"fast,dram=cycle"``, ...)
     or config into a calibrated config; the empty spec means cycle
     (``None``).
 
     Any fast level pulls in the calibrated fast-path parameters for
-    ``arch`` (fitting them on first use; cached afterwards).
+    ``arch``, fitted on first use and kept in ``cache_dir`` afterwards
+    (``None``: fitted every time, nothing written).
     """
     if not spec:
         return None
     config = fidelity_from_spec(spec) if isinstance(spec, str) else spec
     if config.any_fast:
-        config = replace(config, **calibrate(arch).to_dict())
+        config = replace(config,
+                         **calibrate(arch, cache_dir=cache_dir).to_dict())
     return config
 
 

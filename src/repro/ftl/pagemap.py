@@ -4,10 +4,16 @@ The paper's CPU model "provid[es] an environment for custom FTL
 development" so that "a full SSD firmware can be implemented and
 interchanged in a plug & play way".  This module is that full FTL:
 
-* page-granularity logical-to-physical mapping,
+* page-granularity logical-to-physical mapping, mirrored per block:
+  each allocated block is one slotted :class:`BlockInfo` whose
+  ``lpn_of`` is its single ``{page: lpn}`` map of valid pages, so the
+  valid count is its length and relocation reads the logical page
+  straight from it,
 * per-die allocation pools with an active block and a free-block queue,
 * greedy garbage collection (victim = fewest valid pages, tracked in a
-  per-die lazy min-heap so victim selection is O(log blocks)),
+  per-die lazy min-heap so victim selection is O(log blocks)); a
+  victim's pages are relocated without being invalidated one by one,
+  since the block is erased before its count is read again,
 * dynamic wear leveling (fresh allocations pick the coldest free block),
 * TRIM support (invalidate without rewrite).
 
@@ -21,7 +27,6 @@ timed NAND dies of the full platform.  Alternative mapping granularities
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 PhysicalPage = Tuple[int, int, int, int]  # (die, plane, block, page)
@@ -76,11 +81,11 @@ class JournalingBackend(FlashBackend):
         self.journal: List[Tuple[str, Tuple[int, ...]]] = []
 
     def program(self, page: PhysicalPage) -> None:
-        super().program(page)
+        self.programs += 1
         self.journal.append(("program", page))
 
     def read(self, page: PhysicalPage) -> None:
-        super().read(page)
+        self.reads += 1
         self.journal.append(("read", page))
 
     def erase(self, die: int, plane: int, block: int) -> None:
@@ -93,23 +98,29 @@ class JournalingBackend(FlashBackend):
         return entries
 
 
-@dataclass
 class BlockInfo:
-    """Book-keeping for one physical block."""
+    """Book-keeping for one allocated lifetime of a physical block."""
 
-    die: int
-    plane: int
-    block: int
-    write_pointer: int = 0
-    valid_pages: Set[int] = field(default_factory=set)  # page indices
-    #: Monotonic allocation sequence number: distinguishes this lifetime
-    #: of the physical block from earlier ones (stale victim-heap entries
-    #: carry the old sequence and are discarded on sight).
-    alloc_seq: int = 0
+    __slots__ = ("die", "plane", "block", "key", "write_pointer", "lpn_of",
+                 "alloc_seq")
 
-    @property
-    def key(self) -> Tuple[int, int, int]:
-        return (self.die, self.plane, self.block)
+    def __init__(self, key: Tuple[int, int, int], alloc_seq: int):
+        self.die, self.plane, self.block = key
+        self.key = key
+        self.write_pointer = 0
+        #: Valid pages only: page index -> the logical page stored there.
+        #: Its length is the block's valid-page count.
+        self.lpn_of: Dict[int, int] = {}
+        #: Monotonic allocation sequence number: distinguishes this
+        #: lifetime of the physical block from earlier ones (stale
+        #: victim-heap entries carry the old sequence and are discarded
+        #: on sight).
+        self.alloc_seq = alloc_seq
+
+    def __repr__(self) -> str:
+        return (f"BlockInfo(key={self.key}, write_pointer="
+                f"{self.write_pointer}, valid={len(self.lpn_of)}, "
+                f"alloc_seq={self.alloc_seq})")
 
 
 class PageMapFtl:
@@ -138,8 +149,6 @@ class PageMapFtl:
 
         self._map: Dict[int, PhysicalPage] = {}
         self._blocks: Dict[Tuple[int, int, int], BlockInfo] = {}
-        #: block key -> {page index -> logical page}, for GC relocation.
-        self._lpn_of: Dict[Tuple[int, int, int], Dict[int, int]] = {}
         self._free: List[List[Tuple[int, int, int]]] = [
             [] for __ in range(backend.n_dies)]
         self._active: List[Optional[BlockInfo]] = [None] * backend.n_dies
@@ -320,12 +329,24 @@ class PageMapFtl:
             key=lambda i: self.backend.pe_of(*self._free[die][i]))
         key = self._free[die].pop(coldest_index)
         self._alloc_counter += 1
-        info = BlockInfo(*key, alloc_seq=self._alloc_counter)
+        info = BlockInfo(key, self._alloc_counter)
         self._blocks[key] = info
         return info
 
     def _program_page(self, logical_page: int,
                       die: Optional[int] = None) -> PhysicalPage:
+        """Write ``logical_page`` to a fresh page and remap it there,
+        invalidating its previous location."""
+        location = self._place(logical_page, die)
+        previous = self._map.get(logical_page)
+        if previous is not None:
+            self._invalidate(previous)
+        self._map[logical_page] = location
+        return location
+
+    def _place(self, logical_page: int, die: Optional[int]) -> PhysicalPage:
+        """Program ``logical_page`` into the next page of ``die``'s active
+        block (the round-robin die when None); the map is the caller's."""
         target_die = die if die is not None else self._pick_die()
         active = self._active[target_die]
         if die is None and not self._free[target_die] \
@@ -350,13 +371,7 @@ class PageMapFtl:
         page_index = active.write_pointer
         active.write_pointer += 1
         location = (active.die, active.plane, active.block, page_index)
-
-        previous = self._map.get(logical_page)
-        if previous is not None:
-            self._invalidate(previous)
-        self._map[logical_page] = location
-        active.valid_pages.add(page_index)
-        self._lpn_of.setdefault(active.key, {})[page_index] = logical_page
+        active.lpn_of[page_index] = logical_page
         self.backend.program(location)
         return location
 
@@ -366,10 +381,7 @@ class PageMapFtl:
         info = self._blocks.get(key)
         if info is None:
             raise FtlError(f"invalidating page in unknown block {key}")
-        info.valid_pages.discard(page)
-        lpn_map = self._lpn_of.get(key)
-        if lpn_map is not None:
-            lpn_map.pop(page, None)
+        info.lpn_of.pop(page, None)
         if info is not self._active[die] \
                 and info.write_pointer >= self.backend.pages:
             self._push_victim(info)
@@ -381,23 +393,28 @@ class PageMapFtl:
 
     def _push_victim(self, info: BlockInfo) -> None:
         heapq.heappush(self._victims[info.die],
-                       (len(info.valid_pages), info.alloc_seq, info.key))
+                       (len(info.lpn_of), info.alloc_seq, info.key))
 
     def _collect_if_needed(self, die_hint: int) -> None:
         # The hinted die plus any die whose state changed since the last
-        # pass (queued by _invalidate / _static_wear_level).  Processing
-        # the pending set in die order reproduces the retired all-die
-        # rescan byte for byte: a die that is neither hinted nor pending
-        # is either at its watermark or provably unchanged, so the scan
-        # it no longer gets was a no-op.
-        self._gc_pending.add(die_hint)
-        pending, self._gc_pending = sorted(self._gc_pending), set()
-        for die in pending:
-            while len(self._free[die]) < self.gc_low_watermark:
-                before = len(self._free[die])
+        # pass (queued by _invalidate / _relocate).  Processing the
+        # pending set in die order reproduces the retired all-die rescan
+        # byte for byte: a die that is neither hinted nor pending is
+        # either at its watermark or provably unchanged, so the scan it
+        # no longer gets was a no-op.  The emptied set stays the one a
+        # pass queues into.
+        pending = self._gc_pending
+        pending.add(die_hint)
+        dies = sorted(pending)
+        pending.clear()
+        watermark = self.gc_low_watermark
+        for die in dies:
+            free = self._free[die]
+            while len(free) < watermark:
+                before = len(free)
                 if not self._collect_one(die):
                     break
-                if len(self._free[die]) <= before:
+                if len(free) <= before:
                     # The collection freed no net block (a fully-valid
                     # victim was moved, not reclaimed).  Nothing gets
                     # invalidated during pure relocation, so repeating
@@ -421,7 +438,7 @@ class PageMapFtl:
                 info for info in self._blocks.values()
                 if info.die == die and info is not self._active[die]
                 and info.write_pointer >= self.backend.pages
-                and info.valid_pages
+                and info.lpn_of
             ]
             if not candidates:
                 continue
@@ -430,23 +447,7 @@ class PageMapFtl:
             spread = hottest - self.backend.pe_of(*coldest.key)
             if spread <= self.static_wl_threshold:
                 continue
-            # Relocate the cold block's valid pages and free it.
-            key = coldest.key
-            lpn_map = self._lpn_of.get(key, {})
-            for page_index in sorted(coldest.valid_pages):
-                logical_page = lpn_map.get(page_index)
-                if logical_page is None:
-                    raise FtlError(
-                        f"cold page {page_index} in {key} has no lpn")
-                self.backend.read((coldest.die, coldest.plane,
-                                   coldest.block, page_index))
-                self._program_page(logical_page, die=die)
-                self.static_wl_relocations += 1
-            coldest.valid_pages.clear()
-            self._lpn_of.pop(key, None)
-            self._blocks.pop(key, None)
-            self.backend.erase(coldest.die, coldest.plane, coldest.block)
-            self._free[die].append(key)
+            self.static_wl_relocations += self._relocate(coldest, die)
             self.static_wl_migrations += 1
 
     def _collect_one(self, die: int) -> bool:
@@ -462,8 +463,8 @@ class PageMapFtl:
         # its GC needs room that only its GC can create); defer only
         # when no die on the device has room.
         target = die
-        if len(victim.valid_pages) > self._room_of(die):
-            needed = len(victim.valid_pages)
+        needed = len(victim.lpn_of)
+        if needed > self._room_of(die):
             spill_dies = [d for d in range(self.backend.n_dies)
                           if d != die and self._room_of(d) >= needed]
             if not spill_dies:
@@ -472,22 +473,33 @@ class PageMapFtl:
             target = max(spill_dies,
                          key=lambda d: (self._room_of(d), -d))
             self.gc_spills += 1
-        key = victim.key
-        lpn_map = self._lpn_of.get(key, {})
-        for page_index in sorted(victim.valid_pages):
-            logical_page = lpn_map.get(page_index)
-            if logical_page is None:
-                raise FtlError(f"valid page {page_index} in {key} has no lpn")
-            self.backend.read((victim.die, victim.plane, victim.block,
-                               page_index))
-            self._program_page(logical_page, die=target)
-            self.gc_relocations += 1
-        victim.valid_pages.clear()
-        self._lpn_of.pop(key, None)
-        self._blocks.pop(key, None)
-        self.backend.erase(victim.die, victim.plane, victim.block)
-        self._free[die].append(key)
+        self.gc_relocations += self._relocate(victim, target)
         return True
+
+    def _relocate(self, info: BlockInfo, die: int) -> int:
+        """Move every valid page of ``info`` onto ``die`` in page order,
+        erase the block back onto its own die's free list, and return the
+        number of pages moved.
+
+        The source pages are not invalidated one by one: the block is
+        erased before anything reads its valid count again, so the
+        victim-heap entries that would record each step are stale on
+        arrival.  What those invalidations did that outlives the erase —
+        queueing the block's die for the next collection pass — is done
+        once.
+        """
+        key = info.key
+        lpn_of = info.lpn_of
+        if lpn_of:
+            read, place, mapping = self.backend.read, self._place, self._map
+            for page_index, logical_page in sorted(lpn_of.items()):
+                read((*key, page_index))
+                mapping[logical_page] = place(logical_page, die)
+            self._gc_pending.add(info.die)
+        del self._blocks[key]
+        self.backend.erase(*key)
+        self._free[info.die].append(key)
+        return len(lpn_of)
 
     def _pick_victim(self, die: int) -> Optional[BlockInfo]:
         """Greedy: fully-written block on this die with fewest valid pages.
@@ -504,7 +516,7 @@ class PageMapFtl:
             if (info is None or info.alloc_seq != seq
                     or info is self._active[die]
                     or info.write_pointer < self.backend.pages
-                    or len(info.valid_pages) != count):
+                    or len(info.lpn_of) != count):
                 heapq.heappop(heap)
                 continue
             return info

@@ -100,6 +100,82 @@ class TestRun:
             documents.append(json.loads(capsys.readouterr().out))
         assert documents[0] == documents[1]
 
+    def test_fast_calibration_follows_the_cache_dir(self, tmp_path,
+                                                    monkeypatch, capsys):
+        """``--cache-dir D`` keeps the calibration fit under
+        ``D/calibration``; nothing is written to the working directory."""
+        cwd, cache = tmp_path / "cwd", tmp_path / "D"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.delenv("REPRO_SWEEP_CACHE_DIR", raising=False)
+        assert main(["run", "--workload", "SW", "--commands", "40",
+                     "--fidelity", "fast", "--cache-dir", str(cache),
+                     "--json"]) == 0
+        capsys.readouterr()
+        assert not (cwd / ".sweep-cache").exists()
+        assert list(cwd.iterdir()) == []
+        assert len(list((cache / "calibration").glob("*.json"))) == 1
+
+    def test_fast_calibration_follows_the_env_cache_dir(self, tmp_path,
+                                                        monkeypatch, capsys):
+        cwd, cache = tmp_path / "cwd", tmp_path / "E"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR", str(cache))
+        assert main(["fig3", "--configs", "C1", "--commands", "20",
+                     "--fidelity", "fast", "--workers", "1"]) == 0
+        capsys.readouterr()
+        assert list(cwd.iterdir()) == []
+        assert len(list((cache / "calibration").glob("*.json"))) == 1
+
+    def test_no_cache_calibrates_without_persisting(self, tmp_path,
+                                                    monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_SWEEP_CACHE_DIR", raising=False)
+        assert main(["run", "--workload", "SW", "--commands", "40",
+                     "--fidelity", "fast", "--no-cache", "--json"]) == 0
+        capsys.readouterr()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "run", "{camp}", "--fidelity", "fast", "--quiet"],
+        ["campaign", "run", "{camp}", "--experiment", "adaptive",
+         "--quiet"],
+        ["fig3", "--campaign", "{camp}", "--fidelity", "fast"],
+    ], ids=["campaign-run", "campaign-adaptive", "fig3-campaign"])
+    def test_campaign_calibration_stays_in_the_campaign(
+            self, argv, tmp_path, monkeypatch, capsys):
+        """A campaign keeps its fit under ``<campaign dir>/calibration``;
+        nothing is written to the working directory."""
+        cwd, camp = tmp_path / "cwd", tmp_path / "camp"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        monkeypatch.delenv("REPRO_SWEEP_CACHE_DIR", raising=False)
+        assert main([part.format(camp=camp) for part in argv]
+                    + ["--configs", "C1,C2", "--commands", "20",
+                       "--workers", "1"]) == 0
+        capsys.readouterr()
+        assert list(cwd.iterdir()) == []
+        assert len(list((camp / "calibration").glob("*.json"))) == 1
+
+    def test_calibrate_shares_the_runs_fit(self, tmp_path, monkeypatch,
+                                           capsys):
+        """``repro calibrate`` reads the fit a fast run kept, whether the
+        cache is named by ``--cache-dir`` or ``REPRO_SWEEP_CACHE_DIR``."""
+        cache = tmp_path / "D"
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_SWEEP_CACHE_DIR", raising=False)
+        assert main(["run", "--workload", "SW", "--commands", "40",
+                     "--fidelity", "fast", "--cache-dir", str(cache),
+                     "--json"]) == 0
+        capsys.readouterr()
+        assert main(["calibrate", "--cache-dir", str(cache), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["cached"] is True
+        monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR", str(cache))
+        assert main(["calibrate", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["cached"] is True
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["D"]
+
     def test_warm_flag(self, capsys):
         assert main(["run", "--workload", "SW", "--commands", "60",
                      "--warm"]) == 0

@@ -60,7 +60,7 @@ LEAF_ARGV = {
     ("tenants", "sweep"): ["tenants", "sweep", "--counts", "1",
                            "--policies", "rr", "--no-interference",
                            "--workers", "1"],
-    ("calibrate",): ["calibrate", "--cache-dir", "{tmp}/calibration"],
+    ("calibrate",): ["calibrate", "--cache-dir", "{tmp}/cache"],
     ("explore",): ["explore", "--configs", "C1", "--commands", "40",
                    "--workers", "1"],
     ("campaign", "run"): ["campaign", "run", "{tmp}/camp",

@@ -475,3 +475,40 @@ class TestRefreshLifecycle:
         sim.run(until=2 * self.INTERVAL - 1)
         assert {name: counter.value for name, counter
                 in ctrl.stats.counters.items()} == {"refreshes": 1}
+
+
+
+class TestFastServiceTimes:
+    """An uncontended fast access lasts exactly the model's formula,
+    ``overhead_ps + int(round(nbytes * ps_per_byte))``, with analytic or
+    calibrated parameters, and is counted once."""
+
+    SIZES = (1, 7, 512, 2048, 4096, 4097, 16384, 65536)
+
+    @staticmethod
+    def parameters():
+        from repro.core.calibrate import calibrate
+        fit = calibrate(cache_dir=None)
+        return {"analytic": {},
+                "calibrated": {"overhead_ps": fit.dram_overhead_ps,
+                               "ps_per_byte": fit.dram_ps_per_byte}}
+
+    @pytest.mark.parametrize("kind", ["analytic", "calibrated"])
+    def test_uncontended_time_equals_the_formula(self, kind):
+        from repro.dram.controller import FastDramController
+        sim = Simulator()
+        dram = FastDramController(sim, "fast", Ddr2Timing(),
+                                  **self.parameters()[kind])
+        expected = {n: dram.overhead_ps + int(round(n * dram.ps_per_byte))
+                    for n in self.SIZES}
+        elapsed = {}
+
+        def run():
+            for n in self.SIZES * 2:
+                elapsed[n] = yield sim.process(dram.write(0, n))
+
+        sim.run(until=sim.process(run()))
+        assert elapsed == expected
+        assert dram.stats.counter("writes").value == 2 * len(self.SIZES)
+        assert dram.stats.counter("reads").value == 0
+        assert dram.stats.counter("bytes").value == 2 * sum(self.SIZES)

@@ -150,7 +150,7 @@ def reference_pick_victim(ftl, die):
     if not candidates:
         return None
     return min(candidates,
-               key=lambda info: (len(info.valid_pages), info.alloc_seq))
+               key=lambda info: (len(info.lpn_of), info.alloc_seq))
 
 
 class TestVictimSelection:

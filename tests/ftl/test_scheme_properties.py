@@ -44,14 +44,13 @@ def check_invariants(ftl) -> None:
         die, plane, block, page = location
         info = ftl._blocks.get((die, plane, block))
         assert info is not None, f"lpn {lpn} maps into an erased block"
-        assert page in info.valid_pages
-        assert ftl._lpn_of[(die, plane, block)][page] == lpn
+        assert info.lpn_of.get(page) == lpn
     for key, info in ftl._blocks.items():
+        assert info.key == key
         assert 0 <= info.write_pointer <= backend.pages
-        valid_total += len(info.valid_pages)
-        for page in info.valid_pages:
+        valid_total += len(info.lpn_of)
+        for page, lpn in info.lpn_of.items():
             assert page < info.write_pointer
-            lpn = ftl._lpn_of[key][page]
             assert ftl._map[lpn] == (*key, page)
     assert valid_total == len(ftl._map)
     # Every physical block is exactly one of: free, allocated.
