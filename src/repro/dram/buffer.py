@@ -54,8 +54,8 @@ class BufferManager(Component):
                  parent: Optional[Component] = None,
                  enable_refresh: bool = True,
                  fast: bool = False,
-                 fast_overhead_ps: Optional[int] = None,
-                 fast_ps_per_byte: Optional[float] = None):
+                 dram_overhead_ps: Optional[int] = None,
+                 dram_ps_per_byte: Optional[float] = None):
         super().__init__(sim, name, parent)
         if n_buffers < 1:
             raise ValueError(f"n_buffers must be >= 1, got {n_buffers}")
@@ -74,8 +74,8 @@ class BufferManager(Component):
             # calibrated fit), so enable_refresh does not apply.
             self.buffers = [
                 FastDramController(sim, f"buf{i}", timing, parent=self,
-                                   overhead_ps=fast_overhead_ps,
-                                   ps_per_byte=fast_ps_per_byte)
+                                   overhead_ps=dram_overhead_ps,
+                                   ps_per_byte=dram_ps_per_byte)
                 for i in range(n_buffers)
             ]
         else:

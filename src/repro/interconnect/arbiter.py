@@ -26,7 +26,6 @@ class RoundRobinArbiter:
         self._pending: Dict[int, List[Event]] = {}
         self._owner: Optional[int] = None
         self._pointer = 0  # next master index to consider
-        self.total_grants = 0
 
     @property
     def owner(self) -> Optional[int]:
@@ -50,7 +49,7 @@ class RoundRobinArbiter:
                 f"master {master_id} released the bus but owner is "
                 f"{self._owner}")
         self._owner = None
-        if any(self._pending.values()):
+        if self._pending:
             # Re-arbitration costs one clock edge.
             self.sim._after(self.clock.period_ps, self._grant_next)
 
@@ -66,6 +65,5 @@ class RoundRobinArbiter:
                     del self._pending[candidate]
                 self._owner = candidate
                 self._pointer = (candidate + 1) % self.n_masters
-                self.total_grants += 1
                 event.succeed(candidate)
                 return

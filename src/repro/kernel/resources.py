@@ -35,9 +35,9 @@ def _nothing_held(resource: "Resource") -> SimulationError:
 class Grant(Event):
     """An event that fires once the resource is granted to the requester."""
 
-    __slots__ = ("resource", "priority", "released", "requested_at")
+    __slots__ = ("resource", "released")
 
-    def __init__(self, sim: "Simulator", resource: "Resource", priority: int = 0):
+    def __init__(self, sim: "Simulator", resource: "Resource"):
         # Grants are allocated once per resource use; inline the Event
         # constructor and skip name formatting (repr derives it on demand).
         self.sim = sim
@@ -46,10 +46,7 @@ class Grant(Event):
         self._value = PENDING
         self._ok = None
         self.resource = resource
-        self.priority = priority
         self.released = False
-        #: Sim time of the request, for the resource's wait accounting.
-        self.requested_at = sim._now
 
     def __repr__(self) -> str:
         state = "pending"
@@ -76,8 +73,6 @@ class Resource:
         # Utilization bookkeeping.
         self._busy_since: Optional[int] = None
         self._busy_accum: int = 0
-        self.total_grants = 0
-        self.total_wait_ps = 0
 
     @property
     def in_use(self) -> int:
@@ -90,8 +85,12 @@ class Resource:
         return len(self._waiting)
 
     def acquire(self, priority: int = 0) -> Grant:
-        """Request the resource; returns a :class:`Grant` event to yield on."""
-        grant = Grant(self.sim, self, priority)
+        """Request the resource; returns a :class:`Grant` event to yield on.
+
+        FIFO arbitration ignores ``priority``; :class:`PriorityResource`
+        orders its waiters by it.
+        """
+        grant = Grant(self.sim, self)
         if self._in_use < self.capacity:
             self._admit(grant)
         else:
@@ -124,8 +123,7 @@ class Resource:
               priority: int = 0) -> Optional[Grant]:
         """Hold a slot for a callback chain; ``callback`` runs once held.
 
-        A free slot is held in place, with the bookkeeping of an
-        immediate grant (one grant, wait 0, busy from now), and
+        A free slot is held in place, busy from now, and
         ``callback(None)`` runs as a zero-delay bare calendar entry, in
         the place the grant event would have had in this batch;
         otherwise the request queues as a :class:`Grant` that carries
@@ -137,7 +135,6 @@ class Resource:
         # held, because a returned slot admits the waiters first.
         in_use = self._in_use
         if in_use < self.capacity:
-            self.total_grants += 1
             if in_use == 0:
                 self._busy_since = self.sim._now
             self._in_use = in_use + 1
@@ -173,11 +170,8 @@ class Resource:
 
     def _admit(self, grant: Grant) -> None:
         sim = self.sim
-        now = sim._now
-        self.total_wait_ps += now - grant.requested_at
-        self.total_grants += 1
         if self._in_use == 0:
-            self._busy_since = now
+            self._busy_since = sim._now
         self._in_use += 1
         # Trigger inline: a grant reaches here exactly once, still pending.
         grant._ok = True
@@ -216,7 +210,7 @@ class PriorityResource(Resource):
         self._arrivals = 0
 
     def acquire(self, priority: int = 0) -> Grant:
-        grant = Grant(self.sim, self, priority)
+        grant = Grant(self.sim, self)
         if self._in_use < self.capacity:
             self._admit(grant)
         else:

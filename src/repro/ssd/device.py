@@ -72,12 +72,14 @@ class SsdDevice(Component):
             capacity_bytes_per_buffer=arch.buffer_capacity_bytes,
             parent=self, enable_refresh=arch.dram_refresh,
             fast=self._dram_fast,
-            fast_overhead_ps=fidelity.dram_overhead_ps,
-            fast_ps_per_byte=fidelity.dram_ps_per_byte)
+            dram_overhead_ps=fidelity.dram_overhead_ps,
+            dram_ps_per_byte=fidelity.dram_ps_per_byte)
 
-        self.ahb = AhbBus(sim, "ahb", parent=self)
         if arch.cpu_mode is CpuMode.FIRMWARE and not cpu_fast:
-            self.cpu = FirmwareCpu(sim, "cpu", ahb=self.ahb, parent=self)
+            # Only the firmware core masters the AHB, so only it builds one.
+            self.cpu = FirmwareCpu(sim, "cpu",
+                                   ahb=AhbBus(sim, "ahb", parent=self),
+                                   parent=self)
         else:
             # Fast CPU: the parametric model with the calibrated fixed
             # per-command cost (the existing cycles_per_command hook).

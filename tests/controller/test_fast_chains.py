@@ -18,6 +18,7 @@ from repro.kernel import SimulationError, Simulator
 from repro.nand import (MlcTimingModel, NandGeometry, OnfiTiming,
                         PageAddress, WearModel)
 from repro.nand.die import NandProtocolError
+from tests.grantlog import GrantLog
 
 GEO = NandGeometry(planes_per_die=1, blocks_per_plane=64, pages_per_block=16,
                    page_bytes=4096, spare_bytes=224)
@@ -65,6 +66,7 @@ class TestUncontended:
         assert sim.now == elapsed
 
     def test_free_resources_are_held_in_place(self, monkeypatch):
+        log = GrantLog(monkeypatch)
         sim = Simulator()
         controller = make_controller(sim)
         die = controller.die(0, 0)
@@ -74,7 +76,7 @@ class TestUncontended:
         calls = [count_acquires(monkeypatch, res) for res in resources]
         sim.run(until=controller.read(0, 0, PageAddress(0, 0, 0)))
         assert calls == [[], [], []]
-        assert [res.total_grants for res in resources] == [1, 2, 1]
+        assert [log.grants(res) for res in resources] == [1, 2, 1]
         assert [res.in_use for res in resources] == [0, 0, 0]
         assert controller.stats.counter("reads").value == 1
         assert die.stats.counter("reads").value == 1
@@ -82,6 +84,7 @@ class TestUncontended:
 
 class TestContended:
     def test_second_read_on_a_die_takes_the_grant_route(self, monkeypatch):
+        log = GrantLog(monkeypatch)
         sim = Simulator()
         controller = make_controller(sim, ecc=AdaptiveBch(),
                                initial_pe_cycles=3000)
@@ -100,7 +103,7 @@ class TestContended:
         assert (first.value, second.value, other_way.value) == (
             518_874_000, 1_176_282_000, 847_578_000)
         assert sim.events_processed == 33
-        stats = [(res.total_grants, res.total_wait_ps, res.busy_time())
+        stats = [(log.grants(res), log.wait_ps(res), res.busy_time())
                  for res in (lock, bus, decoder)]
         assert stats == [(2, 60_510_000, 250_620_000),
                          (6, 329_310_000, 390_330_000),
@@ -109,7 +112,9 @@ class TestContended:
 
 
 class TestFailure:
-    def test_sequential_violation_fails_the_event_and_frees_the_die(self):
+    def test_sequential_violation_fails_the_event_and_frees_the_die(
+            self, monkeypatch):
+        log = GrantLog(monkeypatch)
         sim = Simulator()
         controller = make_controller(sim)
         out_of_order = controller.program(0, 0, PageAddress(0, 0, 1))
@@ -123,7 +128,7 @@ class TestFailure:
         retry = controller.program(0, 0, PageAddress(0, 0, 0))
         assert sim.run(until=retry) > 0
         assert controller.die(0, 0).write_pointer(0, 0) == 1
-        assert lock.total_grants == 2
+        assert log.grants(lock) == 2
 
     def test_failure_releases_a_queued_grant_too(self):
         sim = Simulator()

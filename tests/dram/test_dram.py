@@ -8,6 +8,7 @@ import pytest
 from repro.dram import BufferManager, Ddr2Timing, DramController
 from repro.kernel import PriorityResource, Simulator
 from repro.kernel.simtime import us
+from tests.grantlog import GrantLog
 
 
 @pytest.fixture
@@ -354,7 +355,8 @@ class TestContendedRefreshPinned:
     LATE = [(1_500_000, 500_000, 6 * ROW, False),
             (1_500_000, 500_000, 7 * ROW, True)]
 
-    def test_contended_refresh_is_pinned(self, sim):
+    def test_contended_refresh_is_pinned(self, sim, monkeypatch):
+        log = GrantLog(monkeypatch)
         ctrl = DramController(sim, "d",
                               Ddr2Timing(refresh_interval_ps=1_000_000))
         done = {}
@@ -378,9 +380,9 @@ class TestContendedRefreshPinned:
             "reads": 8, "writes": 9, "bytes": 17 * 2048, "refreshes": 10,
             "row_hits": 1, "row_misses": 2, "row_empty": 16}
         assert ctrl.bus.busy_time() == 23_145_000
-        assert (ctrl.bus.total_wait_ps, ctrl.bus.total_grants) == (
+        assert (log.wait_ps(ctrl.bus), log.grants(ctrl.bus)) == (
             50_561_000, 29)
-        assert [(bank.total_wait_ps, bank.total_grants)
+        assert [(log.wait_ps(bank), log.grants(bank))
                 for bank in ctrl._banks] == [
             (65_372_500, 15), (31_562_500, 14), (10_387_500, 12),
             (23_305_000, 13), (2_260_000, 11), (0, 11), (5_267_500, 12),
@@ -395,12 +397,13 @@ class TestContendedRefreshPinned:
 class TestInPlaceRefresh:
     """On an idle device every refresh finds each bank and the bus free,
     so it takes them in place: no Grant, the same events, and the same
-    accounting an immediate grant would leave."""
+    grant log an immediate grant would leave."""
 
     INTERVAL = 1_000_000
     REFRESHES = 7
 
     def test_idle_refresh_takes_slots_without_grants(self, sim, monkeypatch):
+        log = GrantLog(monkeypatch)
         acquires = []
         acquire = PriorityResource.acquire
 
@@ -422,9 +425,9 @@ class TestInPlaceRefresh:
         assert sim.events_processed == 1 + 11 * n
         assert ctrl.stats.counter("refreshes").value == n
         assert ctrl.bus.busy_time() == n * rfc
-        assert (ctrl.bus.total_grants, ctrl.bus.total_wait_ps) == (n, 0)
+        assert (log.grants(ctrl.bus), log.wait_ps(ctrl.bus)) == (n, 0)
         for bank in ctrl._banks:
-            assert (bank.total_grants, bank.total_wait_ps) == (n, 0)
+            assert (log.grants(bank), log.wait_ps(bank)) == (n, 0)
             assert bank.busy_time() == n * rfc
             assert bank.in_use == 0
         assert ctrl.bus.in_use == 0

@@ -1,16 +1,23 @@
 """Tests for Resource and PriorityResource."""
 
 import gc
+import heapq
 
 import pytest
 
 from repro.kernel import (PriorityResource, Resource, SimulationError,
                           Simulator)
+from tests.grantlog import GrantLog
 
 
 @pytest.fixture
 def sim():
     return Simulator()
+
+
+@pytest.fixture
+def log(monkeypatch):
+    return GrantLog(monkeypatch)
 
 
 class TestResource:
@@ -99,7 +106,7 @@ class TestResource:
         assert res.busy_time() == 150
         assert res.utilization() == pytest.approx(150 / 250)
 
-    def test_wait_time_accounting(self, sim):
+    def test_wait_time_accounting(self, sim, log):
         res = Resource(sim, "bus")
 
         def holder():
@@ -117,8 +124,8 @@ class TestResource:
         sim.process(holder())
         sim.process(waiter())
         sim.run()
-        assert res.total_grants == 2
-        assert res.total_wait_ps == 150
+        assert log.grants(res) == 2
+        assert log.wait_ps(res) == 150
 
 
 class TestPriorityResource:
@@ -178,14 +185,14 @@ class TestPriorityResource:
         assert res.queue_length == 0
         assert res.in_use == 0
 
-    def test_claim_books_an_immediate_grant(self, sim):
+    def test_claim_books_an_immediate_grant(self, sim, log):
         res = PriorityResource(sim, "arb")
         sim.run(until=10)
         assert res.claim(lambda ev: None) is None
-        assert (res.in_use, res.total_grants, res.total_wait_ps) == (1, 1, 0)
+        assert (res.in_use, log.grants(res), log.wait_ps(res)) == (1, 1, 0)
         queued = res.claim(lambda ev: None)
         assert queued is not None and not queued.triggered
-        assert (res.in_use, res.total_grants) == (1, 1)
+        assert (res.in_use, log.grants(res)) == (1, 1)
         res.give_back(queued)
         sim.run(until=25)
         res.give_back(None)
@@ -204,8 +211,8 @@ class TestPriorityResource:
 
 
 class TestWaitAccounting:
-    """``total_wait_ps``/``total_grants`` charge each admitted grant the
-    time from its request to its admission, and nothing else."""
+    """The grant log charges each admitted grant the time from its
+    request to its admission, and nothing else."""
 
     @staticmethod
     def _contend(sim, res, requests):
@@ -233,28 +240,49 @@ class TestWaitAccounting:
         sim.run()
         return order
 
-    def test_fifo_waiters(self, sim):
+    def test_fifo_waiters(self, sim, log):
         res = Resource(sim, "bus")
         order = self._contend(sim, res, [(10, 0, 30), (20, 0, 40), (30, 0, 0)])
         assert order == [(0, 100), (1, 130), (2, 170)]
-        assert res.total_grants == 4
-        assert res.total_wait_ps == (100 - 10) + (130 - 20) + (170 - 30)
+        assert log.grants(res) == 4
+        assert log.wait_ps(res) == (100 - 10) + (130 - 20) + (170 - 30)
 
-    def test_priority_waiters(self, sim):
+    def test_priority_waiters(self, sim, log):
         res = PriorityResource(sim, "arb")
         order = self._contend(sim, res, [(10, 5, 30), (20, 0, 40), (30, 2, 0)])
         assert order == [(1, 100), (2, 140), (0, 140)]
-        assert res.total_grants == 4
-        assert res.total_wait_ps == (100 - 20) + (140 - 30) + (140 - 10)
+        assert log.grants(res) == 4
+        assert log.wait_ps(res) == (100 - 20) + (140 - 30) + (140 - 10)
 
-    def test_immediate_grant_waits_nothing(self, sim):
+    def test_fifo_admission_misses_both_priority_pins(self, sim, log,
+                                                      monkeypatch):
+        """The witness can fail: a PriorityResource that admits waiters
+        in arrival order misses both of test_priority_waiters' pins."""
+        return_slot = PriorityResource.return_slot
+
+        def fifo_return_slot(res):
+            # Forget every waiter's priority: the heap orders by arrival.
+            res._waiting = [(0, arrival, grant)
+                            for __, arrival, grant in res._waiting]
+            heapq.heapify(res._waiting)
+            return_slot(res)
+
+        monkeypatch.setattr(PriorityResource, "return_slot", fifo_return_slot)
+        res = PriorityResource(sim, "arb")
+        order = self._contend(sim, res, [(10, 5, 30), (20, 0, 40), (30, 2, 0)])
+        assert order != [(1, 100), (2, 140), (0, 140)]
+        assert log.wait_ps(res) != (100 - 20) + (140 - 30) + (140 - 10)
+        assert order == [(0, 100), (1, 130), (2, 170)]
+        assert log.wait_ps(res) == (100 - 10) + (130 - 20) + (170 - 30)
+
+    def test_immediate_grant_waits_nothing(self, sim, log):
         res = Resource(sim, "bus")
         grant = res.acquire()
-        assert (res.total_wait_ps, res.total_grants) == (0, 1)
+        assert (log.wait_ps(res), log.grants(res)) == (0, 1)
         res.release(grant)
 
     @pytest.mark.parametrize("kind", [Resource, PriorityResource])
-    def test_cancelled_waiter_adds_no_wait_or_grant(self, sim, kind):
+    def test_cancelled_waiter_adds_no_wait_or_grant(self, sim, log, kind):
         res = kind(sim, "bus")
 
         def flow():
@@ -271,8 +299,8 @@ class TestWaitAccounting:
 
         sim.process(flow())
         sim.run()
-        assert res.total_grants == 2
-        assert res.total_wait_ps == 30
+        assert log.grants(res) == 2
+        assert log.wait_ps(res) == 30
         assert res.queue_length == 0 and res.in_use == 0
 
     @pytest.mark.parametrize("kind", [Resource, PriorityResource])
@@ -289,11 +317,11 @@ class TestClaim:
     way to hold a slot."""
 
     @pytest.mark.parametrize("kind", [Resource, PriorityResource])
-    def test_claim_free_slot_holds_in_place(self, sim, kind):
+    def test_claim_free_slot_holds_in_place(self, sim, log, kind):
         res = kind(sim, "r")
         seen = []
         assert res.claim(lambda ev: seen.append(sim.now)) is None
-        assert (res.in_use, res.total_grants, res.total_wait_ps) == (1, 1, 0)
+        assert (res.in_use, log.grants(res), log.wait_ps(res)) == (1, 1, 0)
         sim.run()
         assert seen == [0]
         assert sim.events_processed == 1
@@ -303,7 +331,7 @@ class TestClaim:
         assert res.busy_time() == 30
 
     @pytest.mark.parametrize("kind", [Resource, PriorityResource])
-    def test_claim_held_slot_queues_a_grant(self, sim, kind):
+    def test_claim_held_slot_queues_a_grant(self, sim, log, kind):
         res = kind(sim, "r")
         assert res.claim(lambda ev: None) is None
         seen = []
@@ -313,7 +341,7 @@ class TestClaim:
         res.give_back(None)
         sim.run()
         assert seen == [20]
-        assert (res.total_grants, res.total_wait_ps) == (2, 20)
+        assert (log.grants(res), log.wait_ps(res)) == (2, 20)
         res.give_back(hold)
         assert res.in_use == 0 and hold.released
 

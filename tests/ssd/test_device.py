@@ -10,6 +10,7 @@ from repro.kernel import Simulator
 from repro.nand import NandGeometry
 from repro.ssd import (CachePolicy, CpuMode, DataPathMode, SsdArchitecture,
                        SsdDevice, run_workload)
+from repro.ssd.fidelity import fidelity_from_spec
 
 SMALL_GEO = NandGeometry(planes_per_die=1, blocks_per_plane=64,
                          pages_per_block=32, page_bytes=4096,
@@ -195,6 +196,21 @@ class TestCpuModes:
         device, result = run(arch, sequential_write(4096 * 12))
         assert device.commands_completed == 12
         assert device.cpu.cycles_retired > 0
+
+    @pytest.mark.parametrize("cpu_mode, fidelity", [
+        (CpuMode.ABSTRACT, "cycle"), (CpuMode.FIRMWARE, "cycle,cpu=fast")])
+    def test_a_cpu_without_firmware_builds_no_ahb(self, cpu_mode, fidelity):
+        arch = tiny_arch(cpu_mode=cpu_mode,
+                         fidelity=fidelity_from_spec(fidelity))
+        assert "ahb" not in SsdDevice(Simulator(), arch).children
+
+    def test_the_firmware_core_masters_the_device_ahb(self):
+        arch = tiny_arch(cpu_mode=CpuMode.FIRMWARE,
+                         cache_policy=CachePolicy.NO_CACHING)
+        device, __ = run(arch, sequential_write(4096 * 4))
+        ahb = device.children["ahb"]
+        assert device.cpu.core.ahb_port.bus is ahb
+        assert ahb.utilization() > 0
 
     def test_abstract_multicore(self):
         arch = tiny_arch(cpu_cores=4)

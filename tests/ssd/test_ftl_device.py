@@ -11,6 +11,7 @@ from repro.nand.die import NandProtocolError
 from repro.ssd import (CachePolicy, FtlSsdDevice, SsdArchitecture,
                        run_workload)
 from repro.ssd.fidelity import fidelity_from_spec
+from tests.grantlog import GrantLog
 
 GEO = NandGeometry(planes_per_die=1, blocks_per_plane=16, pages_per_block=16)
 
@@ -205,7 +206,8 @@ class TestReplayChain:
         assert all(lock.in_use == 0
                    for lock in device._replay_locks.values())
 
-    def test_a_later_group_queues_on_the_die_lock(self):
+    def test_a_later_group_queues_on_the_die_lock(self, monkeypatch):
+        log = GrantLog(monkeypatch)
         sim, device = make_device(fidelity=fidelity_from_spec("fast"))
         self.replay(device, self.ENTRIES[:3])
         self.replay(device, [("program", (0, 0, 0, 2)),
@@ -213,18 +215,20 @@ class TestReplayChain:
         sim.run()
         lock = device._replay_lock(0)
         assert (sim.events_processed, sim.now) == (54, 5_886_940_708)
-        assert (lock.total_grants, lock.total_wait_ps, lock.busy_time()) \
+        assert (log.grants(lock), log.wait_ps(lock), lock.busy_time()) \
             == (2, 4_158_789_569, 5_886_940_708)
         assert lock.in_use == 0
 
-    def test_unabsorbed_error_fails_the_replay_and_frees_the_lock(self):
+    def test_unabsorbed_error_fails_the_replay_and_frees_the_lock(
+            self, monkeypatch):
+        log = GrantLog(monkeypatch)
         sim, device = make_device(fidelity=fidelity_from_spec("fast"))
         with pytest.raises(NandProtocolError, match="sequential"):
             sim.run(until=self.replay(device, [("program", (0, 0, 0, 3))]))
         assert device._replay_lock(0).in_use == 0
         # The die and its lock are free for the next group.
         sim.run(until=self.replay(device, [("program", (0, 0, 0, 0))]))
-        assert device._replay_lock(0).total_grants == 2
+        assert log.grants(device._replay_lock(0)) == 2
 
     def test_fault_plan_absorbs_and_counts_program_failures(self):
         faults = FaultConfig(enabled=True, program_fail_prob=1.0,
