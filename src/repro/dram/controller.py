@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..kernel import Component, PriorityResource, Resource, Simulator
+from ..kernel import (ClaimChain, Component, PriorityResource, Resource,
+                      Simulator)
 from ..obs import spans as _obs
 from .timing import Ddr2Timing
 
@@ -51,13 +52,9 @@ class DramController(Component):
         self._rcd_cl_ps = timing.activate_to_read_ps()
         self._refresh_interval_ps = timing.refresh_interval_ps
         self._rfc_ps = timing.refresh_ps()
-        #: What a refresh claims, in lock order: every bank, then the bus.
-        self._refresh_order = (*self._banks, self.bus)
-        #: Per resource in ``_refresh_order``, what the current refresh
-        #: holds: its Grant, or None for a slot taken in place.
-        self._refresh_holds: list = [None] * len(self._refresh_order)
-        self._refresh_step = 0  # index of the next resource to claim
-        self._claim_step = self._claim_for_refresh  # one object, reused
+        #: Refresh holds every bank, then the bus, in that lock order.
+        self._refresh = ClaimChain(sim, (*self._banks, self.bus),
+                                   REFRESH_PRIORITY, self._refresh_held)
         self._refresh_running = False
         if enable_refresh:
             self.start_refresh()
@@ -162,36 +159,23 @@ class DramController(Component):
         self.sim._after(0, self._arm_refresh)
 
     def _arm_refresh(self, _event=None) -> None:
-        self._refresh_step = 0
-        self.sim._after(self._refresh_interval_ps, self._claim_step)
+        self._refresh.start(self._refresh_interval_ps)
 
-    def _claim_for_refresh(self, _event=None) -> None:
-        # Refresh stalls the whole device: claim every bank, then the
-        # data bus — strictly in that order, each request issued only once
-        # the previous one has been granted.  Accesses acquire in the same
-        # bank-before-bus order, so the lock ordering is acyclic
-        # (requesting the bus up-front would deadlock against accesses
-        # that hold a bank while waiting for the bus).
-        step = self._refresh_step
-        order = self._refresh_order
-        if step == len(order):
-            self._open_rows = [None] * self.timing.banks
-            self.sim._after(self._rfc_ps, self._end_refresh)
-            return
-        # A free slot is held in place (no Grant); the zero-delay entry
-        # that carries the next step takes the place the grant event would
-        # have in this batch, so the event stream is the same either way.
-        self._refresh_step = step + 1
-        self._refresh_holds[step] = order[step].claim(self._claim_step,
-                                                      REFRESH_PRIORITY)
+    # Refresh stalls the whole device: the chain holds every bank, then
+    # the data bus, strictly in that order, each hold taken only once
+    # the previous one is.  Accesses acquire in the same bank-before-bus
+    # order, so the lock ordering is acyclic (requesting the bus
+    # up-front would deadlock against accesses that hold a bank while
+    # waiting for the bus).
+    def _refresh_held(self) -> None:
+        self._open_rows = [None] * self.timing.banks
+        self.sim._after(self._rfc_ps, self._end_refresh)
 
     def _end_refresh(self, _event=None) -> None:
-        holds = self._refresh_holds
-        self.bus.give_back(holds[-1])
-        for bank, hold in zip(self._banks, holds):
-            bank.give_back(hold)
+        refresh = self._refresh
+        refresh.give_back()
         self.stats.counter("refreshes").increment()
-        self._arm_refresh()
+        refresh.start(self._refresh_interval_ps)
 
     def utilization(self) -> float:
         """Busy fraction of the device bus."""

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Deque, Optional, TYPE_CHECKING
+from types import FunctionType, MethodType
+from typing import Callable, Deque, Optional, Sequence, TYPE_CHECKING
 
 from .events import PENDING, Event, SimulationError
 
@@ -124,30 +125,53 @@ class Resource:
         """Hold a slot for a callback chain; ``callback`` runs once held.
 
         A free slot is held in place, busy from now, and
-        ``callback(None)`` runs as a zero-delay bare calendar entry, in
-        the place the grant event would have had in this batch;
-        otherwise the request queues as a :class:`Grant` that carries
-        the callback.  Either way the kernel processes the same events
-        at the same times.  Returns the Grant, or None for a slot held
-        in place; hand it back to :meth:`give_back`.
+        ``callback(None)`` joins the tail of the live same-time batch as
+        a bare calendar entry, in the place the grant event would have
+        had (outside :meth:`Simulator.run`, where no batch is draining,
+        it is scheduled at zero delay); otherwise the request queues as
+        a :class:`Grant` that carries the callback.  Either way the
+        kernel processes the same events at the same times.  Returns
+        the Grant, or None for a slot held in place; hand it back to
+        :meth:`give_back`.
         """
         # acquire()'s test: a waiter exists only while every slot is
         # held, because a returned slot admits the waiters first.
         in_use = self._in_use
         if in_use < self.capacity:
+            sim = self.sim
+            now = sim._now
             if in_use == 0:
-                self._busy_since = self.sim._now
+                self._busy_since = now
             self._in_use = in_use + 1
-            self.sim._after(0, callback)
+            batch = sim._buckets.get(now)
+            cls = callback.__class__
+            if batch is None or (cls is not MethodType
+                                 and cls is not FunctionType):
+                # No batch drains at this time (outside run()), or the
+                # callback is not a calendar entry: _after schedules or
+                # refuses it.
+                sim._after(0, callback)
+            else:
+                batch.append(callback)
             return None
         grant = self.acquire(priority)
         grant.callbacks.append(callback)
         return grant
 
     def give_back(self, hold: Optional[Grant]) -> None:
-        """Return a slot obtained from :meth:`claim`."""
+        """Return a slot obtained from :meth:`claim`.
+
+        The last slot held in place, with nobody waiting, is returned
+        inline; every other return goes through :meth:`return_slot` or
+        :meth:`release`.
+        """
         if hold is None:
-            self.return_slot()
+            if self._in_use == 1 and not self._waiting:
+                self._in_use = 0
+                self._busy_accum += self.sim._now - self._busy_since
+                self._busy_since = None
+            else:
+                self.return_slot()
         else:
             self.release(hold)
 
@@ -236,3 +260,81 @@ class PriorityResource(Resource):
             __, __, waiter = heapq.heappop(self._waiting)
             self._admit(waiter)
 
+
+class ClaimChain:
+    """Hold a fixed sequence of resources in order, one calendar entry
+    per hold, then run ``on_held()``; :meth:`give_back` returns them all.
+
+    This is the lock-ordered multi-resource claim of a callback chain
+    (DRAM refresh: every bank, then the bus).  :meth:`start` schedules
+    the first step; each step holds the next resource and hands over to
+    the step after it, and the step after the last hold calls
+    ``on_held()``.  A step runs from the calendar, so a batch is always
+    draining at its time.  A free resource is held in its own frame, as
+    :meth:`Resource.claim` holds a free slot: in place, busy from now,
+    with the next step appended to the live same-time batch.  A held
+    resource goes through ``claim(step, priority)``, and the next step
+    rides its :class:`Grant`.  Either way the chain processes the events
+    a ``claim`` per step would, at the same times and in the same order.
+    """
+
+    __slots__ = ("sim", "_resources", "_count", "_priority", "_on_held",
+                 "_holds", "_index", "_step")
+
+    def __init__(self, sim: "Simulator", resources: Sequence[Resource],
+                 priority: int, on_held: Callable[[], None]):
+        self.sim = sim
+        self._resources = tuple(resources)
+        self._count = len(self._resources)
+        self._priority = priority
+        self._on_held = on_held
+        #: Per resource, the Grant the chain holds, or None for a slot
+        #: held in place; give_back() leaves every entry None.
+        self._holds: list = [None] * self._count
+        self._index = 0  # the next resource to hold
+        self._step = self.step  # one bound method, the reused entry
+
+    def start(self, delay: int) -> None:
+        """Begin holding the resources ``delay`` ps from now."""
+        self._index = 0
+        self.sim._after(delay, self._step)
+
+    def step(self, _event: Optional[Grant] = None) -> None:
+        """Hold the next resource, or report that every one is held."""
+        index = self._index
+        if index < self._count:
+            self._index = index + 1
+            resource = self._resources[index]
+            in_use = resource._in_use
+            if in_use < resource.capacity:
+                sim = self.sim
+                now = sim._now
+                if in_use == 0:
+                    resource._busy_since = now
+                resource._in_use = in_use + 1
+                sim._buckets[now].append(self._step)
+            else:
+                self._holds[index] = resource.claim(self._step,
+                                                    self._priority)
+            return
+        self._on_held()
+
+    def give_back(self) -> None:
+        """Return every held slot, in claim order.
+
+        A slot held in place that is its resource's last, with nobody
+        waiting, is returned inline, as :meth:`Resource.give_back` does.
+        """
+        now = self.sim._now
+        holds = self._holds
+        for index, resource in enumerate(self._resources):
+            hold = holds[index]
+            if hold is not None:
+                holds[index] = None
+                resource.release(hold)
+            elif resource._in_use == 1 and not resource._waiting:
+                resource._in_use = 0
+                resource._busy_accum += now - resource._busy_since
+                resource._busy_since = None
+            else:
+                resource.return_slot()

@@ -8,15 +8,17 @@ methods through ``monkeypatch`` and counts, per resource instance:
 * each grant :meth:`Resource._admit` admits, charged the time from its
   :meth:`~Resource.acquire` to its admission (zero when ``acquire``
   admits it at once);
-* each slot :meth:`Resource.claim` holds in place, as one grant that
-  waited nothing.
+* each slot :meth:`Resource.claim` holds in place, and each slot a
+  :class:`ClaimChain` step holds in place in its own frame, as one
+  grant that waited nothing.
 
 A request cancelled before admission counts nothing.  Install the log
 before the simulation runs; resources built earlier are counted from
-then on.
+then on, but a chain keeps the step it was built with, so build every
+``ClaimChain`` (a ``DramController`` builds its refresh chain) after.
 """
 
-from repro.kernel import PriorityResource, Resource
+from repro.kernel import ClaimChain, PriorityResource, Resource
 
 
 class GrantLog:
@@ -40,8 +42,19 @@ class GrantLog:
                 self._count(resource, 0)
             return hold
 
+        step = ClaimChain.step
+
+        def counted_step(chain, event=None):
+            index = chain._index
+            step(chain, event)
+            # A hold taken in the step's own frame leaves no Grant; the
+            # step claims a held resource, whose Grant _admit counts.
+            if chain._index > index and chain._holds[index] is None:
+                self._count(chain._resources[index], 0)
+
         monkeypatch.setattr(Resource, "_admit", counted_admit)
         monkeypatch.setattr(Resource, "claim", counted_claim)
+        monkeypatch.setattr(ClaimChain, "step", counted_step)
 
     def _stamping(self, acquire):
         def stamped(resource, priority=0):

@@ -1,12 +1,14 @@
 """Tests for Resource and PriorityResource."""
 
+import functools
 import gc
 import heapq
+import random
 
 import pytest
 
-from repro.kernel import (PriorityResource, Resource, SimulationError,
-                          Simulator)
+from repro.kernel import (ClaimChain, PriorityResource, Resource,
+                          SimulationError, Simulator)
 from tests.grantlog import GrantLog
 
 
@@ -404,3 +406,246 @@ class TestGrantCycle:
         assert grant not in gc.get_referents(grant)
         assert grant.triggered
 
+
+def _legacy_claim(res, callback, priority=0):
+    """Reference ``claim``: a free slot's callback always goes through a
+    zero-delay ``_after``."""
+    in_use = res._in_use
+    if in_use < res.capacity:
+        if in_use == 0:
+            res._busy_since = res.sim._now
+        res._in_use = in_use + 1
+        res.sim._after(0, callback)
+        return None
+    grant = res.acquire(priority)
+    grant.callbacks.append(callback)
+    return grant
+
+
+def _legacy_give_back(res, hold):
+    """Reference ``give_back``: an in-place slot always goes through
+    ``return_slot``."""
+    if hold is None:
+        res.return_slot()
+    else:
+        res.release(hold)
+
+
+def _contended_chains(sim, res, seed):
+    """Seeded claim/give_back chains and acquire/release processes on
+    ``res``, colliding at shared timestamps; returns the observation log
+    (time, tag, what, in_use, busy_time) in the order it happened."""
+    rng = random.Random(seed)
+    seen = []
+
+    def note(tag, what):
+        seen.append((sim.now, tag, what, res.in_use, res.busy_time()))
+
+    class Chain:
+        def __init__(self, tag, start, hold_ps, priority):
+            self.tag, self.hold_ps, self.priority = tag, hold_ps, priority
+            self.hold = None
+            sim.timeout(start).add_callback(self.go)
+
+        def go(self, _event):
+            self.hold = res.claim(self.held, self.priority)
+            note(self.tag, "claimed" if self.hold is None else "queued")
+
+        def held(self, event):
+            note(self.tag, "held" if event is None else "granted")
+            sim._after(self.hold_ps, self.done)
+
+        def done(self, _event):
+            res.give_back(self.hold)
+            note(self.tag, "back")
+
+    def user(tag, start, hold_ps, priority):
+        yield start
+        grant = res.acquire(priority)
+        yield grant
+        note(tag, "acquired")
+        yield hold_ps
+        res.release(grant)
+        note(tag, "released")
+
+    for tag in range(24):
+        start = rng.choice((0, 0, 10, 10, 25, rng.randrange(60)))
+        hold_ps = rng.choice((0, 5, 10, 15))
+        priority = rng.randrange(3)
+        if rng.random() < 0.7:
+            Chain(tag, start, hold_ps, priority)
+        else:
+            sim.process(user(tag, start, hold_ps, priority))
+    sim.run()
+    note(None, "end")
+    return seen, sim.events_processed
+
+
+class TestClaimFastPaths:
+    """The live-batch ``claim`` and the inline ``give_back`` leave the
+    same slots, busy time, admission order and event order as a claim
+    that always schedules through ``_after(0, ...)`` and a give-back that
+    always goes through ``return_slot``."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("capacity", [2, 1])
+    @pytest.mark.parametrize("kind", [Resource, PriorityResource])
+    def test_matches_the_scheduled_path(self, kind, capacity, seed,
+                                        monkeypatch):
+        sim = Simulator()
+        fast = _contended_chains(sim, kind(sim, "r", capacity), seed)
+        monkeypatch.setattr(Resource, "claim", _legacy_claim)
+        monkeypatch.setattr(Resource, "give_back", _legacy_give_back)
+        sim = Simulator()
+        legacy = _contended_chains(sim, kind(sim, "r", capacity), seed)
+        assert fast == legacy
+        whats = {what for __, __, what, __, __ in fast[0]}
+        assert {"claimed", "queued", "held", "granted"} <= whats
+
+    @pytest.mark.parametrize("kind", [Resource, PriorityResource])
+    def test_claim_outside_run_schedules_a_zero_delay_entry(self, sim, kind):
+        res = kind(sim, "r", capacity=2)
+        seen = []
+
+        def step(event):
+            seen.append((sim.now, event))
+
+        assert res.claim(step) is None
+        assert sim.peek() == 0 and sim._buckets[0] == [step]
+        sim.run()
+        assert seen == [(0, None)]
+        assert sim.events_processed == 1
+
+    @pytest.mark.parametrize("kind", [Resource, PriorityResource])
+    def test_claim_inside_run_joins_the_live_batch(self, sim, kind):
+        res = kind(sim, "r", capacity=2)
+        order = []
+
+        def first(_event):
+            order.append("first")
+            assert res.claim(lambda ev: order.append(("held", ev))) is None
+            sim._after(0, lambda ev: order.append("after"))
+
+        sim._after(0, first)
+        sim.run()
+        assert order == ["first", ("held", None), "after"]
+        assert sim.events_processed == 3
+
+    @pytest.mark.parametrize("kind", [Resource, PriorityResource])
+    def test_claim_refuses_a_callback_the_calendar_cannot_hold(self, sim,
+                                                              kind):
+        res = kind(sim, "r")
+        refused = []
+
+        def step(_event):
+            try:
+                res.claim(functools.partial(print))
+            except TypeError:
+                refused.append(sim.now)
+
+        sim._after(5, step)
+        sim.run()
+        assert refused == [5]
+
+    @pytest.mark.parametrize("kind", [Resource, PriorityResource])
+    def test_inline_give_back_keeps_busy_time_and_admits_waiters(self, sim,
+                                                                kind):
+        res = kind(sim, "r", capacity=2)
+        assert res.claim(lambda ev: None) is None
+        assert res.claim(lambda ev: None) is None
+        waiter = res.acquire()
+        sim.run(until=10)
+        res.give_back(None)          # a waiter: through return_slot
+        assert waiter.triggered and res.in_use == 2
+        res.release(waiter)
+        sim.run(until=30)
+        res.give_back(None)          # the last slot, nobody waiting
+        assert res.in_use == 0
+        assert res.busy_time() == 30
+        sim.run(until=50)
+        assert res.busy_time() == 30
+
+
+class TestClaimChain:
+    """A :class:`ClaimChain` holds each resource in order, one calendar
+    entry per hold, exactly as a chain that claims one resource per step
+    through ``Resource.claim``."""
+
+    class PerStepChain:
+        """The reference: one ``claim`` per step, returned in claim order
+        through ``give_back``."""
+
+        def __init__(self, sim, resources, priority, on_held):
+            self.sim, self.resources = sim, resources
+            self.priority, self.on_held = priority, on_held
+            self.holds = [None] * len(resources)
+            self.index = 0
+
+        def start(self, delay):
+            self.index = 0
+            self.sim._after(delay, self.step)
+
+        def step(self, _event=None):
+            index = self.index
+            if index == len(self.resources):
+                self.on_held()
+                return
+            self.index = index + 1
+            self.holds[index] = self.resources[index].claim(self.step,
+                                                            self.priority)
+
+        def give_back(self):
+            for resource, hold in zip(self.resources, self.holds):
+                resource.give_back(hold)
+
+    def _race(self, chain_kind, seed):
+        rng = random.Random(seed)
+        sim = Simulator()
+        banks = [PriorityResource(sim, f"b{i}") for i in range(3)]
+        seen = []
+        state = {}
+
+        def held():
+            seen.append((sim.now, "held"))
+            sim._after(7, released)
+
+        def released(_event):
+            state["chain"].give_back()
+            seen.append((sim.now, "released",
+                         [bank.busy_time() for bank in banks]))
+            if sim.now < 150:
+                state["chain"].start(20)
+
+        state["chain"] = chain_kind(sim, banks, -1, held)
+        state["chain"].start(0)
+
+        def user(tag, start, bank, hold_ps):
+            yield start
+            grant = banks[bank].acquire()
+            yield grant
+            seen.append((sim.now, tag))
+            yield hold_ps
+            banks[bank].release(grant)
+
+        for tag in range(20):
+            sim.process(user(tag, rng.randrange(0, 160, 5),
+                             rng.randrange(3), rng.choice((0, 5, 12))))
+        sim.run()
+        return seen, sim.events_processed, [bank.in_use for bank in banks]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_a_claim_per_step(self, seed):
+        chain = self._race(ClaimChain, seed)
+        assert chain == self._race(self.PerStepChain, seed)
+        assert chain[2] == [0, 0, 0]
+
+    def test_idle_chain_counts_one_grant_per_hold(self, sim, log):
+        banks = [Resource(sim, f"b{i}") for i in range(2)]
+        chain = ClaimChain(sim, banks, 0, lambda: chain.give_back())
+        chain.start(5)
+        sim.run()
+        # The first step, a hold per resource, and the report step.
+        assert sim.events_processed == 3
+        assert [(log.grants(bank), log.wait_ps(bank)) for bank in banks] \
+            == [(1, 0), (1, 0)]
+        assert [bank.in_use for bank in banks] == [0, 0]
