@@ -113,6 +113,20 @@ class ChannelWayController(Component):
         # PP-DMA between DRAM buffer and this controller's SRAM.
         self.ppdma = DmaEngine(sim, "ppdma", channels=2, setup_ps=ns(150),
                                parent=self)
+        # The device layer bumps the gc_* and ftl_* fault counts.
+        self.programs = 0
+        self.reads = 0
+        self.erases = 0
+        self.cached_programs = 0
+        self.program_fail_reports = 0
+        self.erase_fail_reports = 0
+        self.read_retries = 0
+        self.read_retry_success = 0
+        self.uncorrectable_reads = 0
+        self.gc_relocations = 0
+        self.gc_read_faults = 0
+        self.ftl_program_faults = 0
+        self.ftl_read_faults = 0
 
     # ------------------------------------------------------------------
     def die(self, way: int, die_index: int) -> NandDie:
@@ -294,14 +308,14 @@ class ChannelWayController(Component):
             # Status poll reports FAIL: array time is spent, the pages
             # are consumed, and the device layer must remap the data of
             # the failing planes.
-            self.stats.counter("program_fail_reports").increment()
+            self.program_fail_reports += 1
             raise ProgramFailError(
                 f"{self.path()}: program-status FAIL at way{way} "
                 f"die{die_index} {' '.join(map(str, failed))}",
                 address=failed[0])
-        self.stats.counter("programs").increment(len(targets))
+        self.programs += len(targets)
         if cached:
-            self.stats.counter("cached_programs").increment()
+            self.cached_programs += 1
         return self.sim.now - start
 
     def read_page(self, way: int, die_index: int, address: PageAddress,
@@ -405,12 +419,12 @@ class ChannelWayController(Component):
                     masked += 1
             if over is None:
                 if attempt:
-                    self.stats.counter("read_retry_success").increment()
+                    self.read_retry_success += 1
                 elif command is not None:
                     command.masked_page_reads += masked
                 break
             if attempt >= plan.config.read_retry_max:
-                self.stats.counter("uncorrectable_reads").increment()
+                self.uncorrectable_reads += 1
                 target, errors, t = over
                 raise UncorrectableReadError(
                     f"{self.path()}: way{way} die{die_index} {target} "
@@ -418,10 +432,10 @@ class ChannelWayController(Component):
                     f"({errors} errors > t={t})",
                     address=target, errors=errors, t=t, retries=attempt)
             attempt += 1
-            self.stats.counter("read_retries").increment()
+            self.read_retries += 1
             if command is not None:
                 command.read_retries += 1
-        self.stats.counter("reads").increment(len(targets))
+        self.reads += len(targets)
         return self.sim.now - start
 
     def erase_block(self, way: int, die_index: int, plane: int, block: int):
@@ -440,8 +454,8 @@ class ChannelWayController(Component):
         if die.fault_plan is not None and die.last_erase_failed:
             # The die already retired the block; the caller consults the
             # spare pool (see SsdDevice._note_grown_bad).
-            self.stats.counter("erase_fail_reports").increment()
-        self.stats.counter("erases").increment()
+            self.erase_fail_reports += 1
+        self.erases += 1
         return self.sim.now - start
 
     # ------------------------------------------------------------------
@@ -556,10 +570,6 @@ class _FastPageOp(Event):
         self._lock.give_back(self._lock_hold)
         self._array_done()
 
-    def _finish(self, counter: str) -> None:
-        self.ctrl.stats.counter(counter).increment()
-        self.succeed(self.sim._now - self.start)
-
 
 class _FastProgram(_FastPageOp):
     """prep (translate + encode) -> R/B# -> one page tenure -> tPROG."""
@@ -587,7 +597,8 @@ class _FastProgram(_FastPageOp):
         self.die.finish_program(self.address)
 
     def _array_done(self) -> None:
-        self._finish("programs")
+        self.ctrl.programs += 1
+        self.succeed(self.sim._now - self.start)
 
 
 class _FastRead(_FastPageOp):
@@ -636,7 +647,8 @@ class _FastRead(_FastPageOp):
         self._read_done()
 
     def _read_done(self) -> None:
-        self._finish("reads")
+        self.ctrl.reads += 1
+        self.succeed(self.sim._now - self.start)
 
 
 class _FastErase(_FastPageOp):
@@ -656,4 +668,5 @@ class _FastErase(_FastPageOp):
         self.die.finish_erase(self.plane, self.block)
 
     def _array_done(self) -> None:
-        self._finish("erases")
+        self.ctrl.erases += 1
+        self.succeed(self.sim._now - self.start)

@@ -70,7 +70,6 @@ class ChannelBuses(Component):
             self._control.release(grant)
             if t0 >= 0:
                 _obs.record_span(self.path(), "gang_cmd", t0, self.sim.now)
-            self.stats.counter("commands").increment()
 
     def transfer(self, way: int, nbytes: int):
         """Generator: move page data on the way's data path."""

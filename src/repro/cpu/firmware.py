@@ -123,9 +123,7 @@ class FirmwareCpu(Component):
             "placement": placement, "done": done,
         })
         self.core.post_interrupt()
-        descriptor = yield done
-        self.stats.counter("commands").increment()
-        return descriptor
+        return (yield done)
 
     # ------------------------------------------------------------------
     # MMIO backings
@@ -223,6 +221,7 @@ class AbstractCpu(Component):
         self.n_cores = n_cores
         self._cores = Resource(sim, f"{name}.cores", capacity=n_cores)
         self.cycles_retired = 0
+        self.commands = 0
 
     def process_command(self, opcode: int, lba: int, sectors: int,
                         placement: Dict[str, int]):
@@ -234,7 +233,7 @@ class AbstractCpu(Component):
                 self.clock.cycles(self.cycles_per_command))
             self._cores.release(grant)
             self.cycles_retired += self.cycles_per_command
-        self.stats.counter("commands").increment()
+        self.commands += 1
         return {
             "channel": placement.get("channel", 0),
             "way": placement.get("way", 0),

@@ -26,7 +26,40 @@ REFRESH_PRIORITY = -1
 ACCESS_PRIORITY = 0
 
 
-class DramController(Component):
+class _DramDevice(Component):
+    """What both DRAM models share: the buffered read/write interface
+    over ``access``, the ``reads``/``writes``/``bytes`` counts it keeps
+    and the busy fraction of the device ``bus``."""
+
+    def __init__(self, sim: Simulator, name: str, timing: Ddr2Timing,
+                 parent: Optional[Component]):
+        super().__init__(sim, name, parent)
+        self.timing = timing
+        self.reads = 0
+        self.writes = 0
+        self.bytes = 0
+
+    def _count(self, nbytes: int, is_write: bool) -> None:
+        if is_write:
+            self.writes += 1
+        else:
+            self.reads += 1
+        self.bytes += nbytes
+
+    def write(self, byte_address: int, nbytes: int):
+        """Generator: buffered write."""
+        return self.access(byte_address, nbytes, is_write=True)
+
+    def read(self, byte_address: int, nbytes: int):
+        """Generator: buffered read."""
+        return self.access(byte_address, nbytes, is_write=False)
+
+    def utilization(self) -> float:
+        """Busy fraction of the device bus."""
+        return self.bus.utilization()
+
+
+class DramController(_DramDevice):
     """One DRAM device (one data buffer of the SSD) with FCFS scheduling
     for accesses; refresh preempts the queue (it cannot be deferred past
     tREFI without violating retention)."""
@@ -34,8 +67,7 @@ class DramController(Component):
     def __init__(self, sim: Simulator, name: str, timing: Ddr2Timing,
                  parent: Optional[Component] = None,
                  enable_refresh: bool = True):
-        super().__init__(sim, name, parent)
-        self.timing = timing
+        super().__init__(sim, name, timing, parent)
         #: Serializes command/data bus use; FIFO among equal priorities.
         self.bus = PriorityResource(sim, f"{name}.bus", capacity=1)
         #: Per-bank serialization: row activations to different banks
@@ -56,6 +88,10 @@ class DramController(Component):
         self._refresh = ClaimChain(sim, (*self._banks, self.bus),
                                    REFRESH_PRIORITY, self._refresh_held)
         self._refresh_running = False
+        self.row_hits = 0
+        self.row_misses = 0
+        self.row_empty = 0
+        self.refreshes = 0
         if enable_refresh:
             self.start_refresh()
 
@@ -86,7 +122,6 @@ class DramController(Component):
         start = sim._now
         timing = self.timing
         row_bytes = timing.row_bytes
-        counter = self.stats.counter
         remaining = nbytes
         address = byte_address
         while remaining > 0:
@@ -103,12 +138,12 @@ class DramController(Component):
                     delay = self._rcd_cl_ps
                     if open_row is not None:
                         delay += self._rp_ps
-                        counter("row_misses").increment()
+                        self.row_misses += 1
                     else:
-                        counter("row_empty").increment()
+                        self.row_empty += 1
                     self._open_rows[bank] = row
                 else:
-                    counter("row_hits").increment()
+                    self.row_hits += 1
                     delay = self._cl_ps
                 yield delay
                 # Data phase: the burst train occupies the shared bus.
@@ -129,17 +164,8 @@ class DramController(Component):
         elapsed = now - start
         if _obs.enabled:
             _obs.record_span(self.path(), "dram_buffer", start, now)
-        counter("writes" if is_write else "reads").increment()
-        counter("bytes").increment(nbytes)
+        self._count(nbytes, is_write)
         return elapsed
-
-    def write(self, byte_address: int, nbytes: int):
-        """Generator: buffered write."""
-        return self.access(byte_address, nbytes, is_write=True)
-
-    def read(self, byte_address: int, nbytes: int):
-        """Generator: buffered read."""
-        return self.access(byte_address, nbytes, is_write=False)
 
     # ------------------------------------------------------------------
     # Refresh
@@ -174,15 +200,11 @@ class DramController(Component):
     def _end_refresh(self, _event=None) -> None:
         refresh = self._refresh
         refresh.give_back()
-        self.stats.counter("refreshes").increment()
+        self.refreshes += 1
         refresh.start(self._refresh_interval_ps)
 
-    def utilization(self) -> float:
-        """Busy fraction of the device bus."""
-        return self.bus.utilization()
 
-
-class FastDramController(Component):
+class FastDramController(_DramDevice):
     """Fast-fidelity DRAM device: a single-server queue model.
 
     Each access is one bus tenure of ``overhead + nbytes * ps_per_byte``
@@ -193,17 +215,16 @@ class FastDramController(Component):
     as an analytic derate (tRFC / tREFI duty, ~1.6% for DDR2-800),
     unless calibrated parameters override the defaults.
 
-    Exposes the same generator interface and stats as
-    :class:`DramController`, so the buffer manager can swap the two
-    freely.
+    Shares the generator interface and the ``reads``/``writes``/``bytes``
+    counts of :class:`DramController`, so the buffer manager and the
+    energy model can swap the two freely.
     """
 
     def __init__(self, sim: Simulator, name: str, timing: Ddr2Timing,
                  parent: Optional[Component] = None,
                  overhead_ps: Optional[int] = None,
                  ps_per_byte: Optional[float] = None):
-        super().__init__(sim, name, parent)
-        self.timing = timing
+        super().__init__(sim, name, timing, parent)
         self.bus = Resource(sim, f"{name}.bus", capacity=1)
         if overhead_ps is None:
             overhead_ps = timing.activate_to_read_ps()
@@ -234,18 +255,5 @@ class FastDramController(Component):
         elapsed = self.sim.now - start
         if _obs.enabled:
             _obs.record_span(self.path(), "dram_buffer", start, self.sim.now)
-        self.stats.counter("writes" if is_write else "reads").increment()
-        self.stats.counter("bytes").increment(nbytes)
+        self._count(nbytes, is_write)
         return elapsed
-
-    def write(self, byte_address: int, nbytes: int):
-        """Generator: buffered write."""
-        return self.access(byte_address, nbytes, is_write=True)
-
-    def read(self, byte_address: int, nbytes: int):
-        """Generator: buffered read."""
-        return self.access(byte_address, nbytes, is_write=False)
-
-    def utilization(self) -> float:
-        """Busy fraction of the device bus."""
-        return self.bus.utilization()

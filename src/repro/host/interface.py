@@ -127,6 +127,8 @@ class HostInterface(Component):
         self.link = Resource(sim, f"{name}.link", capacity=1)
         self.queue_slots = Resource(sim, f"{name}.queue",
                                     capacity=spec.queue_depth)
+        self.transfers = 0
+        self.bytes = 0
 
     def acquire_slot(self):
         """Generator: obtain a queue tag (blocks at full queue depth)."""
@@ -159,8 +161,8 @@ class HostInterface(Component):
             span.mark("host_xfer", self.sim.now)
         if t0 >= 0:
             _obs.record_span(self.path(), "host_xfer", t0, self.sim.now)
-        self.stats.counter("bytes").increment(nbytes)
-        self.stats.counter("transfers").increment()
+        self.bytes += nbytes
+        self.transfers += 1
 
     def utilization(self) -> float:
         return self.link.utilization()

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..kernel import Component, Simulator
+from ..kernel import Component, Simulator, UtilizationTracker
 from ..kernel.simtime import Clock
 from .arbiter import RoundRobinArbiter
 
@@ -52,11 +52,11 @@ class AhbMasterPort:
 
     def write(self, slave: str, nbytes: int):
         """Generator: burst write to a slave; returns elapsed ps."""
-        return self.bus.transfer(self, slave, nbytes, is_write=True)
+        return self.bus.transfer(self, slave, nbytes)
 
     def read(self, slave: str, nbytes: int):
         """Generator: burst read from a slave; returns elapsed ps."""
-        return self.bus.transfer(self, slave, nbytes, is_write=False)
+        return self.bus.transfer(self, slave, nbytes)
 
 
 class AhbBus(Component):
@@ -70,7 +70,9 @@ class AhbBus(Component):
         self.arbiter = RoundRobinArbiter(sim, self.clock, MAX_MASTERS)
         self._masters: Dict[int, AhbMasterPort] = {}
         self._slaves: Dict[str, AhbSlaveConfig] = {}
-        self._busy = self.stats.utilization("bus")
+        self._busy = UtilizationTracker(sim)
+        #: Transfers that released the bus while a slave prepared.
+        self.splits = 0
 
     # ------------------------------------------------------------------
     # Topology
@@ -107,9 +109,9 @@ class AhbBus(Component):
             raise ValueError(f"nbytes must be >= 1, got {nbytes}")
         return -(-nbytes // BUS_BYTES)
 
-    def transfer(self, port: AhbMasterPort, slave: str, nbytes: int,
-                 is_write: bool):
-        """Generator implementing one (possibly split) burst transfer."""
+    def transfer(self, port: AhbMasterPort, slave: str, nbytes: int):
+        """Generator implementing one (possibly split) burst transfer;
+        reads and writes take the same bus time."""
         if port.bus is not self:
             raise ValueError("master port belongs to a different bus")
         config = self._slaves.get(slave)
@@ -129,7 +131,7 @@ class AhbBus(Component):
             # SPLIT: give the bus back while the slave prepares.
             self._busy.set_idle()
             self.arbiter.release(port.master_id)
-            self.stats.counter("splits").increment()
+            self.splits += 1
             yield self.sim.timeout(config.access_latency_ps)
             regrant = self.arbiter.request(port.master_id)
             yield regrant
@@ -143,9 +145,7 @@ class AhbBus(Component):
         self._busy.set_idle()
         self.arbiter.release(port.master_id)
 
-        elapsed = self.sim.now - start
-        self.stats.counter("writes" if is_write else "reads").increment()
-        return elapsed
+        return self.sim.now - start
 
     def utilization(self) -> float:
         """Fraction of sim time the bus carried address/data phases."""
@@ -186,8 +186,7 @@ class MultiLayerAhbBus(Component):
         layer.attach_slave(config)
         self._layers[config.name] = layer
 
-    def transfer(self, port: "MultiLayerMasterPort", slave: str, nbytes: int,
-                 is_write: bool):
+    def transfer(self, port: "MultiLayerMasterPort", slave: str, nbytes: int):
         layer = self._layers.get(slave)
         if layer is None:
             raise KeyError(f"no slave named {slave!r} on {self.name}")
@@ -199,7 +198,7 @@ class MultiLayerAhbBus(Component):
                     self._master_names.get(layer.n_masters,
                                            f"m{layer.n_masters}"))
         result = yield self.sim.process(
-            layer.transfer(layer_port, slave, nbytes, is_write))
+            layer.transfer(layer_port, slave, nbytes))
         return result
 
 
@@ -212,7 +211,7 @@ class MultiLayerMasterPort:
         self.name = name
 
     def write(self, slave: str, nbytes: int):
-        return self.bus.transfer(self, slave, nbytes, is_write=True)
+        return self.bus.transfer(self, slave, nbytes)
 
     def read(self, slave: str, nbytes: int):
-        return self.bus.transfer(self, slave, nbytes, is_write=False)
+        return self.bus.transfer(self, slave, nbytes)

@@ -9,7 +9,7 @@ The kernel provides:
   :class:`ClaimChain`, a lock-ordered hold of several of them;
 * :class:`Component` — the named module hierarchy;
 * :class:`Clock` and picosecond time helpers;
-* statistics accumulators used for performance breakdowns.
+* :class:`UtilizationTracker` and :class:`Accumulator` for breakdowns.
 """
 
 from .component import Component
@@ -20,13 +20,13 @@ from .resources import ClaimChain, Grant, PriorityResource, Resource
 from .simtime import (MS, NS, PS, SEC, US, Clock, format_time, ms, ns,
                       period_from_hz, ps, seconds, to_seconds, to_us, us)
 from .simulator import Simulator
-from .stats import Accumulator, Counter, StatSet, UtilizationTracker
+from .stats import Accumulator, UtilizationTracker
 
 __all__ = [
     "Accumulator", "ClaimChain", "Clock", "Component", "Condition",
-    "ConfigError", "Counter", "Event", "Grant", "MS", "NS", "PS",
+    "ConfigError", "Event", "Grant", "MS", "NS", "PS",
     "PriorityResource", "Process", "Resource", "SEC", "SimulationError",
-    "Simulator", "StatSet", "Timeout", "US", "UtilizationTracker", "all_of",
+    "Simulator", "Timeout", "US", "UtilizationTracker", "all_of",
     "format_time", "load_file", "loads", "ms", "ns", "parse_flat_config",
     "period_from_hz", "ps", "seconds", "to_seconds", "to_us", "us",
 ]

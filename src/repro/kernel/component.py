@@ -5,13 +5,16 @@ controller, die, ...) derives from :class:`Component`.  Components form a
 named tree — mirroring SystemC's module hierarchy — so span tracks and
 error messages carry full hierarchical paths like ``ssd.chn3.way1.die0``.
 Sibling names must be unique, which keeps those paths unique.
+
+A component declares its statistics in ``__init__``: each count a report
+or a test reads is a plain int incremented in place, and a unit whose
+busy time is reported holds one
+:class:`~repro.kernel.stats.UtilizationTracker`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, TYPE_CHECKING
-
-from .stats import StatSet
 
 if TYPE_CHECKING:  # pragma: no cover
     from .simulator import Simulator
@@ -21,8 +24,7 @@ class Component:
     """A named node in the platform hierarchy.
 
     Subclasses register child components simply by constructing them with
-    ``parent=self``.  Each component owns a :class:`StatSet` for counters
-    and utilization trackers.
+    ``parent=self``.
     """
 
     def __init__(self, sim: "Simulator", name: str,
@@ -35,7 +37,6 @@ class Component:
         self.name = name
         self.parent = parent
         self.children: Dict[str, "Component"] = {}
-        self.stats = StatSet(sim)
         if parent is not None:
             parent._add_child(self)
 

@@ -1,32 +1,21 @@
 """Statistics primitives.
 
-SSDExplorer's selling point is *performance breakdown*.  Components keep
-only the statistics a report reads: event and byte counters, per-unit
-busy time (``RunResult.utilizations`` and the profile's utilization
-sparklines) and the span recorder's per-stage accumulators.  All of
-them are allocation-free on the hot path.
+SSDExplorer's selling point is *performance breakdown*.  Event and byte
+counts are plain int attributes of their components; this module holds
+the rest of what a report reads: per-unit busy time
+(``RunResult.utilizations`` and the profile's utilization sparklines)
+and the span recorder's per-stage accumulators.  Both are
+allocation-free on the hot path.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .simulator import Simulator
-
-
-class Counter:
-    """A monotonically increasing event counter."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def increment(self, amount: int = 1) -> None:
-        self.value += amount
 
 
 class Accumulator:
@@ -145,24 +134,3 @@ class UtilizationTracker:
         if now <= 0:
             return 0.0
         return self.busy_time() / now
-
-
-class StatSet:
-    """A named bag of statistics owned by a component."""
-
-    def __init__(self, sim: "Simulator"):
-        self.sim = sim
-        self.counters: Dict[str, Counter] = {}
-        self.utilizations: Dict[str, UtilizationTracker] = {}
-
-    def counter(self, name: str) -> Counter:
-        stat = self.counters.get(name)
-        if stat is None:
-            stat = self.counters[name] = Counter()
-        return stat
-
-    def utilization(self, name: str) -> UtilizationTracker:
-        stat = self.utilizations.get(name)
-        if stat is None:
-            stat = self.utilizations[name] = UtilizationTracker(self.sim)
-        return stat

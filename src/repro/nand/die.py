@@ -20,7 +20,8 @@ from __future__ import annotations
 from typing import Dict, Optional, Set, Tuple
 
 from ..faults import FaultPlan
-from ..kernel import Component, SimulationError, Simulator
+from ..kernel import (Component, SimulationError, Simulator,
+                      UtilizationTracker)
 from ..obs import spans as _obs
 from .geometry import NandGeometry, PageAddress
 from .timing import MlcTimingModel
@@ -55,7 +56,6 @@ class NandDie(Component):
         self.wear_model = wear_model
         self.initial_pe_cycles = initial_pe_cycles
         self.state = self.IDLE
-        self._busy_until = 0
         #: Extra array time per additional plane in a multi-plane command
         #: (ONFI interleaved-plane issue overhead).
         self.multiplane_overhead_ps = 2_000_000  # 2 us
@@ -67,7 +67,20 @@ class NandDie(Component):
         self._preload_default = 0
         # (plane, block) -> BlockWearState, created lazily.
         self._wear: Dict[Tuple[int, int], BlockWearState] = {}
-        self._busy_tracker = self.stats.utilization("array")
+        #: Busy time of the array (read/program/erase in progress).
+        self.array_busy = UtilizationTracker(sim)
+        self.reads = 0
+        self.programs = 0
+        self.multiplane_reads = 0
+        self.multiplane_programs = 0
+        self.multiplane_erases = 0
+        self.reads_unwritten = 0
+        self.read_bit_errors = 0
+        self.stuck_busy_faults = 0
+        self.program_fails = 0
+        self.erase_fails = 0
+        self.factory_bad_blocks = 0
+        self.grown_bad_blocks = 0
         self._obs_t0 = -1  # array-op start when observability is on
         # Fault injection: installed by the device via set_fault_plan();
         # None keeps every fault branch a single attribute check.
@@ -126,7 +139,7 @@ class NandDie(Component):
             self._factory_checked.add(key)
             if plan.factory_bad(self._fault_id, plane, block):
                 self._bad_blocks.add(key)
-                self.stats.counter("factory_bad_blocks").increment()
+                self.factory_bad_blocks += 1
                 return True
         return False
 
@@ -135,7 +148,7 @@ class NandDie(Component):
         key = (plane, block)
         if key not in self._bad_blocks:
             self._bad_blocks.add(key)
-            self.stats.counter("grown_bad_blocks").increment()
+            self.grown_bad_blocks += 1
 
     @property
     def bad_block_count(self) -> int:
@@ -156,7 +169,7 @@ class NandDie(Component):
             self._fault_id, address, self.rber(address.plane, address.block),
             codeword_bits, codewords, attempt)
         if errors:
-            self.stats.counter("read_bit_errors").increment(errors)
+            self.read_bit_errors += errors
         return errors
 
     # ------------------------------------------------------------------
@@ -197,7 +210,7 @@ class NandDie(Component):
         rber = self._record_read(address)
         if not more:
             return rber
-        self.stats.counter("multiplane_reads").increment()
+        self.multiplane_reads += 1
         return [rber] + [self._record_read(target) for target in more]
 
     def read(self, address: PageAddress, *more: PageAddress):
@@ -237,7 +250,7 @@ class NandDie(Component):
                 failed += (target,)
         self.failed_programs = failed
         if more:
-            self.stats.counter("multiplane_programs").increment()
+            self.multiplane_programs += 1
 
     def program(self, address: PageAddress, *more: PageAddress):
         """Array program; enforces erase-before-write and page order."""
@@ -272,7 +285,7 @@ class NandDie(Component):
             failed = self._record_erase(*extra) or failed
         self.last_erase_failed = failed
         if more:
-            self.stats.counter("multiplane_erases").increment()
+            self.multiplane_erases += 1
 
     def erase(self, plane: int, block: int, *more):
         """Block erase; resets the write pointer and adds a P/E cycle."""
@@ -303,7 +316,7 @@ class NandDie(Component):
         key = (address.plane, address.block)
         if address.page >= self._write_pointers.get(key,
                                                     self._preload_default):
-            self.stats.counter("reads_unwritten").increment()
+            self.reads_unwritten += 1
 
     def _check_program(self, address: PageAddress) -> None:
         """Validate a program against the block's write pointer."""
@@ -323,14 +336,14 @@ class NandDie(Component):
         stuck = self.fault_plan.stuck_busy_ps(self._fault_id, kind, plane,
                                               block)
         if stuck:
-            self.stats.counter("stuck_busy_faults").increment()
+            self.stuck_busy_faults += 1
         return stuck
 
     def _record_read(self, address: PageAddress) -> float:
         """Book a completed sense; returns the block RBER."""
         key = (address.plane, address.block)
         self._wear_state(key).record_read()
-        self.stats.counter("reads").increment()
+        self.reads += 1
         return self.rber(*key)
 
     def _record_program(self, address: PageAddress) -> bool:
@@ -340,14 +353,14 @@ class NandDie(Component):
         # _check_program checked the page against the pointer.
         self._write_pointers[key] = address.page + 1
         self._wear_state(key).record_program()
-        self.stats.counter("programs").increment()
+        self.programs += 1
         if self.fault_plan is None or not self.fault_plan.program_fails(
                 self._fault_id, address.plane, address.block, address.page):
             return False
         # Program-status FAIL: the array time is spent, the page is
         # consumed, but the controller must treat the data as lost and
         # remap (the page register still holds it).
-        self.stats.counter("program_fails").increment()
+        self.program_fails += 1
         return True
 
     def _record_erase(self, plane: int, block: int) -> bool:
@@ -356,13 +369,12 @@ class NandDie(Component):
         key = (plane, block)
         self._write_pointers[key] = 0
         self._wear_state(key).record_erase()
-        self.stats.counter("erases").increment()
         if self.fault_plan is None or not self.fault_plan.erase_fails(
                 self._fault_id, plane, block):
             return False
         # Erase-status FAIL grows a bad block: the block is retired on
         # the spot and must never be allocated again.
-        self.stats.counter("erase_fails").increment()
+        self.erase_fails += 1
         self.mark_bad(plane, block)
         return True
 
@@ -402,7 +414,7 @@ class NandDie(Component):
             raise NandProtocolError(
                 f"{self.path()}: command issued while die is {self.state}")
         self.state = new_state
-        self._busy_tracker.set_busy()
+        self.array_busy.set_busy()
         self._obs_t0 = self.sim.now if _obs.enabled else -1
 
     def _end(self) -> None:
@@ -413,8 +425,8 @@ class NandDie(Component):
                              self.sim.now)
             self._obs_t0 = -1
         self.state = self.IDLE
-        self._busy_tracker.set_idle()
+        self.array_busy.set_idle()
 
     def utilization(self) -> float:
         """Fraction of sim time the array spent busy."""
-        return self._busy_tracker.utilization()
+        return self.array_busy.utilization()

@@ -101,7 +101,6 @@ class OnfiChannel(Component):
         self.bus.release(grant)
         if t0 >= 0:
             _obs.record_span(self.path(), "bus_cmd", t0, self.sim.now)
-        self.stats.counter("commands").increment()
 
     def transfer(self, nbytes: int):
         """Occupy the bus for a data transfer of ``nbytes`` (generator)."""
@@ -112,7 +111,6 @@ class OnfiChannel(Component):
         self.bus.release(grant)
         if t0 >= 0:
             _obs.record_span(self.path(), "bus_xfer", t0, self.sim.now)
-        self.stats.counter("transfers").increment()
 
     def utilization(self) -> float:
         """Fraction of sim time the bus was occupied."""

@@ -136,6 +136,9 @@ class SsdDevice(Component):
         self.commands_failed = 0
         self.bytes_completed = 0
         self.last_completion_ps = 0
+        self.retired_blocks = 0
+        self.remapped_programs = 0
+        self.background_write_faults = 0
 
         # Fault-injection campaign: one deterministic plan shared by every
         # die so draws depend only on (seed, die, address) — never on
@@ -249,7 +252,7 @@ class SsdDevice(Component):
                       * self.arch.geometry.planes_per_die)
         spares -= 1
         self._spares[target] = spares
-        self.stats.counter("retired_blocks").increment()
+        self.retired_blocks += 1
         if spares < 0:
             raise SparePoolExhausted(
                 f"die {target} exhausted its spare pool "
@@ -435,7 +438,7 @@ class SsdDevice(Component):
         try:
             yield from flush
         except (WriteFaultError, SparePoolExhausted):
-            self.stats.counter("background_write_faults").increment()
+            self.background_write_faults += 1
 
     def _flush(self, placement: Tuple[int, int, int], buffer_index: int,
                nbytes: int, pattern: str, command=None):
@@ -525,7 +528,7 @@ class SsdDevice(Component):
                     return
                 except ProgramFailError:
                     self._retire_block(target, address.plane, address.block)
-                    self.stats.counter("remapped_programs").increment()
+                    self.remapped_programs += 1
                     if command is not None:
                         command.remapped_programs += 1
                     attempts += 1
@@ -629,10 +632,10 @@ class SsdDevice(Component):
             except UncorrectableReadError:
                 # The victim page is lost; count it and move on so one
                 # worn-out page cannot wedge the whole GC pipeline.
-                controller.stats.counter("gc_read_faults").increment()
+                controller.gc_read_faults += 1
                 continue
             yield from self._program_with_remap(controller, target)
-            controller.stats.counter("gc_relocations").increment()
+            controller.gc_relocations += 1
         for __ in range(erases):
             way = self._gc_die % arch.n_ways
             die_index = (self._gc_die // arch.n_ways) % arch.dies_per_way
@@ -657,7 +660,6 @@ class SsdDevice(Component):
             _obs.active_recorder.end_command(command.span, self.sim.now)
         self.commands_failed += 1
         self.last_completion_ps = self.sim.now
-        self.stats.counter("failed_commands").increment()
 
     def _complete(self, command: IoCommand, count_bytes: bool = True) -> None:
         command.complete_time_ps = self.sim.now
@@ -667,7 +669,6 @@ class SsdDevice(Component):
         if count_bytes:
             self.bytes_completed += command.nbytes
         self.last_completion_ps = self.sim.now
-        self.stats.counter("completions").increment()
 
     def throughput_mbps(self) -> float:
         """Payload throughput from t=0 to the last completion."""

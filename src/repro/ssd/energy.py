@@ -41,21 +41,18 @@ class EnergyModel:
 
     # ------------------------------------------------------------------
     def breakdown_nj(self, device: SsdDevice) -> Dict[str, float]:
-        """Energy per component class, in nanojoules, from device stats."""
+        """Energy per component class, in nanojoules, from device counts."""
         programs = reads = erases = onfi_bytes = 0
         for channel in device.channels:
-            channel_programs = channel.stats.counter("programs").value
-            channel_reads = channel.stats.counter("reads").value
-            programs += channel_programs
-            reads += channel_reads
-            erases += channel.stats.counter("erases").value
+            programs += channel.programs
+            reads += channel.reads
+            erases += channel.erases
             # Every counted program moves one page in, every read one out.
-            onfi_bytes += ((channel_programs + channel_reads)
+            onfi_bytes += ((channel.programs + channel.reads)
                            * channel.geometry.page_bytes)
 
-        dram_bytes = sum(buffer.stats.counter("bytes").value
-                         for buffer in device.buffers.buffers)
-        link_bytes = device.hostif.stats.counter("bytes").value
+        dram_bytes = sum(buffer.bytes for buffer in device.buffers.buffers)
+        link_bytes = device.hostif.bytes
 
         seconds = device.sim.now / 1e12
         return {

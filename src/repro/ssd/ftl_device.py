@@ -58,6 +58,8 @@ class FtlSsdDevice(SsdDevice):
                  ftl_scheme: Optional[str] = None,
                  parent=None):
         super().__init__(sim, arch, name=name, mode=mode, parent=parent)
+        #: Host reads of a logical page that was never written.
+        self.reads_unmapped = 0
         geometry = arch.geometry
         blocks = ftl_blocks(arch, logical_utilization, ftl_blocks_per_plane)
         self.backend = JournalingBackend(
@@ -180,7 +182,7 @@ class FtlSsdDevice(SsdDevice):
             # cached-mapping schemes may still have performed real
             # metadata flash traffic (CMT miss fill / dirty eviction),
             # which must be replayed, not dropped.
-            self.stats.counter("reads_unmapped").increment()
+            self.reads_unmapped += 1
         yield from self._replay(self.backend.drain())
 
         page_bytes = self.arch.geometry.page_bytes
@@ -257,8 +259,8 @@ class FtlSsdDevice(SsdDevice):
 
 #: Journal kinds whose failure a fault-injected replay absorbs: the FTL's
 #: map already points at the physical page and the journaling backend
-#: cannot remap after the fact, so the error is counted (the data stays
-#: where the map says) and the replay moves on.
+#: cannot remap after the fact, so the error is counted in the named
+#: channel-controller attribute (the data stays put) and the replay goes on.
 _ABSORBED = {
     "program": (ProgramFailError, "ftl_program_faults"),
     "read": (UncorrectableReadError, "ftl_read_faults"),
@@ -331,7 +333,8 @@ class _DieReplay(Event):
             if absorbed is None or not isinstance(error, absorbed[0]):
                 self._abort(error)
                 return
-            self.controller.stats.counter(absorbed[1]).increment()
+            controller, name = self.controller, absorbed[1]
+            setattr(controller, name, getattr(controller, name) + 1)
         self._next()
 
     def _abort(self, error: BaseException) -> None:

@@ -311,12 +311,9 @@ def collect_reliability(device: SsdDevice) -> Dict[str, object]:
     the total bits read.  Deterministic by construction: every term is a
     pure function of the fault plan's seeded draws.
     """
-    def channel_sum(name: str) -> int:
-        return sum(c.stats.counter(name).value for c in device.channels)
-
-    reads = channel_sum("reads")
-    retries = channel_sum("read_retries")
-    uncorrectable = channel_sum("uncorrectable_reads")
+    reads = sum(c.reads for c in device.channels)
+    retries = sum(c.read_retries for c in device.channels)
+    uncorrectable = sum(c.uncorrectable_reads for c in device.channels)
     page_bits = device.arch.geometry.page_bytes * 8
     bits_read = reads * page_bits
     return {
@@ -325,11 +322,10 @@ def collect_reliability(device: SsdDevice) -> Dict[str, object]:
         "read_retries": retries,
         "retries_per_read": (retries / reads) if reads else 0.0,
         "uncorrectable_reads": uncorrectable,
-        "retired_blocks": device.stats.counter("retired_blocks").value,
-        "remapped_programs": device.stats.counter("remapped_programs").value,
+        "retired_blocks": device.retired_blocks,
+        "remapped_programs": device.remapped_programs,
         "page_reads": reads,
-        "background_write_faults":
-            device.stats.counter("background_write_faults").value,
+        "background_write_faults": device.background_write_faults,
     }
 
 
@@ -367,7 +363,7 @@ def collect_utilization_timelines(device: SsdDevice,
     if not width:
         return out
     for index, channel in enumerate(device.channels):
-        per_die = [die.stats.utilization("array").timeline(buckets)
+        per_die = [die.array_busy.timeline(buckets)
                    for die in channel.built_dies()]
         out[f"chn{index}.dies"] = [
             sum(t[i] for t in per_die) / channel.total_dies

@@ -203,6 +203,6 @@ class TestEccIntegration:
             yield sim.process(controller.erase_block(0, 0, 0, 0))
 
         sim.run(until=sim.process(flow()))
-        assert controller.stats.counter("programs").value == 1
-        assert controller.stats.counter("reads").value == 1
-        assert controller.stats.counter("erases").value == 1
+        assert controller.programs == 1
+        assert controller.reads == 1
+        assert controller.erases == 1

@@ -78,8 +78,8 @@ class TestUncontended:
         assert calls == [[], [], []]
         assert [log.grants(res) for res in resources] == [1, 2, 1]
         assert [res.in_use for res in resources] == [0, 0, 0]
-        assert controller.stats.counter("reads").value == 1
-        assert die.stats.counter("reads").value == 1
+        assert controller.reads == 1
+        assert die.reads == 1
 
 
 class TestContended:
@@ -123,7 +123,7 @@ class TestFailure:
         lock = controller._die_locks[0][0]
         assert lock.in_use == 0
         assert controller.buses.data_bus(0).bus.in_use == 0
-        assert controller.stats.counter("programs").value == 0
+        assert controller.programs == 0
         # The die is idle and unlocked: the next operation runs.
         retry = controller.program(0, 0, PageAddress(0, 0, 0))
         assert sim.run(until=retry) > 0
@@ -171,4 +171,4 @@ class TestCycleFidelity:
         assert event.name == "program_page"
         elapsed = sim.run(until=event)
         assert elapsed > 0
-        assert controller.stats.counter("programs").value == 1
+        assert controller.programs == 1

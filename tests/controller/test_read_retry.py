@@ -48,9 +48,9 @@ class TestReadRetryLadder:
         controller = make_controller(sim)
         install_plan(controller)
         program_then_read(sim, controller)
-        assert controller.stats.counter("reads").value == 1
-        assert controller.stats.counter("read_retries").value == 0
-        assert controller.stats.counter("uncorrectable_reads").value == 0
+        assert controller.reads == 1
+        assert controller.read_retries == 0
+        assert controller.uncorrectable_reads == 0
 
     def test_retry_recovers_worn_page(self):
         """Tier-1 recovery: the first sense is over budget, a retry rung
@@ -61,10 +61,10 @@ class TestReadRetryLadder:
         # endurance), ~11 on the first retry rung.
         install_plan(controller, rber_scale=20.0, retry_rber_scale=0.05)
         program_then_read(sim, controller)
-        assert controller.stats.counter("read_retries").value >= 1
-        assert controller.stats.counter("read_retry_success").value == 1
-        assert controller.stats.counter("reads").value == 1
-        assert controller.stats.counter("uncorrectable_reads").value == 0
+        assert controller.read_retries >= 1
+        assert controller.read_retry_success == 1
+        assert controller.reads == 1
+        assert controller.uncorrectable_reads == 0
 
     def test_retry_costs_rereads(self):
         """Every rung pays a full re-sense: the die sees one array read
@@ -80,8 +80,8 @@ class TestReadRetryLadder:
         retry_elapsed = program_then_read(retry_sim, retry)
 
         assert retry_elapsed > clean_elapsed
-        die_reads = retry.die(0, 0).stats.counter("reads").value
-        retries = retry.stats.counter("read_retries").value
+        die_reads = retry.die(0, 0).reads
+        retries = retry.read_retries
         assert die_reads == 1 + retries
 
     def test_ladder_exhaustion_raises_uncorrectable(self):
@@ -96,16 +96,16 @@ class TestReadRetryLadder:
         assert info.value.retries == 2
         assert info.value.errors > info.value.t
         assert info.value.address == PageAddress(0, 0, 0)
-        assert controller.stats.counter("uncorrectable_reads").value == 1
-        assert controller.stats.counter("read_retries").value == 2
+        assert controller.uncorrectable_reads == 1
+        assert controller.read_retries == 2
 
     def test_no_plan_no_draws(self):
         sim = Simulator()
         controller = make_controller(sim, initial_pe_cycles=3000)
         program_then_read(sim, controller)
-        assert controller.stats.counter("read_retries").value == 0
+        assert controller.read_retries == 0
         die = controller.die(0, 0)
-        assert die.stats.counter("read_bit_errors").value == 0
+        assert die.read_bit_errors == 0
 
 
 class TestStatusFailures:
@@ -117,7 +117,7 @@ class TestStatusFailures:
             sim.run(until=sim.process(
                 controller.program_page(0, 0, PageAddress(0, 0, 0))))
         assert info.value.address == PageAddress(0, 0, 0)
-        assert controller.stats.counter("program_fail_reports").value == 1
+        assert controller.program_fail_reports == 1
         # The array time was spent and the page is consumed: the write
         # pointer moved even though the data is lost.
         assert controller.die(0, 0).write_pointer(0, 0) == 1
@@ -129,5 +129,5 @@ class TestStatusFailures:
         controller = make_controller(sim)
         install_plan(controller, erase_fail_prob=1.0)
         sim.run(until=sim.process(controller.erase_block(0, 0, 0, 0)))
-        assert controller.stats.counter("erase_fail_reports").value == 1
+        assert controller.erase_fail_reports == 1
         assert controller.die(0, 0).is_bad_block(0, 0)

@@ -79,14 +79,14 @@ class TestDramController:
 
         first, again = sim.run(until=sim.process(flow()))
         assert again < first
-        assert ctrl.stats.counter("row_hits").value == 1
+        assert ctrl.row_hits == 1
 
     def test_large_access_spans_rows(self, sim):
         timing = Ddr2Timing()
         ctrl = DramController(sim, "d", timing, enable_refresh=False)
         sim.run(until=sim.process(ctrl.write(0, 4096)))
         # 4096 bytes = 2 rows of 2048 -> two activations, no hits.
-        assert ctrl.stats.counter("row_empty").value == 2
+        assert ctrl.row_empty == 2
 
     def test_throughput_near_peak_for_streaming(self, sim):
         timing = Ddr2Timing()
@@ -97,7 +97,7 @@ class TestDramController:
                 yield sim.process(ctrl.write(i * 4096, 4096))
 
         sim.run(until=sim.process(flow()))
-        issued = ctrl.stats.counter("bytes").value
+        issued = ctrl.bytes
         assert issued == 64 * 4096
         mbps = issued / 1e6 / (sim.now / 1e12)
         assert mbps > 0.7 * timing.peak_bandwidth_mbps()
@@ -123,14 +123,14 @@ class TestDramController:
         def flow():
             yield sim.process(ctrl.read(0, 64))          # opens row
             yield sim.timeout(timing.refresh_interval_ps * 2)
-            hit_before = ctrl.stats.counter("row_hits").value
+            hit_before = ctrl.row_hits
             yield sim.process(ctrl.read(0, 64))          # row was closed
             return hit_before
 
         handle = sim.process(flow())
         sim.run(until=handle)
-        assert ctrl.stats.counter("refreshes").value >= 1
-        assert ctrl.stats.counter("row_hits").value == 0
+        assert ctrl.refreshes >= 1
+        assert ctrl.row_hits == 0
 
     def test_invalid_access_size(self, sim):
         ctrl = DramController(sim, "d", Ddr2Timing(), enable_refresh=False)
@@ -285,7 +285,7 @@ class TestRefreshPriority:
         for tag in range(6):
             sim.process(client(tag))
         sim.run(until=sim.timeout(20_000_000))
-        assert ctrl.stats.counter("refreshes").value >= 1
+        assert ctrl.refreshes >= 1
         # All accesses still completed (no starvation either way).
         assert len(order) == 6
 
@@ -325,7 +325,7 @@ class TestBankParallelism:
         sim.run(until=sim.process(flow()))
         # The peak-bandwidth bound is an absolute-time claim, so measure
         # from t=0 (the run ends with the last access).
-        issued = ctrl.stats.counter("bytes").value
+        issued = ctrl.bytes
         assert issued == 16 * 2048
         mbps = issued / 1e6 / (sim.now / 1e12)
         assert mbps <= timing.peak_bandwidth_mbps() * 1.001
@@ -375,8 +375,9 @@ class TestContendedRefreshPinned:
         sim.run(until=30_000_000)
 
         assert sim.events_processed == 274
-        counters = ctrl.stats.counters
-        assert {name: counters[name].value for name in counters} == {
+        assert {name: getattr(ctrl, name) for name in (
+            "reads", "writes", "bytes", "refreshes", "row_hits",
+            "row_misses", "row_empty")} == {
             "reads": 8, "writes": 9, "bytes": 17 * 2048, "refreshes": 10,
             "row_hits": 1, "row_misses": 2, "row_empty": 16}
         assert ctrl.bus.busy_time() == 23_145_000
@@ -423,7 +424,7 @@ class TestInPlaceRefresh:
         # One bootstrap, then per refresh: the tREFI timer, nine claim
         # steps (eight banks and the bus) and the tRFC timer.
         assert sim.events_processed == 1 + 11 * n
-        assert ctrl.stats.counter("refreshes").value == n
+        assert ctrl.refreshes == n
         assert ctrl.bus.busy_time() == n * rfc
         assert (log.grants(ctrl.bus), log.wait_ps(ctrl.bus)) == (n, 0)
         for bank in ctrl._banks:
@@ -449,7 +450,7 @@ class TestRefreshLifecycle:
         ctrl = self._idle_run(sim, enable_refresh=True, extra_starts=2)
         # Idle device: each cycle is tREFI of waiting plus tRFC of refresh.
         period = self.INTERVAL + ctrl.timing.refresh_ps()
-        assert ctrl.stats.counter("refreshes").value == sim.now // period
+        assert ctrl.refreshes == sim.now // period
         once = Simulator()
         self._idle_run(once, enable_refresh=True)
         assert sim.events_processed == once.events_processed
@@ -462,22 +463,21 @@ class TestRefreshLifecycle:
         ctrl.start_refresh()
         ctrl.start_refresh()
         sim.run(until=3 * self.INTERVAL)
-        assert ctrl.stats.counter("refreshes").value == 2
+        assert ctrl.refreshes == 2
 
     def test_disabled_refresh_adds_no_stats(self, sim):
         ctrl = self._idle_run(sim, enable_refresh=False)
-        assert ctrl.stats.counters == {}
-        assert ctrl.stats.utilizations == {}
+        assert (ctrl.reads, ctrl.writes, ctrl.bytes, ctrl.refreshes,
+                ctrl.row_hits, ctrl.row_misses, ctrl.row_empty) == (0,) * 7
         assert sim.events_processed == 0
 
     def test_refresh_counter_created_by_first_refresh(self, sim):
         ctrl = DramController(sim, "d",
                               Ddr2Timing(refresh_interval_ps=self.INTERVAL))
         sim.run(until=self.INTERVAL - 1)
-        assert "refreshes" not in ctrl.stats.counters
+        assert ctrl.refreshes == 0
         sim.run(until=2 * self.INTERVAL - 1)
-        assert {name: counter.value for name, counter
-                in ctrl.stats.counters.items()} == {"refreshes": 1}
+        assert ctrl.refreshes == 1
 
 
 
@@ -512,6 +512,6 @@ class TestFastServiceTimes:
 
         sim.run(until=sim.process(run()))
         assert elapsed == expected
-        assert dram.stats.counter("writes").value == 2 * len(self.SIZES)
-        assert dram.stats.counter("reads").value == 0
-        assert dram.stats.counter("bytes").value == 2 * sum(self.SIZES)
+        assert dram.writes == 2 * len(self.SIZES)
+        assert dram.reads == 0
+        assert dram.bytes == 2 * sum(self.SIZES)

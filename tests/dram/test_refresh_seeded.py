@@ -74,7 +74,7 @@ def run_seed(seed, log):
         "events": sim.events_processed,
         "done": [done.get(tag) for tag in range(len(plan))],
         "busy": [res.busy_time() for res in resources],
-        "refreshes": ctrl.stats.counter("refreshes").value,
+        "refreshes": ctrl.refreshes,
         "grants": [[log.grants(res), log.wait_ps(res)] for res in resources],
     }
 

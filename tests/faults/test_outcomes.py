@@ -203,11 +203,11 @@ class TestFactoryBadIdempotence:
         first_scan = [die.is_bad_block(plane, block)
                       for plane in range(geometry.planes_per_die)
                       for block in range(geometry.blocks_per_plane)]
-        count = die.stats.counter("factory_bad_blocks").value
+        count = die.factory_bad_blocks
         assert count == sum(first_scan)
         assert 0 < count < len(first_scan)
         second_scan = [die.is_bad_block(plane, block)
                        for plane in range(geometry.planes_per_die)
                        for block in range(geometry.blocks_per_plane)]
         assert second_scan == first_scan
-        assert die.stats.counter("factory_bad_blocks").value == count
+        assert die.factory_bad_blocks == count

@@ -69,8 +69,7 @@ class TestConservation:
         sim = Simulator()
         device = SsdDevice(sim, tiny_arch())
         run_workload(sim, device, sequential_write(4096 * 50))
-        programs = sum(c.stats.counter("programs").value
-                       for c in device.channels)
+        programs = sum(c.programs for c in device.channels)
         assert programs == 50  # WAF 1.0: no amplification
 
 

@@ -55,7 +55,7 @@ class TestRecoveryTiers:
             arch(rber_scale=3.6, retry_rber_scale=1.0, read_retry_max=4),
             sequential_read(4096 * 32), preload=True)
         retry_successes = sum(
-            channel.stats.counter("read_retry_success").value
+            channel.read_retry_success
             for channel in reader.channels)
         assert retry_successes > 0                       # tier 1
         assert read_result.read_retries > 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.kernel import Component, Simulator
-from repro.kernel.stats import Accumulator, Counter, UtilizationTracker
+from repro.kernel.stats import Accumulator, UtilizationTracker
 
 
 @pytest.fixture
@@ -37,12 +37,6 @@ class TestComponent:
 
 
 class TestCounterAccumulator:
-    def test_counter(self):
-        counter = Counter()
-        counter.increment()
-        counter.increment(5)
-        assert counter.value == 6
-
     def test_accumulator_stats(self):
         acc = Accumulator()
         for sample in (2.0, 4.0, 6.0):

@@ -36,7 +36,7 @@ class TestFaultDraws:
         again = [die.is_bad_block(0, b) for b in range(64)]
         assert first == again
         # Counter tallies each bad block exactly once, not per query.
-        assert die.stats.counter("factory_bad_blocks").value == sum(first)
+        assert die.factory_bad_blocks == sum(first)
 
     def test_mark_bad_grows_bad_blocks(self, sim):
         die = make_die(sim)
@@ -44,21 +44,21 @@ class TestFaultDraws:
         die.mark_bad(0, 5)
         die.mark_bad(0, 5)  # idempotent
         assert die.bad_block_count == 1
-        assert die.stats.counter("grown_bad_blocks").value == 1
+        assert die.grown_bad_blocks == 1
         assert die.is_bad_block(0, 5)
 
     def test_program_status_fail_flagged(self, sim):
         die = make_die(sim, program_fail_prob=1.0)
         sim.run(until=sim.process(die.program(PageAddress(0, 0, 0))))
         assert die.failed_programs == (PageAddress(0, 0, 0),)
-        assert die.stats.counter("program_fails").value == 1
+        assert die.program_fails == 1
 
     def test_erase_fail_retires_block(self, sim):
         die = make_die(sim, erase_fail_prob=1.0)
         sim.run(until=sim.process(die.erase(0, 3)))
         assert die.last_erase_failed
         assert die.is_bad_block(0, 3)
-        assert die.stats.counter("erase_fails").value == 1
+        assert die.erase_fails == 1
 
     def test_stuck_busy_extends_operation(self):
         plain_sim, faulty_sim = Simulator(), Simulator()
@@ -70,7 +70,7 @@ class TestFaultDraws:
         faulty_sim.run(until=faulty_sim.process(
             faulty.read(PageAddress(0, 0, 0))))
         assert faulty_sim.now == plain_sim.now + us(500)
-        assert faulty.stats.counter("stuck_busy_faults").value == 1
+        assert faulty.stuck_busy_faults == 1
 
     def test_draw_read_errors_without_plan(self, sim):
         die = make_die(sim)
@@ -87,7 +87,7 @@ class TestFaultDraws:
                        for b in range(64))
 
         assert total(worn) > total(fresh)
-        assert worn.stats.counter("read_bit_errors").value > 0
+        assert worn.read_bit_errors > 0
 
 
 class TestProtocolErrors:
@@ -146,7 +146,7 @@ class TestProtocolErrors:
         assert die.begin_program(address) == die.timing.program_time(
             address.page, address.block)
         die.finish_program(address)
-        assert die.stats.counter("multiplane_programs").value == 0
+        assert die.multiplane_programs == 0
 
 
 class TestMultiplaneFaults:
@@ -164,8 +164,8 @@ class TestMultiplaneFaults:
             dual.program(PageAddress(0, 0, 0), PageAddress(1, 0, 0))))
         assert dual.failed_programs == (PageAddress(0, 0, 0),
                                         PageAddress(1, 0, 0))
-        assert dual.stats.counter("program_fails").value == 2
-        assert dual.stats.counter("stuck_busy_faults").value == 2
+        assert dual.program_fails == 2
+        assert dual.stuck_busy_faults == 2
         # The slowest plane's time includes its stuck-busy draw.
         assert dual_sim.now >= single_sim.now + dual.multiplane_overhead_ps
 
@@ -175,13 +175,13 @@ class TestMultiplaneFaults:
         assert die.last_erase_failed
         assert die.is_bad_block(0, 3)
         assert die.is_bad_block(1, 3)
-        assert die.stats.counter("erase_fails").value == 2
+        assert die.erase_fails == 2
 
     def test_read_sticks_on_every_plane(self, sim):
         die = make_die(sim, geometry=GEO2, stuck_busy_prob=1.0,
                        stuck_busy_extra_ps=us(500))
         sim.run(until=sim.process(die.read(PageAddress(0, 0, 0),
                                            PageAddress(1, 0, 0))))
-        assert die.stats.counter("stuck_busy_faults").value == 2
+        assert die.stuck_busy_faults == 2
         assert sim.now == (die.timing.read_time() + us(500)
                            + die.multiplane_overhead_ps)

@@ -44,8 +44,8 @@ class TestMultiplaneProgram:
     def test_counts_programs_per_plane(self, sim):
         die = make_die(sim)
         sim.run(until=sim.process(die.program(*PAIR)))
-        assert die.stats.counter("programs").value == 2
-        assert die.stats.counter("multiplane_programs").value == 1
+        assert die.programs == 2
+        assert die.multiplane_programs == 1
 
     def test_rejects_same_plane(self, sim):
         die = make_die(sim)
@@ -79,8 +79,8 @@ class TestMultiplaneProgram:
         duration = sim.run(until=sim.process(die.program(address)))
         assert duration == die.timing.program_time(address.page,
                                                    address.block)
-        assert die.stats.counter("multiplane_programs").value == 0
-        assert die.stats.counter("programs").value == 1
+        assert die.multiplane_programs == 0
+        assert die.programs == 1
 
 
 class TestMultiplaneReadErase:
@@ -94,7 +94,7 @@ class TestMultiplaneReadErase:
 
         rbers = sim.run(until=sim.process(flow()))
         assert len(rbers) == 2
-        assert die.stats.counter("multiplane_reads").value == 1
+        assert die.multiplane_reads == 1
 
     def test_read_time_near_single(self, sim):
         die = make_die(sim)
@@ -114,13 +114,13 @@ class TestMultiplaneReadErase:
         assert die.write_pointer(1, 0) == 0
         assert die.pe_cycles(0, 0) == 1
         assert die.pe_cycles(1, 0) == 1
-        assert die.stats.counter("multiplane_erases").value == 1
+        assert die.multiplane_erases == 1
 
     def test_erase_validation(self, sim):
         die = make_die(sim)
         # One block is the single-plane erase.
         sim.run(until=sim.process(die.erase(0, 0)))
-        assert die.stats.counter("multiplane_erases").value == 0
+        assert die.multiplane_erases == 0
         with pytest.raises(NandProtocolError):
             sim.run(until=sim.process(die.erase(0, 0, (0, 1))))
 
@@ -139,7 +139,7 @@ class TestMultiplaneSharesSinglePlaneChecks:
             sim.run(until=sim.process(die.program(PageAddress(0, 0, 0))))
         assert die.write_pointer(0, 0) == GEO.pages_per_block
         assert die.write_pointer(1, 0) == GEO.pages_per_block
-        assert die.stats.counter("programs").value == 0
+        assert die.programs == 0
 
     def test_erase_reopens_preloaded_blocks(self, sim):
         die = make_die(sim)
@@ -158,11 +158,11 @@ class TestMultiplaneSharesSinglePlaneChecks:
         die = make_die(sim)
         addresses = [PageAddress(0, 0, 3), PageAddress(1, 0, 3)]
         sim.run(until=sim.process(die.read(*addresses)))
-        assert die.stats.counter("reads_unwritten").value == 2
+        assert die.reads_unwritten == 2
         die.preload_all()
         sim.run(until=sim.process(die.read(*addresses)))
-        assert die.stats.counter("reads_unwritten").value == 2
-        assert die.stats.counter("reads").value == 4
+        assert die.reads_unwritten == 2
+        assert die.reads == 4
 
 
 def make_controller(sim, ecc=None, **kwargs):
@@ -204,7 +204,7 @@ class TestControllerMultiplane:
 
         elapsed = sim.run(until=sim.process(flow()))
         assert elapsed > 0
-        assert controller.stats.counter("reads").value == 2
+        assert controller.reads == 2
 
     @pytest.mark.parametrize("generator, kwargs", [
         ("program_page", {}),
@@ -242,8 +242,8 @@ class TestCacheProgram:
         controller = make_controller(sim)
         sim.run(until=sim.process(controller.program_page(
             0, 0, PageAddress(0, 0, 0), cached=True)))
-        assert controller.stats.counter("cached_programs").value == 1
-        assert controller.stats.counter("programs").value == 1
+        assert controller.cached_programs == 1
+        assert controller.programs == 1
 
 
 class TestEveryFormHonoursFaults:
@@ -262,9 +262,9 @@ class TestEveryFormHonoursFaults:
             sim.run(until=sim.process(controller.program_page(
                 0, 0, PageAddress(0, 0, 0), *more, cached=cached)))
         assert info.value.address == PageAddress(0, 0, 0)
-        assert controller.stats.counter("program_fail_reports").value == 1
+        assert controller.program_fail_reports == 1
         die = controller.die(0, 0)
-        assert die.stats.counter("program_fails").value == 1 + len(more)
+        assert die.program_fails == 1 + len(more)
         # The pages are consumed even though the data is lost.
         assert die.write_pointer(0, 0) == 1
 
@@ -282,8 +282,8 @@ class TestEveryFormHonoursFaults:
         assert str(PageAddress(0, 0, 0)) not in str(info.value)
         die = controller.die(0, 0)
         assert die.failed_programs == (PageAddress(1, 0, 0),)
-        assert die.stats.counter("program_fails").value == 1
-        assert controller.stats.counter("program_fail_reports").value == 1
+        assert die.program_fails == 1
+        assert controller.program_fail_reports == 1
 
     def test_two_plane_read_climbs_the_retry_ladder(self, sim):
         """~220 mean errors per codeword on the first sense (t=40 at
@@ -299,10 +299,10 @@ class TestEveryFormHonoursFaults:
             yield sim.process(controller.read_page(0, 0, *PAIR))
 
         sim.run(until=sim.process(flow()))
-        retries = controller.stats.counter("read_retries").value
+        retries = controller.read_retries
         assert retries >= 1
-        assert controller.stats.counter("read_retry_success").value == 1
-        assert controller.stats.counter("reads").value == 2
+        assert controller.read_retry_success == 1
+        assert controller.reads == 2
         die = controller.die(0, 0)
-        assert die.stats.counter("reads").value == 2 * (1 + retries)
-        assert die.stats.counter("read_bit_errors").value > 0
+        assert die.reads == 2 * (1 + retries)
+        assert die.read_bit_errors > 0

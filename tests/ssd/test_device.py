@@ -46,8 +46,7 @@ class TestWriteFlow:
     def test_programs_match_pages_written(self):
         arch = tiny_arch(cache_policy=CachePolicy.NO_CACHING)
         device, __ = run(arch, sequential_write(4096 * 32))
-        programs = sum(c.stats.counter("programs").value
-                       for c in device.channels)
+        programs = sum(c.programs for c in device.channels)
         assert programs >= 32  # host pages (+ occasional GC erase work)
 
     def test_cache_latency_below_no_cache(self):
@@ -63,7 +62,7 @@ class TestWriteFlow:
         for channel in device.channels:
             for way_dies in channel.dies:
                 for die in way_dies:
-                    assert die.stats.counter("programs").value > 0
+                    assert die.programs > 0
 
     def test_queue_depth_bounds_no_cache_throughput(self):
         deep = HostInterfaceSpec("deep", 300e6, 1_200_000, queue_depth=32)
@@ -92,15 +91,13 @@ class TestWriteFlow:
         arch = tiny_arch(waf=WafModel(random_waf=2.5),
                          cache_policy=CachePolicy.NO_CACHING)
         device, __ = run(arch, random_write(4096 * 48, span_bytes=1 << 20))
-        relocations = sum(c.stats.counter("gc_relocations").value
-                          for c in device.channels)
+        relocations = sum(c.gc_relocations for c in device.channels)
         assert relocations >= 48  # (2.5 - 1) x 48 = 72 expected, FIFO tail
 
     def test_sequential_waf_no_relocations(self):
         arch = tiny_arch(cache_policy=CachePolicy.NO_CACHING)
         device, __ = run(arch, sequential_write(4096 * 48))
-        relocations = sum(c.stats.counter("gc_relocations").value
-                          for c in device.channels)
+        relocations = sum(c.gc_relocations for c in device.channels)
         assert relocations == 0
 
 
@@ -109,13 +106,13 @@ class TestReadFlow:
         device, result = run(tiny_arch(), sequential_read(4096 * 32),
                              preload=True)
         assert device.commands_completed == 32
-        reads = sum(c.stats.counter("reads").value for c in device.channels)
+        reads = sum(c.reads for c in device.channels)
         assert reads == 32
 
     def test_preload_silences_unwritten_flags(self):
         device, __ = run(tiny_arch(), sequential_read(4096 * 16),
                          preload=True)
-        flags = sum(die.stats.counter("reads_unwritten").value
+        flags = sum(die.reads_unwritten
                     for c in device.channels
                     for way in c.dies for die in way)
         assert flags == 0
@@ -123,7 +120,7 @@ class TestReadFlow:
     def test_unpreloaded_reads_flagged_not_fatal(self):
         device, result = run(tiny_arch(), sequential_read(4096 * 8))
         assert device.commands_completed == 8
-        flags = sum(die.stats.counter("reads_unwritten").value
+        flags = sum(die.reads_unwritten
                     for c in device.channels
                     for way in c.dies for die in way)
         assert flags == 8
@@ -133,25 +130,22 @@ class TestDataPathModes:
     def test_host_ddr_skips_flash(self):
         device, __ = run(tiny_arch(), sequential_write(4096 * 16),
                          mode=DataPathMode.HOST_DDR)
-        programs = sum(c.stats.counter("programs").value
-                       for c in device.channels)
+        programs = sum(c.programs for c in device.channels)
         assert programs == 0
         assert device.commands_completed == 16
 
     def test_ddr_flash_skips_host_link(self):
         device, __ = run(tiny_arch(), sequential_write(4096 * 16),
                          mode=DataPathMode.DDR_FLASH)
-        assert device.hostif.stats.counter("transfers").value == 0
-        programs = sum(c.stats.counter("programs").value
-                       for c in device.channels)
+        assert device.hostif.transfers == 0
+        programs = sum(c.programs for c in device.channels)
         assert programs == 16
 
     def test_ddr_flash_ignores_cache_policy(self):
         arch = tiny_arch(cache_policy=CachePolicy.CACHING)
         device, result = run(arch, sequential_write(4096 * 16),
                              mode=DataPathMode.DDR_FLASH)
-        programs = sum(c.stats.counter("programs").value
-                       for c in device.channels)
+        programs = sum(c.programs for c in device.channels)
         assert programs == 16
         # Completion waits for flash: latency includes tPROG (>= 900 us).
         assert result.mean_latency_us > 900
@@ -175,9 +169,9 @@ class TestCompression:
         plain_dev, __ = run(plain, workload)
         squeezed_dev, __ = run(squeezed, workload)
         plain_programs = sum(
-            c.stats.counter("programs").value for c in plain_dev.channels)
+            c.programs for c in plain_dev.channels)
         squeezed_programs = sum(
-            c.stats.counter("programs").value for c in squeezed_dev.channels)
+            c.programs for c in squeezed_dev.channels)
         assert squeezed_programs < plain_programs
 
     def test_channel_compressor_also_reduces(self):
@@ -252,8 +246,7 @@ class TestTrim:
         command = IoCommand(IoOpcode.TRIM, 0, 8)
         sim.run(until=sim.process(device.execute(command)))
         assert device.commands_completed == 1
-        programs = sum(c.stats.counter("programs").value
-                       for c in device.channels)
+        programs = sum(c.programs for c in device.channels)
         assert programs == 0
 
 

@@ -40,8 +40,8 @@ class TestRemapOnProgramFail:
         remap the page; the host never sees an error."""
         arch = faulty_arch(program_fail_prob=0.2)
         device, result = run(arch, sequential_write(4096 * 32))
-        assert device.stats.counter("remapped_programs").value > 0
-        assert device.stats.counter("retired_blocks").value > 0
+        assert device.remapped_programs > 0
+        assert device.retired_blocks > 0
         assert device.commands_failed == 0
         assert device.commands_completed == 32
         assert result.remapped_programs > 0
@@ -54,14 +54,12 @@ class TestRemapOnProgramFail:
         device, result = run(arch, sequential_write(4096 * 16))
         assert device.commands_failed > 0
         assert result.failed_commands == device.commands_failed
-        assert device.stats.counter("failed_commands").value \
-            == device.commands_failed
 
     def test_spare_pool_exhaustion_fails_writes(self):
         arch = faulty_arch(program_fail_prob=1.0, spare_blocks_per_plane=0)
         device, __ = run(arch, sequential_write(4096 * 16))
         assert device.commands_failed == 16
-        assert device.stats.counter("retired_blocks").value > 0
+        assert device.retired_blocks > 0
 
     def test_failed_write_status(self):
         arch = faulty_arch(program_fail_prob=1.0, spare_blocks_per_plane=0)
@@ -85,7 +83,7 @@ class TestBadBlockManagement:
         arch = faulty_arch(factory_bad_prob=0.3)
         device, __ = run(arch, sequential_write(4096 * 32))
         factory_bad = sum(
-            die.stats.counter("factory_bad_blocks").value
+            die.factory_bad_blocks
             for channel in device.channels
             for way in channel.dies for die in way)
         assert factory_bad > 0

@@ -116,7 +116,7 @@ class TestCpuCyclesSentinel:
         cpu, elapsed = self._run_one(0)
         assert cpu.cycles_per_command == 0
         assert elapsed == 0
-        assert cpu.stats.counter("commands").value == 1
+        assert cpu.commands == 1
 
     def test_negative_rejected(self):
         sim = Simulator()

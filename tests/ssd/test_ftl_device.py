@@ -68,8 +68,7 @@ class TestWriteMirroring:
         workload = sequential_write(4096 * 200,
                                     span_bytes=lpn_span_bytes(device))
         run_workload(sim, device, workload)
-        timed = sum(c.stats.counter("programs").value
-                    for c in device.channels)
+        timed = sum(c.programs for c in device.channels)
         assert timed == device.backend.programs
 
     def test_timed_erases_match_ftl_erases(self):
@@ -77,8 +76,7 @@ class TestWriteMirroring:
         workload = random_write(4096 * 800,
                                 span_bytes=lpn_span_bytes(device))
         run_workload(sim, device, workload)
-        timed = sum(c.stats.counter("erases").value
-                    for c in device.channels)
+        timed = sum(c.erases for c in device.channels)
         assert timed == device.backend.erases
         assert timed > 0  # GC actually ran
 
@@ -132,17 +130,17 @@ class TestReadFlow:
             yield from device.execute(read)
 
         sim.run(until=sim.process(flow()))
-        reads = sum(c.stats.counter("reads").value for c in device.channels)
+        reads = sum(c.reads for c in device.channels)
         assert reads == 1
-        assert device.stats.counters.get("reads_unmapped") is None
+        assert device.reads_unmapped == 0
 
     def test_unmapped_read_skips_flash(self):
         sim, device = make_device()
         command = IoCommand(IoOpcode.READ, 0, 8)
         sim.run(until=sim.process(device.execute(command)))
-        reads = sum(c.stats.counter("reads").value for c in device.channels)
+        reads = sum(c.reads for c in device.channels)
         assert reads == 0
-        assert device.stats.counter("reads_unmapped").value == 1
+        assert device.reads_unmapped == 1
         assert device.commands_completed == 1
 
     def test_sequential_read_workload(self):
@@ -169,7 +167,7 @@ class TestTrim:
 
         sim.run(until=sim.process(flow()))
         assert device.ftl.trims == 1
-        assert device.stats.counter("reads_unmapped").value == 1
+        assert device.reads_unmapped == 1
 
 
 class TestWearLeveling:
@@ -236,9 +234,27 @@ class TestReplayChain:
         sim, device = make_device(faults=faults)
         sim.run(until=self.replay(device, self.ENTRIES[:3]))
         assert (sim.events_processed, sim.now) == (63, 4_158_789_569)
-        counts = [controller.stats.counter("ftl_program_faults").value
+        counts = [controller.ftl_program_faults
                   for controller in device.channels]
         assert counts == [2, 1]
+
+    def test_fault_plan_absorbs_and_counts_uncorrectable_reads(self):
+        # Cycle fidelity: only the read_page ladder draws bit errors.
+        # Every sense is over budget, so each of the three reads climbs
+        # one retry rung and is absorbed; the programs all pass.
+        faults = FaultConfig(enabled=True, rber_scale=1e6, read_retry_max=1,
+                             retry_rber_scale=1.0)
+        sim, device = make_device(faults=faults)
+        sim.run(until=self.replay(device, self.ENTRIES))
+        assert (sim.events_processed, sim.now) == (194, 5_196_477_569)
+        channels = device.channels
+        assert [c.ftl_read_faults for c in channels] == [1, 2]
+        assert [c.uncorrectable_reads for c in channels] == [1, 2]
+        assert [c.read_retries for c in channels] == [1, 2]
+        assert [c.reads for c in channels] == [0, 0]
+        assert [c.ftl_program_faults for c in channels] == [0, 0]
+        assert all(lock.in_use == 0
+                   for lock in device._replay_locks.values())
 
     def test_fault_plan_does_not_absorb_other_errors(self):
         faults = FaultConfig(enabled=True, bit_errors=False)

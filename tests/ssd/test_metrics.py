@@ -186,10 +186,8 @@ class TestMixedWorkloadThroughDevice:
         device.preload_for_reads()
         result = run_workload(sim, device, workload)
         assert result.commands == 60
-        reads = sum(c.stats.counter("reads").value
-                    for c in device.channels)
-        programs = sum(c.stats.counter("programs").value
-                       for c in device.channels)
+        reads = sum(c.reads for c in device.channels)
+        programs = sum(c.programs for c in device.channels)
         assert reads > 0 and programs > 0
 
 
