@@ -113,7 +113,7 @@ class ChannelWayController(Component):
         # PP-DMA between DRAM buffer and this controller's SRAM.
         self.ppdma = DmaEngine(sim, "ppdma", channels=2, setup_ps=ns(150),
                                parent=self)
-        # The device layer bumps the gc_* and ftl_* fault counts.
+        # The device layer bumps gc_relocations and the ftl_* fault counts.
         self.programs = 0
         self.reads = 0
         self.erases = 0
@@ -124,7 +124,6 @@ class ChannelWayController(Component):
         self.read_retry_success = 0
         self.uncorrectable_reads = 0
         self.gc_relocations = 0
-        self.gc_read_faults = 0
         self.ftl_program_faults = 0
         self.ftl_read_faults = 0
 

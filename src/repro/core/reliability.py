@@ -182,7 +182,9 @@ class ReliabilityEstimate:
     :func:`repro.ssd.metrics.collect_reliability`: each uncorrectable
     page read counts its full payload as bad bits, so the page-bit terms
     cancel and the proportion is ``uncorrectable_reads / page_reads`` —
-    a binomial count the Wilson interval applies to directly.
+    a binomial count the Wilson interval applies to directly, because
+    ``page_reads`` counts every judged page read, the uncorrectable ones
+    included.
     """
 
     cell: ReliabilityCell

@@ -64,7 +64,9 @@ from .lease import DEFAULT_LEASE_TTL_S, LeaseKeeper, LeaseQueue, atomic_write
 #: edges, so cached tenant payloads of sweep-7 are stale.
 #: sweep-9: the fidelity config lost its always-zero NAND overhead
 #: field, so every architecture reduces to a different canonical form.
-CODE_VERSION = "sweep-9"
+#: sweep-10: reliability page_reads counts uncorrectable reads too, so
+#: uber and retries_per_read of runs with uncorrectable reads moved.
+CODE_VERSION = "sweep-10"
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..host.tenants import (ARBITRATION_POLICIES, Tenant, TenantSpec,
-                            build_tenants, merge_tenants)
+                            arbitration_burst, build_tenants, merge_tenants)
 from ..host.workload import CommandListWorkload
 from ..obs.profile import render_columns
 from ..obs.spans import disable_observability, enable_observability
@@ -77,16 +77,16 @@ def _demanded_shares(specs: Sequence[TenantSpec],
     """Each tenant's demanded IOPS fraction.
 
     Open-loop sets demand their configured rates; closed-loop sets
-    demand what the arbitration policy promises — equal shares under
-    ``rr``, weight-proportional under ``wrr``.
+    demand what :func:`~repro.host.tenants.merge_tenants` admits per
+    round — each tenant's burst over the sum of bursts (equal shares
+    under ``rr``; weights capped at queue depth under ``wrr``).
     """
     if any(spec.open_loop for spec in specs):
         total = sum(spec.rate_iops for spec in specs)
         return [spec.rate_iops / total if total else 0.0 for spec in specs]
-    if policy == "wrr":
-        total = sum(spec.weight for spec in specs)
-        return [spec.weight / total for spec in specs]
-    return [1.0 / len(specs)] * len(specs)
+    bursts = [arbitration_burst(spec, policy) for spec in specs]
+    total = sum(bursts)
+    return [burst / total for burst in bursts]
 
 
 def _tenant_rows(tenants: Sequence[Tenant],
@@ -141,7 +141,7 @@ def _run_merged(arch: SsdArchitecture, tenants: Sequence[Tenant],
     """Merge the ``active`` tenants' streams and run them on one device.
 
     Every tenant in ``tenants`` keeps its namespace binding (so partition
-    bases, channel sets and qids are identical however many are active);
+    bases and channel sets are identical however many are active);
     only the active streams are arbitrated and driven.  Returns the
     merged ``(position in active, command)`` list and the RunResult.
     """

@@ -5,10 +5,11 @@ from . import nvme, sata, traces
 from .commands import IoCommand, IoOpcode, IoStatus, SECTOR_BYTES
 from .interface import (HostInterface, HostInterfaceSpec, pcie_nvme_spec,
                         sata2_spec, sata_spec)
-from .tenants import (ARBITRATION_POLICIES, NamespacePartition, QueueArbiter,
-                      TENANT_WORKLOADS, Tenant, TenantSpec, build_tenants,
-                      kv_store_workload, merge_tenants, page_io_workload,
-                      partition_namespaces, tenant_commands)
+from .tenants import (ARBITRATION_POLICIES, NamespacePartition,
+                      TENANT_WORKLOADS, Tenant, TenantSpec,
+                      arbitration_burst, build_tenants, kv_store_workload,
+                      merge_tenants, page_io_workload, partition_namespaces,
+                      tenant_commands)
 from .trace import (TraceError, format_trace, load_trace, parse_trace,
                     play_trace, save_trace)
 from .traces import (TraceProfile, TraceRecord, characterize,
@@ -24,7 +25,7 @@ __all__ = [
     "ARBITRATION_POLICIES", "AccessPattern", "CommandListWorkload",
     "HostInterface",
     "HostInterfaceSpec", "IOZONE_SUITE", "NamespacePartition",
-    "QueueArbiter", "TENANT_WORKLOADS", "Tenant", "TenantSpec",
+    "TENANT_WORKLOADS", "Tenant", "TenantSpec", "arbitration_burst",
     "build_tenants", "kv_store_workload", "merge_tenants",
     "page_io_workload", "partition_namespaces", "tenant_commands",
     "IoCommand", "IoOpcode", "IoStatus", "SECTOR_BYTES", "TraceError",

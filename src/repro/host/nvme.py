@@ -15,7 +15,7 @@ The aggregate per-command cost derived here is what
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 #: TLP header + framing bytes per PCIe packet (3-DW header + seq + LCRC).
 TLP_OVERHEAD_BYTES = 20
@@ -106,105 +106,3 @@ def nvme_command_overhead_ps(link: PcieLink = PcieLink()) -> int:
     total = nvme_command_total_ps(4096, link)
     payload_only = link.data_time_ps(4096)
     return total - payload_only
-
-
-class QueuePair:
-    """One NVMe submission/completion queue pair (ring book-keeping).
-
-    Pure state machine (no timing): the timed link work lives above.
-    Used by tests and by multi-queue arbitration studies.
-    """
-
-    def __init__(self, depth: int = 1024, qid: int = 0):
-        if not 2 <= depth <= 65536:
-            raise ValueError("queue depth must be in 2..65536")
-        self.depth = depth
-        self.qid = qid
-        self._sq_head = 0
-        self._sq_tail = 0
-        self._cq_count = 0
-        self.submitted = 0
-        self.completed = 0
-
-    @property
-    def outstanding(self) -> int:
-        return self.submitted - self.completed
-
-    @property
-    def sq_full(self) -> bool:
-        # One slot is sacrificed to distinguish full from empty.
-        return (self._sq_tail + 1) % self.depth == self._sq_head
-
-    def submit(self) -> int:
-        """Host writes an SQE and rings the doorbell; returns the slot."""
-        if self.sq_full:
-            raise RuntimeError(f"SQ {self.qid} full at depth {self.depth}")
-        slot = self._sq_tail
-        self._sq_tail = (self._sq_tail + 1) % self.depth
-        self.submitted += 1
-        return slot
-
-    def fetch(self) -> int:
-        """Controller consumes the oldest SQE."""
-        if self._sq_head == self._sq_tail:
-            raise RuntimeError(f"SQ {self.qid} empty")
-        slot = self._sq_head
-        self._sq_head = (self._sq_head + 1) % self.depth
-        return slot
-
-    def complete(self) -> None:
-        """Controller posts a CQE."""
-        if self.completed >= self.submitted:
-            raise RuntimeError(f"CQ {self.qid}: nothing to complete")
-        self.completed += 1
-
-
-def round_robin_arbitrate(queues: List[QueuePair],
-                          budget: int) -> List[int]:
-    """NVMe's default RR controller arbitration: pick up to ``budget``
-    SQEs, one per non-empty queue per round; returns the qids served."""
-    if budget < 0:
-        raise ValueError("budget must be >= 0")
-    served: List[int] = []
-    while len(served) < budget:
-        progress = False
-        for queue in queues:
-            if len(served) >= budget:
-                break
-            if queue._sq_head != queue._sq_tail:
-                queue.fetch()
-                served.append(queue.qid)
-                progress = True
-        if not progress:
-            break
-    return served
-
-
-def weighted_round_robin_arbitrate(queues: List[QueuePair],
-                                   weights: List[int],
-                                   budget: Optional[int] = None
-                                   ) -> List[int]:
-    """One round of NVMe weighted-round-robin arbitration.
-
-    Queue ``i`` is granted a burst of up to ``weights[i]`` SQEs per round
-    (the NVMe "arbitration burst" per priority queue); a queue that runs
-    dry mid-burst simply forfeits the remainder — credits never carry
-    over between rounds.  Returns the qids served, in service order; the
-    caller loops rounds until nothing is served.
-    """
-    if len(weights) != len(queues):
-        raise ValueError(f"{len(queues)} queues but {len(weights)} weights")
-    if any(weight < 1 for weight in weights):
-        raise ValueError("arbitration weights must be >= 1")
-    if budget is not None and budget < 0:
-        raise ValueError("budget must be >= 0")
-    served: List[int] = []
-    for queue, weight in zip(queues, weights):
-        for __ in range(weight):
-            if budget is not None and len(served) >= budget:
-                return served
-            if queue._sq_head == queue._sq_tail:
-                break
-            queue.fetch()
-            served.append(queue.qid)
-    return served

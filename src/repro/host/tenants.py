@@ -4,53 +4,41 @@
 inside one device, not one trace player.  This module models the host
 side of that: a :class:`Tenant` binds a named workload (IOZone-style
 synthetic generator, trace file, or an app-shaped key-value / page-I/O
-generator) to its own NVMe submission queue and LBA namespace partition,
-and a :class:`QueueArbiter` (round-robin or weighted-round-robin, built
-on :class:`~repro.host.nvme.QueuePair` and the arbitration primitives)
-interleaves the tenant streams into the single order in which commands
-enter the device.
+generator) to its own NVMe submission queue parameters and LBA namespace
+partition, and :func:`merge_tenants` (round-robin or
+weighted-round-robin) interleaves the tenant streams into the single
+order in which commands enter the device.
 
-The arbiter is a pure state machine, like the queue pairs it drives: in
-the closed-loop (saturating) regime every submission queue is non-empty
-whenever the controller arbitrates, so the service order is exactly the
-interleave the ring bookkeeping computes — per-tenant queue depth bounds
-how many SQEs a tenant can offer per round, and a weighted burst larger
-than the ring simply forfeits the remainder.  Open-loop tenants (paced
-arrivals) are merged by issue time, with the arbitration interleave
-breaking simultaneous-arrival ties.  Because the merge adds no simulated
-work, a single tenant degenerates *byte-identically* to the plain
+Admission has a closed form.  In the closed-loop (saturating) regime
+every submission queue is full whenever the controller arbitrates, so
+each round serves a fixed burst per tenant (:func:`arbitration_burst`):
+one SQE under ``rr``; ``weight`` SQEs under ``wrr``, capped at the
+``queue_depth`` the queue can offer at once.  A stream shorter than its
+burst forfeits the remainder.  Open-loop tenants (paced arrivals) are
+merged by issue time, with the arbitration interleave breaking
+simultaneous-arrival ties.  Because the merge adds no simulated work, a
+single tenant degenerates *byte-identically* to the plain
 single-initiator ``run_workload`` path — the property the tenant
 determinism tier locks.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from .commands import IoCommand, IoOpcode, SECTOR_BYTES
-from .nvme import (QueuePair, round_robin_arbitrate,
-                   weighted_round_robin_arbitrate)
-from .workload import CommandListWorkload, IOZONE_SUITE, mixed_workload
+from .workload import (CommandListWorkload, IOZONE_SUITE, mixed_workload,
+                       xorshift64)
 
-#: Arbitration policies the arbiter implements (NVMe round-robin and
-#: weighted-round-robin with burst == weight).
+#: Arbitration policies :func:`merge_tenants` implements (NVMe
+#: round-robin, and weighted-round-robin with burst == weight capped at
+#: the queue depth).
 ARBITRATION_POLICIES = ("rr", "wrr")
 
 #: Workload shapes a tenant can bind (plus the four IOZONE_SUITE keys).
 TENANT_WORKLOADS = tuple(sorted(IOZONE_SUITE)) + ("mixed", "kv", "pageio",
                                                   "trace")
-
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def _xorshift(state: int) -> int:
-    state ^= (state << 13) & _MASK64
-    state ^= state >> 7
-    state ^= (state << 17) & _MASK64
-    return state
-
 
 # ----------------------------------------------------------------------
 # App-shaped generators
@@ -84,7 +72,7 @@ def kv_store_workload(n_ops: int, value_bytes: int = 4096,
     commands: List[IoCommand] = []
     state = seed or 1
     for tag in range(n_ops):
-        state = _xorshift(state)
+        state = xorshift64(state)
         opcode = (IoOpcode.READ
                   if (state & 0xFFFF) / 65536.0 < read_fraction
                   else IoOpcode.WRITE)
@@ -128,13 +116,13 @@ def page_io_workload(n_commits: int, pages_per_commit: int = 3,
                                   sectors_per_page, tag=tag))
         tag += 1
         for __ in range(pages_per_commit):
-            state = _xorshift(state)
+            state = xorshift64(state)
             page = journal_pages + state % data_pages
             commands.append(IoCommand(IoOpcode.WRITE,
                                       page * sectors_per_page,
                                       sectors_per_page, tag=tag))
             tag += 1
-        state = _xorshift(state)
+        state = xorshift64(state)
         page = journal_pages + state % data_pages
         commands.append(IoCommand(IoOpcode.READ, page * sectors_per_page,
                                   sectors_per_page, tag=tag))
@@ -360,15 +348,11 @@ def partition_namespaces(specs: Sequence[TenantSpec],
 
 
 class Tenant:
-    """One initiator at runtime: spec + namespace + submission queue."""
+    """One initiator at runtime: spec + namespace + command stream."""
 
-    def __init__(self, spec: TenantSpec, partition: NamespacePartition,
-                 qid: int):
+    def __init__(self, spec: TenantSpec, partition: NamespacePartition):
         self.spec = spec
         self.partition = partition
-        # A ring of depth d holds d-1 entries (one slot distinguishes
-        # full from empty), so queue_depth usable slots need depth+1.
-        self.queue = QueuePair(depth=spec.queue_depth + 1, qid=qid)
         self.commands, self.pattern = tenant_commands(
             spec, base_lba=partition.base_lba)
 
@@ -379,7 +363,7 @@ class Tenant:
 
 def build_tenants(specs: Sequence[TenantSpec], n_channels: int = 0,
                   isolate_channels: bool = False) -> List[Tenant]:
-    """Bind specs to namespaces and queues; validates the set as a whole.
+    """Bind specs to namespaces; validates the set as a whole.
 
     Tenant names must be unique and the set must be uniformly closed- or
     open-loop — arbitration of a saturating stream against a paced one
@@ -397,116 +381,55 @@ def build_tenants(specs: Sequence[TenantSpec], n_channels: int = 0,
                          "open-loop (paced/trace) — not a mix")
     partitions = partition_namespaces(specs, n_channels=n_channels,
                                       isolate_channels=isolate_channels)
-    return [Tenant(spec, partition, qid=index)
-            for index, (spec, partition) in enumerate(zip(specs,
-                                                          partitions))]
+    return [Tenant(spec, partition)
+            for spec, partition in zip(specs, partitions)]
 
 
 # ----------------------------------------------------------------------
 # Arbitration
 
 
-class QueueArbiter:
-    """Controller-side arbitration over per-tenant submission queues.
+def arbitration_burst(spec: TenantSpec, policy: str) -> int:
+    """Commands a tenant is admitted per arbitration round.
 
-    ``policy`` is ``"rr"`` (one SQE per non-empty queue per round, NVMe's
-    default) or ``"wrr"`` (a burst of up to ``weights[i]`` per round).
-    Queue IDs must be unique — a collision is a host programming error
-    and is rejected up front, before any doorbell rings.
+    ``rr`` serves one SQE per non-empty queue per round (NVMe's
+    default).  ``wrr`` grants a burst of ``weight`` SQEs, but a queue
+    offers at most ``queue_depth`` of them at once, so the burst is
+    capped there and the rest forfeited.
     """
-
-    def __init__(self, queues: Sequence[QueuePair], policy: str = "rr",
-                 weights: Optional[Sequence[int]] = None):
-        if policy not in ARBITRATION_POLICIES:
-            raise ValueError(f"unknown arbitration policy {policy!r}; "
-                             f"choose from {list(ARBITRATION_POLICIES)}")
-        if not queues:
-            raise ValueError("at least one queue is required")
-        seen: Dict[int, int] = {}
-        for index, queue in enumerate(queues):
-            if queue.qid in seen:
-                raise ValueError(
-                    f"qid collision: queues {seen[queue.qid]} and {index} "
-                    f"both registered qid {queue.qid}")
-            seen[queue.qid] = index
-        self.queues = list(queues)
-        self.policy = policy
-        if weights is None:
-            weights = [1] * len(queues)
-        if len(weights) != len(queues):
-            raise ValueError(f"{len(queues)} queues but "
-                             f"{len(weights)} weights")
-        if any(weight < 1 for weight in weights):
-            raise ValueError("arbitration weights must be >= 1")
-        self.weights = [int(weight) for weight in weights]
-        self._index_of_qid = {queue.qid: index
-                              for index, queue in enumerate(queues)}
-
-    def arbitrate_round(self) -> List[int]:
-        """Serve one arbitration round; returns qids in service order."""
-        if self.policy == "rr":
-            pending = sum(1 for queue in self.queues
-                          if queue._sq_head != queue._sq_tail)
-            return round_robin_arbitrate(self.queues, budget=pending)
-        return weighted_round_robin_arbitrate(self.queues, self.weights)
-
-    def merge(self, streams: Sequence[Sequence[IoCommand]]
-              ) -> List[Tuple[int, IoCommand]]:
-        """Interleave the streams into device admission order.
-
-        Stream ``i`` feeds queue ``i``: commands are submitted into the
-        ring as space allows (per-tenant queue depth is the backpressure
-        bound) and fetched per policy round; each fetch is immediately
-        completed — ring occupancy models *submission* backpressure, the
-        device's own concurrency limits live downstream.  Returns
-        ``[(stream_index, command), ...]`` covering every input command
-        exactly once (conservation is property-tested).
-        """
-        if len(streams) != len(self.queues):
-            raise ValueError(f"{len(self.queues)} queues but "
-                             f"{len(streams)} streams")
-        iterators: List[Iterator[IoCommand]] = [iter(s) for s in streams]
-        fifos: List[deque] = [deque() for __ in streams]
-        drained = [False] * len(streams)
-
-        def refill(index: int) -> None:
-            queue = self.queues[index]
-            while not drained[index] and not queue.sq_full:
-                command = next(iterators[index], None)
-                if command is None:
-                    drained[index] = True
-                    break
-                queue.submit()
-                fifos[index].append(command)
-
-        order: List[Tuple[int, IoCommand]] = []
-        while True:
-            for index in range(len(streams)):
-                refill(index)
-            served = self.arbitrate_round()
-            if not served:
-                break
-            for qid in served:
-                index = self._index_of_qid[qid]
-                order.append((index, fifos[index].popleft()))
-                self.queues[index].complete()
-        return order
+    if policy == "rr":
+        return 1
+    if policy == "wrr":
+        return min(spec.weight, spec.queue_depth)
+    raise ValueError(f"unknown arbitration policy {policy!r}; "
+                     f"choose from {list(ARBITRATION_POLICIES)}")
 
 
 def merge_tenants(tenants: Sequence[Tenant], policy: str = "rr"
                   ) -> List[Tuple[int, IoCommand]]:
     """Arbitrate bound tenants into one admission order.
 
-    Closed-loop sets use the raw policy interleave.  Open-loop sets are
-    ordered by issue time — arbitration only matters when submissions
-    coincide, so the policy interleave serves as the tie-break (the sort
-    is stable).
+    Each round takes up to :func:`arbitration_burst` commands from every
+    stream, in tenant order; a stream shorter than its burst forfeits
+    the remainder.  Returns ``[(tenant index, command), ...]`` covering
+    every command exactly once, in per-tenant FIFO order.  Closed-loop
+    sets use that interleave as is.  Open-loop sets are ordered by issue
+    time — arbitration only matters when submissions coincide, so the
+    interleave serves as the tie-break (the sort is stable).
     """
-    arbiter = QueueArbiter([tenant.queue for tenant in tenants],
-                           policy=policy,
-                           weights=[tenant.spec.weight
-                                    for tenant in tenants])
-    order = arbiter.merge([tenant.commands for tenant in tenants])
+    bursts = [arbitration_burst(tenant.spec, policy) for tenant in tenants]
+    order: List[Tuple[int, IoCommand]] = []
+    rounds = 0
+    live = list(range(len(tenants)))
+    while live:
+        for index in live:
+            burst = bursts[index]
+            order.extend((index, command) for command in
+                         tenants[index].commands[rounds * burst:
+                                                 (rounds + 1) * burst])
+        rounds += 1
+        live = [index for index in live
+                if rounds * bursts[index] < len(tenants[index].commands)]
     if any(tenant.spec.open_loop or tenant.spec.workload == "trace"
            for tenant in tenants):
         order.sort(key=lambda pair: pair[1].issue_time_ps)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import List
 
 from ..commands import IoCommand, IoOpcode
+from ..workload import CommandListWorkload, xorshift64
 
 PRECONDITION_MODES = ("none", "fill", "steady")
 
@@ -57,9 +58,7 @@ def preconditioning_commands(span_sectors: int, mode: str = "steady",
     if mode == "steady":
         state = seed or 1
         for __ in range(int(blocks * overwrite_fraction)):
-            state ^= (state << 13) & 0xFFFFFFFFFFFFFFFF
-            state ^= state >> 7
-            state ^= (state << 17) & 0xFFFFFFFFFFFFFFFF
+            state = xorshift64(state)
             commands.append(IoCommand(IoOpcode.WRITE,
                                       (state % blocks) * sectors_per_block,
                                       sectors_per_block,
@@ -81,7 +80,6 @@ def run_preconditioning(sim, device, span_sectors: int,
     never pollutes the measured numbers.
     """
     from ...ssd.metrics import run_workload  # deferred: import cycle
-    from ..workload import CommandListWorkload
     commands = preconditioning_commands(
         span_sectors, mode=mode, block_bytes=block_bytes,
         overwrite_fraction=overwrite_fraction, seed=seed)

@@ -14,6 +14,20 @@ from typing import Iterator, List
 
 from .commands import IoCommand, IoOpcode, SECTOR_BYTES
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def xorshift64(state: int) -> int:
+    """One step of the 64-bit xorshift (13, 7, 17) generator.
+
+    Every seeded host stream (the IOZone generators, the mixed and
+    app-shaped workloads, steady preconditioning) draws from it.
+    """
+    state ^= (state << 13) & _MASK64
+    state ^= state >> 7
+    state ^= (state << 17) & _MASK64
+    return state
+
 
 class AccessPattern(enum.Enum):
     SEQUENTIAL = "sequential"
@@ -62,9 +76,7 @@ class Workload:
             if self.pattern is AccessPattern.SEQUENTIAL:
                 block_index = tag % blocks_in_span
             else:
-                state ^= (state << 13) & 0xFFFFFFFFFFFFFFFF
-                state ^= state >> 7
-                state ^= (state << 17) & 0xFFFFFFFFFFFFFFFF
+                state = xorshift64(state)
                 block_index = state % blocks_in_span
             yield IoCommand(self.opcode, block_index * sectors_per_block,
                             sectors_per_block, tag=tag)
@@ -128,9 +140,7 @@ def mixed_workload(total_bytes: int, read_fraction: float = 0.7,
     commands: List[IoCommand] = []
     state = seed or 1
     for tag in range(n_commands):
-        state ^= (state << 13) & 0xFFFFFFFFFFFFFFFF
-        state ^= state >> 7
-        state ^= (state << 17) & 0xFFFFFFFFFFFFFFFF
+        state = xorshift64(state)
         opcode = (IoOpcode.READ
                   if (state & 0xFFFF) / 65536.0 < read_fraction
                   else IoOpcode.WRITE)

@@ -630,9 +630,9 @@ class SsdDevice(Component):
             try:
                 yield controller.read(way, die_index, source)
             except UncorrectableReadError:
-                # The victim page is lost; count it and move on so one
-                # worn-out page cannot wedge the whole GC pipeline.
-                controller.gc_read_faults += 1
+                # The victim page is lost (the controller counted it in
+                # uncorrectable_reads); move on so one worn-out page
+                # cannot wedge the whole GC pipeline.
                 continue
             yield from self._program_with_remap(controller, target)
             controller.gc_relocations += 1

@@ -67,8 +67,8 @@ class RunResult:
     uncorrectable_reads: int = 0
     retired_blocks: int = 0
     remapped_programs: int = 0
-    #: Total page reads — the UBER denominator (in pages; multiply by
-    #: page bits for the JEDEC form).  Exported so replica estimators can
+    #: Total page reads, successful plus uncorrectable — the UBER
+    #: denominator (in pages; multiply by page bits for the JEDEC form).  Exported so replica estimators can
     #: pool exact counts instead of re-deriving them from ratios.
     page_reads: int = 0
     #: Write faults absorbed after a cached write was acknowledged (the
@@ -308,17 +308,18 @@ def collect_reliability(device: SsdDevice) -> Dict[str, object]:
 
     UBER approximates the JEDEC definition at page granularity: each
     uncorrectable page read counts its full payload as bad bits against
-    the total bits read.  Deterministic by construction: every term is a
-    pure function of the fault plan's seeded draws.
+    the total bits read, so ``uber = uncorrectable_reads / page_reads``.
+    ``page_reads`` counts every page read the ECC judged: the successful
+    ones plus the uncorrectable ones (host or GC reads alike).
+    Deterministic by construction: every term is a pure function of the
+    fault plan's seeded draws.
     """
-    reads = sum(c.reads for c in device.channels)
     retries = sum(c.read_retries for c in device.channels)
     uncorrectable = sum(c.uncorrectable_reads for c in device.channels)
-    page_bits = device.arch.geometry.page_bytes * 8
-    bits_read = reads * page_bits
+    reads = sum(c.reads for c in device.channels) + uncorrectable
     return {
         "failed_commands": device.commands_failed,
-        "uber": (uncorrectable * page_bits / bits_read) if bits_read else 0.0,
+        "uber": (uncorrectable / reads) if reads else 0.0,
         "read_retries": retries,
         "retries_per_read": (retries / reads) if reads else 0.0,
         "uncorrectable_reads": uncorrectable,

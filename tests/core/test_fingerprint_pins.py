@@ -1,9 +1,9 @@
 """Fingerprint pins: sweep keys are byte-stable across releases.
 
 Every key below was computed by the fingerprinting code under sweep
-salt ``sweep-9`` (the ``sweep-8`` keys, recorded before the by-class
-dispatch in ``canonical()`` landed, were re-pinned when the fidelity
-config lost its ``nand_overhead_ps`` field).
+salt ``sweep-10`` (re-pinned from the ``sweep-9`` keys, which the same
+points still reproduce under the old salt, when the reliability
+``page_reads`` denominator started counting uncorrectable reads).
 A result directory (``.sweep-cache``, a campaign's ``results/``) is
 addressed by these keys, so a change to how objects are reduced that
 moves any of them silently turns every cached result into a miss.  A
@@ -64,21 +64,21 @@ def pinned_points():
 
 
 PINS = {
-    't2-C1-cache': '416c158d67cae702b5e17446f1adff53013635040a2fc72acd53e3588c7e5784',
-    't2-C1-no-cache': 'b6856db6f8b022938221ec74b80c09603d1ff4dd83a3a9113b561f39e2c08069',
-    't2-C8-cache': '6d8af4f9b1ea9e8946046f79f507d0157161d384cfaca3ebe119c535fca6b7c9',
-    't2-C8-no-cache': 'b25b375f8b8ae7ad4606dffddff6c174ec5764d13ba4d519b71ca6e2fac45094',
-    't3-C1-cache': '312a32bc8191253f1fbb05944dbe91e8e14cc5cc661934f18691d03fb485d1d0',
-    't3-C1-no-cache': 'e4c9bcb73b2693d869c39890fb0431d4fcd55ee61ceb1b014e7a15e04577d656',
-    't3-C8-cache': '92f69e02f97b8c389c5a81a0fa104d84ee18831c2b57d7310af007c58eb1faf4',
-    't3-C8-no-cache': 'd4be62e32ff85a2099cd72a386397ace0666a5a6a6bad5cb231093eea174dada',
-    't2-C4-RR': 'efd77bea2b8088904bb27ac4c63748d91460ec82bf51e6d8039455457947b901',
-    'C2': '07bb8ba298e46ce79270e1bb578fbf3e6ca5ad15a2021d1befe95066ec9dfb43',
-    'C3': 'eca01c253cb85dd27157b2ebb48c14744b01fdd732e57cfe85440b409ebe17e4',
-    't2-wrr': 'c9847f9d76f83669d3add24b1ba4a270f3895552767a5ae0b04ce0f2a480d705',
-    'pagemap': '8b6306cad7fcf8ac3fbecdc0e2e54b02ee5988b74f04c8025d7ea6144bea9480',
-    'dftl@8KiB': 'e6bc820c7bfb5998b00bb348498e185a9f973d0e5cb4c1ee91cea12d20133669',
-    'params': 'f2d5bc9d52a5ab0814c2eca499d268f9e0a01b9b178810167f7c9ce2d69bfdd2',
+    't2-C1-cache': '3a0b9cd0edbf17e49213bf0a46f86c914bd32233be62154330b4f0866cc2b23c',
+    't2-C1-no-cache': 'c5d1277608f08e6bee9402edaa92d894c71fd8152ed3c035a9c859d548234531',
+    't2-C8-cache': '08f0bd909475d48320967f6b7e49a8609c59f268b3cc6419848dc82f9308af48',
+    't2-C8-no-cache': 'f1ede6919dbfe43ceddf71c011d2d3f1a0686fe1641431d98318b78a184bada1',
+    't3-C1-cache': 'f5403a04a902e677e37df1e072649f952f1bf5588bc0595da7b47b67b78d4d59',
+    't3-C1-no-cache': '358c4bf4eedba3e0762c85b423333b31508aa53d08c455f4cd9997ef5543c2d6',
+    't3-C8-cache': '14defef28b2391f90f522525b5e75e89372fcf124565ef3aff19195c5ac6ef0e',
+    't3-C8-no-cache': '3814465c8c2c72370a8c0e870858a9f0035dbca223d0c44fd4b31130bd586937',
+    't2-C4-RR': '9b932543cfb67da13e6c231913741648f3f5ac1c6ca26267ca07e58ccf241df0',
+    'C2': '9feb1526c8496481ced9700980f7cdc50b93d333afc9442fa6f6028873ba490e',
+    'C3': '94d4aec189abba1dfa8da61b51776edd10a020cc2f0eafa7fd3468f7bac0a522',
+    't2-wrr': 'dbc77daca0cfabf4ccf44797cfc5f49a5a2f0e1ac89292d063aadff2bc994110',
+    'pagemap': 'bc169aff6cf858f67153bcfef0cb25f52a0bb925fa8648f7d95cab01b6b9a2dd',
+    'dftl@8KiB': 'eeaf3c3d3a8fb7346358d23a9c13c73ab2d3e9e0267d084ea52c5d5df46d834d',
+    'params': 'c7c13cac04f6ef0bd51148523c0cb503627521a632399c23a695bb5fa037dbaf',
 }
 
 
@@ -89,7 +89,7 @@ def test_every_pinned_key_is_unchanged():
 
 def test_salt_is_the_pinned_one():
     # A salt bump re-keys every point on purpose: re-pin with it.
-    assert CODE_VERSION == "sweep-9"
+    assert CODE_VERSION == "sweep-10"
 
 
 @pytest.mark.parametrize("value", [object(), SsdArchitecture, TraceWorkload,

@@ -22,6 +22,10 @@ from repro.core import (Campaign, CampaignRunner, ParetoEntry,
                         run_reliability_campaign, run_worker,
                         wilson_interval)
 from repro.core.sweep import CODE_VERSION
+from repro.host import random_write
+from repro.kernel import Simulator
+from repro.ssd import SsdDevice, run_workload
+from tests.ssd.test_fault_recovery import worn_gc_arch
 
 fork_only = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -151,6 +155,19 @@ class TestAggregation:
         estimate = aggregate_estimates(payloads)["rel/read/1/s8"]
         assert estimate.uber == pytest.approx(0.01)
         assert estimate.half_width("uber") > 0
+
+    def test_pools_a_run_with_uncorrectable_gc_reads(self):
+        # Every page the worn drive's GC reads is lost; the payload's
+        # page_reads counts those reads, so the pooled binomial is valid.
+        sim = Simulator()
+        device = SsdDevice(sim, worn_gc_arch())
+        result = run_workload(sim, device, random_write(4096 * 200))
+        estimate = aggregate_estimates(
+            {"rel/write/1/s8/r00000": result.to_payload()})["rel/write/1/s8"]
+        assert estimate.page_reads == estimate.uncorrectable_reads == 259
+        assert estimate.uber == 1.0
+        low, high = estimate.uber_ci
+        assert low < 1.0 == high
 
     def test_rejects_non_replica_names(self):
         with pytest.raises(ValueError):

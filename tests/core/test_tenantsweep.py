@@ -141,6 +141,20 @@ def test_sweep_table_flattens_per_tenant_rows():
     assert rows[1]["demanded_share"] == pytest.approx(2.0 / 3.0)
 
 
+def test_demanded_share_is_the_capped_wrr_burst_fraction():
+    # Weight 4 at queue depth 2 admits bursts of 2, not 4: demand is
+    # each tenant's burst over the sum of bursts, as merge_tenants
+    # serves it, not the raw weight fraction [0.8, 0.2].
+    specs = [TenantSpec(name="a", workload="SW", n_commands=8,
+                        span_bytes=1 << 20, weight=4, queue_depth=2),
+             TenantSpec(name="b", workload="SW", n_commands=8,
+                        span_bytes=1 << 20, weight=1, queue_depth=8)]
+    payload, __ = run_tenant_mix(tenants_base_architecture(), specs,
+                                 policy="wrr")
+    assert [row["demanded_share"] for row in payload["tenants"]] \
+        == pytest.approx([2.0 / 3.0, 1.0 / 3.0])
+
+
 @pytest.mark.slow
 def test_sweep_identical_workers_1_vs_4():
     serial = tenant_sweep(counts=[1, 2], runner=SweepRunner(workers=1))

@@ -1,47 +1,47 @@
 """Seeded property suite for queue arbitration.
 
-The satellite contract: over random tenant mixes and seeds,
+The contract: over random tenant mixes and seeds,
 
 * round-robin serves within ±1 command of equal share at every point
   while all streams still have work,
 * weighted-round-robin shares converge to the configured weights (and
-  are *exact* over full rounds while every ring can cover its burst),
+  are *exact* over full rounds while every queue can offer its burst),
 * no tenant starves — a stream with pending work is served at least
   once per arbitration round,
 * conservation — the merge covers every submitted command exactly once,
   in per-stream FIFO order.
 
-Everything here is a pure state machine (no simulator), so properties
-are asserted exactly, not statistically.
+Admission is a closed form (:func:`arbitration_burst` commands per
+tenant per round, no simulator), so properties are asserted exactly,
+not statistically.
 """
 
 import random
 
 import pytest
 
-from repro.host.commands import IoCommand, IoOpcode
-from repro.host.nvme import (QueuePair, round_robin_arbitrate,
-                             weighted_round_robin_arbitrate)
-from repro.host.tenants import QueueArbiter
+from repro.host.tenants import (TenantSpec, arbitration_burst, build_tenants,
+                                merge_tenants)
 
 SEEDS = [11, 137, 4242, 90210, 777216]
 
 
-def make_streams(rng, n_streams, low=5, high=40):
-    streams = []
-    for index in range(n_streams):
-        length = rng.randint(low, high)
-        streams.append([IoCommand(IoOpcode.READ, 8 * (index * 1024 + i), 8,
-                                  tag=index * 1024 + i)
-                        for i in range(length)])
-    return streams
+def spec(index, n_commands, weight=1, queue_depth=8):
+    return TenantSpec(name=f"t{index}", workload="SW", n_commands=n_commands,
+                      span_bytes=1 << 20, weight=weight,
+                      queue_depth=queue_depth)
 
 
-def make_queues(rng, n_streams, min_usable=1):
-    # A ring of depth d holds d - 1 entries.
-    return [QueuePair(depth=rng.randint(min_usable + 1, min_usable + 8),
-                      qid=index)
-            for index in range(n_streams)]
+def make_tenants(rng, n_streams, weights=None, depths=None, low=5, high=40):
+    weights = weights or [1] * n_streams
+    depths = depths or [rng.randint(1, 8) for __ in range(n_streams)]
+    return build_tenants([spec(index, rng.randint(low, high),
+                               weights[index], depths[index])
+                          for index in range(n_streams)])
+
+
+def streams_of(order):
+    return [index for index, __ in order]
 
 
 # ----------------------------------------------------------------------
@@ -52,10 +52,9 @@ def make_queues(rng, n_streams, min_usable=1):
 def test_rr_share_stays_within_one_command_of_equal(seed):
     rng = random.Random(seed)
     n_streams = rng.randint(2, 6)
-    streams = make_streams(rng, n_streams)
-    arbiter = QueueArbiter(make_queues(rng, n_streams))
-    order = arbiter.merge(streams)
-    remaining = [len(stream) for stream in streams]
+    tenants = make_tenants(rng, n_streams)
+    order = merge_tenants(tenants, policy="rr")
+    remaining = [len(tenant.commands) for tenant in tenants]
     served = [0] * n_streams
     for index, __ in order:
         served[index] += 1
@@ -66,16 +65,13 @@ def test_rr_share_stays_within_one_command_of_equal(seed):
 
 
 def test_rr_primitive_serves_one_per_nonempty_queue_per_pass():
-    queues = [QueuePair(depth=8, qid=qid) for qid in range(3)]
-    for queue in queues:
-        for __ in range(5):
-            queue.submit()
-    assert round_robin_arbitrate(queues, budget=7) \
-        == [0, 1, 2, 0, 1, 2, 0]
-    # Budget past the total pending drains and stops (q0 dries first:
-    # it was served one extra in the truncated pass above).
-    assert round_robin_arbitrate(queues, budget=100) \
-        == [0, 1, 2, 0, 1, 2, 1, 2]
+    tenants = build_tenants([spec(0, 2, weight=3), spec(1, 5, weight=2),
+                             spec(2, 3, queue_depth=1)])
+    assert [arbitration_burst(tenant.spec, "rr")
+            for tenant in tenants] == [1, 1, 1]
+    # Weights and depths play no part; a drained stream drops out.
+    assert streams_of(merge_tenants(tenants, policy="rr")) \
+        == [0, 1, 2, 0, 1, 2, 1, 2, 1, 1]
 
 
 # ----------------------------------------------------------------------
@@ -88,13 +84,12 @@ def test_wrr_shares_are_exact_over_full_rounds(seed):
     n_streams = rng.randint(2, 5)
     weights = [rng.randint(1, 5) for __ in range(n_streams)]
     length = 30 * max(weights)
-    streams = make_streams(rng, n_streams, low=length, high=length)
-    # Every ring can hold a full burst, so no burst is forfeited.
-    queues = [QueuePair(depth=weights[index] + 1 + rng.randint(0, 4),
-                        qid=index)
+    # Every queue can offer a full burst, so no burst is forfeited.
+    depths = [weights[index] + rng.randint(0, 4)
               for index in range(n_streams)]
-    order = QueueArbiter(queues, policy="wrr",
-                         weights=weights).merge(streams)
+    tenants = make_tenants(rng, n_streams, weights, depths,
+                           low=length, high=length)
+    order = merge_tenants(tenants, policy="wrr")
     per_round = sum(weights)
     rounds = length // (2 * max(weights))   # all streams still live
     for completed in range(1, rounds + 1):
@@ -110,11 +105,10 @@ def test_wrr_converges_to_weight_proportional_shares(seed):
     n_streams = rng.randint(2, 5)
     weights = [rng.randint(1, 5) for __ in range(n_streams)]
     length = 40 * max(weights)
-    streams = make_streams(rng, n_streams, low=length, high=length)
-    queues = [QueuePair(depth=weights[index] + 2, qid=index)
-              for index in range(n_streams)]
-    order = QueueArbiter(queues, policy="wrr",
-                         weights=weights).merge(streams)
+    depths = [weight + 1 for weight in weights]
+    tenants = make_tenants(rng, n_streams, weights, depths,
+                           low=length, high=length)
+    order = merge_tenants(tenants, policy="wrr")
     # Shares over the window where everyone is live: within 5% of the
     # configured weight fractions (exactness is asserted above; this
     # pins the user-facing convergence claim).
@@ -126,17 +120,22 @@ def test_wrr_converges_to_weight_proportional_shares(seed):
 
 
 def test_wrr_burst_forfeits_remainder_when_dry():
-    starved = QueuePair(depth=8, qid=0)
-    greedy = QueuePair(depth=8, qid=1)
-    starved.submit()
-    for __ in range(3):
-        greedy.submit()
-    # Weight 4 but only one entry: the remainder is forfeited, not
-    # carried over to the next round.
-    assert weighted_round_robin_arbitrate([starved, greedy], [4, 2]) \
-        == [0, 1, 1]
-    assert weighted_round_robin_arbitrate([starved, greedy], [4, 2]) \
-        == [1]
+    # Weight 4 over 5 commands: the second burst finds one command and
+    # forfeits the rest; nothing carries over to the following round.
+    tenants = build_tenants([spec(0, 5, weight=4), spec(1, 6, weight=2)])
+    assert streams_of(merge_tenants(tenants, policy="wrr")) \
+        == [0, 0, 0, 0, 1, 1, 0, 1, 1, 1, 1]
+
+
+def test_wrr_burst_is_capped_at_queue_depth():
+    # A queue offers at most queue_depth SQEs at once: weight 4 at depth
+    # 2 serves bursts of 2 and forfeits the other 2 every round.
+    tenants = build_tenants([spec(0, 6, weight=4, queue_depth=2),
+                             spec(1, 3, weight=1)])
+    assert [arbitration_burst(tenant.spec, "wrr")
+            for tenant in tenants] == [2, 1]
+    assert streams_of(merge_tenants(tenants, policy="wrr")) \
+        == [0, 0, 1, 0, 0, 1, 0, 0, 1]
 
 
 # ----------------------------------------------------------------------
@@ -149,10 +148,8 @@ def test_no_stream_starves_while_it_has_work(seed, policy):
     rng = random.Random(seed)
     n_streams = rng.randint(2, 6)
     weights = [rng.randint(1, 5) for __ in range(n_streams)]
-    streams = make_streams(rng, n_streams)
-    arbiter = QueueArbiter(make_queues(rng, n_streams), policy=policy,
-                           weights=weights)
-    order = arbiter.merge(streams)
+    tenants = make_tenants(rng, n_streams, weights)
+    order = merge_tenants(tenants, policy=policy)
     # Between consecutive services of a live stream at most two rounds
     # minus its own bursts can elapse; 2 * sum(weights) bounds it for
     # both policies (rr weights are effectively all ones).
@@ -177,18 +174,14 @@ def test_merge_conserves_every_command_in_fifo_order(seed, policy):
     rng = random.Random(seed)
     n_streams = rng.randint(1, 6)
     weights = [rng.randint(1, 5) for __ in range(n_streams)]
-    streams = make_streams(rng, n_streams)
-    arbiter = QueueArbiter(make_queues(rng, n_streams), policy=policy,
-                           weights=weights)
-    order = arbiter.merge(streams)
-    assert len(order) == sum(len(stream) for stream in streams)
+    tenants = make_tenants(rng, n_streams, weights)
+    order = merge_tenants(tenants, policy=policy)
+    assert len(order) == sum(len(tenant.commands) for tenant in tenants)
     recovered = [[] for __ in range(n_streams)]
     for index, command in order:
         recovered[index].append(command)
-    for index, stream in enumerate(streams):
+    for index, tenant in enumerate(tenants):
         # Identity, not equality: the exact objects, in FIFO order.
-        assert len(recovered[index]) == len(stream)
+        assert len(recovered[index]) == len(tenant.commands)
         assert all(got is expected for got, expected
-                   in zip(recovered[index], stream))
-    for queue in arbiter.queues:
-        assert queue.outstanding == 0
+                   in zip(recovered[index], tenant.commands))

@@ -4,14 +4,14 @@ including consistency with the folded cycle-accurate interface specs."""
 import pytest
 
 from repro.host import pcie_nvme_spec, sata2_spec
-from repro.host.nvme import (CQE_BYTES, MAX_PAYLOAD_SIZE, PcieLink,
-                             QueuePair, SQE_BYTES, nvme_command_overhead_ps,
-                             nvme_command_total_ps, nvme_write_sequence,
-                             round_robin_arbitrate)
+from repro.host.nvme import (MAX_PAYLOAD_SIZE, PcieLink,
+                             nvme_command_overhead_ps, nvme_command_total_ps,
+                             nvme_write_sequence)
 from repro.host.sata import (DATA_FIS_MAX_PAYLOAD, SataLink, data_fis_count,
                              effective_bandwidth_bps,
                              ncq_command_overhead_ps, ncq_command_total_ps,
                              ncq_write_sequence)
+from repro.host.tenants import TenantSpec, build_tenants, merge_tenants
 
 
 class TestSataLink:
@@ -140,67 +140,18 @@ class TestNvmeSequence:
             > 10 * nvme_command_total_ps(4096, link)
 
 
-class TestQueuePair:
-    def test_submit_fetch_complete_cycle(self):
-        queue = QueuePair(depth=4)
-        slot = queue.submit()
-        assert slot == 0
-        assert queue.outstanding == 1
-        assert queue.fetch() == 0
-        queue.complete()
-        assert queue.outstanding == 0
-
-    def test_ring_wraps(self):
-        queue = QueuePair(depth=4)
-        for __ in range(9):  # exceeds depth: ring must wrap
-            queue.submit()
-            queue.fetch()
-            queue.complete()
-        assert queue.completed == 9
-
-    def test_full_queue_rejects(self):
-        queue = QueuePair(depth=4)
-        for __ in range(3):  # depth-1 usable slots
-            queue.submit()
-        assert queue.sq_full
-        with pytest.raises(RuntimeError):
-            queue.submit()
-
-    def test_empty_fetch_rejects(self):
-        with pytest.raises(RuntimeError):
-            QueuePair(depth=4).fetch()
-
-    def test_spurious_completion_rejects(self):
-        with pytest.raises(RuntimeError):
-            QueuePair(depth=4).complete()
-
-    def test_depth_validation(self):
-        with pytest.raises(ValueError):
-            QueuePair(depth=1)
-        with pytest.raises(ValueError):
-            QueuePair(depth=65537)
+def tenants_of(*lengths):
+    return build_tenants([TenantSpec(name=f"t{index}", workload="SW",
+                                     n_commands=length, span_bytes=1 << 20)
+                          for index, length in enumerate(lengths)])
 
 
 class TestArbitration:
     def test_round_robin_fair(self):
-        queues = [QueuePair(depth=8, qid=i) for i in range(3)]
-        for queue in queues:
-            for __ in range(4):
-                queue.submit()
-        served = round_robin_arbitrate(queues, budget=6)
-        assert served == [0, 1, 2, 0, 1, 2]
+        order = merge_tenants(tenants_of(4, 4, 4), policy="rr")
+        assert [index for index, __ in order] == [0, 1, 2] * 4
 
     def test_skips_empty_queues(self):
-        queues = [QueuePair(depth=8, qid=0), QueuePair(depth=8, qid=1)]
-        queues[1].submit()
-        queues[1].submit()
-        assert round_robin_arbitrate(queues, budget=4) == [1, 1]
-
-    def test_budget_zero(self):
-        queues = [QueuePair(depth=8, qid=0)]
-        queues[0].submit()
-        assert round_robin_arbitrate(queues, budget=0) == []
-
-    def test_negative_budget(self):
-        with pytest.raises(ValueError):
-            round_robin_arbitrate([], budget=-1)
+        # Once a stream drains, its queue stays empty and is skipped.
+        order = merge_tenants(tenants_of(1, 3), policy="rr")
+        assert [index for index, __ in order] == [0, 1, 1, 1]

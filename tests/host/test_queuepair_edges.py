@@ -1,109 +1,48 @@
-"""Queue-pair edge cases: backpressure, collisions, minimal rings.
+"""Submission-queue edge cases: depth bounds, arbitration inputs,
+minimal queues.
 
-The satellite contract: ``sq_full`` backpressure is a hard error (the
-host must not overwrite a live SQE), registering two queues under one
-qid is rejected before any doorbell rings, and depth-1 usable queues
-still interleave correctly under weighted arbitration (a burst larger
-than the ring forfeits, it does not deadlock).
+The contract: a tenant's usable queue depth is bounded to NVMe's
+1..65535 slots, malformed arbitration inputs are rejected before any
+command is admitted, and depth-1 queues still interleave correctly under
+weighted arbitration (a burst larger than the queue forfeits, it does
+not deadlock).
 """
 
 import pytest
 
-from repro.host.nvme import QueuePair, weighted_round_robin_arbitrate
-from repro.host.tenants import (QueueArbiter, TenantSpec, build_tenants,
+from repro.host.tenants import (TenantSpec, arbitration_burst, build_tenants,
                                 merge_tenants)
 
 
-# ----------------------------------------------------------------------
-# Ring backpressure
-
-
 def test_depth_bounds_are_enforced():
-    with pytest.raises(ValueError, match="2..65536"):
-        QueuePair(depth=1)
-    with pytest.raises(ValueError, match="2..65536"):
-        QueuePair(depth=65537)
-
-
-def test_sq_full_backpressure_rejects_the_overflowing_submit():
-    queue = QueuePair(depth=4, qid=3)
-    # One slot distinguishes full from empty: depth 4 holds 3 entries.
-    for __ in range(3):
-        queue.submit()
-    assert queue.sq_full
-    with pytest.raises(RuntimeError, match="SQ 3 full"):
-        queue.submit()
-    assert queue.submitted == 3          # the rejected submit left no trace
-    queue.fetch()
-    assert not queue.sq_full             # fetch frees the slot
-    queue.submit()
-    assert queue.submitted == 4
-
-
-def test_ring_wraps_and_empty_fetch_rejected():
-    queue = QueuePair(depth=2, qid=0)
-    for __ in range(5):                  # 5 trips around a 1-entry ring
-        queue.submit()
-        queue.fetch()
-        queue.complete()
-    assert queue.outstanding == 0
-    with pytest.raises(RuntimeError, match="SQ 0 empty"):
-        queue.fetch()
-    with pytest.raises(RuntimeError, match="nothing to complete"):
-        queue.complete()
-
-
-# ----------------------------------------------------------------------
-# qid collisions
-
-
-def test_qid_collision_rejected_up_front():
-    with pytest.raises(ValueError, match="qid collision"):
-        QueueArbiter([QueuePair(depth=4, qid=7), QueuePair(depth=4, qid=1),
-                      QueuePair(depth=4, qid=7)])
-
-
-def test_collision_error_names_both_offenders():
-    with pytest.raises(ValueError, match="queues 0 and 2"):
-        QueueArbiter([QueuePair(depth=4, qid=7), QueuePair(depth=4, qid=1),
-                      QueuePair(depth=4, qid=7)])
+    with pytest.raises(ValueError, match="1..65535"):
+        TenantSpec(name="t", queue_depth=0)
+    with pytest.raises(ValueError, match="1..65535"):
+        TenantSpec(name="t", queue_depth=65536)
+    assert arbitration_burst(TenantSpec(name="t", weight=70000,
+                                        queue_depth=65535), "wrr") == 65535
 
 
 def test_arbiter_validation_errors():
-    with pytest.raises(ValueError, match="at least one queue"):
-        QueueArbiter([])
+    with pytest.raises(ValueError, match="at least one tenant"):
+        build_tenants([])
+    with pytest.raises(ValueError, match="weight must be >= 1"):
+        TenantSpec(name="t", weight=0)
+    tenants = build_tenants([TenantSpec(name="t", workload="SW",
+                                        n_commands=4, span_bytes=1 << 20)])
     with pytest.raises(ValueError, match="unknown arbitration policy"):
-        QueueArbiter([QueuePair(depth=4)], policy="priority")
-    with pytest.raises(ValueError, match="weights"):
-        QueueArbiter([QueuePair(depth=4)], weights=[1, 2])
-    with pytest.raises(ValueError, match=">= 1"):
-        QueueArbiter([QueuePair(depth=4)], weights=[0])
-
-
-# ----------------------------------------------------------------------
-# Depth-1 queues under weighted arbitration
+        arbitration_burst(tenants[0].spec, "priority")
+    with pytest.raises(ValueError, match="unknown arbitration policy"):
+        merge_tenants(tenants, policy="priority")
 
 
 def test_depth_one_rings_alternate_under_weighted_arbitration():
     """A queue that can only offer one SQE per round caps its weighted
-    burst at one: weights (3, 1) over depth-1 rings degenerate to strict
+    burst at one: weights (3, 1) at queue depth 1 degenerate to strict
     alternation instead of 3:1."""
     specs = [TenantSpec(name="heavy", workload="SW", n_commands=6,
                         span_bytes=1 << 20, weight=3, queue_depth=1),
              TenantSpec(name="light", workload="SW", n_commands=6,
                         span_bytes=1 << 20, weight=1, queue_depth=1)]
-    tenants = build_tenants(specs)
-    assert all(tenant.queue.depth == 2 for tenant in tenants)
-    order = merge_tenants(tenants, policy="wrr")
+    order = merge_tenants(build_tenants(specs), policy="wrr")
     assert [index for index, __ in order] == [0, 1] * 6
-
-
-def test_wrr_budget_truncates_mid_burst():
-    queues = [QueuePair(depth=8, qid=0), QueuePair(depth=8, qid=1)]
-    for queue in queues:
-        for __ in range(4):
-            queue.submit()
-    assert weighted_round_robin_arbitrate(queues, [3, 2], budget=2) \
-        == [0, 0]
-    with pytest.raises(ValueError, match="budget"):
-        weighted_round_robin_arbitrate(queues, [3, 2], budget=-1)

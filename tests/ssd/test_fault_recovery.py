@@ -1,9 +1,13 @@
 """Device-level fault recovery: remap, retirement, error completions."""
 
+import dataclasses
+
 import pytest
 
+from repro.core.experiments import table2_configs
 from repro.faults import FaultConfig
-from repro.host import IoStatus, sequential_read, sequential_write
+from repro.host import (IoStatus, random_write, sequential_read,
+                        sequential_write)
 from repro.kernel import Simulator
 from repro.nand import EnduranceWarning, NandGeometry
 from repro.ssd import (CachePolicy, SsdArchitecture, SsdDevice,
@@ -23,6 +27,18 @@ def faulty_arch(pe_cycles=0, **fault_overrides):
                            cache_policy=CachePolicy.NO_CACHING,
                            initial_pe_cycles=pe_cycles,
                            faults=FaultConfig(**defaults))
+
+
+def worn_gc_arch():
+    """Table II C1 without caching on a worn drive whose every page read
+    is uncorrectable: random writes drive GC, and each relocation read
+    loses its page."""
+    arch = table2_configs(SsdArchitecture())["C1"].with_cache_policy(
+        CachePolicy.NO_CACHING)
+    return dataclasses.replace(
+        arch, initial_pe_cycles=3000,
+        faults=FaultConfig(enabled=True, seed=7, rber_scale=1e6,
+                           read_retry_max=0))
 
 
 def run(arch, workload, preload=False):
@@ -118,6 +134,19 @@ class TestUncorrectableReads:
         assert reliability["uncorrectable_reads"] > 0
         assert reliability["uber"] > 0
         assert result.uber == reliability["uber"]
+
+    def test_uber_counts_uncorrectable_gc_reads(self):
+        """A page lost to an uncorrectable GC read was still read and
+        judged: it joins the UBER denominator, not only the numerator."""
+        device, result = run(worn_gc_arch(), random_write(4096 * 200))
+        reliability = collect_reliability(device)
+        assert device.commands_completed == 200
+        assert device.commands_failed == 0
+        assert reliability["uncorrectable_reads"] == 259
+        assert reliability["page_reads"] == 259
+        assert reliability["uber"] == 1.0
+        assert reliability["retries_per_read"] == 0.0
+        assert (result.page_reads, result.uber) == (259, 1.0)
 
     def test_clean_drive_has_zero_uber(self):
         arch = faulty_arch()  # faults on, but all rates at zero
