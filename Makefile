@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast sweep campaign faults profile trace fidelity \
+.PHONY: test test-fast claims sweep campaign faults profile trace fidelity \
 	golden golden-refresh reliability ftl tenants perfbench
 
 # Tier-1 verification: the full unit/integration suite.
@@ -11,6 +11,12 @@ test:
 # Skip tests marked `slow` (the heavy benchmark sweeps).
 test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow"
+
+# The paper's claims: every benchmarks/test_*.py (Fig. 2-6, Table I and
+# the five ablations) at its default size, about 140 s.  Without -x, so
+# one run reports every claim that no longer holds.
+claims:
+	$(PYTHON) -m pytest -q benchmarks/test_*.py
 
 # Simulator benchmark smoke: the perfbench harness self-test, then one
 # gated run of each of the four workloads against the committed

@@ -197,7 +197,7 @@ class ChannelWayController(Component):
 
     def _translate(self):
         """Command translator latency (controller clock cycles)."""
-        yield self.sim.timeout(self.clock.cycles(self.translator_cycles))
+        yield self.clock.cycles(self.translator_cycles)
 
     # ------------------------------------------------------------------
     # Page operations
@@ -278,7 +278,7 @@ class ChannelWayController(Component):
                 engine = self.encoder.acquire()
                 yield engine
                 t0 = self.sim.now if _obs.enabled else -1
-                yield self.sim.timeout(encode_ps)
+                yield encode_ps
                 self.encoder.release(engine)
                 if t0 >= 0:
                     _obs.record_span(self.path(), "ecc_encode", t0,
@@ -391,7 +391,7 @@ class ChannelWayController(Component):
                         if span is not None:
                             span.mark("queue", self.sim.now)
                         t0 = self.sim.now if _obs.enabled else -1
-                        yield self.sim.timeout(decode_ps)
+                        yield decode_ps
                         self.decoder.release(engine)
                         if span is not None:
                             span.mark("ecc_decode", self.sim.now)
@@ -510,7 +510,13 @@ class _FastPageOp(Event):
         self.ctrl = ctrl
         self.way = way
         self.die_index = die_index
-        sim._after(0, self._start)
+        # The bootstrap: a bare calendar entry now, where _after(0, ...)
+        # would put it.
+        batch = sim._buckets.get(sim._now)
+        if batch is None:
+            sim._after(0, self._start)
+        else:
+            batch.append(self._start)
 
     # -- subclass hooks -------------------------------------------------
     def _prep_ps(self) -> int:
@@ -530,21 +536,23 @@ class _FastPageOp(Event):
     # -- the chain --------------------------------------------------------
     def _start(self, _event) -> None:
         ctrl = self.ctrl
+        way, die_index = self.way, self.die_index
         try:
-            self.die = ctrl.die(self.way, self.die_index)
+            self.die = ctrl.die(way, die_index)
             prep = self._prep_ps()
         except Exception as exc:
             # As a process would: the error fails this event and reaches
             # whoever waits on it.
             self.fail(exc)
             return
-        self.start = self.sim._now
-        self.sim._after(prep, self._take_die)
+        # die() checked the way and built the die's R/B# lock with it.
+        self._lock = ctrl._die_locks[way][die_index]
+        self._bus = ctrl.buses._data_buses[way].bus
+        sim = self.sim
+        self.start = sim._now
+        sim._after(prep, self._take_die)
 
     def _take_die(self, _event) -> None:
-        ctrl = self.ctrl
-        self._lock = ctrl._die_locks[self.way][self.die_index]
-        self._bus = ctrl.buses.data_bus(self.way).bus
         self._lock_hold = self._lock.claim(self._take_bus)
 
     def _take_bus(self, _event) -> None:

@@ -65,8 +65,7 @@ class ChannelBuses(Component):
             grant = self._control.acquire()
             yield grant
             t0 = self.sim.now if _obs.enabled else -1
-            yield self.sim.timeout(self.timing.command_time()
-                                   + self.timing.overhead_ps)
+            yield self.timing.command_time() + self.timing.overhead_ps
             self._control.release(grant)
             if t0 >= 0:
                 _obs.record_span(self.path(), "gang_cmd", t0, self.sim.now)

@@ -137,7 +137,7 @@ class CpuCore(Component):
                 # asleep.  Re-check the doorbell *after* the flush so an
                 # interrupt arriving during it is not lost.
                 if accumulated:
-                    yield self.sim.timeout(accumulated * period)
+                    yield accumulated * period
                     self.cycles_retired += accumulated
                     accumulated = 0
                 if not self._pending_interrupt:
@@ -156,12 +156,12 @@ class CpuCore(Component):
             self.pc = next_pc
 
             if accumulated >= self.quantum_cycles:
-                yield self.sim.timeout(accumulated * period)
+                yield accumulated * period
                 self.cycles_retired += accumulated
                 accumulated = 0
 
         if accumulated:
-            yield self.sim.timeout(accumulated * period)
+            yield accumulated * period
             self.cycles_retired += accumulated
         return self.cycles_retired
 
@@ -196,7 +196,7 @@ class CpuCore(Component):
     def _flush_and_bus(self, address: int, accumulated: int, region):
         # Make accumulated time real before interacting with shared state.
         if accumulated:
-            yield self.sim.timeout(accumulated * self.clock.period_ps)
+            yield accumulated * self.clock.period_ps
             self.cycles_retired += accumulated
         if region.ahb_slave is not None:
             if self.ahb_port is None:

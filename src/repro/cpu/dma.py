@@ -43,7 +43,7 @@ class DmaEngine(Component):
         t0 = self.sim.now if _obs.enabled else -1
         try:
             if self.setup_ps:
-                yield self.sim.timeout(self.setup_ps)
+                yield self.setup_ps
             result = yield self.sim.process(mover)
         finally:
             self._contexts.release(grant)

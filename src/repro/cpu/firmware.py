@@ -229,8 +229,7 @@ class AbstractCpu(Component):
         if self.cycles_per_command:
             grant = self._cores.acquire()
             yield grant
-            yield self.sim.timeout(
-                self.clock.cycles(self.cycles_per_command))
+            yield self.clock.cycles(self.cycles_per_command)
             self._cores.release(grant)
             self.cycles_retired += self.cycles_per_command
         self.commands += 1

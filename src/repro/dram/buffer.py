@@ -127,11 +127,16 @@ class BufferManager(Component):
                 f"releasing {nbytes} B but buffer {buffer_index} holds "
                 f"{self._occupancy[buffer_index]} B")
         self._occupancy[buffer_index] -= nbytes
-        # Wake each waiter as one kernel event, where succeed() would put
-        # it; a waiter that still does not fit re-queues itself.
+        # Wake each waiter as one kernel event, in FIFO order at the tail
+        # of the same-time batch, where succeed() would put it; a waiter
+        # that still does not fit re-queues itself.
         waiters = self._space_waiters[buffer_index]
-        while waiters:
-            self.sim._after(0, waiters.popleft()._wake)
+        if waiters:
+            sim = self.sim
+            sim._after(0, waiters.popleft()._wake)
+            sim._buckets[sim._now].extend([waiter._wake
+                                           for waiter in waiters])
+            waiters.clear()
 
     # ------------------------------------------------------------------
     # Data movement

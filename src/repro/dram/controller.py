@@ -250,7 +250,7 @@ class FastDramController(_DramDevice):
         grant = self.bus.acquire()
         yield grant
         service = self.overhead_ps + int(round(nbytes * self.ps_per_byte))
-        yield self.sim.timeout(service)
+        yield service
         self.bus.release(grant)
         elapsed = self.sim.now - start
         if _obs.enabled:

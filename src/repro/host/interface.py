@@ -155,7 +155,7 @@ class HostInterface(Component):
         duration = self.spec.payload_time_ps(nbytes)
         if with_command_overhead:
             duration += self.spec.command_overhead_ps
-        yield self.sim.timeout(duration)
+        yield duration
         self.link.release(grant)
         if span is not None:
             span.mark("host_xfer", self.sim.now)

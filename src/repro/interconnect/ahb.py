@@ -125,23 +125,23 @@ class AhbBus(Component):
         yield grant
         self._busy.set_busy()
         # Address phase.
-        yield self.sim.timeout(cycle)
+        yield cycle
 
         if config.access_latency_ps > 0 and config.supports_split:
             # SPLIT: give the bus back while the slave prepares.
             self._busy.set_idle()
             self.arbiter.release(port.master_id)
             self.splits += 1
-            yield self.sim.timeout(config.access_latency_ps)
+            yield config.access_latency_ps
             regrant = self.arbiter.request(port.master_id)
             yield regrant
             self._busy.set_busy()
         elif config.access_latency_ps > 0:
             # No split support: the bus stalls for the slave latency.
-            yield self.sim.timeout(config.access_latency_ps)
+            yield config.access_latency_ps
 
         data_cycles = beats * (1 + config.wait_states)
-        yield self.sim.timeout(data_cycles * cycle)
+        yield data_cycles * cycle
         self._busy.set_idle()
         self.arbiter.release(port.master_id)
 

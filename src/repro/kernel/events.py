@@ -69,7 +69,14 @@ class Event:
             raise SimulationError(f"event {self} already triggered")
         self._ok = True
         self._value = value
-        self.sim._schedule_event(self)
+        # Put the event where _schedule_event would: the tail of the live
+        # same-time batch, if one is draining.
+        sim = self.sim
+        batch = sim._buckets.get(sim._now)
+        if batch is None:
+            sim._schedule_event(self)
+        else:
+            batch.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -105,15 +112,21 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that triggers automatically after a fixed delay."""
+    """An event that triggers automatically after a fixed delay.
+
+    A process that only waits out a delay yields the ``int`` instead
+    (see :mod:`repro.kernel.process`), which builds no event; a Timeout
+    is for a delay that something else waits on too, or that carries a
+    value.
+    """
 
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: int, value: Any = None):
         if delay < 0:
             raise ValueError(f"timeout delay must be >= 0, got {delay}")
-        # Timeouts are the kernel's hottest allocation; inline the Event
-        # constructor and skip name formatting (repr derives it on demand).
+        # Inline the Event constructor and skip name formatting (repr
+        # derives it on demand).
         self.sim = sim
         self.name = ""
         self.callbacks = []

@@ -194,13 +194,20 @@ class Resource:
 
     def _admit(self, grant: Grant) -> None:
         sim = self.sim
+        now = sim._now
         if self._in_use == 0:
-            self._busy_since = sim._now
+            self._busy_since = now
         self._in_use += 1
         # Trigger inline: a grant reaches here exactly once, still pending.
+        # It joins the tail of the live same-time batch, if one is
+        # draining, which is where _schedule_event would put it.
         grant._ok = True
         grant._value = grant
-        sim._schedule_event(grant)
+        batch = sim._buckets.get(now)
+        if batch is None:
+            sim._schedule_event(grant)
+        else:
+            batch.append(grant)
 
     def busy_time(self) -> int:
         """Total picoseconds during which at least one grant was held."""

@@ -63,15 +63,16 @@ class UtilizationTracker:
 
     def set_busy(self) -> None:
         if self._busy_since is None:
-            self._busy_since = self.sim.now
+            self._busy_since = self.sim._now
 
     def set_idle(self) -> None:
         if self._busy_since is not None:
-            span = self.sim.now - self._busy_since
+            now = self.sim._now
+            span = now - self._busy_since
             self._busy_since = None
             if span:
                 self._accum += span
-                self._ends.append(self.sim.now)
+                self._ends.append(now)
                 self._cum.append(self._accum)
 
     def _busy_before(self, when: int) -> int:

@@ -178,7 +178,7 @@ class NandDie(Component):
     # Each operation is split in two halves around its array time:
     # ``begin_*`` checks the command, marks the die busy and returns the
     # duration; ``finish_*`` marks it idle and applies the result.  The
-    # generators below wrap the halves around one timeout (yield them
+    # generators below wrap the halves around one delay (yield them
     # with sim.process or from within another process); the controller's
     # fast-fidelity callback chains call the halves directly.
     #
@@ -186,32 +186,55 @@ class NandDie(Component):
     # ONFI multi-plane command).  The checks, stuck-busy draws, wear and
     # pointer bookkeeping and status draws apply to each plane; the array
     # time is the slowest plane's plus ``multiplane_overhead_ps`` per
-    # extra plane.
+    # extra plane.  A one-plane command, the common case, takes the same
+    # steps inline: one range check and one block-key lookup per half.
     # ------------------------------------------------------------------
     def begin_read(self, address: PageAddress, *more: PageAddress) -> int:
         """Start an array read; returns its duration in ps."""
-        targets = (address,) + more
         if more:
+            targets = (address,) + more
             self._check_multiplane(targets)
-        for target in targets:
-            self._check_read(target)
+            for target in targets:
+                self._check_read(target)
+            self._begin(self.READING)
+            duration = 0
+            for plane, block, page in targets:
+                duration = max(duration, self.timing.read_time(
+                    page, self.wear_fraction(plane, block))
+                    + self._stuck_ps("read", plane, block))
+            return duration + self.multiplane_overhead_ps * len(more)
+        plane, block, page = address
+        geometry = self.geometry
+        if not (0 <= plane < geometry.planes_per_die
+                and 0 <= block < geometry.blocks_per_plane
+                and 0 <= page < geometry.pages_per_block):
+            geometry.validate(address)
+        key = (plane, block)
+        if page >= self._write_pointers.get(key, self._preload_default):
+            self.reads_unwritten += 1
         self._begin(self.READING)
-        duration = 0
-        for plane, block, page in targets:
-            duration = max(duration, self.timing.read_time(
-                page, self.wear_fraction(plane, block))
-                + self._stuck_ps("read", plane, block))
-        return duration + self.multiplane_overhead_ps * len(more)
+        state = self._wear.get(key)
+        duration = self.timing.read_time(page, self.wear_model.normalized(
+            self.initial_pe_cycles + (state.pe_cycles if state else 0)))
+        if self.fault_plan is not None:
+            duration += self._stuck_ps("read", plane, block)
+        return duration
 
     def finish_read(self, address: PageAddress, *more: PageAddress):
         """Complete an array read; returns the block RBER (with extra
         planes, a list of each plane's RBER in command order)."""
         self._end()
-        rber = self._record_read(address)
-        if not more:
-            return rber
-        self.multiplane_reads += 1
-        return [rber] + [self._record_read(target) for target in more]
+        if more:
+            self.multiplane_reads += 1
+            return [self._record_read(target)
+                    for target in (address,) + more]
+        key = (address[0], address[1])
+        state = self._wear.get(key)
+        if state is None:
+            state = self._wear[key] = BlockWearState()
+        state.reads += 1
+        self.reads += 1
+        return self.wear_model.rber(self.initial_pe_cycles + state.pe_cycles)
 
     def read(self, address: PageAddress, *more: PageAddress):
         """Array read: sense a page (per plane) into the page register.
@@ -219,24 +242,42 @@ class NandDie(Component):
         Generator; completes after ``t_READ``.  Returns the block RBER so
         the ECC model downstream can decide decode effort.
         """
-        yield self.sim.timeout(self.begin_read(address, *more))
+        yield self.begin_read(address, *more)
         return self.finish_read(address, *more)
 
     def begin_program(self, address: PageAddress, *more: PageAddress) -> int:
         """Start an array program (erase-before-write and page order are
         enforced per plane); returns its duration in ps."""
-        targets = (address,) + more
         if more:
+            targets = (address,) + more
             self._check_multiplane(targets)
-        for target in targets:
-            self._check_program(target)
+            for target in targets:
+                self._check_program(target)
+            self._begin(self.PROGRAMMING)
+            duration = 0
+            for plane, block, page in targets:
+                duration = max(duration, self.timing.program_time(
+                    page, block, self.wear_fraction(plane, block))
+                    + self._stuck_ps("program", plane, block))
+            return duration + self.multiplane_overhead_ps * len(more)
+        plane, block, page = address
+        geometry = self.geometry
+        if not (0 <= plane < geometry.planes_per_die
+                and 0 <= block < geometry.blocks_per_plane
+                and 0 <= page < geometry.pages_per_block):
+            geometry.validate(address)
+        key = (plane, block)
+        pointer = self._write_pointers.get(key, self._preload_default)
+        if page != pointer:
+            raise self._out_of_order(address, pointer)
         self._begin(self.PROGRAMMING)
-        duration = 0
-        for plane, block, page in targets:
-            duration = max(duration, self.timing.program_time(
-                page, block, self.wear_fraction(plane, block))
-                + self._stuck_ps("program", plane, block))
-        return duration + self.multiplane_overhead_ps * len(more)
+        state = self._wear.get(key)
+        duration = self.timing.program_time(
+            page, block, self.wear_model.normalized(
+                self.initial_pe_cycles + (state.pe_cycles if state else 0)))
+        if self.fault_plan is not None:
+            duration += self._stuck_ps("program", plane, block)
+        return duration
 
     def finish_program(self, address: PageAddress,
                        *more: PageAddress) -> None:
@@ -245,52 +286,63 @@ class NandDie(Component):
         land in :attr:`failed_programs`."""
         self._end()
         failed = (address,) if self._record_program(address) else ()
-        for target in more:
-            if self._record_program(target):
-                failed += (target,)
-        self.failed_programs = failed
         if more:
+            for target in more:
+                if self._record_program(target):
+                    failed += (target,)
             self.multiplane_programs += 1
+        self.failed_programs = failed
 
     def program(self, address: PageAddress, *more: PageAddress):
         """Array program; enforces erase-before-write and page order."""
         duration = self.begin_program(address, *more)
-        yield self.sim.timeout(duration)
+        yield duration
         self.finish_program(address, *more)
         return duration
 
     def begin_erase(self, plane: int, block: int, *more) -> int:
         """Start a block erase; ``more`` holds extra ``(plane, block)``
         pairs.  Returns its duration in ps."""
-        targets = [PageAddress(plane_, block_, 0)
-                   for plane_, block_ in ((plane, block),) + more]
         if more:
+            targets = [PageAddress(plane_, block_, 0)
+                       for plane_, block_ in ((plane, block),) + more]
             self._check_multiplane(targets)
-        for target in targets:
-            self.geometry.validate(target)
+            for target in targets:
+                self.geometry.validate(target)
+            self._begin(self.ERASING)
+            duration = 0
+            for plane_, block_, __ in targets:
+                duration = max(duration, self.timing.erase_time(
+                    block_, self.wear_fraction(plane_, block_))
+                    + self._stuck_ps("erase", plane_, block_))
+            return duration + self.multiplane_overhead_ps * len(more)
+        geometry = self.geometry
+        if not (0 <= plane < geometry.planes_per_die
+                and 0 <= block < geometry.blocks_per_plane):
+            geometry.validate(PageAddress(plane, block, 0))
         self._begin(self.ERASING)
-        duration = 0
-        for plane_, block_, __ in targets:
-            duration = max(duration, self.timing.erase_time(
-                block_, self.wear_fraction(plane_, block_))
-                + self._stuck_ps("erase", plane_, block_))
-        return duration + self.multiplane_overhead_ps * len(more)
+        state = self._wear.get((plane, block))
+        duration = self.timing.erase_time(block, self.wear_model.normalized(
+            self.initial_pe_cycles + (state.pe_cycles if state else 0)))
+        if self.fault_plan is not None:
+            duration += self._stuck_ps("erase", plane, block)
+        return duration
 
     def finish_erase(self, plane: int, block: int, *more) -> None:
         """Complete a block erase: reset each write pointer, add a P/E
         cycle and draw each block's erase status."""
         self._end()
         failed = self._record_erase(plane, block)
-        for extra in more:
-            failed = self._record_erase(*extra) or failed
-        self.last_erase_failed = failed
         if more:
+            for extra in more:
+                failed = self._record_erase(*extra) or failed
             self.multiplane_erases += 1
+        self.last_erase_failed = failed
 
     def erase(self, plane: int, block: int, *more):
         """Block erase; resets the write pointer and adds a P/E cycle."""
         duration = self.begin_erase(plane, block, *more)
-        yield self.sim.timeout(duration)
+        yield duration
         self.finish_erase(plane, block, *more)
         return duration
 
@@ -321,13 +373,17 @@ class NandDie(Component):
     def _check_program(self, address: PageAddress) -> None:
         """Validate a program against the block's write pointer."""
         self.geometry.validate(address)
-        key = (address.plane, address.block)
-        pointer = self._write_pointers.get(key, self._preload_default)
+        pointer = self._write_pointers.get((address.plane, address.block),
+                                           self._preload_default)
         if address.page != pointer:
-            raise NandProtocolError(
-                f"{self.path()}: program page {address.page} of block "
-                f"{key} violates sequential-programming rule "
-                f"(write pointer is {pointer})")
+            raise self._out_of_order(address, pointer)
+
+    def _out_of_order(self, address: PageAddress,
+                      pointer: int) -> NandProtocolError:
+        return NandProtocolError(
+            f"{self.path()}: program page {address.page} of block "
+            f"{(address.plane, address.block)} violates "
+            f"sequential-programming rule (write pointer is {pointer})")
 
     def _stuck_ps(self, kind: str, plane: int, block: int) -> int:
         """Extra busy time drawn for one plane of an array operation."""
@@ -349,13 +405,14 @@ class NandDie(Component):
     def _record_program(self, address: PageAddress) -> bool:
         """Book a completed program (advance the pointer, add wear) and
         draw its status; True on program-status FAIL."""
-        key = (address.plane, address.block)
-        # _check_program checked the page against the pointer.
-        self._write_pointers[key] = address.page + 1
+        plane, block, page = address
+        key = (plane, block)
+        # begin_program checked the page against the pointer.
+        self._write_pointers[key] = page + 1
         self._wear_state(key).record_program()
         self.programs += 1
         if self.fault_plan is None or not self.fault_plan.program_fails(
-                self._fault_id, address.plane, address.block, address.page):
+                self._fault_id, plane, block, page):
             return False
         # Program-status FAIL: the array time is spent, the page is
         # consumed, but the controller must treat the data as lost and
@@ -415,14 +472,14 @@ class NandDie(Component):
                 f"{self.path()}: command issued while die is {self.state}")
         self.state = new_state
         self.array_busy.set_busy()
-        self._obs_t0 = self.sim.now if _obs.enabled else -1
+        self._obs_t0 = self.sim._now if _obs.enabled else -1
 
     def _end(self) -> None:
         if self._obs_t0 >= 0:
             # Name the component span after the array operation so the
             # activity table separates sense/program/erase pressure.
             _obs.record_span(self.path(), self.state, self._obs_t0,
-                             self.sim.now)
+                             self.sim._now)
             self._obs_t0 = -1
         self.state = self.IDLE
         self.array_busy.set_idle()

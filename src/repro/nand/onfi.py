@@ -97,7 +97,7 @@ class OnfiChannel(Component):
         grant = self.bus.acquire()
         yield grant
         t0 = self.sim.now if _obs.enabled else -1
-        yield self.sim.timeout(self.timing.command_time() + self.timing.overhead_ps)
+        yield self.timing.command_time() + self.timing.overhead_ps
         self.bus.release(grant)
         if t0 >= 0:
             _obs.record_span(self.path(), "bus_cmd", t0, self.sim.now)
@@ -107,7 +107,7 @@ class OnfiChannel(Component):
         grant = self.bus.acquire()
         yield grant
         t0 = self.sim.now if _obs.enabled else -1
-        yield self.sim.timeout(self.timing.data_time(nbytes))
+        yield self.timing.data_time(nbytes)
         self.bus.release(grant)
         if t0 >= 0:
             _obs.record_span(self.path(), "bus_xfer", t0, self.sim.now)

@@ -327,7 +327,7 @@ class SsdDevice(Component):
         """
         if self._dram_fast:
             if controller.ppdma.setup_ps:
-                yield self.sim.timeout(controller.ppdma.setup_ps)
+                yield controller.ppdma.setup_ps
             return (yield from mover)
         return (yield self.sim.process(
             controller.ppdma.execute(mover)))
@@ -342,7 +342,7 @@ class SsdDevice(Component):
             return nbytes
         grant = self._compress_engine.acquire()
         yield grant
-        yield self.sim.timeout(model.latency_ps(nbytes))
+        yield model.latency_ps(nbytes)
         self._compress_engine.release(grant)
         return model.output_bytes(nbytes)
 
@@ -369,7 +369,7 @@ class SsdDevice(Component):
         elif command.opcode is IoOpcode.TRIM:
             yield from self._trim_flow(command)
         else:  # FLUSH: barrier semantics are a no-op in WAF mode
-            yield self.sim.timeout(0)
+            yield 0
             self._complete(command, count_bytes=False)
 
     # -- write ----------------------------------------------------------

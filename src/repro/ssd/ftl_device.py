@@ -257,6 +257,11 @@ class FtlSsdDevice(SsdDevice):
         return metrics
 
 
+#: ``_page_address(PageAddress, (plane, block, page))`` builds the page
+#: address of a journal location's tail without the namedtuple's
+#: Python-level constructor.
+_page_address = tuple.__new__
+
 #: Journal kinds whose failure a fault-injected replay absorbs: the FTL's
 #: map already points at the physical page and the journaling backend
 #: cannot remap after the fact, so the error is counted in the named
@@ -310,13 +315,11 @@ class _DieReplay(Event):
         self.index += 1
         controller = self.controller
         if kind == "program":
-            __, plane, block, page = location
             op = controller.program(self.way, self.die_index,
-                                    PageAddress(plane, block, page))
+                                    _page_address(PageAddress, location[1:]))
         elif kind == "read":
-            __, plane, block, page = location
             op = controller.read(self.way, self.die_index,
-                                 PageAddress(plane, block, page))
+                                 _page_address(PageAddress, location[1:]))
         elif kind == "erase":
             __, plane, block = location
             op = controller.erase(self.way, self.die_index, plane, block)
