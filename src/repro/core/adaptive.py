@@ -1,9 +1,9 @@
 """Adaptive design-space exploration: successive halving over fidelity.
 
 The fidelity dial makes a calibrated ``fast`` point cheaper than a
-``cycle`` one (about 7× on the sample-trace replay, as ``make fidelity``
-measures it on a 2-vCPU x86_64 host with Python 3.11; ROADMAP item 10
-re-prices this screen); this module spends that ratio deliberately.  The
+``cycle`` one: 7–8× on the sample-trace replay, as ``make fidelity``
+measures it on a 2-vCPU x86_64 host with Python 3.11 (ROADMAP item 10
+re-prices this screen).  This module spends that ratio deliberately.  The
 full candidate grid is *screened* at fast fidelity, the empirical Pareto
 band is *promoted* to cycle fidelity, and a Pareto-guided proposer
 spends any leftover cycle budget on unevaluated grid neighbors of the
