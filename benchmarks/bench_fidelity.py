@@ -108,7 +108,7 @@ def rel_error(measured, reference):
 def main() -> int:
     arch = SsdArchitecture()
     started = time.perf_counter()
-    calibration = calibrate(arch, cache_dir=None)
+    calibration = calibrate(arch)
     calibrate_wall = time.perf_counter() - started
     fast_arch = arch.with_fidelity(calibration.to_fidelity())
 

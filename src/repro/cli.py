@@ -27,7 +27,7 @@ Usage::
 
 Every subcommand prints the same rows/series the paper's tables and
 figures report.  Each shared job has one helper: ``_architecture``
-loads ``--config`` (fast levels calibrated), ``_iozone`` and
+loads ``--config`` (dialed to ``--fidelity``), ``_iozone`` and
 ``_trace_workload`` build the workloads, ``runner_from_args`` builds
 every sweep or campaign runner, ``cmd_experiment`` runs fig3/fig4/fig5
 standalone or as a campaign, ``_finish`` is the output tail of every
@@ -43,15 +43,13 @@ import sys
 from typing import List, Optional
 
 from .core import (CampaignError, DesignSpaceExplorer, ResourceCostModel,
-                   SweepPoint, SweepRunner, TABLE2_LABELS,
-                   calibrated_fidelity, faults_campaign, fig3_sweep,
-                   fig4_sweep, fig5_wearout_sweep, print_progress,
+                   SweepPoint, SweepRunner, TABLE2_LABELS, faults_campaign,
+                   fig3_sweep, fig4_sweep, fig5_wearout_sweep, print_progress,
                    render_breakdown_table, render_columns, render_json,
                    render_series_table, render_speed_table, render_table,
                    render_validation_table, run_validation, speed_sweep,
                    table2_configs, table3_configs,
                    verify_ssdexplorer_column)
-from .core.calibrate import DEFAULT_CACHE_DIR
 from .host.workload import IOZONE_SUITE
 from .kernel import load_file
 from .ssd import SsdArchitecture, from_config
@@ -110,7 +108,8 @@ def add_fidelity_option(parser: argparse.ArgumentParser) -> None:
         "--fidelity", type=str, default="",
         help='abstraction level: "cycle" (default), "fast", or a '
              'per-subsystem spec like "fast,dram=cycle"; fast paths '
-             'use calibrated parameters (see "repro calibrate")')
+             'use parameters fitted to the cycle models (see "repro '
+             'calibrate")')
 
 
 def _add_json(parser: argparse.ArgumentParser, what: str) -> None:
@@ -237,38 +236,12 @@ def _configured(args: argparse.Namespace) -> SsdArchitecture:
             else SsdArchitecture())
 
 
-def _sweep_cache_dir(args: argparse.Namespace) -> Optional[str]:
-    """``--cache-dir``, else ``REPRO_SWEEP_CACHE_DIR``, else None."""
-    return (getattr(args, "cache_dir", "")
-            or os.environ.get("REPRO_SWEEP_CACHE_DIR", "")) or None
-
-
-def _calibration_dir(args: argparse.Namespace) -> str:
-    """Where the CLI keeps the calibration fit: ``calibration/`` in the
-    campaign directory, else in :func:`_sweep_cache_dir`, else the
-    default ``.sweep-cache/calibration``."""
-    root = (getattr(args, "campaign", "") or getattr(args, "dir", "")
-            or _sweep_cache_dir(args))
-    return os.path.join(root, "calibration") if root else DEFAULT_CACHE_DIR
-
-
-def _calibrated(spec, args: argparse.Namespace,
-                arch: Optional[SsdArchitecture] = None):
-    """:func:`calibrated_fidelity` with the fit in
-    :func:`_calibration_dir` (fitted afresh and kept nowhere under
-    ``--no-cache``)."""
-    cache_dir = (None if getattr(args, "no_cache", False)
-                 else _calibration_dir(args))
-    return calibrated_fidelity(spec, arch, cache_dir=cache_dir)
-
-
 def _architecture(args: argparse.Namespace) -> SsdArchitecture:
     """:func:`_configured`, dialed to ``--fidelity`` where the subcommand
-    has one, else to the config's own ``fidelity.*`` keys.  Fast levels
-    run calibrated either way."""
+    has one, else to the config's own ``fidelity.*`` keys."""
     arch = _configured(args)
-    return arch.with_fidelity(_calibrated(
-        getattr(args, "fidelity", "") or arch.fidelity, args, arch))
+    spec = getattr(args, "fidelity", "")
+    return arch.with_fidelity(spec) if spec else arch
 
 
 def _iozone(args: argparse.Namespace, arch: SsdArchitecture):
@@ -310,7 +283,8 @@ def runner_from_args(args: argparse.Namespace, quiet: bool = False,
     quiet = (quiet or getattr(args, "quiet", False)
              or getattr(args, "json", False))
     progress = None if quiet else print_progress
-    cache_dir = _sweep_cache_dir(args)
+    cache_dir = (getattr(args, "cache_dir", "")
+                 or os.environ.get("REPRO_SWEEP_CACHE_DIR", "")) or None
     no_cache = getattr(args, "no_cache", False)
     workers = getattr(args, "workers", 1) or None   # 0 -> all cores
     timeout = getattr(args, "timeout", 0.0) or None  # 0 -> unlimited
@@ -418,20 +392,18 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         text = adaptive_fig3(n_commands=args.commands,
                              configs=_parse_configs(args.configs),
                              budget_fraction=args.budget,
-                             runner=runner,
-                             fast_fidelity=_calibrated("fast", args)
-                             ).format()
+                             runner=runner).format()
     elif args.experiment == "fig5":
         steps = getattr(args, "steps", 10)   # campaign run: the default
         text = render_series_table(fig5_wearout_sweep(
             fractions=[i / steps for i in range(steps + 1)],
             n_commands=args.commands, runner=runner,
-            fidelity=_calibrated(args.fidelity, args)))
+            fidelity=args.fidelity or None))
     else:
         sweep = fig3_sweep if args.experiment == "fig3" else fig4_sweep
         text = render_breakdown_table(sweep(
             n_commands=args.commands, configs=_parse_configs(args.configs),
-            runner=runner, fidelity=_calibrated(args.fidelity, args)))
+            runner=runner, fidelity=args.fidelity or None))
     return _finish(args, runner, text)
 
 
@@ -545,19 +517,16 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    """Fit (or show) the fast-fidelity parameters; optionally check the
-    fast fig3/fig5 error against the golden files."""
+    """Show the fast-fidelity parameters fitted for ``--config``;
+    optionally check the fast fig3/fig5 error against the golden files."""
     from .core import calibrate, fidelity_error_report
-    result = calibrate(_configured(args),
-                       cache_dir=_calibration_dir(args),
-                       use_cache=not args.no_cache)
+    result = calibrate(_configured(args))
     report = None
     if args.check:
         report = fidelity_error_report(result.to_fidelity(),
                                        bound=args.bound)
     if args.json:
-        document = {"calibration": result.to_dict(),
-                    "cached": result.cached}
+        document = {"calibration": result.to_dict()}
         if report is not None:
             document["report"] = report
         print(render_json(document))
@@ -565,8 +534,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         print(f"dram_overhead_ps : {result.dram_overhead_ps}")
         print(f"dram_ps_per_byte : {result.dram_ps_per_byte:.3f}")
         print(f"cpu_cycles       : {result.cpu_cycles}")
-        print("(served from the calibration cache)" if result.cached
-              else "(fitted from fresh cycle-accurate probes)")
         if report is not None:
             print(f"fast vs golden   : max error "
                   f"{report['max_rel_error']:.2%} "
@@ -1270,16 +1237,10 @@ def build_parser() -> argparse.ArgumentParser:
     tsweep2.set_defaults(func=cmd_tenants_sweep)
 
     cal = sub.add_parser(
-        "calibrate", help="fit the fast-fidelity parameters from short "
-                          "cycle-accurate probes (content-addressed "
-                          "cache; see --fidelity fast elsewhere)")
+        "calibrate", help="show the fast-fidelity parameters every fast "
+                          "build fits from short cycle-accurate probes "
+                          "(see --fidelity fast elsewhere)")
     _add_config(cal)
-    cal.add_argument("--cache-dir", type=str, default="",
-                     help="sweep cache directory; the fit is kept in "
-                          "its calibration/ subdirectory (default "
-                          "$REPRO_SWEEP_CACHE_DIR, else .sweep-cache)")
-    cal.add_argument("--no-cache", action="store_true",
-                     help="re-run the probes even if a cached fit exists")
     cal.add_argument("--check", action="store_true",
                      help="rerun fig3/fig5 at fast fidelity and compare "
                           "against the golden files")

@@ -10,7 +10,6 @@ from .adaptive import (AdaptiveOutcome, adaptive_breakdown_exploration,
                        adaptive_fig3, grid_coordinates, promote,
                        propose_neighbors)
 from .calibrate import (DEFAULT_ERROR_BOUND, CalibrationResult, calibrate,
-                        calibrated_fidelity, calibration_key,
                         fidelity_error_report)
 from .campaign import (Campaign, CampaignError, CampaignRunner,
                        CampaignStatus, Lease, LeaseQueue, run_worker)
@@ -77,8 +76,8 @@ __all__ = [
     "replica_seed", "report_from_campaign", "run_reliability_campaign",
     "wilson_interval",
     "CAPABILITY_CHECKS", "CODE_VERSION", "CalibrationResult",
-    "DEFAULT_ERROR_BOUND", "calibrate", "calibration_key",
-    "calibrated_fidelity", "fidelity_error_report", "DesignPoint",
+    "DEFAULT_ERROR_BOUND", "calibrate", "fidelity_error_report",
+    "DesignPoint",
     "DesignSpaceExplorer", "PointFailure", "PointOutcome", "PointTimeout",
     "SweepCache", "SweepPoint",
     "SweepResult", "SweepRunner", "SweepSummary", "fingerprint",

@@ -27,7 +27,6 @@ from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
 from ..host.workload import Workload
 from ..ssd.architecture import SsdArchitecture
 from ..ssd.scenarios import BreakdownRow
-from .calibrate import calibrated_fidelity
 from .explorer import ResourceCostModel
 from .pareto import ParetoEntry, entry_frontier, frontier_value_at
 from .sweep import SweepPoint, SweepRunner
@@ -179,11 +178,10 @@ def adaptive_breakdown_exploration(
         candidates: Mapping[str, SsdArchitecture], workload: Workload,
         budget_fraction: float = 0.5, metric: str = "ssd_cache_mbps",
         runner: Optional[SweepRunner] = None,
-        cost_model: Optional[ResourceCostModel] = None,
-        fast_fidelity=None) -> AdaptiveOutcome:
+        cost_model: Optional[ResourceCostModel] = None) -> AdaptiveOutcome:
     """Resolve a candidate grid's cycle frontier adaptively.
 
-    Screens every candidate at calibrated fast fidelity, promotes the
+    Screens every candidate at fast fidelity, promotes the
     Pareto band (:func:`promote`) to cycle fidelity, and spends any
     cycle-budget slots the promoter left unused on proposer picks
     (:func:`propose_neighbors`).  ``runner`` may be a plain
@@ -196,16 +194,12 @@ def adaptive_breakdown_exploration(
         raise ValueError("no candidates to explore")
     cost_model = cost_model or ResourceCostModel()
     runner = runner or SweepRunner(workers=1)
-    if fast_fidelity is None:
-        fast_fidelity = calibrated_fidelity(
-            "fast", next(iter(candidates.values())))
     names = sorted(candidates)
     costs = {name: cost_model.cost(candidates[name]) for name in names}
 
     # Rung 1: screen the whole grid at fast fidelity.
     fast_points = [SweepPoint(name=f"{FAST_PREFIX}{name}",
-                              arch=candidates[name].with_fidelity(
-                                  fast_fidelity),
+                              arch=candidates[name].with_fidelity("fast"),
                               workload=workload)
                    for name in names]
     fast_result = runner.run(fast_points)
@@ -257,10 +251,8 @@ def adaptive_fig3(n_commands: int = 2000,
                   configs: Optional[List[str]] = None,
                   budget_fraction: float = 0.5,
                   runner: Optional[SweepRunner] = None,
-                  metric: str = "ssd_cache_mbps",
-                  fast_fidelity=None) -> AdaptiveOutcome:
-    """Adaptive exploration of the fig3 (Table II, SATA II) grid
-    (``fast_fidelity`` as in :func:`adaptive_breakdown_exploration`)."""
+                  metric: str = "ssd_cache_mbps") -> AdaptiveOutcome:
+    """Adaptive exploration of the fig3 (Table II, SATA II) grid."""
     from ..host.interface import sata2_spec
     from .experiments import TABLE2_LABELS, fig3_workload, table2_configs
     base = SsdArchitecture(host=sata2_spec())
@@ -269,5 +261,4 @@ def adaptive_fig3(n_commands: int = 2000,
                   in table2_configs(base).items() if name in selected}
     return adaptive_breakdown_exploration(
         candidates, fig3_workload(n_commands),
-        budget_fraction=budget_fraction, metric=metric, runner=runner,
-        fast_fidelity=fast_fidelity)
+        budget_fraction=budget_fraction, metric=metric, runner=runner)

@@ -1,26 +1,12 @@
-"""Fast-path calibration: fit the fidelity dial's closed-form models.
+"""Fast-path calibration: the fidelity dial's fitted parameters.
 
-The fast abstraction levels (see :mod:`repro.ssd.fidelity`) ship with
-analytic defaults derived from the timing dataclasses, but the honest
-way to parameterize a high-level model is to *measure the detailed one*
-(the SimpleSSD/Amber recipe).  :func:`calibrate` runs two short
-cycle-accurate probes —
-
-* **DRAM**: stream accesses of several sizes through a
-  :class:`~repro.dram.controller.DramController` (refresh running) and
-  least-squares fit ``elapsed = overhead + nbytes * ps_per_byte``;
-* **CPU**: run the real firmware dispatch loop
-  (:func:`~repro.cpu.firmware.calibrate_command_cycles`) and take its
-  steady-state cycles per command —
-
-and returns a :class:`CalibrationResult` whose parameters slot straight
-into a :class:`~repro.ssd.fidelity.FidelityConfig`.  Fast NAND needs no
+Every fast model takes its parameters from its own cycle model when a
+device is built (:func:`repro.ssd.fidelity.dram_fit` and
+:func:`~repro.ssd.fidelity.cpu_fit`, memoized per process, nothing
+written to disk).  :func:`calibrate` reports that fit for an
+architecture as a :class:`CalibrationResult`.  Fast NAND needs no
 probe: an uncontended fast page operation takes exactly the cycle
 model's time (``tests/controller/test_fast_constants.py`` checks it).
-Results persist in a content-addressed JSON cache keyed by the DRAM
-timing (the only model input a probe reads) and the probe definition
-(same scheme as the sweep cache), so re-calibrating is free until the
-underlying models change.
 
 :func:`fidelity_error_report` closes the loop: it reruns the checked-in
 fig3/fig5 goldens at fast fidelity and reports the relative error per
@@ -30,21 +16,12 @@ asserts the maximum stays within the declared bound (5% by default).
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
-from ..cpu.firmware import calibrate_command_cycles
-from ..dram.controller import DramController
-from ..kernel import Simulator
 from ..ssd.architecture import SsdArchitecture
-from ..ssd.fidelity import Fidelity, FidelityConfig, fidelity_from_spec
-from .sweep import CODE_VERSION, SweepCache, SweepRunner, canonical
-
-#: Bump when the probe definitions change (folded into the cache key).
-PROBE_VERSION = "calibrate-2"
+from ..ssd.fidelity import Fidelity, FidelityConfig, cpu_fit, dram_fit
+from .sweep import SweepRunner, canonical
 
 #: Declared fast-vs-golden relative error bound (fig3/fig5 metrics).
 DEFAULT_ERROR_BOUND = 0.05
@@ -52,18 +29,16 @@ DEFAULT_ERROR_BOUND = 0.05
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Fitted fast-path parameters (see :class:`FidelityConfig`)."""
+    """The fitted fast-path parameters of one architecture."""
 
     dram_overhead_ps: int
     dram_ps_per_byte: float
     cpu_cycles: int
-    cached: bool = False
 
     def to_fidelity(self) -> FidelityConfig:
-        """An all-fast :class:`FidelityConfig` carrying these parameters
-        (mixed levels: :func:`calibrated_fidelity`)."""
-        return FidelityConfig(default=Fidelity.FAST.value,
-                              **self.to_dict())
+        """The all-fast dial; a fast device fits these same parameters
+        itself."""
+        return FidelityConfig(default=Fidelity.FAST.value)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -72,130 +47,24 @@ class CalibrationResult:
             "cpu_cycles": self.cpu_cycles,
         }
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any],
-                  cached: bool = False) -> "CalibrationResult":
-        return cls(dram_overhead_ps=int(payload["dram_overhead_ps"]),
-                   dram_ps_per_byte=float(payload["dram_ps_per_byte"]),
-                   cpu_cycles=int(payload["cpu_cycles"]),
-                   cached=cached)
-
-
-# ----------------------------------------------------------------------
-# Probes (cycle-accurate, short)
-
-
-def _probe_dram(arch: SsdArchitecture,
-                sizes: Tuple[int, ...] = (512, 2048, 4096, 16384),
-                repeats: int = 16) -> Tuple[int, float]:
-    """Fit ``elapsed = overhead + nbytes * ps_per_byte`` on one device.
-
-    The probe streams sequential addresses exactly like the buffer
-    manager's FIFO pattern, with refresh running, so the fit absorbs
-    both the row-hit common case and the refresh bandwidth tax.
-    """
-    samples: List[Tuple[int, float]] = []
-    for nbytes in sizes:
-        sim = Simulator()
-        dram = DramController(sim, "probe", arch.dram_timing,
-                              enable_refresh=True)
-        elapsed: List[int] = []
-        address = 0
-
-        def run(nbytes=nbytes):
-            nonlocal address
-            for __ in range(repeats):
-                took = yield sim.process(dram.write(address, nbytes))
-                elapsed.append(took)
-                address += nbytes
-
-        sim.run(until=sim.process(run()))
-        samples.append((nbytes, sum(elapsed) / len(elapsed)))
-    n = len(samples)
-    mean_x = sum(x for x, __ in samples) / n
-    mean_y = sum(y for __, y in samples) / n
-    var = sum((x - mean_x) ** 2 for x, __ in samples)
-    slope = sum((x - mean_x) * (y - mean_y) for x, y in samples) / var
-    intercept = mean_y - slope * mean_x
-    return max(0, int(round(intercept))), max(slope, 1e-9)
-
-
-# ----------------------------------------------------------------------
-# Cache + entry point
-
-
-def calibration_key(arch: SsdArchitecture) -> str:
-    """Content hash of everything the probe outcomes depend on: the
-    DRAM timing (the CPU probe reads no part of ``arch``)."""
-    document = {
-        "salt": f"{CODE_VERSION}/{PROBE_VERSION}",
-        "dram_timing": canonical(arch.dram_timing),
-    }
-    blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-#: Default on-disk location for calibration entries (repo-relative).
-DEFAULT_CACHE_DIR = os.path.join(".sweep-cache", "calibration")
-
 
 def calibrate(arch: Optional[SsdArchitecture] = None,
-              cache_dir: Optional[str] = DEFAULT_CACHE_DIR,
-              use_cache: bool = True) -> CalibrationResult:
-    """Fit (or load) the fast-path parameters for an architecture.
+              cache_dir: Optional[str] = None) -> CalibrationResult:
+    """The fast-path parameters a fast build of ``arch`` uses (the
+    memoized fit; the first call in a process runs the probes).
 
-    Deterministic: two runs against the same timing models produce the
-    same parameters, so the content-addressed cache entry is stable.
-    ``cache_dir=None`` disables persistence.
+    ``cache_dir`` is accepted only as ``None``: fits are no longer
+    kept on disk.
     """
+    if cache_dir is not None:
+        raise ValueError(f"calibrate(cache_dir={cache_dir!r}): the "
+                         f"calibration cache was removed; the fit is "
+                         f"memoized per process and written nowhere")
     arch = arch or SsdArchitecture()
-    cache = SweepCache(cache_dir) if cache_dir else None
-    key = calibration_key(arch)
-    if cache is not None and use_cache:
-        envelope = cache.load(key)
-        if envelope is not None:
-            try:
-                return CalibrationResult.from_dict(envelope["payload"],
-                                                   cached=True)
-            except (KeyError, TypeError, ValueError):
-                pass  # malformed entry: recalibrate and rewrite
-    dram_overhead_ps, dram_ps_per_byte = _probe_dram(arch)
-    result = CalibrationResult(
-        dram_overhead_ps=dram_overhead_ps,
-        dram_ps_per_byte=dram_ps_per_byte,
-        cpu_cycles=int(round(calibrate_command_cycles())),
-    )
-    if cache is not None:
-        cache.store(key, {
-            "salt": f"{CODE_VERSION}/{PROBE_VERSION}",
-            "name": "calibration",
-            "evaluator": "calibrate",
-            "payload": result.to_dict(),
-            "events": 0,
-            "elapsed_s": 0.0,
-        })
-    return result
-
-
-def calibrated_fidelity(spec: Union[str, FidelityConfig],
-                        arch: Optional[SsdArchitecture] = None,
-                        cache_dir: Optional[str] = DEFAULT_CACHE_DIR
-                        ) -> Optional[FidelityConfig]:
-    """Resolve a fidelity spec (``"fast"``, ``"fast,dram=cycle"``, ...)
-    or config into a calibrated config; the empty spec means cycle
-    (``None``).
-
-    Any fast level pulls in the calibrated fast-path parameters for
-    ``arch``, fitted on first use and kept in ``cache_dir`` afterwards
-    (``None``: fitted every time, nothing written).
-    """
-    if not spec:
-        return None
-    config = fidelity_from_spec(spec) if isinstance(spec, str) else spec
-    if config.any_fast:
-        config = replace(config,
-                         **calibrate(arch, cache_dir=cache_dir).to_dict())
-    return config
+    overhead_ps, ps_per_byte = dram_fit(arch.dram_timing)
+    return CalibrationResult(dram_overhead_ps=overhead_ps,
+                             dram_ps_per_byte=ps_per_byte,
+                             cpu_cycles=cpu_fit())
 
 
 # ----------------------------------------------------------------------

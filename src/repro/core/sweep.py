@@ -66,7 +66,11 @@ from .lease import DEFAULT_LEASE_TTL_S, LeaseKeeper, LeaseQueue, atomic_write
 #: field, so every architecture reduces to a different canonical form.
 #: sweep-10: reliability page_reads counts uncorrectable reads too, so
 #: uber and retries_per_read of runs with uncorrectable reads moved.
-CODE_VERSION = "sweep-10"
+#: sweep-11: the fidelity config lost its three fitted-parameter fields
+#: (a fast build fits them itself), so every architecture reduces to a
+#: different canonical form; an uncalibrated ``fast`` point now runs
+#: the fit instead of the analytic defaults.
+CODE_VERSION = "sweep-11"
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,7 @@ SSD dispatch firmware with its abstract (parametric) counterpart.
 from .assembler import AssemblyError, assemble
 from .core import CpuCore, CpuFault
 from .dma import DmaEngine
-from .firmware import (AbstractCpu, DISPATCH_FIRMWARE, FirmwareCpu,
-                       calibrate_command_cycles)
+from .firmware import AbstractCpu, DISPATCH_FIRMWARE, FirmwareCpu
 from .isa import (CYCLE_COSTS, Instruction, NUM_REGISTERS, Opcode, Operand,
                   TAKEN_BRANCH_PENALTY, alu_evaluate)
 from .memory import MemoryFault, MemoryMap, MmioRegion
@@ -19,5 +18,4 @@ __all__ = [
     "DISPATCH_FIRMWARE", "DmaEngine", "FirmwareCpu", "Instruction",
     "MemoryFault", "MemoryMap", "MmioRegion", "NUM_REGISTERS", "Opcode",
     "Operand", "TAKEN_BRANCH_PENALTY", "alu_evaluate", "assemble",
-    "calibrate_command_cycles",
 ]

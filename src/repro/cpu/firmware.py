@@ -191,14 +191,14 @@ class FirmwareCpu(Component):
 class AbstractCpu(Component):
     """Parametric CPU service model (multi-core capable).
 
-    ``cycles_per_command`` defaults to the cost measured by running the
-    real :class:`FirmwareCpu` dispatch loop (see
-    :func:`calibrate_command_cycles`); keeping the default in sync is
-    enforced by a regression test.
+    ``cycles_per_command`` defaults to :attr:`CALIBRATED_CYCLES`, the
+    cost of the real :class:`FirmwareCpu` dispatch loop (see
+    :func:`repro.ssd.fidelity.cpu_fit`) plus its bus traffic; a
+    regression test keeps the two in sync.
     """
 
     #: Dispatch cost measured from DISPATCH_FIRMWARE: 38 cycles of pure
-    #: core work (see :func:`calibrate_command_cycles`) plus the AHB MMIO
+    #: core work (see :func:`~repro.ssd.fidelity.cpu_fit`) plus the AHB MMIO
     #: traffic of a full dispatch, ~77 cycles total on an uncontended bus.
     CALIBRATED_CYCLES = 77
 
@@ -243,21 +243,3 @@ class AbstractCpu(Component):
     def utilization(self) -> float:
         return self._cores.utilization()
 
-
-def calibrate_command_cycles(n_commands: int = 32) -> float:
-    """Measure the real firmware's per-command cycle cost (no AHB).
-
-    Used to back-annotate :attr:`AbstractCpu.CALIBRATED_CYCLES`.
-    """
-    sim = Simulator()
-    cpu = FirmwareCpu(sim, "cal")
-
-    def feeder():
-        for index in range(n_commands):
-            yield sim.process(cpu.process_command(
-                1, index * 8, 8, {"channel": index % 4, "way": 0, "die": 0}))
-
-    sim.run(until=sim.process(feeder()))
-    # Subtract nothing: steady-state cost per command including loop
-    # overhead is what the abstract model should charge.
-    return cpu.cycles_retired / n_commands

@@ -15,7 +15,7 @@ tracks buffer occupancy so a full buffer back-pressures the host interface
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Tuple
 
 from ..kernel import Component, Event, Simulator
 from .controller import DramController, FastDramController
@@ -53,9 +53,7 @@ class BufferManager(Component):
                  capacity_bytes_per_buffer: int = 8 << 20,
                  parent: Optional[Component] = None,
                  enable_refresh: bool = True,
-                 fast: bool = False,
-                 dram_overhead_ps: Optional[int] = None,
-                 dram_ps_per_byte: Optional[float] = None):
+                 fast_fit: Optional[Tuple[int, float]] = None):
         super().__init__(sim, name, parent)
         if n_buffers < 1:
             raise ValueError(f"n_buffers must be >= 1, got {n_buffers}")
@@ -68,14 +66,14 @@ class BufferManager(Component):
         self.n_buffers = n_buffers
         self.n_channels = n_channels
         self.capacity_bytes = capacity_bytes_per_buffer
-        self.fast = fast
-        if fast:
-            # Queue-model devices: refresh is an analytic derate (or a
-            # calibrated fit), so enable_refresh does not apply.
+        self.fast = fast_fit is not None
+        if self.fast:
+            # Queue-model devices on the fitted (overhead_ps,
+            # ps_per_byte): refresh is in the fit, so enable_refresh
+            # does not apply.
             self.buffers = [
-                FastDramController(sim, f"buf{i}", timing, parent=self,
-                                   overhead_ps=dram_overhead_ps,
-                                   ps_per_byte=dram_ps_per_byte)
+                FastDramController(sim, f"buf{i}", timing, *fast_fit,
+                                   parent=self)
                 for i in range(n_buffers)
             ]
         else:

@@ -211,9 +211,9 @@ class FastDramController(_DramDevice):
     — two kernel events instead of the per-segment ACT/CAS/burst chain
     — while FCFS contention on the shared device bus is kept as a real
     Resource, so back-pressure and utilization still emerge.  Refresh is
-    not simulated; its bandwidth loss is folded into the per-byte cost
-    as an analytic derate (tRFC / tREFI duty, ~1.6% for DDR2-800),
-    unless calibrated parameters override the defaults.
+    not simulated: the parameters come from
+    :func:`repro.ssd.fidelity.dram_fit`, which measures the cycle
+    controller with refresh running, so its bandwidth tax is in them.
 
     Shares the generator interface and the ``reads``/``writes``/``bytes``
     counts of :class:`DramController`, so the buffer manager and the
@@ -221,20 +221,10 @@ class FastDramController(_DramDevice):
     """
 
     def __init__(self, sim: Simulator, name: str, timing: Ddr2Timing,
-                 parent: Optional[Component] = None,
-                 overhead_ps: Optional[int] = None,
-                 ps_per_byte: Optional[float] = None):
+                 overhead_ps: int, ps_per_byte: float,
+                 parent: Optional[Component] = None):
         super().__init__(sim, name, timing, parent)
         self.bus = Resource(sim, f"{name}.bus", capacity=1)
-        if overhead_ps is None:
-            overhead_ps = timing.activate_to_read_ps()
-        if ps_per_byte is None:
-            # Streaming burst cost, derated by the refresh duty cycle
-            # (calibrated parameters already include refresh, so the
-            # derate applies only to this analytic default).
-            duty = timing.refresh_ps() / timing.refresh_interval_ps
-            ps_per_byte = (timing.burst_ps(1) / timing.burst_bytes
-                           / (1.0 - duty))
         if overhead_ps < 0:
             raise ValueError("overhead_ps must be >= 0")
         if ps_per_byte <= 0:

@@ -36,7 +36,7 @@ from ..kernel import Component, Resource, Simulator
 from ..obs import spans as _obs
 from ..nand.geometry import PageAddress
 from .architecture import CachePolicy, CpuMode, SsdArchitecture
-from .fidelity import Fidelity
+from .fidelity import Fidelity, cpu_fit, dram_fit
 
 
 class DataPathMode(enum.Enum):
@@ -59,7 +59,7 @@ class SsdDevice(Component):
         self.mode = mode
 
         # Fidelity dial: each subsystem resolves its abstraction level
-        # (cycle-accurate golden model vs calibrated fast path) here.
+        # (cycle-accurate golden model vs fitted fast path) here.
         fidelity = arch.fidelity
         nand_fast = fidelity.level("nand") is Fidelity.FAST
         cpu_fast = fidelity.level("cpu") is Fidelity.FAST
@@ -71,9 +71,8 @@ class SsdDevice(Component):
             arch.n_channels,
             capacity_bytes_per_buffer=arch.buffer_capacity_bytes,
             parent=self, enable_refresh=arch.dram_refresh,
-            fast=self._dram_fast,
-            dram_overhead_ps=fidelity.dram_overhead_ps,
-            dram_ps_per_byte=fidelity.dram_ps_per_byte)
+            fast_fit=(dram_fit(arch.dram_timing) if self._dram_fast
+                      else None))
 
         if arch.cpu_mode is CpuMode.FIRMWARE and not cpu_fast:
             # Only the firmware core masters the AHB, so only it builds one.
@@ -81,11 +80,12 @@ class SsdDevice(Component):
                                    ahb=AhbBus(sim, "ahb", parent=self),
                                    parent=self)
         else:
-            # Fast CPU: the parametric model with the calibrated fixed
-            # per-command cost (the existing cycles_per_command hook).
+            # An explicit per-command cost wins at every fidelity; else
+            # the fast CPU charges the fit and the cycle-fidelity
+            # abstract CPU its CALIBRATED_CYCLES default.
             cycles = arch.cpu_cycles_per_command
-            if cpu_fast and fidelity.cpu_cycles is not None:
-                cycles = fidelity.cpu_cycles
+            if cycles is None and cpu_fast:
+                cycles = cpu_fit()
             self.cpu = AbstractCpu(
                 sim, "cpu", cycles_per_command=cycles,
                 n_cores=arch.cpu_cores, parent=self)

@@ -9,25 +9,35 @@ SimpleSSD/Amber split, every design point carries a
   DRAM events, firmware dispatch), and
 * ``fast``  — closed-form service models: a single bus tenure per NAND
   op (exact when the op is uncontended), a linear DRAM service time
-  with an analytic refresh derate, and a fixed per-command CPU cost.
+  and a fixed per-command CPU cost.
 
 The config is part of :class:`~repro.ssd.architecture.SsdArchitecture`
 and therefore of every sweep fingerprint: cycle and fast runs of the
 same point can never collide in the result cache.
 
-The calibrated parameters (DRAM service model, CPU cost) are optional:
-the analytic defaults derived from the timing dataclasses are good
-enough to stay inside the declared error bound, and
-:mod:`repro.core.calibrate` refines them from short cycle-accurate
-probes.  Fast NAND has no parameter: it is built from the same ONFI,
-array and ECC timing as the cycle model.
+Each fast model takes its parameters from its own cycle model, measured
+when the first fast device is built (the SimpleSSD recipe):
+:func:`dram_fit` least-squares fits the cycle DRAM controller, refresh
+running, per timing set, and :func:`cpu_fit` runs the real firmware
+dispatch loop.  Both are memoized per process, cost 5–9 ms together
+and write no file; they run with observability suspended, so a fit
+inside a profiled run records no span.  Fast NAND has no parameter: it
+is built from the same ONFI, array and ECC timing as the cycle model.
 """
 
 from __future__ import annotations
 
 import enum
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from functools import lru_cache
+from typing import List, Tuple
+
+from ..cpu.firmware import FirmwareCpu
+from ..dram.controller import DramController
+from ..dram.timing import Ddr2Timing
+from ..kernel import Simulator
+from ..obs import spans as _obs
 
 
 class Fidelity(enum.Enum):
@@ -43,25 +53,16 @@ SUBSYSTEMS = ("nand", "dram", "cpu")
 
 @dataclass(frozen=True)
 class FidelityConfig:
-    """Per-subsystem fidelity selection plus calibrated fast-path knobs.
+    """Per-subsystem fidelity selection.
 
     ``default`` applies to every subsystem whose own field is left empty
-    (the empty string means *inherit*).  The calibrated parameters are
-    ``None`` until :mod:`repro.core.calibrate` fills them in; the fast
-    paths then use analytic defaults derived from the cycle-accurate
-    timing parameters.
+    (the empty string means *inherit*).
     """
 
     default: str = Fidelity.CYCLE.value
     nand: str = ""      # "" = inherit `default`
     dram: str = ""
     cpu: str = ""
-    #: Calibrated fast-DRAM service model: fixed per-access overhead and
-    #: per-byte streaming cost (both picoseconds).
-    dram_overhead_ps: Optional[int] = None
-    dram_ps_per_byte: Optional[float] = None
-    #: Calibrated fixed per-command CPU cost (core cycles).
-    cpu_cycles: Optional[int] = None
 
     def __post_init__(self) -> None:
         valid = {f.value for f in Fidelity}
@@ -73,12 +74,6 @@ class FidelityConfig:
             if value and value not in valid:
                 raise ValueError(f"fidelity.{name} must be '' or one of "
                                  f"{sorted(valid)}, got {value!r}")
-        if self.dram_overhead_ps is not None and self.dram_overhead_ps < 0:
-            raise ValueError("dram_overhead_ps must be >= 0")
-        if self.dram_ps_per_byte is not None and self.dram_ps_per_byte <= 0:
-            raise ValueError("dram_ps_per_byte must be positive")
-        if self.cpu_cycles is not None and self.cpu_cycles < 0:
-            raise ValueError("cpu_cycles must be >= 0")
 
     # ------------------------------------------------------------------
     def level(self, subsystem: str) -> Fidelity:
@@ -120,3 +115,72 @@ def fidelity_from_spec(spec: str) -> FidelityConfig:
             raise ValueError(f"fidelity spec {spec!r} names two defaults")
     return FidelityConfig(default=default or Fidelity.CYCLE.value,
                           **overrides)
+
+
+# ----------------------------------------------------------------------
+# Fitted fast-path parameters
+
+
+@contextmanager
+def _unobserved():
+    """Span recording off: a fit is not part of the run that
+    triggered it."""
+    saved = _obs.enabled
+    _obs.enabled = False
+    try:
+        yield
+    finally:
+        _obs.enabled = saved
+
+
+@lru_cache(maxsize=None)
+def dram_fit(timing: Ddr2Timing) -> Tuple[int, float]:
+    """Fast DRAM service model ``(overhead_ps, ps_per_byte)``: a
+    least-squares fit of ``elapsed = overhead + nbytes * ps_per_byte``
+    on the cycle :class:`DramController`.
+
+    The probe streams sequential addresses exactly like the buffer
+    manager's FIFO pattern, with refresh running, so the fit absorbs
+    both the row-hit common case and the refresh bandwidth tax.
+    """
+    samples: List[Tuple[int, float]] = []
+    for nbytes in (512, 2048, 4096, 16384):
+        sim = Simulator()
+        dram = DramController(sim, "probe", timing, enable_refresh=True)
+        elapsed: List[int] = []
+
+        def run(nbytes=nbytes):
+            address = 0
+            for __ in range(16):
+                took = yield sim.process(dram.write(address, nbytes))
+                elapsed.append(took)
+                address += nbytes
+
+        with _unobserved():
+            sim.run(until=sim.process(run()))
+        samples.append((nbytes, sum(elapsed) / len(elapsed)))
+    n = len(samples)
+    mean_x = sum(x for x, __ in samples) / n
+    mean_y = sum(y for __, y in samples) / n
+    var = sum((x - mean_x) ** 2 for x, __ in samples)
+    slope = sum((x - mean_x) * (y - mean_y) for x, y in samples) / var
+    intercept = mean_y - slope * mean_x
+    return max(0, int(round(intercept))), max(slope, 1e-9)
+
+
+@lru_cache(maxsize=None)
+def cpu_fit() -> int:
+    """Fast CPU cost per command (cycles): the real firmware's
+    steady-state cycles per command over 32 dispatches, loop overhead
+    included (core only, no AHB)."""
+    sim = Simulator()
+    cpu = FirmwareCpu(sim, "cal")
+
+    def feeder():
+        for index in range(32):
+            yield sim.process(cpu.process_command(
+                1, index * 8, 8, {"channel": index % 4, "way": 0, "die": 0}))
+
+    with _unobserved():
+        sim.run(until=sim.process(feeder()))
+    return int(round(cpu.cycles_retired / 32))

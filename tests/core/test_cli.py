@@ -7,6 +7,8 @@ import pytest
 
 from repro import cli
 from repro.cli import build_parser, main
+from repro.core import render_json
+from repro.ssd import SsdArchitecture
 
 SAMPLE = os.path.join(os.path.dirname(__file__), "..", "..", "examples",
                       "sample_msr.csv")
@@ -87,94 +89,85 @@ class TestRun:
 
     def test_config_fast_dial_runs_calibrated(self, tmp_path, monkeypatch,
                                               capsys):
-        """A config file's ``fidelity.default = fast`` runs the same
-        calibrated fast paths as ``--fidelity fast``."""
-        monkeypatch.chdir(tmp_path)  # the calibration cache lands here
-        monkeypatch.delenv("REPRO_SWEEP_CACHE_DIR", raising=False)
+        """A config file's ``fidelity.default = fast``, ``--fidelity
+        fast`` and ``with_fidelity("fast")`` build the same fitted fast
+        model: their ``run --json`` documents are byte-identical but for
+        host wall time."""
         config = tmp_path / "fast.cfg"
         config.write_text("[fidelity]\ndefault = fast\n")
         documents = []
-        for dial in (["--config", str(config)], ["--fidelity", "fast"]):
+
+        def run(argv):
             assert main(["run", "--workload", "SW", "--commands", "80",
-                         "--json"] + dial) == 0
-            documents.append(json.loads(capsys.readouterr().out))
-        assert documents[0] == documents[1]
+                         "--json"] + argv) == 0
+            document = json.loads(capsys.readouterr().out)
+            del document["wall_seconds"]
+            documents.append(render_json(document))
 
-    def test_fast_calibration_follows_the_cache_dir(self, tmp_path,
-                                                    monkeypatch, capsys):
-        """``--cache-dir D`` keeps the calibration fit under
-        ``D/calibration``; nothing is written to the working directory."""
-        cwd, cache = tmp_path / "cwd", tmp_path / "D"
+        run(["--config", str(config)])
+        run(["--fidelity", "fast"])
+        monkeypatch.setattr(cli, "_architecture", lambda args: (
+            SsdArchitecture().with_fidelity("fast")))
+        run([])
+        assert documents[0] == documents[1] == documents[2]
+
+    def test_explicit_cpu_cost_wins_at_fast_fidelity(self, tmp_path,
+                                                     capsys):
+        """A config's ``cpu.cycles_per_command = 0`` is a zero-cost CPU
+        under ``--fidelity fast`` too: the fit fills only an unset cost.
+        A zero-cost CPU skips the core grant and the cycles timeout, two
+        kernel events per command."""
+        def events(config_text, dial):
+            config = tmp_path / "ssd.cfg"
+            config.write_text(config_text)
+            assert main(["run", "--workload", "SW", "--commands", "40",
+                         "--config", str(config), "--json"] + dial) == 0
+            return json.loads(capsys.readouterr().out)["events"]
+
+        fitted = events("fidelity.default = fast\n", [])
+        for dial in ([], ["--fidelity", "fast"]):
+            assert events("cpu.cycles_per_command = 0\n"
+                          "fidelity.default = fast\n", dial) \
+                == fitted - 2 * 40
+
+    @pytest.mark.parametrize("argv, env_cache", [
+        (["run", "--workload", "SW", "--commands", "40", "--fidelity",
+          "fast", "--json"], False),
+        (["run", "--workload", "SW", "--commands", "40", "--fidelity",
+          "fast", "--cache-dir", "{out}", "--json"], False),
+        (["run", "--workload", "SW", "--commands", "40", "--fidelity",
+          "fast", "--no-cache", "--json"], False),
+        (["fig3", "--configs", "C1", "--commands", "20", "--fidelity",
+          "fast", "--workers", "1"], True),
+        (["campaign", "run", "{out}", "--fidelity", "fast", "--quiet",
+          "--configs", "C1,C2", "--commands", "20", "--workers", "1"],
+         False),
+        (["campaign", "run", "{out}", "--experiment", "adaptive",
+          "--quiet", "--configs", "C1,C2", "--commands", "20",
+          "--workers", "1"], False),
+        (["fig3", "--campaign", "{out}", "--fidelity", "fast",
+          "--configs", "C1,C2", "--commands", "20", "--workers", "1"],
+         False),
+        (["calibrate", "--json"], False),
+    ], ids=["run-fast", "run-fast-cache-dir", "run-fast-no-cache",
+            "fig3-fast-env-cache-dir", "campaign-run", "campaign-adaptive",
+            "fig3-campaign", "calibrate"])
+    def test_no_command_writes_a_fit(self, argv, env_cache, tmp_path,
+                                     monkeypatch, capsys):
+        """The fit is memoized in the process, never written: the
+        working directory stays empty and no ``calibration/`` directory
+        appears, wherever results go."""
+        cwd, out = tmp_path / "cwd", tmp_path / "out"
         cwd.mkdir()
         monkeypatch.chdir(cwd)
-        monkeypatch.delenv("REPRO_SWEEP_CACHE_DIR", raising=False)
-        assert main(["run", "--workload", "SW", "--commands", "40",
-                     "--fidelity", "fast", "--cache-dir", str(cache),
-                     "--json"]) == 0
-        capsys.readouterr()
-        assert not (cwd / ".sweep-cache").exists()
-        assert list(cwd.iterdir()) == []
-        assert len(list((cache / "calibration").glob("*.json"))) == 1
-
-    def test_fast_calibration_follows_the_env_cache_dir(self, tmp_path,
-                                                        monkeypatch, capsys):
-        cwd, cache = tmp_path / "cwd", tmp_path / "E"
-        cwd.mkdir()
-        monkeypatch.chdir(cwd)
-        monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR", str(cache))
-        assert main(["fig3", "--configs", "C1", "--commands", "20",
-                     "--fidelity", "fast", "--workers", "1"]) == 0
+        if env_cache:
+            monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR", str(out))
+        else:
+            monkeypatch.delenv("REPRO_SWEEP_CACHE_DIR", raising=False)
+        assert main([part.format(out=out) for part in argv]) == 0
         capsys.readouterr()
         assert list(cwd.iterdir()) == []
-        assert len(list((cache / "calibration").glob("*.json"))) == 1
-
-    def test_no_cache_calibrates_without_persisting(self, tmp_path,
-                                                    monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("REPRO_SWEEP_CACHE_DIR", raising=False)
-        assert main(["run", "--workload", "SW", "--commands", "40",
-                     "--fidelity", "fast", "--no-cache", "--json"]) == 0
-        capsys.readouterr()
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("argv", [
-        ["campaign", "run", "{camp}", "--fidelity", "fast", "--quiet"],
-        ["campaign", "run", "{camp}", "--experiment", "adaptive",
-         "--quiet"],
-        ["fig3", "--campaign", "{camp}", "--fidelity", "fast"],
-    ], ids=["campaign-run", "campaign-adaptive", "fig3-campaign"])
-    def test_campaign_calibration_stays_in_the_campaign(
-            self, argv, tmp_path, monkeypatch, capsys):
-        """A campaign keeps its fit under ``<campaign dir>/calibration``;
-        nothing is written to the working directory."""
-        cwd, camp = tmp_path / "cwd", tmp_path / "camp"
-        cwd.mkdir()
-        monkeypatch.chdir(cwd)
-        monkeypatch.delenv("REPRO_SWEEP_CACHE_DIR", raising=False)
-        assert main([part.format(camp=camp) for part in argv]
-                    + ["--configs", "C1,C2", "--commands", "20",
-                       "--workers", "1"]) == 0
-        capsys.readouterr()
-        assert list(cwd.iterdir()) == []
-        assert len(list((camp / "calibration").glob("*.json"))) == 1
-
-    def test_calibrate_shares_the_runs_fit(self, tmp_path, monkeypatch,
-                                           capsys):
-        """``repro calibrate`` reads the fit a fast run kept, whether the
-        cache is named by ``--cache-dir`` or ``REPRO_SWEEP_CACHE_DIR``."""
-        cache = tmp_path / "D"
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("REPRO_SWEEP_CACHE_DIR", raising=False)
-        assert main(["run", "--workload", "SW", "--commands", "40",
-                     "--fidelity", "fast", "--cache-dir", str(cache),
-                     "--json"]) == 0
-        capsys.readouterr()
-        assert main(["calibrate", "--cache-dir", str(cache), "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["cached"] is True
-        monkeypatch.setenv("REPRO_SWEEP_CACHE_DIR", str(cache))
-        assert main(["calibrate", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["cached"] is True
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["D"]
+        assert not list(tmp_path.rglob("calibration"))
 
     def test_warm_flag(self, capsys):
         assert main(["run", "--workload", "SW", "--commands", "60",

@@ -88,7 +88,7 @@ def test_one_slow_replay_does_not_fail_the_median():
 
 def test_real_fast_replay_slowed_by_a_sleep_fails():
     arch = SsdArchitecture()
-    fast = arch.with_fidelity(calibrate(arch, cache_dir=None).to_fidelity())
+    fast = arch.with_fidelity(calibrate(arch).to_fidelity())
     workload = TraceWorkload.from_file(bench.TRACE)
     events = []
 

@@ -2,7 +2,7 @@
 
 The fidelity dial's contract has three legs —
 
-* **calibration** is deterministic and cached content-addressed;
+* **calibration** is deterministic and keyed by the DRAM timing alone;
 * **fast is honest**: fig3/fig5 at fast fidelity stay within the
   declared relative-error bound of the checked-in goldens, and fast
   measurements track cycle-accurate ones across a seeded sample of the
@@ -19,14 +19,16 @@ import pytest
 
 from repro.controller import GangScheme
 from repro.core import (CalibrationResult, SweepPoint, SweepRunner,
-                        calibrate, calibrated_fidelity, calibration_key,
-                        fidelity_error_report, fig3_sweep, fingerprint)
+                        calibrate, fidelity_error_report, fig3_sweep,
+                        fingerprint)
 from repro.core.goldens import (compute_golden, load_golden,
                                 serialize_golden)
 from repro.host import sequential_read, sequential_write
 from repro.ecc import AdaptiveBch
 from repro.nand import NandGeometry, OnfiTiming
-from repro.ssd import SsdArchitecture
+from repro.kernel import Simulator
+from repro.ssd import SsdArchitecture, SsdDevice
+from repro.ssd.fidelity import cpu_fit, dram_fit
 from repro.ssd.scenarios import measure
 
 SMALL_GEO = NandGeometry(planes_per_die=1, blocks_per_plane=64,
@@ -35,49 +37,61 @@ SMALL_GEO = NandGeometry(planes_per_die=1, blocks_per_plane=64,
 
 @pytest.fixture(scope="module")
 def calibration() -> CalibrationResult:
-    return calibrate(cache_dir=None)
+    return calibrate()
+
+
+def fitted_timings():
+    """How many DRAM timings the memoized fit holds."""
+    return dram_fit.cache_info().currsize
 
 
 class TestCalibration:
     def test_deterministic(self, calibration):
-        again = calibrate(cache_dir=None)
+        dram_fit.cache_clear()
+        cpu_fit.cache_clear()
+        again = calibrate()
         assert again.to_dict() == calibration.to_dict()
 
-    def test_cache_round_trip(self, tmp_path, calibration):
-        first = calibrate(cache_dir=str(tmp_path))
-        second = calibrate(cache_dir=str(tmp_path))
-        assert not first.cached and second.cached
-        assert first.to_dict() == second.to_dict() \
-            == calibration.to_dict()
-
     def test_key_tracks_timing_models(self):
-        base = SsdArchitecture()
-        assert calibration_key(base) == calibration_key(
-            SsdArchitecture(n_channels=8))  # topology: same probes
+        dram_fit.cache_clear()
+        calibrate()
+        calibrate(SsdArchitecture(n_channels=8))  # topology: same probes
+        assert fitted_timings() == 1
         from repro.dram import Ddr2Timing
         faster = SsdArchitecture(
             dram_timing=Ddr2Timing(clock_hz=533e6))
-        assert calibration_key(base) != calibration_key(faster)
+        assert calibrate(faster) != calibrate()
+        assert fitted_timings() == 2
 
     def test_key_ignores_what_no_probe_reads(self):
         # The probes read only the DRAM timing: the NAND side, its
         # interface and its ECC move no calibrated parameter.
-        base = SsdArchitecture()
+        dram_fit.cache_clear()
         other_nand = SsdArchitecture(
             onfi_timing=OnfiTiming.source_synchronous(200),
             geometry=NandGeometry(planes_per_die=2, page_bytes=8192),
             ecc=AdaptiveBch(), gang_scheme=GangScheme.SHARED_CONTROL)
-        assert calibration_key(base) == calibration_key(other_nand)
+        assert calibrate(other_nand) == calibrate()
+        assert fitted_timings() == 1
 
-    def test_to_fidelity_carries_parameters(self, calibration, tmp_path,
-                                            monkeypatch):
-        monkeypatch.chdir(tmp_path)  # the calibration cache lands here
+    def test_to_fidelity_carries_parameters(self, calibration):
+        # to_fidelity() is the plain fast dial: a device built from it
+        # fits the reported parameters itself.
         config = calibration.to_fidelity()
-        assert config.any_fast
-        assert config.dram_ps_per_byte == calibration.dram_ps_per_byte
-        mixed = calibrated_fidelity("fast,dram=cycle")
-        assert mixed.level("dram").value == "cycle"
-        assert mixed.cpu_cycles == calibration.cpu_cycles
+        assert config == SsdArchitecture().with_fidelity("fast").fidelity
+        device = SsdDevice(Simulator(),
+                           SsdArchitecture().with_fidelity(config))
+        assert device.buffers.buffers[0].ps_per_byte \
+            == calibration.dram_ps_per_byte
+        mixed = SsdDevice(Simulator(), SsdArchitecture().with_fidelity(
+            "fast,dram=cycle"))
+        assert not mixed.buffers.fast
+        assert mixed.cpu.cycles_per_command == calibration.cpu_cycles
+
+    def test_no_cache_directory_is_accepted(self, tmp_path):
+        with pytest.raises(ValueError, match="calibration cache"):
+            calibrate(cache_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestErrorBoundTier:
@@ -86,12 +100,6 @@ class TestErrorBoundTier:
         assert report["within_bound"], (
             f"fast fidelity drifted: {report['max_metric']} at "
             f"{report['max_rel_error']:.2%} (bound {report['bound']:.0%})")
-
-    def test_uncalibrated_fast_also_within_bound(self):
-        # The analytic defaults must stand on their own: a user can dial
-        # to fast without ever running `repro calibrate`.
-        report = fidelity_error_report()
-        assert report["within_bound"]
 
 
 class TestCacheKeys:

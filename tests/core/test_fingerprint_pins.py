@@ -1,9 +1,10 @@
 """Fingerprint pins: sweep keys are byte-stable across releases.
 
 Every key below was computed by the fingerprinting code under sweep
-salt ``sweep-10`` (re-pinned from the ``sweep-9`` keys, which the same
-points still reproduce under the old salt, when the reliability
-``page_reads`` denominator started counting uncorrectable reads).
+salt ``sweep-11`` (re-pinned from the ``sweep-10`` keys when the
+fidelity config lost its three fitted-parameter fields: every
+architecture's canonical form shrank, so no point keeps its old key
+under either salt).
 A result directory (``.sweep-cache``, a campaign's ``results/``) is
 addressed by these keys, so a change to how objects are reduced that
 moves any of them silently turns every cached result into a miss.  A
@@ -64,21 +65,21 @@ def pinned_points():
 
 
 PINS = {
-    't2-C1-cache': '3a0b9cd0edbf17e49213bf0a46f86c914bd32233be62154330b4f0866cc2b23c',
-    't2-C1-no-cache': 'c5d1277608f08e6bee9402edaa92d894c71fd8152ed3c035a9c859d548234531',
-    't2-C8-cache': '08f0bd909475d48320967f6b7e49a8609c59f268b3cc6419848dc82f9308af48',
-    't2-C8-no-cache': 'f1ede6919dbfe43ceddf71c011d2d3f1a0686fe1641431d98318b78a184bada1',
-    't3-C1-cache': 'f5403a04a902e677e37df1e072649f952f1bf5588bc0595da7b47b67b78d4d59',
-    't3-C1-no-cache': '358c4bf4eedba3e0762c85b423333b31508aa53d08c455f4cd9997ef5543c2d6',
-    't3-C8-cache': '14defef28b2391f90f522525b5e75e89372fcf124565ef3aff19195c5ac6ef0e',
-    't3-C8-no-cache': '3814465c8c2c72370a8c0e870858a9f0035dbca223d0c44fd4b31130bd586937',
-    't2-C4-RR': '9b932543cfb67da13e6c231913741648f3f5ac1c6ca26267ca07e58ccf241df0',
-    'C2': '9feb1526c8496481ced9700980f7cdc50b93d333afc9442fa6f6028873ba490e',
-    'C3': '94d4aec189abba1dfa8da61b51776edd10a020cc2f0eafa7fd3468f7bac0a522',
-    't2-wrr': 'dbc77daca0cfabf4ccf44797cfc5f49a5a2f0e1ac89292d063aadff2bc994110',
-    'pagemap': 'bc169aff6cf858f67153bcfef0cb25f52a0bb925fa8648f7d95cab01b6b9a2dd',
-    'dftl@8KiB': 'eeaf3c3d3a8fb7346358d23a9c13c73ab2d3e9e0267d084ea52c5d5df46d834d',
-    'params': 'c7c13cac04f6ef0bd51148523c0cb503627521a632399c23a695bb5fa037dbaf',
+    't2-C1-cache': '5b5d03b344d80b2e8c37f2936fc6c2145e08d47cf9e0dd1f53e430f60046c31d',
+    't2-C1-no-cache': '1fab81d51966ae0785a70454070e76df420959f960b596b141ae6d8bf99f5f30',
+    't2-C8-cache': '0a661f938387119c2aee88833e029ef96f813a4e1f181a1b61aa2acafb8c6bbc',
+    't2-C8-no-cache': '3319a1b65f2778dec2ed8019a1d33c010089a83ce0c6f07a9eac1cf0bb213381',
+    't3-C1-cache': '063782740d78086df7934a5007554f968de0c677003e5719cf8fd66830f0b2ea',
+    't3-C1-no-cache': 'fe9cbc3cfcb12898c4b8e4c50d826b6124549f8c6da1f0d649fd299f5ed5d41a',
+    't3-C8-cache': '083ce505d728a022bf6b1acfaffd618be2630f77c78fbc91134e004bac93e377',
+    't3-C8-no-cache': '765f4c6c835826ac49aaadcd0255302f94382528d63d4b6103a5238269ac5a22',
+    't2-C4-RR': 'f787961c47a47381342e078dcb4b340378626c7fcf6e2fc5353df0384c7011f0',
+    'C2': '423e904561c1d265185b24734043df1a5e2d612a0e02de0f40c0faa0c9f2dd93',
+    'C3': '772a0d40c389c776c793f5c6a847c8f9200b2b622c692bc7c5d61a387809f9d5',
+    't2-wrr': '1bcd47863b983be360db4cbc83a4e483dbfabc8f850c5d603b50c17a959f2fd1',
+    'pagemap': 'dcd773eea5b0534c8b102e3b1a581927e91b32146c36c6254b45c45f0eac988f',
+    'dftl@8KiB': '606df7a6bc9878dc2e64877a173d4c4458c3bef25f2a592b3911873497aa3339',
+    'params': '7e87c9f1a8522fbc5b7924d5eaba0191dcb7f104536efafcf84527c794e347e6',
 }
 
 
@@ -89,7 +90,7 @@ def test_every_pinned_key_is_unchanged():
 
 def test_salt_is_the_pinned_one():
     # A salt bump re-keys every point on purpose: re-pin with it.
-    assert CODE_VERSION == "sweep-10"
+    assert CODE_VERSION == "sweep-11"
 
 
 @pytest.mark.parametrize("value", [object(), SsdArchitecture, TraceWorkload,

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.cpu import (AbstractCpu, CpuCore, CpuFault, DmaEngine, MemoryMap,
-                       assemble, calibrate_command_cycles)
+                       assemble)
 from repro.cpu.firmware import FirmwareCpu
 from repro.interconnect import AhbBus
 from repro.kernel import Simulator
 from repro.kernel.simtime import Clock, ns, us
+from repro.ssd.fidelity import cpu_fit
 
 CYCLE = 5000  # 200 MHz
 
@@ -274,7 +275,7 @@ class TestFirmwareCpu:
     def test_calibration_matches_constant(self):
         """Keep AbstractCpu.CALIBRATED_CYCLES honest: pure-core dispatch is
         38 cycles; the shipped constant adds the AHB MMIO share."""
-        measured = calibrate_command_cycles()
+        measured = cpu_fit()
         assert measured == pytest.approx(38.0, abs=2)
         assert AbstractCpu.CALIBRATED_CYCLES >= measured
 

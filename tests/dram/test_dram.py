@@ -483,25 +483,18 @@ class TestRefreshLifecycle:
 
 class TestFastServiceTimes:
     """An uncontended fast access lasts exactly the model's formula,
-    ``overhead_ps + int(round(nbytes * ps_per_byte))``, with analytic or
+    ``overhead_ps + int(round(nbytes * ps_per_byte))``, with the
     calibrated parameters, and is counted once."""
 
     SIZES = (1, 7, 512, 2048, 4096, 4097, 16384, 65536)
 
-    @staticmethod
-    def parameters():
-        from repro.core.calibrate import calibrate
-        fit = calibrate(cache_dir=None)
-        return {"analytic": {},
-                "calibrated": {"overhead_ps": fit.dram_overhead_ps,
-                               "ps_per_byte": fit.dram_ps_per_byte}}
-
-    @pytest.mark.parametrize("kind", ["analytic", "calibrated"])
+    @pytest.mark.parametrize("kind", ["calibrated"])
     def test_uncontended_time_equals_the_formula(self, kind):
         from repro.dram.controller import FastDramController
+        from repro.ssd.fidelity import dram_fit
         sim = Simulator()
         dram = FastDramController(sim, "fast", Ddr2Timing(),
-                                  **self.parameters()[kind])
+                                  *dram_fit(Ddr2Timing()))
         expected = {n: dram.overhead_ps + int(round(n * dram.ps_per_byte))
                     for n in self.SIZES}
         elapsed = {}

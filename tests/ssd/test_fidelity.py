@@ -27,10 +27,6 @@ class TestFidelityConfig:
             FidelityConfig(default="warp")
         with pytest.raises(ValueError):
             FidelityConfig(nand="warp")
-        with pytest.raises(ValueError):
-            FidelityConfig(dram_overhead_ps=-1)
-        with pytest.raises(ValueError):
-            FidelityConfig(cpu_cycles=-1)
 
     def test_spec_parsing(self):
         assert fidelity_from_spec("cycle") == FidelityConfig()
