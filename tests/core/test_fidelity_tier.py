@@ -101,6 +101,16 @@ class TestErrorBoundTier:
             f"fast fidelity drifted: {report['max_metric']} at "
             f"{report['max_rel_error']:.2%} (bound {report['bound']:.0%})")
 
+    def test_uncalibrated_fast_also_within_bound(self):
+        # The plain fast dial must stand on its own: a user can dial to
+        # fast without ever running `repro calibrate`, and each device
+        # then fits its own parameters when it is built.
+        dram_fit.cache_clear()
+        cpu_fit.cache_clear()
+        report = fidelity_error_report()
+        assert report["within_bound"]
+        assert fitted_timings() == 1
+
 
 class TestCacheKeys:
     def test_fidelity_changes_fingerprint(self):
