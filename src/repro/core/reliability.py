@@ -35,7 +35,7 @@ import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..faults.outcomes import OUTCOME_ORDER
 from ..host import sequential_read, sequential_write
@@ -257,6 +257,22 @@ def _replica_cell(point_name: str) -> str:
     return cell
 
 
+def _field(payload: Mapping[str, Any], field: str, point: str) -> Any:
+    """The payload value at the dotted ``field``, or a ``ValueError``
+    naming the replica point and the missing field (a missing field
+    would otherwise pool as zero)."""
+    value: Any = payload
+    keys = field.split(".")
+    for depth, key in enumerate(keys, 1):
+        try:
+            value = value[key]
+        except KeyError:
+            missing = ".".join(keys[:depth])
+            raise ValueError(f"replica {point!r}: payload has no "
+                             f"{missing!r} field") from None
+    return value
+
+
 def aggregate_estimates(payloads: Mapping[str, Mapping[str, object]]
                         ) -> Dict[str, ReliabilityEstimate]:
     """Pool replica payloads into per-cell estimates.
@@ -265,6 +281,9 @@ def aggregate_estimates(payloads: Mapping[str, Mapping[str, object]]
     returned by ``SweepResult.payloads()`` or read back from a campaign
     directory).  Pooling iterates names in sorted order, so the result
     is a pure function of the payload *set* — the byte-identity rule.
+    Every field is read by key: a payload missing ``commands``,
+    ``sustained_mbps``, its ``reliability`` section or any field of it
+    raises a ``ValueError`` naming the replica point and the field.
     """
     by_cell: Dict[str, List[str]] = {}
     for name in sorted(payloads):
@@ -278,18 +297,22 @@ def aggregate_estimates(payloads: Mapping[str, Mapping[str, object]]
         mbps_total = 0.0
         for name in names:
             payload = payloads[name]
-            reliability = payload.get("reliability", {})
-            commands += int(payload.get("commands", 0))
-            failed += int(reliability.get("failed_commands", 0))
-            page_reads += int(reliability.get("page_reads", 0))
-            uncorrectable += int(reliability.get("uncorrectable_reads", 0))
-            retries += int(reliability.get("read_retries", 0))
-            retired += int(reliability.get("retired_blocks", 0))
-            remapped += int(reliability.get("remapped_programs", 0))
-            background += int(reliability.get("background_write_faults", 0))
-            for key, count in reliability.get("outcomes", {}).items():
-                outcomes[key] = outcomes.get(key, 0) + int(count)
-            mbps_total += float(payload.get("sustained_mbps", 0.0))
+
+            def count(field: str) -> int:
+                return int(_field(payload, field, name))
+
+            commands += count("commands")
+            failed += count("reliability.failed_commands")
+            page_reads += count("reliability.page_reads")
+            uncorrectable += count("reliability.uncorrectable_reads")
+            retries += count("reliability.read_retries")
+            retired += count("reliability.retired_blocks")
+            remapped += count("reliability.remapped_programs")
+            background += count("reliability.background_write_faults")
+            for key, n in _field(payload, "reliability.outcomes",
+                                 name).items():
+                outcomes[key] = outcomes.get(key, 0) + int(n)
+            mbps_total += float(_field(payload, "sustained_mbps", name))
         estimates[cell_name] = ReliabilityEstimate(
             cell=ReliabilityCell.parse(cell_name),
             replicas=len(names),

@@ -6,6 +6,12 @@ named tree — mirroring SystemC's module hierarchy — so span tracks and
 error messages carry full hierarchical paths like ``ssd.chn3.way1.die0``.
 Sibling names must be unique, which keeps those paths unique.
 
+The tree holds references downward only: a parent keeps its children,
+and a child keeps its dotted path as a string built once at
+construction, not a reference to its parent.  A built device is then no
+reference cycle, so a device whose run has drained is freed by reference
+counting as soon as its last user drops it, without a collector pass.
+
 A component declares its statistics in ``__init__``: each count a report
 or a test reads is a plain int incremented in place, and a unit whose
 busy time is reported holds one
@@ -14,7 +20,7 @@ busy time is reported holds one
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .simulator import Simulator
@@ -24,7 +30,9 @@ class Component:
     """A named node in the platform hierarchy.
 
     Subclasses register child components simply by constructing them with
-    ``parent=self``.
+    ``parent=self``.  The parent records the child in ``children``; the
+    child stores only its path (the parent's path plus its own name), so
+    no child refers back up the tree.
     """
 
     def __init__(self, sim: "Simulator", name: str,
@@ -35,7 +43,7 @@ class Component:
             raise ValueError(f"component name may not contain '.': {name!r}")
         self.sim = sim
         self.name = name
-        self.parent = parent
+        self._path = name if parent is None else f"{parent._path}.{name}"
         self.children: Dict[str, "Component"] = {}
         if parent is not None:
             parent._add_child(self)
@@ -47,13 +55,9 @@ class Component:
         self.children[child.name] = child
 
     def path(self) -> str:
-        """Full dotted path from the hierarchy root."""
-        parts: List[str] = []
-        node: Optional[Component] = self
-        while node is not None:
-            parts.append(node.name)
-            node = node.parent
-        return ".".join(reversed(parts))
+        """Full dotted path from the hierarchy root, stored at
+        construction."""
+        return self._path
 
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.path()}>"
+        return f"<{type(self).__name__} {self._path}>"

@@ -169,6 +169,24 @@ class TestAggregation:
         low, high = estimate.uber_ci
         assert low < 1.0 == high
 
+    @pytest.mark.parametrize("field", [
+        "commands", "sustained_mbps", "reliability",
+        "reliability.failed_commands",
+        "reliability.page_reads", "reliability.uncorrectable_reads",
+        "reliability.read_retries", "reliability.retired_blocks",
+        "reliability.remapped_programs",
+        "reliability.background_write_faults", "reliability.outcomes"])
+    def test_missing_field_names_point_and_field(self, field):
+        payload = synthetic_payload(1)
+        *section, key = field.split(".")
+        del (payload[section[0]] if section else payload)[key]
+        payloads = {"rel/read/1/s8/r00000": synthetic_payload(0),
+                    "rel/read/1/s8/r00001": payload}
+        with pytest.raises(ValueError) as error:
+            aggregate_estimates(payloads)
+        assert str(error.value) == (
+            f"replica 'rel/read/1/s8/r00001': payload has no {field!r} field")
+
     def test_rejects_non_replica_names(self):
         with pytest.raises(ValueError):
             aggregate_estimates({"fig3/C1": synthetic_payload(0)})
